@@ -15,6 +15,14 @@ from repro.crypto.merkle import MerkleTree, verify_merkle_path
 from repro.crypto.puzzle import MessageSpecificPuzzle
 from repro.erasure.gf256 import GF256
 from repro.erasure.rs import ReedSolomonCode
+from repro.net.channel import NoLoss
+from repro.net.node import NetworkNode
+from repro.net.packet import FrameKind
+from repro.net.radio import Radio, RadioConfig
+from repro.net.topology import Topology
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
+from repro.sim.trace import TraceRecorder
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +142,41 @@ def test_lt_decode_page(benchmark, page_blocks):
     received = {i: encoded[i] for i in range(56)}
     decoded = benchmark(code.decode, received)
     assert decoded == page_blocks
+
+
+class _Listener(NetworkNode):
+    def on_receive(self, frame, sender):
+        pass
+
+
+@pytest.mark.parametrize("degree", [4, 8, 16, 32])
+def test_radio_deliver_frame(benchmark, degree):
+    """Air one frame to ``degree`` listeners with collisions on.
+
+    A far-away pair has already aired 256 frames, so a collision model that
+    scans past frames pays for them here; per-receiver state should cost
+    O(degree) per frame whatever went before.
+    """
+    far = degree + 1
+    neighbors = {0: list(range(1, far)), far: [far + 1], far + 1: [far]}
+    for v in range(1, far):
+        neighbors[v] = [0]
+    topo = Topology(positions={u: (float(u), 0.0) for u in neighbors},
+                    neighbors=neighbors)
+    sim = Simulator()
+    rngs = RngRegistry(1)
+    trace = TraceRecorder()
+    radio = Radio(sim, topo, NoLoss(), rngs, trace, RadioConfig(collisions=True))
+    nodes = {u: _Listener(u, sim, radio, rngs, trace) for u in neighbors}
+    for _ in range(256):
+        nodes[far].broadcast(FrameKind.DATA, 20, None)
+    sim.run()
+
+    def deliver():
+        nodes[0].broadcast(FrameKind.DATA, 60, None)
+        sim.run()
+
+    benchmark(deliver)
+    sent = trace.counters["tx_total"] - 256
+    assert trace.counters["rx_delivered"] == 256 + degree * sent
+    assert trace.counters.get("rx_collision", 0) == 0

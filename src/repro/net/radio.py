@@ -7,6 +7,14 @@ the frame at transmission end unless (a) it was itself transmitting
 while any audible transmission is on the air, then retries after a random
 backoff — a deliberately simple CSMA in the spirit of the mica2 stack.
 
+``r`` hears ``s`` iff ``r in topology.neighbors[s]``, for delivery, carrier
+sense and interference alike; a link forced down with :meth:`Radio.set_link`
+gates delivery only, so its frames still interfere.  Collisions are decided
+by per-receiver reception state updated when a frame starts and when it
+ends (O(degree) each): every node keeps the frames it is hearing, and a
+frame starting while another is still on the air (strict overlap: ``end >
+now``) marks both as collided there.
+
 The one-hop experiments can disable collision modelling (the paper places
 nodes "close enough to eliminate packet transmission errors caused by channel
 impairments" and emulates all losses at the application layer).
@@ -16,7 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
+                    Tuple, TYPE_CHECKING)
 
 from repro.errors import SimulationError
 from repro.net.channel import LossModel
@@ -49,7 +58,8 @@ class RadioConfig:  # replint: disable=REP017 -- built once per run, not per eve
 
 
 class _Transmission:
-    __slots__ = ("sender", "frame", "start", "end", "aborted")
+    __slots__ = ("sender", "frame", "start", "end", "aborted", "hearing",
+                 "collided", "halfduplex")
 
     def __init__(self, sender: int, frame: Frame, start: float, end: float):
         self.sender = sender
@@ -57,6 +67,24 @@ class _Transmission:
         self.start = start
         self.end = end
         self.aborted = False  # sender crashed mid-frame; delivers to nobody
+        # Collision modelling only: the listeners' hearing lists this frame
+        # sits in, and the listeners at which it is lost (allocated on the
+        # first loss; membership tests only).
+        self.hearing: Sequence[List["_Transmission"]] = ()
+        self.collided: Optional[Set[int]] = None
+        self.halfduplex: Optional[Set[int]] = None
+
+    def collide_at(self, node_id: int) -> None:
+        if self.collided is None:
+            self.collided = {node_id}
+        else:
+            self.collided.add(node_id)
+
+    def halfduplex_at(self, node_id: int) -> None:
+        if self.halfduplex is None:
+            self.halfduplex = {node_id}
+        else:
+            self.halfduplex.add(node_id)
 
 
 class Radio:
@@ -79,10 +107,12 @@ class Radio:
         self.config = config or RadioConfig()
         self._nodes: Dict[int, "NetworkNode"] = {}
         self._queues: Dict[int, Deque[Frame]] = {}
-        self._sending: Dict[int, bool] = {}
         self._backoffs: Dict[int, int] = {}
-        self._active: List[_Transmission] = []
-        self._history: List[_Transmission] = []
+        # Each node's latest frame, kept until its scheduled end (a node is
+        # sending while it is not aborted), and, with collisions on, the
+        # frames each node is hearing.
+        self._on_air: Dict[int, _Transmission] = {}
+        self._hearing: Dict[int, List[_Transmission]] = {}
         self._detached: Set[int] = set()
         self._links_down: Set[Tuple[int, int]] = set()
         # Fault hook: may rewrite a frame per delivery (corruption) or return
@@ -101,7 +131,6 @@ class Radio:
             raise SimulationError(f"node id {node.node_id} not in topology")
         self._nodes[node.node_id] = node
         self._queues[node.node_id] = deque()
-        self._sending[node.node_id] = False
         self._backoffs[node.node_id] = 0
 
     def node(self, node_id: int) -> "NetworkNode":
@@ -135,10 +164,9 @@ class Radio:
         self._detached.add(node_id)
         self._queues[node_id].clear()
         self._backoffs[node_id] = 0
-        for tx in self._active:
-            if tx.sender == node_id:
-                tx.aborted = True
-        self._sending[node_id] = False
+        tx = self._on_air.get(node_id)
+        if tx is not None:
+            tx.aborted = True
 
     def attach(self, node_id: int) -> None:
         """Put a detached node back on the air with an empty MAC queue."""
@@ -190,25 +218,25 @@ class Radio:
 
     def _channel_busy(self, node_id: int) -> bool:
         """Carrier sense: any audible transmission in progress?"""
-        if self._sending[node_id]:
-            return True
         if not self.config.collisions:
-            # Without a physical channel model there is still a single
-            # sender-side radio: a node's own queue serialises its sends,
-            # but concurrent senders never interfere.
+            # Without a physical channel model concurrent senders never
+            # interfere; a node's own queue still serialises its sends.
             return False
         now = self.sim.now
-        audible = set(self.topology.neighbors.get(node_id, ()))
-        for tx in self._active:
-            if tx.end > now and (tx.sender == node_id or tx.sender in audible):
+        own = self._on_air.get(node_id)
+        if own is not None and own.end > now:
+            return True  # an aborted frame of ours is still on the air
+        for tx in self._hearing.get(node_id, ()):
+            if tx.end > now:
                 return True
         return False
 
     def _pump(self, node_id: int) -> None:
-        if node_id in self._detached:
+        if node_id in self._detached or not self._queues[node_id]:
             return
-        if self._sending[node_id] or not self._queues[node_id]:
-            return
+        own = self._on_air.get(node_id)
+        if own is not None and not own.aborted:
+            return  # still sending; _finish pumps again
         if self._channel_busy(node_id):
             self._backoffs[node_id] += 1
             if self._backoffs[node_id] > self.config.max_backoff_attempts:
@@ -228,8 +256,9 @@ class Radio:
         frame = self._queues[node_id].popleft()
         duration = self.config.airtime(frame.size_bytes)
         tx = _Transmission(node_id, frame, self.sim.now, self.sim.now + duration)
-        self._active.append(tx)
-        self._sending[node_id] = True
+        if self.config.collisions:
+            self._start_reception(tx)
+        self._on_air[node_id] = tx
         self.trace.count(frame.kind.metric_name)
         self.trace.count(f"{frame.kind.metric_name}_bytes", frame.size_bytes)
         self.trace.count("tx_total")
@@ -244,67 +273,67 @@ class Radio:
             self.trace.causal.on_air(self.sim.now, frame, unit)
         self.sim.schedule(duration, self._finish, tx)
 
+    def _start_reception(self, tx: _Transmission) -> None:
+        """Enter ``tx`` into its listeners' reception state.
+
+        A frame that is still on the air (``end > now``) where ``tx`` is
+        heard collides with it there; a listener that is itself on the air
+        misses ``tx``, and the sender misses whatever it was hearing.
+        """
+        now = tx.start
+        hearing: List[List[_Transmission]] = []
+        for other in self._hearing.get(tx.sender, ()):
+            if other.end > now:
+                other.halfduplex_at(tx.sender)
+        for receiver in self.topology.neighbors.get(tx.sender, ()):
+            heard = self._hearing.get(receiver)
+            if heard is None:
+                heard = self._hearing[receiver] = []
+            for other in heard:
+                if other.end > now:
+                    other.collide_at(receiver)
+                    tx.collide_at(receiver)
+            own = self._on_air.get(receiver)
+            if own is not None and own.end > now:
+                tx.halfduplex_at(receiver)
+            heard.append(tx)
+            hearing.append(heard)
+        tx.hearing = hearing
+
     def _finish(self, tx: _Transmission) -> None:
-        self._active.remove(tx)
+        for heard in tx.hearing:
+            heard.remove(tx)
+        if self._on_air.get(tx.sender) is tx:
+            del self._on_air[tx.sender]
         if tx.aborted:
             self.trace.count("tx_aborted")
             return
-        self._sending[tx.sender] = False
-        if self.config.collisions:
-            self._history.append(tx)
-            self._prune_history(tx.start)
         for receiver in self.neighbors(tx.sender):
             self._attempt_delivery(tx, receiver)
         self._pump(tx.sender)
-
-    def _prune_history(self, horizon: float) -> None:
-        if len(self._history) > 256:
-            self._history = [t for t in self._history if t.end >= horizon]
-
-    def _overlaps(self, tx: _Transmission, receiver: int) -> bool:
-        """Did another audible transmission overlap ``tx`` at ``receiver``?"""
-        audible = set(self.topology.neighbors.get(receiver, ()))
-        for other in self._active + self._history:
-            if other is tx or other.sender == tx.sender:
-                continue
-            if other.end <= tx.start or other.start >= tx.end:
-                continue
-            if other.sender in audible or other.sender == receiver:
-                return True
-        return False
-
-    def _was_transmitting(self, node_id: int, tx: _Transmission) -> bool:
-        for other in self._active + self._history:
-            if other.sender != node_id:
-                continue
-            if other.end <= tx.start or other.start >= tx.end:
-                continue
-            return True
-        return False
 
     def _attempt_delivery(self, tx: _Transmission, receiver: int) -> None:
         flight = self.trace.flight
         causal = self.trace.causal
         kind = tx.frame.kind.value
-        if self.config.collisions:
-            if self._was_transmitting(receiver, tx):
-                self.trace.count("rx_halfduplex_miss")
-                if flight is not None:
-                    flight.on_loss(self.sim.now, tx.sender, receiver,
-                                   "halfduplex", kind)
-                if causal is not None:
-                    causal.on_loss(self.sim.now, tx.sender, receiver,
-                                   "halfduplex", tx.frame)
-                return
-            if self._overlaps(tx, receiver):
-                self.trace.count("rx_collision")
-                if flight is not None:
-                    flight.on_loss(self.sim.now, tx.sender, receiver,
-                                   "collision", kind)
-                if causal is not None:
-                    causal.on_loss(self.sim.now, tx.sender, receiver,
-                                   "collision", tx.frame)
-                return
+        if tx.halfduplex is not None and receiver in tx.halfduplex:
+            self.trace.count("rx_halfduplex_miss")
+            if flight is not None:
+                flight.on_loss(self.sim.now, tx.sender, receiver,
+                               "halfduplex", kind)
+            if causal is not None:
+                causal.on_loss(self.sim.now, tx.sender, receiver,
+                               "halfduplex", tx.frame)
+            return
+        if tx.collided is not None and receiver in tx.collided:
+            self.trace.count("rx_collision")
+            if flight is not None:
+                flight.on_loss(self.sim.now, tx.sender, receiver,
+                               "collision", kind)
+            if causal is not None:
+                causal.on_loss(self.sim.now, tx.sender, receiver,
+                               "collision", tx.frame)
+            return
         if self.loss_model.should_drop(self.rngs, tx.sender, receiver, tx.frame, self.sim.now):
             self.trace.count("rx_lost")
             if flight is not None:

@@ -127,11 +127,12 @@ def test_collision_hidden_terminal():
 
 
 def test_half_duplex_sender_misses_concurrent_frame():
-    # Node 2 cannot hear node 1 (asymmetric), so it happily transmits while
-    # node 1's frame is inbound — and misses it (half-duplex).
+    # Node 1 cannot hear node 2 (asymmetric: neighbors[2] lacks 1), so it
+    # transmits over node 2's frame — and node 2, busy sending, misses
+    # node 1's frame (half-duplex).
     sim, radio, nodes, trace = _custom_network({1: [2, 3], 2: [3], 3: []})
-    nodes[1].broadcast(FrameKind.DATA, 50, "a")
     nodes[2].broadcast(FrameKind.DATA, 50, "b")
+    nodes[1].broadcast(FrameKind.DATA, 50, "a")
     sim.run()
     assert trace.counters.get("rx_halfduplex_miss", 0) >= 1
     assert len(nodes[2].received) == 0
