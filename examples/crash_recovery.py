@@ -17,6 +17,7 @@ Run:  python examples/crash_recovery.py
 from repro.experiments.metrics import degradation
 from repro.experiments.scenarios import FaultyGridScenario, run_faulty_grid
 from repro.faults import FaultPlan
+from repro.obs.events import EventLog
 from repro.sim.trace import TraceRecorder
 
 PROTOCOLS = ("deluge", "seluge", "lr-seluge")
@@ -29,13 +30,13 @@ def part1_deterministic_crash() -> None:
         protocol="lr-seluge", topology="grid:2x2:3",
         image_size=3072, k=8, n=12, seed=7, max_time=600.0, plan=plan,
     )
-    trace = TraceRecorder(keep_records=True)
-    result = run_faulty_grid(scenario, trace=trace)
-    for rec in trace.records:
-        if rec.kind.startswith("fault_"):
-            extra = f" {dict(rec.detail)}" if rec.detail else ""
-            node = f" node={rec.node}" if rec.node is not None else ""
-            print(f"  t={rec.time:7.2f}  {rec.kind}{node}{extra}")
+    log = EventLog()
+    result = run_faulty_grid(scenario, trace=TraceRecorder(sink=log))
+    for event in log.events:
+        if event.kind.startswith("fault_"):
+            extra = f" {event.detail}" if event.detail else ""
+            node = f" node={event.node}" if event.node is not None else ""
+            print(f"  t={event.ts:7.2f}  {event.kind}{node}{extra}")
     restored = result.counters.get("flash_units_restored", 0)
     print(f"  completed={result.completed} images_ok={result.images_ok} "
           f"latency={result.latency:.1f}s")

@@ -234,8 +234,6 @@ def build_adversarial(
         loss = PerLinkLoss(topo.link_loss)
     radio = Radio(sim, topo, loss, rngs, trace,
                   config=RadioConfig(collisions=True))
-    if flight is not None:
-        flight.observe_radio(radio)
 
     params = make_params(
         scenario.protocol, image_size=scenario.image_size, k=scenario.k,

@@ -252,7 +252,7 @@ def run_faulty_grid(
 ) -> RunResult:
     """Simulate a grid dissemination under the scenario's fault model.
 
-    Pass a ``TraceRecorder(keep_records=True)`` to capture the full fault /
+    Pass a ``TraceRecorder(sink=EventLog())`` to capture the full fault /
     recovery event sequence (crash, reboot with resume unit, link churn);
     pass a ``sim`` to profile the event loop.  An injected ``rngs`` must be
     seeded with ``scenario.seed`` to reproduce the default run.

@@ -15,6 +15,10 @@ ends (O(degree) each): every node keeps the frames it is hearing, and a
 frame starting while another is still on the air (strict overlap: ``end >
 now``) marks both as collided there.
 
+Each outcome — a frame queued, aired, delivered, lost (with its cause) or
+dropped by the MAC — is reported once, to the run's
+:class:`~repro.sim.trace.TraceRecorder`.
+
 The one-hop experiments can disable collision modelling (the paper places
 nodes "close enough to eliminate packet transmission errors caused by channel
 impairments" and emulates all losses at the application layer).
@@ -118,8 +122,7 @@ class Radio:
         # Fault hook: may rewrite a frame per delivery (corruption) or return
         # None to model a link-layer CRC drop.  Installed by a FaultInjector.
         self.tamper: Optional[Callable[[Frame, int, int], Optional[Frame]]] = None
-        if trace.flight is not None:
-            trace.flight.observe_radio(self)
+        trace.observe_radio(self)
 
     # -- registration -------------------------------------------------------
 
@@ -195,8 +198,7 @@ class Radio:
             # Defensive: a crashed node's stray timer must not transmit.
             self.trace.count("tx_dropped_detached")
             return
-        if self.trace.causal is not None:
-            self.trace.causal.on_enqueue(self.sim.now, frame)
+        self.trace.enqueue(self.sim.now, frame)
         self._queues[frame.sender].append(frame)
         self._pump(frame.sender)
 
@@ -241,10 +243,7 @@ class Radio:
             self._backoffs[node_id] += 1
             if self._backoffs[node_id] > self.config.max_backoff_attempts:
                 # Give up on this frame (models MAC drop under congestion).
-                dropped = self._queues[node_id].popleft()
-                self.trace.record(self.sim.now, "mac_drop", node_id, frame_kind=dropped.kind.value)
-                if self.trace.causal is not None:
-                    self.trace.causal.on_mac_drop(dropped)
+                self.trace.mac_drop(self.sim.now, self._queues[node_id].popleft())
                 self._backoffs[node_id] = 0
                 self._pump(node_id)
                 return
@@ -259,18 +258,7 @@ class Radio:
         if self.config.collisions:
             self._start_reception(tx)
         self._on_air[node_id] = tx
-        self.trace.count(frame.kind.metric_name)
-        self.trace.count(f"{frame.kind.metric_name}_bytes", frame.size_bytes)
-        self.trace.count("tx_total")
-        self.trace.count("tx_total_bytes", frame.size_bytes)
-        unit = getattr(frame.payload, "unit", None)
-        if unit is not None:
-            self.trace.count(f"{frame.kind.metric_name}_unit_{unit}")
-        if self.trace.flight is not None:
-            self.trace.flight.on_tx(self.sim.now, node_id, frame.kind.value,
-                                    frame.size_bytes, unit)
-        if self.trace.causal is not None:
-            self.trace.causal.on_air(self.sim.now, frame, unit)
+        self.trace.tx(self.sim.now, frame)
         self.sim.schedule(duration, self._finish, tx)
 
     def _start_reception(self, tx: _Transmission) -> None:
@@ -313,61 +301,21 @@ class Radio:
         self._pump(tx.sender)
 
     def _attempt_delivery(self, tx: _Transmission, receiver: int) -> None:
-        flight = self.trace.flight
-        causal = self.trace.causal
-        kind = tx.frame.kind.value
+        now = self.sim.now
+        sender, frame = tx.sender, tx.frame
         if tx.halfduplex is not None and receiver in tx.halfduplex:
-            self.trace.count("rx_halfduplex_miss")
-            if flight is not None:
-                flight.on_loss(self.sim.now, tx.sender, receiver,
-                               "halfduplex", kind)
-            if causal is not None:
-                causal.on_loss(self.sim.now, tx.sender, receiver,
-                               "halfduplex", tx.frame)
-            return
-        if tx.collided is not None and receiver in tx.collided:
-            self.trace.count("rx_collision")
-            if flight is not None:
-                flight.on_loss(self.sim.now, tx.sender, receiver,
-                               "collision", kind)
-            if causal is not None:
-                causal.on_loss(self.sim.now, tx.sender, receiver,
-                               "collision", tx.frame)
-            return
-        if self.loss_model.should_drop(self.rngs, tx.sender, receiver, tx.frame, self.sim.now):
-            self.trace.count("rx_lost")
-            if flight is not None:
-                flight.on_loss(self.sim.now, tx.sender, receiver, "channel", kind)
-            if causal is not None:
-                causal.on_loss(self.sim.now, tx.sender, receiver, "channel",
-                               tx.frame)
-            return
-        frame = tx.frame
-        if self.tamper is not None:
-            frame = self.tamper(frame, tx.sender, receiver)
-            if frame is None:
-                self.trace.count("rx_fault_dropped")
-                if flight is not None:
-                    flight.on_loss(self.sim.now, tx.sender, receiver,
-                                   "tamper", kind)
-                if causal is not None:
-                    causal.on_loss(self.sim.now, tx.sender, receiver,
-                                   "tamper", tx.frame)
+            cause = "halfduplex"
+        elif tx.collided is not None and receiver in tx.collided:
+            cause = "collision"
+        elif self.loss_model.should_drop(self.rngs, sender, receiver, frame, now):
+            cause = "channel"
+        else:
+            delivered = (frame if self.tamper is None
+                         else self.tamper(frame, sender, receiver))
+            if delivered is not None:
+                self.trace.rx(now, sender, receiver, frame)
+                self._nodes[receiver].on_receive(delivered, sender)
+                self.trace.rx_done()
                 return
-        self.trace.count("rx_delivered")
-        self.trace.count("rx_delivered_bytes", frame.size_bytes)
-        if flight is not None:
-            flight.on_rx(self.sim.now, tx.sender, receiver, kind,
-                         getattr(frame.payload, "unit", None))
-        if causal is None:
-            self._nodes[receiver].on_receive(frame, tx.sender)
-            return
-        # Cross-node causal edge, then run the handler inside an rx context
-        # so protocol code can name this frame as the parent of whatever it
-        # triggers (a SNACK arm, a decode, a trickle reset).
-        causal.on_rx(self.sim.now, tx.sender, receiver, tx.frame)
-        causal.enter_rx(receiver, tx.frame.frame_id)
-        try:
-            self._nodes[receiver].on_receive(frame, tx.sender)
-        finally:
-            causal.exit_rx(receiver)
+            cause = "tamper"
+        self.trace.loss(now, sender, receiver, cause, frame)

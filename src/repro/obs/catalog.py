@@ -161,8 +161,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("invariant_violations", "counter", "violations",
                "trace invariant violations detected after an adversarial run"),
     # -- observability itself -------------------------------------------------
-    MetricSpec("trace_dropped", "counter", "records",
-               "trace records evicted by the TraceRecorder ring buffer"),
     MetricSpec("obs_unregistered_metric", "counter", "names",
                "distinct counter names used without a catalogue entry"),
     # -- flight recorder (per-link accounting, --flight-record) ---------------

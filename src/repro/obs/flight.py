@@ -1,49 +1,58 @@
-"""Protocol flight recorder: per-link accounting and tracker introspection.
+"""Flight and causal recorders: subscribers to the observation seam.
 
-A :class:`FlightRecorder` hangs off :class:`repro.sim.trace.TraceRecorder` as
-its optional ``flight`` attachment.  Hot-path call sites (the radio delivery
-loop, the data-packet authentication branch, the TX pump) guard every hook
-behind a single ``trace.flight is not None`` check, so a run without
-``--flight-record`` pays one attribute test per site and nothing else.
+Both recorders are :class:`repro.sim.trace.Observer` subclasses.  The radio
+and the protocols report each outcome once, to
+:class:`repro.sim.trace.TraceRecorder`, which bumps its counters and then
+calls the hooks of its subscribers — the ``flight`` recorder first, then the
+``causal`` one.  A run without ``--flight-record``/``--causal-trace`` has no
+subscriber, so no hook is called.
 
-Everything the recorder emits goes through ``sink.instant`` **directly** —
-never through ``TraceRecorder.record`` — so enabling the flight recorder
-cannot touch the counter store: the same seed and flags produce byte-identical
-counter snapshots, completion times, and RNG draws with and without it.  The
-emitted kinds (``link_tx``/``link_rx``/``link_lost``/``link_auth_drop``/
-``link_duplicate``/``pkt_auth_ok``/``pkt_buffered``/``tracker_snapshot``/
-``flight_meta``/``flight_topology``/``flight_link_stats``) are declared in
-:mod:`repro.obs.catalog` like every other event kind, so the schema-versioned
+Everything the recorders emit goes through ``sink.instant`` **directly** —
+never through ``TraceRecorder.record`` — so enabling either cannot touch the
+counter store: the same seed and flags produce byte-identical counter
+snapshots, completion times, and RNG draws with and without them.
+
+:class:`FlightRecorder` (``--flight-record``) emits ``link_tx``/``link_rx``/
+``link_lost``/``link_auth_drop``/``link_duplicate``/``pkt_auth_ok``/
+``pkt_buffered``/``tracker_snapshot``/``flight_meta``/``flight_topology``/
+``flight_link_stats``.  These kinds are declared in :mod:`repro.obs.catalog`
+like every other event kind, so the schema-versioned
 :class:`~repro.obs.events.EventLog` JSONL form carries them unchanged and the
 invariant checker (:mod:`repro.obs.invariants`) and analyzer
-(:mod:`repro.obs.analyze`) replay them offline.
+(:mod:`repro.obs.analyze`) replay them offline.  Besides the event stream it
+keeps a per-link accounting matrix in memory;
+:meth:`FlightRecorder.finalize` flushes it as one ``flight_link_stats`` event
+per observed ``(src, dst)`` link plus a ``flight_topology`` event with every
+node's hop distance from the base station (BFS over the observed radio's
+topology).
 
-Besides the event stream the recorder keeps a per-link accounting matrix in
-memory; :meth:`FlightRecorder.finalize` flushes it as one ``flight_link_stats``
-event per observed ``(src, dst)`` link plus a ``flight_topology`` event with
-every node's hop distance from the base station (BFS over the observed
-radio's topology).
-
-:class:`CausalRecorder` (``--causal-trace``, the ``trace.causal``
-attachment) lives here too and runs under the identical discipline: it
-emits the ``causal_*`` provenance kinds that :mod:`repro.obs.causal`
-reconstructs the dissemination DAG and critical paths from.
+:class:`CausalRecorder` (``--causal-trace``) emits the ``causal_*``
+provenance kinds that :mod:`repro.obs.causal` reconstructs the dissemination
+DAG and critical paths from.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+
+from repro.sim.trace import LOSS_CAUSES, Observer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.packets import DataPacket
     from repro.net.packet import Frame
     from repro.net.radio import Radio
     from repro.sim.trace import TraceSink
 
 __all__ = ["FlightRecorder", "CausalRecorder", "LOSS_CAUSES"]
 
-#: Delivery-failure causes the radio reports, in the order they are checked.
-LOSS_CAUSES: Tuple[str, ...] = ("halfduplex", "collision", "channel", "tamper")
+#: Event kind each authentication outcome is logged under.
+_AUTH_KINDS: Dict[str, str] = {
+    "ok": "pkt_auth_ok",
+    "buffered": "pkt_buffered",
+    "drop": "link_auth_drop",
+    "duplicate": "link_duplicate",
+}
 
 
 class _LinkStats:
@@ -73,7 +82,7 @@ class _LinkStats:
         }
 
 
-class FlightRecorder:
+class FlightRecorder(Observer):
     """Collects per-link, per-packet, and tracker events into a trace sink."""
 
     def __init__(self, sink: "TraceSink") -> None:
@@ -97,39 +106,38 @@ class FlightRecorder:
             self._links[(src, dst)] = stats
         return stats
 
-    # -- radio hooks ----------------------------------------------------------
+    # -- radio outcomes -------------------------------------------------------
 
-    def on_tx(self, ts: float, sender: int, kind: str, size: int,
-              unit: Optional[int] = None) -> None:
-        """A frame left ``sender``'s radio (one event per broadcast)."""
+    def on_tx(self, ts: float, frame: "Frame", unit: Optional[int]) -> None:
+        sender = frame.sender
         self._tx_frames[sender] = self._tx_frames.get(sender, 0) + 1
-        detail: Dict[str, Any] = {"kind": kind, "size": size}
+        detail: Dict[str, Any] = {"kind": frame.kind.value,
+                                  "size": frame.size_bytes}
         if unit is not None:
             detail["unit"] = unit
         self.sink.instant(ts, "link_tx", sender, detail)
 
-    def on_rx(self, ts: float, src: int, dst: int, kind: str,
-              unit: Optional[int] = None) -> None:
-        """A frame was delivered over the directed link ``src -> dst``."""
+    def on_rx(self, ts: float, src: int, dst: int, frame: "Frame") -> None:
         self._link(src, dst).rx += 1
-        detail: Dict[str, Any] = {"src": src, "kind": kind}
+        detail: Dict[str, Any] = {"src": src, "kind": frame.kind.value}
+        unit = getattr(frame.payload, "unit", None)
         if unit is not None:
             detail["unit"] = unit
         self.sink.instant(ts, "link_rx", dst, detail)
 
     def on_loss(self, ts: float, src: int, dst: int, cause: str,
-                kind: str) -> None:
-        """A delivery attempt on ``src -> dst`` failed (see LOSS_CAUSES)."""
+                frame: "Frame") -> None:
         causes = self._link(src, dst).causes
         causes[cause] = causes.get(cause, 0) + 1
         self.sink.instant(ts, "link_lost", dst,
-                          {"src": src, "cause": cause, "kind": kind})
+                          {"src": src, "cause": cause,
+                           "kind": frame.kind.value})
 
-    # -- protocol hooks -------------------------------------------------------
+    # -- protocol outcomes ----------------------------------------------------
 
     def on_meta(self, ts: float, node: int, protocol: str, is_base: bool,
-                total_units: Optional[int], secured: bool) -> None:
-        """Per-node run metadata, emitted once at ``start()``."""
+                total_units: Optional[int], secured: bool,
+                profile: str) -> None:
         if is_base and self._base is None:
             self._base = node
         self.sink.instant(ts, "flight_meta", node, {
@@ -139,45 +147,21 @@ class FlightRecorder:
             "secured": secured,
         })
 
-    def on_auth_ok(self, ts: float, node: int, src: int, version: int,
-                   unit: int, index: int) -> None:
-        """Per-packet authentication succeeded at ``node``."""
-        self.sink.instant(ts, "pkt_auth_ok", node, {
-            "src": src, "version": version, "unit": unit, "index": index,
-        })
-
-    def on_buffered(self, ts: float, node: int, src: int, version: int,
-                    unit: int, index: int) -> None:
-        """``node`` inserted a data packet into its RX buffer."""
-        self.sink.instant(ts, "pkt_buffered", node, {
-            "src": src, "version": version, "unit": unit, "index": index,
-        })
-
-    def on_auth_drop(self, ts: float, node: int, src: int, version: int,
-                     unit: int, index: int) -> None:
-        """A data packet failed authentication *before* buffering."""
-        self._link(src, node).auth_drop += 1
-        self.sink.instant(ts, "link_auth_drop", node, {
-            "src": src, "version": version, "unit": unit, "index": index,
-        })
-
-    def on_duplicate(self, ts: float, node: int, src: int, version: int,
-                     unit: int, index: int) -> None:
-        """An already-buffered data packet arrived again."""
-        self._link(src, node).duplicate += 1
-        self.sink.instant(ts, "link_duplicate", node, {
-            "src": src, "version": version, "unit": unit, "index": index,
+    def on_auth(self, ts: float, node: int, src: int, outcome: str,
+                pkt: "DataPacket") -> None:
+        if outcome == "drop":
+            self._link(src, node).auth_drop += 1
+        elif outcome == "duplicate":
+            self._link(src, node).duplicate += 1
+        self.sink.instant(ts, _AUTH_KINDS[outcome], node, {
+            "src": src, "version": pkt.version, "unit": pkt.unit,
+            "index": pkt.index,
         })
 
     def on_tracker(self, ts: float, node: int, unit: int, trigger: str,
-                   state: Optional[Dict[str, Any]],
-                   requester: Optional[int] = None,
-                   index: Optional[int] = None,
-                   via: Optional[int] = None) -> None:
-        """TX-policy snapshot after a SNACK fold (``trigger="snack"``) or a
-        transmission being accounted (``trigger="sent"``).
-
-        ``requester`` is the *claimed* identity folded into the policy;
+                   state: Optional[Dict[str, Any]], requester: Optional[int],
+                   index: Optional[int], via: Optional[int]) -> None:
+        """``requester`` is the *claimed* identity folded into the policy;
         ``via`` the link-layer sender that relayed it — they differ only
         under Sybil/replay attacks, and the ``quarantine_respected``
         invariant keys on ``via``.
@@ -246,15 +230,8 @@ class FlightRecorder:
         return dict(self._tx_frames)
 
 
-class CausalRecorder:
+class CausalRecorder(Observer):
     """Cross-node causal provenance: who/what triggered every transmission.
-
-    Attached as ``trace.causal`` (see :class:`repro.sim.trace.CausalSink`),
-    it follows the flight recorder's zero-overhead discipline exactly: every
-    hook is guarded by one ``trace.causal is not None`` test at the call
-    site, and emissions go through ``sink.instant`` only — never through the
-    counter store — so the counter snapshots, RNG draws, and non-causal
-    event stream are byte-identical with and without ``--causal-trace``.
 
     Emitted kinds (catalogued in :mod:`repro.obs.catalog`, replayed offline
     by :mod:`repro.obs.causal`):
@@ -275,44 +252,26 @@ class CausalRecorder:
         retransmission wait to.
     ``causal_decode``
         A page decoded/verified at a node, parented on the frame whose
-        arrival completed it, with the decode geometry (``need`` of ``of``
-        packets) so coded and ARQ pages compare directly.
-
-    The recorder also tracks, per node, *which frame is currently being
-    handled* (``enter_rx``/``exit_rx`` around ``on_receive`` in the radio):
-    protocol code queries :meth:`current_frame` to parent timer arms and
-    decodes without threading frame ids through every handler signature.
+        arrival completed it (the seam's current frame at the node), with
+        the decode geometry (``need`` of ``of`` packets) so coded and ARQ
+        pages compare directly.
     """
 
     def __init__(self, sink: "TraceSink") -> None:
         self.sink = sink
         #: MAC enqueue time per frame id, popped when the frame airs/drops.
         self._enq: Dict[int, float] = {}
-        #: Frame currently being dispatched to each node's ``on_receive``.
-        self._rx_ctx: Dict[int, int] = {}
 
-    # -- rx context -----------------------------------------------------------
-
-    def enter_rx(self, node: int, frame_id: int) -> None:
-        self._rx_ctx[node] = frame_id
-
-    def exit_rx(self, node: int) -> None:
-        self._rx_ctx.pop(node, None)
-
-    def current_frame(self, node: int) -> Optional[int]:
-        """The frame id ``node`` is handling right now, or None (timer fire)."""
-        return self._rx_ctx.get(node)
-
-    # -- radio hooks ----------------------------------------------------------
+    # -- radio outcomes -------------------------------------------------------
 
     def on_enqueue(self, ts: float, frame: "Frame") -> None:
         self._enq[frame.frame_id] = ts
 
-    def on_mac_drop(self, frame: "Frame") -> None:
+    def on_mac_drop(self, ts: float, frame: "Frame") -> None:
         # Never aired: no causal_tx, and its enqueue stamp must not leak.
         self._enq.pop(frame.frame_id, None)
 
-    def on_air(self, ts: float, frame: "Frame", unit: Optional[int]) -> None:
+    def on_tx(self, ts: float, frame: "Frame", unit: Optional[int]) -> None:
         detail: Dict[str, Any] = {
             "frame": frame.frame_id,
             "kind": frame.kind.value,
@@ -340,7 +299,7 @@ class CausalRecorder:
             "kind": frame.kind.value,
         })
 
-    # -- protocol hooks -------------------------------------------------------
+    # -- protocol outcomes ----------------------------------------------------
 
     def on_meta(self, ts: float, node: int, protocol: str, is_base: bool,
                 total_units: Optional[int], secured: bool,
@@ -354,11 +313,7 @@ class CausalRecorder:
         })
 
     def on_decode(self, ts: float, node: int, unit: int,
-                  parent: Optional[int], need: Optional[int],
-                  of: Optional[int]) -> None:
-        detail: Dict[str, Any] = {"unit": unit, "frame": parent}
-        if need is not None:
-            detail["need"] = need
-        if of is not None:
-            detail["of"] = of
-        self.sink.instant(ts, "causal_decode", node, detail)
+                  parent: Optional[int], need: int, of: int) -> None:
+        self.sink.instant(ts, "causal_decode", node, {
+            "unit": unit, "frame": parent, "need": need, "of": of,
+        })

@@ -60,12 +60,6 @@ def manifest_summary(manifest: RunManifest, top: int = 25) -> str:
         lines.append(
             "unregistered counters: " + ", ".join(manifest.unregistered_metrics)
         )
-    dropped = int(manifest.counters.get("trace_dropped", 0)) if manifest.counters else 0
-    if dropped:
-        lines.append(
-            f"WARNING: {dropped} trace records dropped by the ring buffer "
-            "(trace is truncated)"
-        )
     if manifest.counters:
         ranked = sorted(manifest.counters.items(), key=lambda kv: (-kv[1], kv[0]))
         rows: List[List[object]] = []

@@ -158,7 +158,7 @@ class DisseminationNode(NetworkNode):
                     "defense-backoff", rngs.root_seed, node_id)
         # Causal-tracer provenance state (written only when trace.causal is
         # attached; both stay empty/None otherwise so the disabled path pays
-        # nothing beyond the attribute checks at the call sites).
+        # nothing beyond the attribute checks in the cause-stamp helpers).
         #   _causal_req: last request-timer arm — (reason, parent frame, ts).
         #   _causal_unit_snack: last SNACK rx frame folded per served unit.
         self._causal_req: Optional[Tuple[str, Optional[int], float]] = None
@@ -216,11 +216,10 @@ class DisseminationNode(NetworkNode):
         rooted across defer/suppress cycles — the *reason* updates each time
         and labels the wait category of the final arm-to-fire interval.
         """
-        causal = self.trace.causal
-        if causal is None:
+        if self.trace.causal is None:
             return
         if parent is None:
-            parent = causal.current_frame(self.node_id)
+            parent = self.trace.current_frame(self.node_id)
         if parent is None and self._causal_req is not None:
             parent = self._causal_req[1]
         self._causal_req = (reason, parent, self.sim.now)
@@ -257,15 +256,9 @@ class DisseminationNode(NetworkNode):
 
     def start(self) -> None:
         """Begin operating; the base station also pushes the signature packet."""
-        if self.trace.flight is not None:
-            self.trace.flight.on_meta(self.sim.now, self.node_id,
-                                      self.protocol.value, self.is_base,
-                                      self.total_units, self.pipeline.secured)
-        if self.trace.causal is not None:
-            self.trace.causal.on_meta(self.sim.now, self.node_id,
-                                      self.protocol.value, self.is_base,
-                                      self.total_units, self.pipeline.secured,
-                                      self.causal_profile)
+        self.trace.meta(self.sim.now, self.node_id, self.protocol.value,
+                        self.is_base, self.total_units, self.pipeline.secured,
+                        self.causal_profile)
         self.trickle.start()
         if not self.is_base and not self.complete:
             self.trace.span_begin(self.sim.now, "span_disseminate", self.node_id)
@@ -730,19 +723,16 @@ class DisseminationNode(NetworkNode):
                 return
         acceptable_index = self._acceptable_index(pkt)
         authentic = False
-        flight = self.trace.flight
         if not self.complete and pkt.unit == self.units_complete and acceptable_index:
             buffered = self._rx_buffer.get(pkt.index)
             if buffered is not None:
                 authentic = buffered == pkt
-                if authentic and flight is not None:
-                    flight.on_duplicate(self.sim.now, self.node_id, sender,
-                                        pkt.version, pkt.unit, pkt.index)
+                if authentic:
+                    self.trace.auth(self.sim.now, self.node_id, sender,
+                                    "duplicate", pkt)
             elif self.pipeline.authenticate(pkt):
                 authentic = True
-                if flight is not None:
-                    flight.on_auth_ok(self.sim.now, self.node_id, sender,
-                                      pkt.version, pkt.unit, pkt.index)
+                self.trace.auth(self.sim.now, self.node_id, sender, "ok", pkt)
                 if not self._rx_buffer:
                     # First buffered packet of this page: open its assembly
                     # span (first packet -> verified decode).
@@ -750,9 +740,8 @@ class DisseminationNode(NetworkNode):
                                           self.node_id, key=pkt.unit,
                                           unit=pkt.unit)
                 self._rx_buffer[pkt.index] = pkt
-                if flight is not None:
-                    flight.on_buffered(self.sim.now, self.node_id, sender,
-                                       pkt.version, pkt.unit, pkt.index)
+                self.trace.auth(self.sim.now, self.node_id, sender,
+                                "buffered", pkt)
                 self._request_tries = 0
                 if self._request_timer.armed:
                     self._note_request_cause("data_progress")
@@ -760,16 +749,13 @@ class DisseminationNode(NetworkNode):
                 self._try_complete_unit()
             else:
                 self.trace.count("data_rejected")
-                if flight is not None:
-                    flight.on_auth_drop(self.sim.now, self.node_id, sender,
-                                        pkt.version, pkt.unit, pkt.index)
+                self.trace.auth(self.sim.now, self.node_id, sender, "drop", pkt)
         elif acceptable_index:
             # Not the unit we are collecting: a cheap authenticity check
             # decides whether this packet may influence our timers at all.
             authentic = self.pipeline.validate_overheard(pkt)
-            if not authentic and self.pipeline.secured and flight is not None:
-                flight.on_auth_drop(self.sim.now, self.node_id, sender,
-                                    pkt.version, pkt.unit, pkt.index)
+            if not authentic and self.pipeline.secured:
+                self.trace.auth(self.sim.now, self.node_id, sender, "drop", pkt)
 
         if not authentic:
             if not self.complete:
@@ -786,10 +772,8 @@ class DisseminationNode(NetworkNode):
         if policy is not None:
             policy.mark_sent(pkt.index)
             self.trace.count("data_suppressed")
-            if flight is not None:
-                flight.on_tracker(self.sim.now, self.node_id, pkt.unit,
-                                  "overheard", policy.snapshot(),
-                                  index=pkt.index)
+            self.trace.tracker(self.sim.now, self.node_id, pkt.unit,
+                               "overheard", policy, index=pkt.index)
         if not self.complete:
             self._maybe_schedule_request()
 
@@ -845,13 +829,10 @@ class DisseminationNode(NetworkNode):
             self._stall_rotations = 0
             self._arm_stall()
         completed_unit = self.units_complete - 1
-        causal = self.trace.causal
-        if causal is not None:
-            n_packets, threshold = self.pipeline.geometry(completed_unit)
-            causal.on_decode(self.sim.now, self.node_id, completed_unit,
-                             causal.current_frame(self.node_id),
-                             threshold, n_packets)
-        self.trace.record(self.sim.now, "unit_complete", self.node_id, unit=completed_unit)
+        n_packets, threshold = self.pipeline.geometry(completed_unit)
+        # Counted and logged as ``unit_complete``.
+        self.trace.decode(self.sim.now, self.node_id, completed_unit,
+                          threshold, n_packets)
         self.trace.span_end(self.sim.now, "span_page", self.node_id,
                             key=completed_unit, unit=completed_unit)
         total = self.total_units
@@ -943,9 +924,8 @@ class DisseminationNode(NetworkNode):
         if self._snack_flood_exceeded(request.requester, request.unit):
             self.trace.count("snack_ignored_flood")
             return
-        causal = self.trace.causal
-        if causal is not None:
-            rx_frame = causal.current_frame(self.node_id)
+        if self.trace.causal is not None:
+            rx_frame = self.trace.current_frame(self.node_id)
             if rx_frame is not None:
                 # The latest folded SNACK parents every packet this unit's
                 # serve burst puts on the air.
@@ -962,12 +942,8 @@ class DisseminationNode(NetworkNode):
         # Sybil weakness (a forger multiplies identities from one radio);
         # the link-layer token bucket above is what bounds that radio.
         policy.on_snack(request.requester, request.needed)
-        if self.trace.flight is not None:
-            self.trace.flight.on_tracker(self.sim.now, self.node_id,
-                                         request.unit, "snack",
-                                         policy.snapshot(),
-                                         requester=request.requester,
-                                         via=sender)
+        self.trace.tracker(self.sim.now, self.node_id, request.unit, "snack",
+                           policy, requester=request.requester, via=sender)
         if not self._tx_timer.armed:
             self._tx_timer.start(self._rearm_delay(self.timing.tx_aggregation_delay))
 
@@ -1036,9 +1012,8 @@ class DisseminationNode(NetworkNode):
             return
         frame_size = self._transmit_unit_packet(unit, index)
         policy.mark_sent(index)
-        if self.trace.flight is not None:
-            self.trace.flight.on_tracker(self.sim.now, self.node_id, unit,
-                                         "sent", policy.snapshot(), index=index)
+        self.trace.tracker(self.sim.now, self.node_id, unit, "sent", policy,
+                           index=index)
         self._last_served_unit = unit
         self._tx_timer.start(
             self._rearm_delay(self.radio.config.airtime(frame_size) + self.timing.tx_gap))

@@ -1,125 +1,60 @@
-"""Lightweight counters and trace records for simulations.
+"""Counters and the observation seam for simulations.
 
-Protocols report what happened through a :class:`TraceRecorder`; experiment
-code reads the counters afterwards.  Recording full trace entries is optional
-(and off by default) because large runs only need the counters.
+The radio and the protocols report what happened through a
+:class:`TraceRecorder`; experiment code reads the counters afterwards.
 
 The recorder is a thin façade over a typed :class:`~repro.obs.registry.
 MetricsRegistry`: :attr:`TraceRecorder.counters` *is* the registry's counter
 store, so the hot path stays a single dict update while every counter name
-can be resolved to its declared spec (kind, unit, help) for reports.  Three
-optional extensions hang off it:
+can be resolved to its declared spec (kind, unit, help) for reports.
 
-* ``max_records`` bounds the in-memory record list as a ring buffer —
-  evictions are counted under ``trace_dropped`` so silent loss is visible.
-* ``sink`` mirrors records into a structured event log
-  (:class:`repro.obs.events.EventLog`-shaped) and enables
-  :meth:`span_begin`/:meth:`span_end` for packet/page lifecycle spans; with
-  no sink both span calls are near-free no-ops.
-* ``flight`` attaches a :class:`FlightSink`-shaped flight recorder
-  (per-link accounting, tracker snapshots); instrumented call sites in the
-  radio and protocol layers check ``trace.flight is not None`` themselves.
-* ``causal`` attaches a :class:`CausalSink`-shaped provenance recorder
-  (per-frame causal parents, cross-node tx->rx edges, decode events) under
-  the same ``trace.causal is not None`` discipline.
+It is also the one observation seam.  Each outcome is reported once, by one
+method: ``enqueue``, ``tx``, ``rx``, ``loss`` (with one of
+:data:`LOSS_CAUSES`), ``mac_drop``, ``auth`` (one of :data:`AUTH_OUTCOMES`),
+``decode``, ``meta`` and ``tracker``.  The method bumps the outcome's
+counters inline, then calls the matching ``on_*`` hook of every subscribed
+:class:`Observer` in subscription order — the constructor subscribes
+``flight`` before ``causal`` — with positional arguments, so no event object
+is allocated per outcome.  A subscriber is called only for the hooks it
+overrides.  Subscribers write to their own sink, never to the counter
+store, so counters, RNG draws and the counted event stream are the same
+whichever recorders are attached.
+
+``sink`` is the structured event log (:class:`repro.obs.events.EventLog`
+shaped): :meth:`TraceRecorder.record` mirrors counted instants into it and
+:meth:`~TraceRecorder.span_begin`/:meth:`~TraceRecorder.span_end` open and
+close packet/page lifecycle spans there.  Span completions are counted
+whether or not a sink is attached.
+
+Between :meth:`~TraceRecorder.rx` and :meth:`~TraceRecorder.rx_done` the
+radio is handing a delivered frame to the receiver's ``on_receive``;
+:meth:`~TraceRecorder.current_frame` names that frame, so protocol code can
+parent what it triggers (a SNACK arm, a decode) on it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Protocol, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["TraceRecord", "TraceRecorder", "TraceSink", "FlightSink",
-           "CausalSink"]
+__all__ = ["TraceRecorder", "TraceSink", "Observer", "LOSS_CAUSES",
+           "LOSS_COUNTERS", "AUTH_OUTCOMES"]
 
+#: Delivery-failure cause -> the counter it bumps, in the order the radio
+#: checks the causes.
+LOSS_COUNTERS: Dict[str, str] = {
+    "halfduplex": "rx_halfduplex_miss",
+    "collision": "rx_collision",
+    "channel": "rx_lost",
+    "tamper": "rx_fault_dropped",
+}
+LOSS_CAUSES: Tuple[str, ...] = tuple(LOSS_COUNTERS)
 
-class FlightSink(Protocol):
-    """Structural interface of a flight recorder attachment.
-
-    :class:`repro.obs.flight.FlightRecorder` satisfies this; hot-path call
-    sites (radio delivery, data authentication, TX pump) guard each hook
-    behind ``trace.flight is not None`` so a run without flight recording
-    pays one attribute test per site.  Implementations must write only to
-    their own sink — never to the recorder's counters — to preserve the
-    byte-identical-run contract.
-    """
-
-    def observe_radio(self, radio: Any) -> None: ...
-
-    def on_tx(self, ts: float, sender: int, kind: str, size: int,
-              unit: Optional[int] = None) -> None: ...
-
-    def on_rx(self, ts: float, src: int, dst: int, kind: str,
-              unit: Optional[int] = None) -> None: ...
-
-    def on_loss(self, ts: float, src: int, dst: int, cause: str,
-                kind: str) -> None: ...
-
-    def on_meta(self, ts: float, node: int, protocol: str, is_base: bool,
-                total_units: Optional[int], secured: bool) -> None: ...
-
-    def on_auth_ok(self, ts: float, node: int, src: int, version: int,
-                   unit: int, index: int) -> None: ...
-
-    def on_buffered(self, ts: float, node: int, src: int, version: int,
-                    unit: int, index: int) -> None: ...
-
-    def on_auth_drop(self, ts: float, node: int, src: int, version: int,
-                     unit: int, index: int) -> None: ...
-
-    def on_duplicate(self, ts: float, node: int, src: int, version: int,
-                     unit: int, index: int) -> None: ...
-
-    def on_tracker(self, ts: float, node: int, unit: int, trigger: str,
-                   state: Optional[Dict[str, Any]],
-                   requester: Optional[int] = None,
-                   index: Optional[int] = None) -> None: ...
-
-    def finalize(self, ts: float) -> None: ...
-
-
-class CausalSink(Protocol):
-    """Structural interface of a causal-provenance recorder attachment.
-
-    :class:`repro.obs.flight.CausalRecorder` satisfies this.  Like the
-    flight recorder, every hot-path call site guards its hook behind a
-    single ``trace.causal is not None`` check and implementations write
-    only to their own sink — never to the recorder's counters — so the
-    event stream, counter snapshots, and RNG draws stay byte-identical
-    with and without ``--causal-trace``.
-
-    ``frame`` parameters are :class:`repro.net.packet.Frame` instances,
-    typed ``Any`` here so the strict ``repro.sim`` surface does not import
-    ``repro.net`` (which imports this module).
-    """
-
-    def on_enqueue(self, ts: float, frame: Any) -> None: ...
-
-    def on_air(self, ts: float, frame: Any, unit: Optional[int]) -> None: ...
-
-    def on_mac_drop(self, frame: Any) -> None: ...
-
-    def on_rx(self, ts: float, src: int, dst: int, frame: Any) -> None: ...
-
-    def on_loss(self, ts: float, src: int, dst: int, cause: str,
-                frame: Any) -> None: ...
-
-    def enter_rx(self, node: int, frame_id: int) -> None: ...
-
-    def exit_rx(self, node: int) -> None: ...
-
-    def current_frame(self, node: int) -> Optional[int]: ...
-
-    def on_meta(self, ts: float, node: int, protocol: str, is_base: bool,
-                total_units: Optional[int], secured: bool,
-                profile: str) -> None: ...
-
-    def on_decode(self, ts: float, node: int, unit: int,
-                  parent: Optional[int], need: Optional[int],
-                  of: Optional[int]) -> None: ...
+#: Per-packet authentication outcomes of a received data packet: verified,
+#: inserted into the RX buffer, rejected before buffering, or a repeat of a
+#: packet already buffered.
+AUTH_OUTCOMES: Tuple[str, ...] = ("ok", "buffered", "drop", "duplicate")
 
 
 class TraceSink(Protocol):
@@ -140,79 +75,206 @@ class TraceSink(Protocol):
             key: Any = None, detail: Optional[Dict[str, Any]] = None) -> None: ...
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One timestamped trace entry."""
+class Observer:
+    """A subscriber to the observation seam; every hook is a no-op here.
 
-    time: float
-    kind: str
-    node: Optional[int]
-    detail: Tuple[Tuple[str, Any], ...]
+    Subclasses override the outcomes they use.  ``frame`` arguments are
+    :class:`repro.net.packet.Frame` instances and ``pkt`` a
+    :class:`repro.core.packets.DataPacket`, typed ``Any`` so the strict
+    ``repro.sim`` surface does not import the layers above it.
+    """
 
-    def get(self, key: str, default: Any = None) -> Any:
-        for k, v in self.detail:
-            if k == key:
-                return v
-        return default
+    def observe_radio(self, radio: Any) -> None:
+        """The radio whose outcomes follow (called once, as it is built)."""
+
+    def on_enqueue(self, ts: float, frame: Any) -> None:
+        """``frame`` joined its sender's MAC queue."""
+
+    def on_tx(self, ts: float, frame: Any, unit: Optional[int]) -> None:
+        """``frame`` went on the air; ``unit`` is its payload's unit, if any."""
+
+    def on_rx(self, ts: float, src: int, dst: int, frame: Any) -> None:
+        """``frame`` was delivered over the directed link ``src -> dst``."""
+
+    def on_loss(self, ts: float, src: int, dst: int, cause: str,
+                frame: Any) -> None:
+        """A delivery of ``frame`` on ``src -> dst`` failed (LOSS_CAUSES)."""
+
+    def on_mac_drop(self, ts: float, frame: Any) -> None:
+        """``frame`` left the MAC queue without ever going on the air."""
+
+    def on_auth(self, ts: float, node: int, src: int, outcome: str,
+                pkt: Any) -> None:
+        """A data packet from ``src`` met ``outcome`` (AUTH_OUTCOMES)."""
+
+    def on_decode(self, ts: float, node: int, unit: int,
+                  parent: Optional[int], need: int, of: int) -> None:
+        """``node`` decoded ``unit`` from ``need`` of ``of`` packets; the
+        frame being handled at the time (if any) is ``parent``."""
+
+    def on_meta(self, ts: float, node: int, protocol: str, is_base: bool,
+                total_units: Optional[int], secured: bool,
+                profile: str) -> None:
+        """Per-node run metadata, reported once at ``start()``."""
+
+    def on_tracker(self, ts: float, node: int, unit: int, trigger: str,
+                   state: Optional[Dict[str, Any]], requester: Optional[int],
+                   index: Optional[int], via: Optional[int]) -> None:
+        """A TX policy's state after a SNACK fold, a send or an overheard
+        packet (``trigger``); ``state`` is None for an opaque policy."""
 
 
 class TraceRecorder:
-    """Accumulates named counters and (optionally) full trace records."""
+    """Accumulates named counters and fans outcomes out to observers."""
 
     def __init__(
         self,
-        keep_records: bool = False,
-        max_records: Optional[int] = None,
         sink: Optional[TraceSink] = None,
         registry: Optional[MetricsRegistry] = None,
-        flight: Optional[FlightSink] = None,
-        causal: Optional[CausalSink] = None,
+        flight: Optional[Observer] = None,
+        causal: Optional[Observer] = None,
     ) -> None:
-        if max_records is not None and max_records < 1:
-            raise ValueError(f"max_records must be >= 1, got {max_records}")
         self.registry: MetricsRegistry = (
             registry if registry is not None else MetricsRegistry()
         )
         # Alias, not copy: incrementing through either view hits the same
         # Counter object, keeping the hot path a single dict update.
         self.counters = self.registry.counters
-        self.keep_records = keep_records or max_records is not None
-        self.max_records = max_records
-        # Unbounded stays a plain list (the established API: tests and
-        # callers compare against []); bounded uses a deque ring buffer.
-        self.records: Union[List[TraceRecord], Deque[TraceRecord]] = (
-            [] if max_records is None else deque(maxlen=max_records)
-        )
         self.sink = sink
-        # Optional flight recorder: instrumented call sites check for None
-        # themselves so the disabled path costs one attribute read.
+        # The recorders stay reachable by name: the flight recorder is
+        # finalized at the end of a run, and protocol code builds causal
+        # provenance stamps only when a causal recorder is attached.
         self.flight = flight
-        # Optional causal tracer (same discipline as flight).
         self.causal = causal
         self._marks: Dict[str, float] = {}
+        self._rx_node: Optional[int] = None
+        self._rx_frame: Optional[int] = None
+        self._observers: List[Observer] = [
+            o for o in (flight, causal) if o is not None]
+        self._bind()
+
+    def subscribe(self, observer: Observer) -> None:
+        """Call ``observer``'s hooks for every outcome from now on."""
+        self._observers.append(observer)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Cache, per hook, the bound methods subscribers override."""
+        def hooks(name: str) -> Tuple[Callable[..., None], ...]:
+            default = getattr(Observer, name)
+            return tuple(getattr(o, name) for o in self._observers
+                         if getattr(type(o), name, default) is not default)
+
+        self._on_radio = hooks("observe_radio")
+        self._on_enqueue = hooks("on_enqueue")
+        self._on_tx = hooks("on_tx")
+        self._on_rx = hooks("on_rx")
+        self._on_loss = hooks("on_loss")
+        self._on_mac_drop = hooks("on_mac_drop")
+        self._on_auth = hooks("on_auth")
+        self._on_decode = hooks("on_decode")
+        self._on_meta = hooks("on_meta")
+        self._on_tracker = hooks("on_tracker")
 
     def count(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
         self.counters[name] += amount
 
     def record(self, time: float, kind: str, node: Optional[int] = None, **detail: Any) -> None:
-        """Count ``kind`` and, when enabled, store a full trace record."""
+        """Count ``kind`` and mirror it into the sink as an instant event."""
         self.counters[kind] += 1
-        if self.keep_records:
-            if (
-                self.max_records is not None
-                and len(self.records) >= self.max_records
-            ):
-                # deque(maxlen) evicts the oldest on append; make the loss
-                # visible instead of silent.
-                self.counters["trace_dropped"] += 1
-            self.records.append(
-                TraceRecord(time, kind, node, tuple(sorted(detail.items())))
-            )
         if self.sink is not None:
             self.sink.instant(time, kind, node, dict(detail) if detail else None)
 
-    # -- lifecycle spans (structured sink only) --------------------------------
+    # -- outcomes ---------------------------------------------------------------
+
+    def observe_radio(self, radio: Any) -> None:
+        for hook in self._on_radio:
+            hook(radio)
+
+    def enqueue(self, ts: float, frame: Any) -> None:
+        for hook in self._on_enqueue:
+            hook(ts, frame)
+
+    def tx(self, ts: float, frame: Any) -> None:
+        """``frame`` went on the air: per-kind, total and per-unit counts."""
+        counters = self.counters
+        name = frame.kind.metric_name
+        size = frame.size_bytes
+        counters[name] += 1
+        counters[f"{name}_bytes"] += size
+        counters["tx_total"] += 1
+        counters["tx_total_bytes"] += size
+        unit = getattr(frame.payload, "unit", None)
+        if unit is not None:
+            counters[f"{name}_unit_{unit}"] += 1
+        for hook in self._on_tx:
+            hook(ts, frame, unit)
+
+    def rx(self, ts: float, src: int, dst: int, frame: Any) -> None:
+        """``frame`` reached ``dst``; it is ``dst``'s current frame until
+        :meth:`rx_done`."""
+        counters = self.counters
+        counters["rx_delivered"] += 1
+        counters["rx_delivered_bytes"] += frame.size_bytes
+        self._rx_node = dst
+        self._rx_frame = frame.frame_id
+        for hook in self._on_rx:
+            hook(ts, src, dst, frame)
+
+    def rx_done(self) -> None:
+        """The receiver's handler returned: no frame is being handled."""
+        self._rx_node = None
+
+    def current_frame(self, node: int) -> Optional[int]:
+        """The frame id ``node`` is handling right now, or None (timer fire)."""
+        return self._rx_frame if node == self._rx_node else None
+
+    def loss(self, ts: float, src: int, dst: int, cause: str,
+             frame: Any) -> None:
+        self.counters[LOSS_COUNTERS[cause]] += 1
+        for hook in self._on_loss:
+            hook(ts, src, dst, cause, frame)
+
+    def mac_drop(self, ts: float, frame: Any) -> None:
+        """The MAC gave up on ``frame`` after too many busy-channel backoffs."""
+        self.record(ts, "mac_drop", frame.sender, frame_kind=frame.kind.value)
+        for hook in self._on_mac_drop:
+            hook(ts, frame)
+
+    def auth(self, ts: float, node: int, src: int, outcome: str,
+             pkt: Any) -> None:
+        for hook in self._on_auth:
+            hook(ts, node, src, outcome, pkt)
+
+    def decode(self, ts: float, node: int, unit: int, need: int,
+               of: int) -> None:
+        """``node`` completed ``unit``: counted and logged as
+        ``unit_complete`` after the observers see the decode."""
+        self.counters["unit_complete"] += 1
+        parent = self.current_frame(node)
+        for hook in self._on_decode:
+            hook(ts, node, unit, parent, need, of)
+        if self.sink is not None:
+            self.sink.instant(ts, "unit_complete", node, {"unit": unit})
+
+    def meta(self, ts: float, node: int, protocol: str, is_base: bool,
+             total_units: Optional[int], secured: bool, profile: str) -> None:
+        for hook in self._on_meta:
+            hook(ts, node, protocol, is_base, total_units, secured, profile)
+
+    def tracker(self, ts: float, node: int, unit: int, trigger: str,
+                policy: Any, requester: Optional[int] = None,
+                index: Optional[int] = None,
+                via: Optional[int] = None) -> None:
+        """A TX policy changed; its ``snapshot()`` is taken only if observed."""
+        hooks = self._on_tracker
+        if hooks:
+            state = policy.snapshot()
+            for hook in hooks:
+                hook(ts, node, unit, trigger, state, requester, index, via)
+
+    # -- lifecycle spans ----------------------------------------------------------
 
     def span_begin(self, time: float, kind: str, node: Optional[int] = None,
                    key: Any = None, **detail: Any) -> None:
@@ -222,11 +284,10 @@ class TraceRecorder:
 
     def span_end(self, time: float, kind: str, node: Optional[int] = None,
                  key: Any = None, **detail: Any) -> None:
-        """Close a lifecycle span; counts one completion of ``kind``."""
-        if self.sink is None:
-            return
+        """Count one completion of ``kind``; close its span in the sink."""
         self.counters[kind] += 1
-        self.sink.end(time, kind, node, key, dict(detail) if detail else None)
+        if self.sink is not None:
+            self.sink.end(time, kind, node, key, dict(detail) if detail else None)
 
     def mark(self, name: str, time: float) -> None:
         """Remember a named timestamp (first write wins)."""
@@ -235,10 +296,6 @@ class TraceRecorder:
 
     def get_mark(self, name: str) -> Optional[float]:
         return self._marks.get(name)
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All stored records of ``kind`` (requires ``keep_records=True``)."""
-        return [r for r in self.records if r.kind == kind]
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy of all counters."""

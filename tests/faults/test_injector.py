@@ -27,7 +27,7 @@ class Sink(NetworkNode):
 def _network(topo=None, n_receivers=3):
     sim = Simulator()
     rngs = RngRegistry(1)
-    trace = TraceRecorder(keep_records=True)
+    trace = TraceRecorder()
     topo = topo or star_topology(n_receivers)
     radio = Radio(sim, topo, NoLoss(), rngs, trace,
                   config=RadioConfig(collisions=False))

@@ -5,6 +5,7 @@ import pytest
 from repro.core.packets import DataPacket
 from repro.experiments.scenarios import FaultyGridScenario, run_faulty_grid
 from repro.faults import FaultPlan, NodeFlash
+from repro.obs.events import EventLog
 from repro.sim.trace import TraceRecorder
 
 PROTOCOLS = ("deluge", "seluge", "lr-seluge")
@@ -73,20 +74,22 @@ def _crash_run(protocol, plan, seed=7, trace=None, **overrides):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_rebooted_node_resumes_from_flash_not_page_zero(protocol):
     plan = FaultPlan().crash(8.0, node=3, reboot_after=15.0)
-    trace = TraceRecorder(keep_records=True)
+    log = EventLog()
+    trace = TraceRecorder(sink=log)
     result = _crash_run(protocol, plan, trace=trace)
     assert result.completed and result.images_ok
-    reboots = [r for r in trace.records if r.kind == "fault_reboot"]
+    reboots = log.of_kind("fault_reboot")
     assert len(reboots) == 1
     assert reboots[0].node == 3
     # the crashed node had completed pages in flash: resume index > 0
-    assert reboots[0].get("resume_unit") > 0
+    assert reboots[0].detail["resume_unit"] > 0
     assert result.counters.get("flash_units_restored", 0) > 0
 
 
 def test_cold_reboot_without_flash_restarts_from_zero():
     plan = FaultPlan().crash(8.0, node=3, reboot_after=15.0)
-    trace = TraceRecorder(keep_records=True)
+    log = EventLog()
+    trace = TraceRecorder(sink=log)
     scenario = FaultyGridScenario(protocol="lr-seluge", seed=7, plan=plan,
                                   **SMALL_GRID)
     # run_faulty_grid attaches NodeFlash; strip node 3's to model a node
@@ -102,18 +105,19 @@ def test_cold_reboot_without_flash_restarts_from_zero():
     finally:
         scenarios_mod.NodeFlash = original
     assert result.completed and result.images_ok
-    reboots = [r for r in trace.records if r.kind == "fault_reboot"]
-    assert reboots[0].get("resume_unit") == 0
+    reboots = log.of_kind("fault_reboot")
+    assert reboots[0].detail["resume_unit"] == 0
 
 
 def test_base_station_outage_stalls_then_recovers():
     # Base (node 0) goes down early and comes back: dissemination still
     # finishes because the base re-advertises after reboot.
     plan = FaultPlan().crash(3.0, node=0, reboot_after=20.0)
-    trace = TraceRecorder(keep_records=True)
+    log = EventLog()
+    trace = TraceRecorder(sink=log)
     result = _crash_run("lr-seluge", plan, trace=trace)
     assert result.completed and result.images_ok
-    reboots = [r for r in trace.records if r.kind == "fault_reboot"]
+    reboots = log.of_kind("fault_reboot")
     assert [r.node for r in reboots] == [0]
     assert result.latency > 20.0  # the outage cost real time
 

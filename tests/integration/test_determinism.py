@@ -3,11 +3,12 @@
 The whole experiment pipeline leans on this — paired protocol comparisons,
 fault-plan replay, and the degradation metrics all assume a seed pins down
 every random draw.  These tests run the same scenario twice from scratch and
-demand byte-identical trace records, not just matching summary counters.
+demand identical trace events, not just matching summary counters.
 """
 
 from repro.experiments.scenarios import FaultyGridScenario, run_faulty_grid
 from repro.faults import FaultPlan
+from repro.obs.events import EventLog
 from repro.sim.trace import TraceRecorder
 
 BASE = dict(protocol="lr-seluge", topology="grid:2x2:3", image_size=3000,
@@ -15,9 +16,9 @@ BASE = dict(protocol="lr-seluge", topology="grid:2x2:3", image_size=3000,
 
 
 def _run(scenario):
-    trace = TraceRecorder(keep_records=True)
-    result = run_faulty_grid(scenario, trace=trace)
-    return result, trace.records
+    log = EventLog()
+    result = run_faulty_grid(scenario, trace=TraceRecorder(sink=log))
+    return result, log.events
 
 
 def test_fault_free_run_is_reproducible():

@@ -28,7 +28,7 @@ from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import Observer, TraceRecorder
 
 
 class Sink(NetworkNode):
@@ -40,33 +40,21 @@ class Sink(NetworkNode):
         self.received.append((frame.payload, sender))
 
 
-class OutcomeLog:
-    """Causal-sink stand-in recording what the radio decided per frame."""
+class OutcomeLog(Observer):
+    """Seam subscriber recording what the radio decided per frame."""
 
     def __init__(self):
         self.aired = {}     # frame_id -> (sender, start, size_bytes)
         self.outcomes = {}  # (frame_id, receiver) -> cause | "delivered"
 
-    def on_enqueue(self, ts, frame):
-        pass
-
-    def on_air(self, ts, frame, unit):
+    def on_tx(self, ts, frame, unit):
         self.aired[frame.frame_id] = (frame.sender, ts, frame.size_bytes)
-
-    def on_mac_drop(self, frame):
-        pass
 
     def on_rx(self, ts, src, dst, frame):
         self.outcomes[(frame.frame_id, dst)] = "delivered"
 
     def on_loss(self, ts, src, dst, cause, frame):
         self.outcomes[(frame.frame_id, dst)] = cause
-
-    def enter_rx(self, node, frame_id):
-        pass
-
-    def exit_rx(self, node):
-        pass
 
 
 class Net:
@@ -80,7 +68,7 @@ class Net:
         rngs = RngRegistry(1)
         self.trace = TraceRecorder()
         self.log = OutcomeLog()
-        self.trace.causal = self.log
+        self.trace.subscribe(self.log)
         self.radio = Radio(self.sim, self.topo, NoLoss(), rngs, self.trace,
                            config=RadioConfig(collisions=True))
         self.nodes = {i: Sink(i, self.sim, self.radio, rngs, self.trace)

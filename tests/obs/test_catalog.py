@@ -27,8 +27,7 @@ def test_every_spec_is_fully_documented():
 
 def test_core_protocol_counters_are_declared():
     for name in ("tx_data", "tx_snack", "tx_adv", "rx_delivered",
-                 "unit_complete", "node_complete", "fault_crash",
-                 "trace_dropped"):
+                 "unit_complete", "node_complete", "fault_crash"):
         assert is_known_metric(name)
 
 

@@ -1,0 +1,118 @@
+"""Byte-level pin of the combined flight + causal event stream.
+
+Both recorders share one :class:`EventLog`, so the order in which they write
+for the same outcome (flight first, then causal) is part of the archived
+trace format.  These runs attach both and pin the sha256 of the JSONL stream
+and of the counter snapshot: any change to what a recorder emits, to the
+order they emit it in, or to the counters a recorder could disturb shows up
+here.
+
+Frame ids come from a process-wide counter, so each run restarts it to keep
+the digests independent of which tests ran before.
+
+To re-pin after a deliberate change to the trace format, print
+``_digests(*_grid_run())`` and ``_digests(*_forgery_run())``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+
+import pytest
+
+from repro.core.image import CodeImage
+from repro.experiments.runner import CompletionTracker, run_network
+from repro.experiments.scenarios import (
+    _BUILDERS,
+    MultiHopScenario,
+    make_params,
+    run_multihop,
+)
+from repro.net import packet
+from repro.net.channel import NoLoss
+from repro.net.radio import Radio, RadioConfig
+from repro.net.topology import star_topology
+from repro.obs.events import EventLog
+from repro.obs.flight import CausalRecorder, FlightRecorder
+from repro.protocols.attacks import BogusDataInjector
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
+from repro.sim.trace import TraceRecorder
+
+
+@pytest.fixture(autouse=True)
+def _fresh_frame_ids(monkeypatch):
+    monkeypatch.setattr(packet, "_frame_ids", itertools.count())
+
+
+def _recorded_trace():
+    log = EventLog()
+    flight = FlightRecorder(log)
+    trace = TraceRecorder(sink=log, flight=flight, causal=CausalRecorder(log))
+    return log, flight, trace
+
+
+def _grid_run():
+    """The causal-smoke configuration: lossy 4x4 grid, collisions on."""
+    sim = Simulator()
+    log, flight, trace = _recorded_trace()
+    result = run_multihop(MultiHopScenario(
+        protocol="lr-seluge", topology="grid:4x4:4", image_size=8 * 1024,
+        k=16, n=24, seed=3,
+    ), sim=sim, trace=trace)
+    assert result.completed and result.images_ok
+    flight.finalize(sim.now)
+    log.flush_open_spans(sim.now)
+    return log, trace
+
+
+def _forgery_run():
+    """One-hop lr-seluge with a forged-data flooder (auth-drop path)."""
+    sim = Simulator()
+    rngs = RngRegistry(5)
+    log, flight, trace = _recorded_trace()
+    radio = Radio(sim, star_topology(4), NoLoss(), rngs, trace,
+                  config=RadioConfig(collisions=False))
+    params = make_params("lr-seluge", image_size=3000, k=8, n=12)
+    image = CodeImage.synthetic(3000, version=2, seed=5)
+    tracker = CompletionTracker(trace)
+    base, nodes, _pre = _BUILDERS["lr-seluge"](
+        sim, radio, rngs, trace, params, image=image,
+        receiver_ids=[1, 2, 3], on_complete=tracker,
+    )
+    BogusDataInjector(4, sim, radio, rngs, trace, period=0.3).start()
+    base.start()
+    result = run_network(sim, trace, tracker, nodes, "lr-seluge",
+                         max_time=2400.0, expected_image=image.data)
+    assert result.completed and result.images_ok
+    assert log.of_kind("link_auth_drop")
+    flight.finalize(sim.now)
+    log.flush_open_spans(sim.now)
+    return log, trace
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digests(log, trace):
+    return (_sha(log.to_jsonl()),
+            _sha(json.dumps(trace.registry.snapshot(), sort_keys=True)))
+
+
+def test_grid_stream_and_counters_are_pinned():
+    events, counters = _digests(*_grid_run())
+    assert events == (
+        "d34daceee6462a97f909feba8cd689e0570f65f8d81acfb2f832e8514b004597")
+    assert counters == (
+        "ab198c7480873788ec5d90bcf81d0c151c80e24880c708cb3c489870cb6b784a")
+
+
+def test_forgery_stream_and_counters_are_pinned():
+    events, counters = _digests(*_forgery_run())
+    assert events == (
+        "e196427c3aed61c618f63a446367845c6028feabcbcdd1a89df9445b93656212")
+    assert counters == (
+        "2e725446deb2fa313b4df2a4de37a6f068f7cc4fb23f06c5b5ca642dfcab8ea7")

@@ -109,13 +109,6 @@ def test_run_perf_smoke_writes_all_artifacts(tmp_path):
     assert any(e["ph"] == "X" for e in chrome["traceEvents"])
 
 
-def test_manifest_summary_warns_about_dropped_trace_records():
-    text = manifest_summary(_manifest(counters={"trace_dropped": 7}))
-    assert "WARNING: 7 trace records dropped" in text
-    clean = manifest_summary(_manifest())
-    assert "WARNING" not in clean
-
-
 def test_trace_summary_reports_flushed_open_spans(tmp_path):
     log = EventLog()
     log.begin(1.0, "span_page", node=1, key=0)

@@ -1,8 +1,8 @@
 """Unit tests for the trace recorder."""
 
-import pytest
+from types import SimpleNamespace
 
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import LOSS_COUNTERS, Observer, TraceRecorder
 
 
 def test_counters_accumulate():
@@ -26,19 +26,21 @@ def test_record_counts_without_keeping_records_by_default():
     t = TraceRecorder()
     t.record(1.0, "rx", node=3, unit=2)
     assert t.counters["rx"] == 1
-    assert t.records == []
+    assert t.sink is None
 
 
 def test_record_keeps_records_when_enabled():
-    t = TraceRecorder(keep_records=True)
+    from repro.obs.events import EventLog
+
+    log = EventLog()
+    t = TraceRecorder(sink=log)
     t.record(1.5, "rx", node=3, unit=2, index=7)
     t.record(2.0, "tx", node=4)
-    assert len(t.records) == 2
-    rx = t.of_kind("rx")[0]
-    assert rx.time == 1.5
+    assert len(log) == 2
+    rx = log.of_kind("rx")[0]
+    assert rx.ts == 1.5
     assert rx.node == 3
-    assert rx.get("unit") == 2
-    assert rx.get("missing", "default") == "default"
+    assert rx.detail == {"unit": 2, "index": 7}
 
 
 def test_marks_first_write_wins():
@@ -47,31 +49,6 @@ def test_marks_first_write_wins():
     t.mark("done", 9.0)
     assert t.get_mark("done") == 5.0
     assert t.get_mark("other") is None
-
-
-def test_unbounded_records_stay_a_plain_list():
-    t = TraceRecorder(keep_records=True)
-    assert isinstance(t.records, list)
-    t.record(1.0, "rx")
-    assert t.counters.get("trace_dropped", 0) == 0
-
-
-def test_max_records_ring_buffer_evicts_oldest_and_counts_drops():
-    t = TraceRecorder(max_records=3)
-    assert t.keep_records  # a bound implies recording
-    for i in range(5):
-        t.record(float(i), "rx", node=i)
-    assert len(t.records) == 3
-    assert [r.node for r in t.records] == [2, 3, 4]  # oldest two evicted
-    assert t.counters["trace_dropped"] == 2
-    assert t.counters["rx"] == 5  # counters never drop
-
-
-def test_max_records_must_be_positive():
-    with pytest.raises(ValueError):
-        TraceRecorder(max_records=0)
-    with pytest.raises(ValueError):
-        TraceRecorder(max_records=-5)
 
 
 def test_recorder_is_a_facade_over_the_registry():
@@ -128,5 +105,102 @@ def test_spans_without_a_sink_are_no_ops():
     t = TraceRecorder()
     t.span_begin(1.0, "span_page", node=2, key=0)
     t.span_end(3.0, "span_page", node=2, key=0)
-    assert t.counters.get("span_page", 0) == 0
-    assert t.records == []
+    # Nothing to open or close, but the completion still counts: counters
+    # must not depend on whether an event log is attached.
+    assert t.counters["span_page"] == 1
+
+
+def test_counter_snapshot_does_not_depend_on_the_sink():
+    """Attaching an event log (``--trace-out``) must not change the counters
+    a run reports, span completions included."""
+    from repro.experiments.scenarios import OneHopScenario, run_one_hop
+    from repro.obs.events import EventLog
+
+    scenario = OneHopScenario(protocol="lr-seluge", receivers=3,
+                              loss_rate=0.15, image_size=3000, k=8, n=12,
+                              seed=9)
+    bare = TraceRecorder()
+    run_one_hop(scenario, trace=bare)
+    logged = TraceRecorder(sink=EventLog())
+    run_one_hop(scenario, trace=logged)
+    assert bare.snapshot()["span_page"] > 0
+    assert bare.snapshot() == logged.snapshot()
+
+
+# -- the observation seam -------------------------------------------------------
+
+
+class Calls(Observer):
+    """Logs the hooks it overrides, tagged with its own name."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def on_rx(self, ts, src, dst, frame):
+        self.log.append((self.name, "rx", dst))
+
+    def on_loss(self, ts, src, dst, cause, frame):
+        self.log.append((self.name, "loss", cause))
+
+
+def _frame(frame_id=7, size=10):
+    return SimpleNamespace(frame_id=frame_id, size_bytes=size,
+                           kind=SimpleNamespace(metric_name="tx_data",
+                                                value="data"),
+                           payload=None, sender=1)
+
+
+def test_outcomes_count_then_reach_observers_flight_first():
+    log = []
+    t = TraceRecorder(flight=Calls("flight", log), causal=Calls("causal", log))
+    t.rx(1.0, 1, 2, _frame())
+    t.loss(2.0, 1, 3, "collision", _frame())
+    assert log == [("flight", "rx", 2), ("causal", "rx", 2),
+                   ("flight", "loss", "collision"),
+                   ("causal", "loss", "collision")]
+    assert t.counters["rx_delivered"] == 1
+    assert t.counters["rx_delivered_bytes"] == 10
+    assert t.counters["rx_collision"] == 1
+
+
+def test_every_loss_cause_has_its_own_counter():
+    t = TraceRecorder()
+    for cause in LOSS_COUNTERS:
+        t.loss(1.0, 1, 2, cause, _frame())
+    assert t.snapshot() == {name: 1 for name in LOSS_COUNTERS.values()}
+
+
+def test_current_frame_lasts_from_rx_to_rx_done():
+    t = TraceRecorder()
+    assert t.current_frame(2) is None
+    t.rx(1.0, 1, 2, _frame(frame_id=42))
+    assert t.current_frame(2) == 42
+    assert t.current_frame(3) is None
+    t.rx_done()
+    assert t.current_frame(2) is None
+
+
+def test_tracker_snapshots_the_policy_only_when_observed():
+    class Policy:
+        snapshots = 0
+
+        def snapshot(self):
+            self.snapshots += 1
+            return {"pending": 1}
+
+    policy = Policy()
+    TraceRecorder().tracker(1.0, 0, 1, "sent", policy, index=3)
+    assert policy.snapshots == 0
+
+    seen = []
+
+    class Tracker(Observer):
+        def on_tracker(self, ts, node, unit, trigger, state, requester,
+                       index, via):
+            seen.append((trigger, state, requester, index, via))
+
+    TraceRecorder(flight=Tracker()).tracker(1.0, 0, 1, "sent", policy,
+                                            index=3)
+    assert policy.snapshots == 1
+    assert seen == [("sent", {"pending": 1}, None, 3, None)]
