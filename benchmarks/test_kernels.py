@@ -43,9 +43,17 @@ def test_rs_encode_page(benchmark, rs_code, page_blocks):
 
 
 def test_rs_decode_page_worst_case(benchmark, rs_code, page_blocks):
-    """Decode from the all-parity subset (no systematic shortcuts)."""
+    """Decode with 16 erased source rows, the most k=32/n=48 allows."""
     encoded = rs_code.encode(page_blocks)
     received = {i: encoded[i] for i in range(16, 48)}
+    decoded = benchmark(rs_code.decode, received)
+    assert decoded == page_blocks
+
+
+def test_rs_decode_page_typical(benchmark, rs_code, page_blocks):
+    """Decode with 9 erased source rows, the mean on the one-hop p=0.3 run."""
+    encoded = rs_code.encode(page_blocks)
+    received = {i: encoded[i] for i in range(9, 41)}
     decoded = benchmark(rs_code.decode, received)
     assert decoded == page_blocks
 

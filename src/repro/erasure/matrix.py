@@ -1,7 +1,9 @@
 """Dense linear algebra over GF(256): elimination, rank, inversion, solving.
 
 Used by the Reed-Solomon and random-linear-code decoders.  All matrices are
-numpy uint8 arrays; row operations are vectorised through the field tables.
+numpy uint8 arrays.  Elimination works on one ``[A | augment]`` array and
+clears a pivot's column from every other row in a single product-table
+gather, so a k-column elimination costs O(k) numpy calls.
 """
 
 from __future__ import annotations
@@ -21,38 +23,32 @@ def gf_rref(matrix: np.ndarray, augment: Optional[np.ndarray] = None) -> Tuple[n
 
     Row-reduces ``matrix`` (copied) and mirrors every row operation on the
     optional ``augment`` block.  Returns ``(rref, reduced_augment, rank)``.
+    The pivot for each column is the first row at or below the current
+    pivot row with a nonzero entry there.
     """
-    a = matrix.astype(np.uint8).copy()
-    aug = augment.astype(np.uint8).copy() if augment is not None else None
-    rows, cols = a.shape
+    cols = matrix.shape[1]
+    if augment is None:
+        a = matrix.astype(np.uint8)
+    else:
+        a = np.hstack([matrix.astype(np.uint8), augment.astype(np.uint8)])
+    rows = a.shape[0]
+    mul = GF256.mul_table
     pivot_row = 0
     for col in range(cols):
         if pivot_row >= rows:
             break
-        pivot = None
-        for r in range(pivot_row, rows):
-            if a[r, col] != 0:
-                pivot = r
-                break
-        if pivot is None:
+        candidates = np.flatnonzero(a[pivot_row:, col])
+        if candidates.size == 0:
             continue
+        pivot = pivot_row + int(candidates[0])
         if pivot != pivot_row:
             a[[pivot_row, pivot]] = a[[pivot, pivot_row]]
-            if aug is not None:
-                aug[[pivot_row, pivot]] = aug[[pivot, pivot_row]]
-        inv = GF256.inv(int(a[pivot_row, col]))
-        if inv != 1:
-            a[pivot_row] = GF256.scale_vec(inv, a[pivot_row])
-            if aug is not None:
-                aug[pivot_row] = GF256.scale_vec(inv, aug[pivot_row])
-        for r in range(rows):
-            if r != pivot_row and a[r, col] != 0:
-                factor = int(a[r, col])
-                GF256.addmul_vec(a[r], factor, a[pivot_row])
-                if aug is not None:
-                    GF256.addmul_vec(aug[r], factor, aug[pivot_row])
+        a[pivot_row] = mul[GF256.inv_table[a[pivot_row, col]], a[pivot_row]]
+        factors = a[:, col].copy()
+        factors[pivot_row] = 0
+        a ^= mul[factors][:, a[pivot_row]]
         pivot_row += 1
-    return a, aug, pivot_row
+    return a[:, :cols], (a[:, cols:] if augment is not None else None), pivot_row
 
 
 def gf_rank(matrix: np.ndarray) -> int:
@@ -88,16 +84,10 @@ def gf_solve(coeffs: np.ndarray, payloads: np.ndarray) -> np.ndarray:
         raise DecodeError(
             f"coefficient rows ({m}) != payload rows ({payloads.shape[0]})"
         )
-    rref, reduced, rank = gf_rref(coeffs, payloads)
+    _, reduced, rank = gf_rref(coeffs, payloads)
     if rank < k:
         raise DecodeError(f"system is rank-deficient (rank {rank} < {k})")
     if reduced is None:
         raise AssertionError('invariant violated: reduced is not None')
-    # After full reduction the first k pivot rows carry the solution in order.
-    solution = np.zeros((k, payloads.shape[1]), dtype=np.uint8)
-    for r in range(rank):
-        pivot_cols = np.nonzero(rref[r])[0]
-        if len(pivot_cols) == 0:
-            continue
-        solution[pivot_cols[0]] = reduced[r]
-    return solution
+    # Full column rank: the pivots sit at columns 0..k-1, in order.
+    return reduced[:k]

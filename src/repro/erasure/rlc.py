@@ -85,17 +85,13 @@ class RandomLinearCode(ErasureCode):
     def encode_indices(self, blocks: Sequence[bytes], indices: Iterable[int]) -> List[bytes]:
         """Encode only the requested indices (supports rateless operation)."""
         data = blocks_to_array(blocks)
-        out: List[bytes] = []
-        for idx in indices:
-            if idx < self.k:
-                out.append(bytes(blocks[idx]))
-                continue
-            acc = np.zeros(data.shape[1], dtype=np.uint8)
-            row = self.coefficient_row(idx)
-            for j in range(self.k):
-                GF256.addmul_vec(acc, int(row[j]), data[j])
-            out.append(acc.tobytes())
-        return out
+        wanted = list(indices)
+        out = {i: bytes(blocks[i]) for i in wanted if 0 <= i < self.k}
+        coded = [i for i in wanted if i not in out]
+        if coded:
+            rows = np.stack([self.coefficient_row(i) for i in coded])
+            out.update(zip(coded, array_to_blocks(GF256.matmul(rows, data))))
+        return [out[i] for i in wanted]
 
     def decode(self, packets: Dict[int, bytes]) -> List[bytes]:
         if len(packets) < self.k:

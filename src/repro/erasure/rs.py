@@ -12,6 +12,7 @@ assumes; decoding itself only ever needs ``k`` blocks.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -69,11 +70,25 @@ class ReedSolomonCode(ErasureCode):
             raise DecodeError(
                 f"need at least k={self.k} packets to decode, got {len(packets)}"
             )
-        indices = sorted(packets)[: self.k]
-        # Fast path: all-systematic reception needs no algebra.
-        if indices == list(range(self.k)):
+        ordered = sorted(packets)
+        for index in (ordered[0], ordered[-1]):  # the extremes bound every key
+            if not 0 <= index < self.n:
+                raise CodingError(f"encoded index {index} out of range [0, {self.n})")
+        indices = ordered[: self.k]
+        # Systematic keys sort first, so ``indices`` holds every received
+        # source block, then one parity block per erased source block.
+        split = bisect.bisect_left(indices, self.k)
+        known, parity = indices[:split], indices[split:]
+        if not parity:
             return [packets[i] for i in indices]
-        coeffs = np.stack([self._rows[i] for i in indices])
+        erased = [j for j in range(self.k) if j not in packets]
         payloads = blocks_to_array([packets[i] for i in indices])
-        solved = gf_solve(coeffs, payloads)
-        return array_to_blocks(solved)
+        rows = self._parity[[i - self.k for i in parity]]
+        # Move the known source blocks' share of each parity block to the
+        # right-hand side; what remains is an e x e Cauchy system (e erased
+        # rows), nonsingular because every square Cauchy submatrix is.
+        rhs = payloads[split:] ^ GF256.matmul(rows[:, known], payloads[:split])
+        solved = gf_solve(rows[:, erased], rhs)
+        blocks = {i: packets[i] for i in known}
+        blocks.update(zip(erased, array_to_blocks(solved)))
+        return [blocks[j] for j in range(self.k)]

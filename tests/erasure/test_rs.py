@@ -107,6 +107,17 @@ def test_coefficient_row_bounds():
         code.coefficient_row(8)
 
 
+@pytest.mark.parametrize("bad", [-1, -4, 8, 9])
+def test_decode_rejects_packet_indices_outside_the_code(bad):
+    """A key outside [0, n) must not alias a parity row via negative indexing."""
+    code = ReedSolomonCode(4, 8)
+    encoded = code.encode(_blocks(4))
+    packets = {i: encoded[i] for i in (1, 2, 3)}
+    packets[bad] = encoded[0]
+    with pytest.raises(CodingError):
+        code.decode(packets)
+
+
 def test_declared_kprime_gates_decode_attempts():
     code = ReedSolomonCode(4, 8, kprime=6)
     assert not code.can_attempt_decode(5)
