@@ -37,9 +37,9 @@ class FaultSpec:
     """One targeted fault: where it fires and what it injects.
 
     Matching is the conjunction of every non-``None`` field; ``nth`` counts
-    *matching* operations (1-based), so "the 2nd write to history.jsonl" is
-    ``FaultSpec(kind="enospc", op="write", path_substring="history.jsonl",
-    nth=2)``.  ``once=True`` (the default) retires the spec after it fires.
+    *matching* operations (1-based), so "the 2nd write to checkpoint.jsonl"
+    is ``FaultSpec(kind="enospc", op="write",
+    path_substring="checkpoint.jsonl", nth=2)``.  ``once=True`` (the default) retires the spec after it fires.
     """
 
     kind: str

@@ -1,8 +1,9 @@
 """Plain-text report tables for regenerated figures and tables.
 
 This module is also the repository's *only* sanctioned wall-clock call site
-(replint REP002): CLI progress timing goes through :func:`stopwatch`, so
-simulation logic everywhere else stays a pure function of (config, seed).
+(replint REP002): CLI progress timing goes through :func:`stopwatch` and
+manifest/status timestamps through :func:`utc_now_iso`, so simulation logic
+everywhere else stays a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Sequence
 
-__all__ = ["format_table", "format_comparison", "stopwatch"]
+__all__ = ["format_table", "format_comparison", "stopwatch", "utc_now_iso"]
 
 
 @contextmanager
@@ -30,6 +31,11 @@ def stopwatch() -> Iterator[Callable[[], float]]:
     """
     start = time.perf_counter()
     yield lambda: time.perf_counter() - start
+
+
+def utc_now_iso() -> str:
+    """Current UTC time, ISO-8601 with seconds precision (manifest stamps)."""
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = "") -> str:

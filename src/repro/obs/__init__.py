@@ -1,4 +1,4 @@
-"""Observability subsystem: metrics, traces, profiles, and run manifests.
+"""Observability subsystem: metrics, traces, and run manifests.
 
 The paper's entire evaluation is a measurement exercise, so measurement is a
 first-class subsystem here rather than an ad-hoc ``Counter``:
@@ -12,14 +12,12 @@ first-class subsystem here rather than an ad-hoc ``Counter``:
 * :mod:`repro.obs.events` — schema-versioned structured trace events with
   span support, JSONL persistence, and a Chrome ``trace_event`` / Perfetto
   exporter.
-* :mod:`repro.obs.profile` — the event-loop profiler (per-handler wall time
-  and event counts, heap occupancy, events/sec) that plugs into
-  :class:`repro.sim.engine.Simulator`; also the *only* sanctioned wall-clock
-  call site besides ``experiments/reporting.py`` (replint REP002).
 * :mod:`repro.obs.manifest` — run manifests (seed, config, git rev,
   counters, timings) and manifest diffing.
 * :mod:`repro.obs.report` / ``python -m repro.obs`` — summarise or diff
-  manifests, and the ``perf-smoke`` benchmark entry point used by CI.
+  manifests and traces, and ``bench-compare``, the CI perf gate over
+  ``perfbench/run.py`` outputs (how long a run takes, end to end and per
+  layer, is measured by ``perfbench/``, outside the package).
 
 This ``__init__`` deliberately imports nothing: ``repro.sim.trace`` (checked
 under ``mypy --strict``) imports :mod:`repro.obs.registry`, and keeping the
@@ -30,7 +28,6 @@ __all__ = [
     "catalog",
     "events",
     "manifest",
-    "profile",
     "registry",
     "report",
 ]

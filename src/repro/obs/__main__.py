@@ -1,28 +1,25 @@
-"""Observability CLI: summarise/diff run manifests, inspect traces, perf-smoke.
+"""Observability CLI: summarise/diff run manifests, inspect traces, gate perf.
 
 ::
 
     python -m repro.obs report run.manifest.json
     python -m repro.obs report --diff before.json after.json
     python -m repro.obs trace run.trace.jsonl
-    python -m repro.obs perf-smoke --out BENCH_sim_core.json \\
-        --manifest perf.manifest.json --trace perf.trace.jsonl \\
-        --chrome-trace perf.chrome.json --repeats 3 --warmup 1 \\
-        --history results/perf/history.jsonl
     python -m repro.obs check-invariants run.trace.jsonl
     python -m repro.obs analyze run.trace.jsonl --out analysis.json --json
     python -m repro.obs critical-path run.trace.jsonl --min-attribution 0.95
     python -m repro.obs critical-path deluge.jsonl lr.jsonl --out causal.json
     python -m repro.obs why run.trace.jsonl --node 7
-    python -m repro.obs bench-compare BENCH_current.json BENCH_sim_core.json
-    python -m repro.obs bench-history results/perf/history.jsonl --prune 50
+    python -m repro.obs bench-compare BENCH_perf.json *.perf.out
     python -m repro.obs watch results/telemetry/
 
 The ``critical-path``/``why`` commands need a ``--causal-trace`` run (see
 :mod:`repro.obs.causal`); ``analyze`` needs ``--flight-record``.
+``bench-compare`` reads the output of ``perfbench/run.py --trace 0`` (see
+``perfbench/README.md``), one file per workload.
 
-Exit codes: 0 success, 1 a gate failed (regression, violated invariant,
-empty history), 2 unusable input (missing file, malformed JSON).
+Exit codes: 0 success, 1 a gate failed (regression, violated invariant),
+2 unusable input (missing file, malformed JSON, wrong arguments).
 """
 
 from __future__ import annotations
@@ -30,40 +27,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import Any, Dict, Optional
 
 from repro.obs.manifest import RunManifest
 from repro.obs.report import (
+    TOLERANCE,
     bench_compare,
     diff_report,
+    load_perf_baseline,
     manifest_summary,
-    run_perf_smoke,
+    read_perf_output,
     trace_summary,
 )
 
 __all__ = ["main"]
 
-_DEFAULT_BASELINE = "BENCH_sim_core.json"
-
 
 def _error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _load_bench(path: str, role: str) -> Dict[str, Any]:
-    """Read one bench/baseline JSON; raises SystemExit-friendly ValueErrors."""
-    target = Path(path)
-    if not target.exists():
-        raise FileNotFoundError(f"{role} file not found: {path}")
-    try:
-        data = json.loads(target.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed {role} JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"malformed {role} JSON in {path}: expected an object")
-    return data
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,31 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", help="summarise a JSONL trace file")
     trace.add_argument("trace_file")
-
-    smoke = sub.add_parser("perf-smoke",
-                           help="run a small profiled dissemination (CI)")
-    smoke.add_argument("--out", default="BENCH_sim_core.json",
-                       help="benchmark JSON output path")
-    smoke.add_argument("--manifest", default=None,
-                       help="also write a run manifest here")
-    smoke.add_argument("--trace", default=None,
-                       help="also write the JSONL trace here")
-    smoke.add_argument("--chrome-trace", default=None,
-                       help="also write a Chrome/Perfetto trace here")
-    smoke.add_argument("--seed", type=int, default=1)
-    smoke.add_argument("--receivers", type=int, default=8)
-    smoke.add_argument("--image-kib", type=int, default=4)
-    smoke.add_argument("--repeats", type=int, default=1,
-                       help="repeat the run and report median events/s")
-    smoke.add_argument("--warmup", type=int, default=1,
-                       help="discarded warmup repeats before measurement "
-                            "(default 1; keeps lazy-init cost out of stats)")
-    smoke.add_argument("--topology", default=None,
-                       help="run the multi-hop grid workload instead of the "
-                            "one-hop star (e.g. grid:15x15:3)")
-    smoke.add_argument("--history", default=None,
-                       help="append the bench record to this history JSONL "
-                            "(see bench-history)")
 
     check = sub.add_parser("check-invariants",
                            help="replay a JSONL trace against the protocol "
@@ -153,32 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
     why.add_argument("--top", type=int, default=12,
                      help="longest critical-path waits to list")
 
-    compare = sub.add_parser("bench-compare",
-                             help="gate a perf-smoke JSON against a baseline "
-                                  "(exit 1 on >tolerance regression)")
-    compare.add_argument("current", help="freshly generated BENCH json")
-    compare.add_argument("baseline", help="committed baseline BENCH json")
-    compare.add_argument("--tolerance", type=float, default=0.25,
-                         help="allowed fractional slowdown (default 0.25)")
-
-    history = sub.add_parser(
-        "bench-history",
-        help="events/s trajectory per config from the append-only history "
-             "store (exit 1 when empty)")
-    history.add_argument("history", nargs="?",
-                         default="results/perf/history.jsonl",
-                         help="history JSONL (default results/perf/"
-                              "history.jsonl)")
-    history.add_argument("--baseline", default=None,
-                         help="committed baseline BENCH json for regression "
-                              f"flags (default {_DEFAULT_BASELINE} when "
-                              "present)")
-    history.add_argument("--config-filter", default=None,
-                         help="only show configs whose key contains this "
-                              "substring")
-    history.add_argument("--prune", type=int, default=None, metavar="N",
-                         help="first compact the store to the last N runs "
-                              "per config (atomic rewrite)")
+    compare = sub.add_parser(
+        "bench-compare",
+        help="gate perfbench outputs against the committed baseline (exit 1 "
+             f"on a >{round(TOLERANCE * 100)}%% regression or an incorrect run)")
+    compare.add_argument("baseline", help="committed baseline, BENCH_perf.json")
+    compare.add_argument("outputs", nargs="+",
+                         help="perfbench/run.py --trace 0 outputs, one per "
+                              "baseline workload")
 
     watch = sub.add_parser("watch",
                            help="live view of a running campaign "
@@ -205,7 +143,7 @@ def main(argv=None) -> int:
                                   b_name=args.diff[1]))
                 return 0
             if len(args.manifest) != 1:
-                raise SystemExit("report takes one manifest file, or --diff A B")
+                return _error("report takes one manifest file, or --diff A B")
             print(manifest_summary(RunManifest.load(args.manifest[0]),
                                    top=args.top))
         except FileNotFoundError as exc:
@@ -323,78 +261,20 @@ def main(argv=None) -> int:
         return 0
     if args.command == "bench-compare":
         try:
-            current = _load_bench(args.current, "current bench")
-            baseline = _load_bench(args.baseline, "baseline bench")
+            baseline = load_perf_baseline(args.baseline)
+            runs = [read_perf_output(path) for path in args.outputs]
+            ok, text = bench_compare(baseline, runs)
         except FileNotFoundError as exc:
-            return _error(str(exc))
+            return _error(f"file not found: {exc.filename or exc}")
         except ValueError as exc:
             return _error(str(exc))
-        ok, text = bench_compare(current, baseline, tolerance=args.tolerance)
         print(text)
         return 0 if ok else 1
-    if args.command == "bench-history":
-        from repro.obs.perf import (
-            bench_history_report,
-            load_history,
-            prune_history,
-        )
-
-        if args.prune is not None:
-            try:
-                before, after = prune_history(args.history, args.prune)
-            except ValueError as exc:
-                return _error(str(exc))
-            print(f"pruned {args.history}: {before} -> {after} record(s) "
-                  f"(last {args.prune} per config)")
-        history = load_history(args.history)
-        if not history:
-            print(f"no recorded runs in {args.history}")
-            return 1
-        baseline: Optional[Dict[str, Any]] = None
-        baseline_path = args.baseline
-        if baseline_path is None and Path(_DEFAULT_BASELINE).exists():
-            baseline_path = _DEFAULT_BASELINE
-        if baseline_path is not None:
-            try:
-                baseline = _load_bench(baseline_path, "baseline bench")
-            except FileNotFoundError as exc:
-                return _error(str(exc))
-            except ValueError as exc:
-                return _error(str(exc))
-        print(bench_history_report(history, baseline=baseline,
-                                   config_filter=args.config_filter))
-        return 0
     if args.command == "watch":
         from repro.obs.telemetry import watch
 
         return watch(args.telemetry_dir, interval_s=args.interval,
                      once=args.once, max_polls=args.max_polls)
-    if args.command == "perf-smoke":
-        bench, profile_text = run_perf_smoke(
-            args.out, manifest_out=args.manifest, trace_out=args.trace,
-            chrome_out=args.chrome_trace, seed=args.seed,
-            receivers=args.receivers, image_kib=args.image_kib,
-            repeats=args.repeats, warmup=args.warmup,
-            topology=args.topology, history_out=args.history,
-        )
-        print(profile_text)
-        print(f"wrote {args.out}: {bench['events']} events, "
-              f"{bench['events_per_s']:,.0f} events/s, "
-              f"completed={bench['completed']}")
-        if args.manifest:
-            print(f"wrote manifest {args.manifest}")
-        if args.trace:
-            print(f"wrote trace {args.trace} ({bench['trace_events']} events)")
-        if args.chrome_trace:
-            print(f"wrote chrome trace {args.chrome_trace}")
-        if args.history:
-            if bench.get("history_degraded"):
-                print("warning: history append degraded "
-                      f"({bench['history_degraded']}); bench artifact still "
-                      "written, exit code unchanged")
-            else:
-                print(f"appended history record to {args.history}")
-        return 0
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
 
 

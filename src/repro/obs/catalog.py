@@ -209,7 +209,7 @@ METRICS: Tuple[MetricSpec, ...] = (
                "page assembly: first buffered packet to verified decode"),
     MetricSpec("span_serve", "event", "spans",
                "TX service: first SNACK for a unit to the policy draining"),
-    # -- simulator internals (profiler/manifest gauges) -----------------------
+    # -- simulator internals (manifest gauges) --------------------------------
     MetricSpec("sim_events", "gauge", "events", "events executed by the engine"),
     MetricSpec("sim_heap_peak", "gauge", "events", "peak event-heap occupancy"),
     MetricSpec("sim_heap_compactions", "gauge", "times",

@@ -188,18 +188,11 @@ class EventLog:
 
     # -- Chrome trace_event / Perfetto ----------------------------------------
 
-    def to_chrome_trace(
-        self,
-        process_name: str = "repro-sim",
-        extra_events: Optional[List[Dict[str, Any]]] = None,
-    ) -> Dict[str, Any]:
+    def to_chrome_trace(self, process_name: str = "repro-sim") -> Dict[str, Any]:
         """The log as a Chrome ``trace_event`` document (JSON object form).
 
         Timestamps are microseconds (Chrome's unit); one thread per node so
         Perfetto renders a per-node timeline, with span kinds as categories.
-        ``extra_events`` (already in ``trace_event`` dict form — e.g. the
-        profiler counter tracks from :mod:`repro.obs.perf`) are appended
-        verbatim after the log's own events.
         """
         trace_events: List[Dict[str, Any]] = [
             {"ph": "M", "pid": 1, "tid": 0, "name": "process_name",
@@ -231,8 +224,6 @@ class EventLog:
             if event.dur is not None:
                 entry["dur"] = event.dur * 1e6
             trace_events.append(entry)
-        if extra_events:
-            trace_events.extend(extra_events)
         return {
             "traceEvents": trace_events,
             "displayTimeUnit": "ms",
@@ -240,18 +231,12 @@ class EventLog:
         }
 
     def write_chrome_trace(
-        self,
-        path: Union[str, Path],
-        process_name: str = "repro-sim",
-        extra_events: Optional[List[Dict[str, Any]]] = None,
+        self, path: Union[str, Path], process_name: str = "repro-sim"
     ) -> Path:
         from repro.persist import atomic_write_text
 
         target = Path(path)
-        atomic_write_text(
-            target,
-            json.dumps(self.to_chrome_trace(process_name, extra_events)),
-        )
+        atomic_write_text(target, json.dumps(self.to_chrome_trace(process_name)))
         return target
 
     # -- queries ---------------------------------------------------------------

@@ -2,11 +2,10 @@
 
 A :class:`RunManifest` records what was run (tool, config, seed, git rev),
 what happened (counters, the paper's five metrics), and what it cost
-(wall time, simulated time, events, events/sec, optional event-loop
-profile).  Manifests are small JSON files written next to results by
-``python -m repro.simulate``, ``python -m repro.experiments`` and the
-``perf-smoke`` CI job; ``python -m repro.obs report`` summarises one or
-diffs two.
+(wall time, simulated time, events, events/sec).  Manifests are small JSON
+files written next to results by ``python -m repro.simulate`` and
+``python -m repro.experiments``; ``python -m repro.obs report`` summarises
+one or diffs two.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.obs.profile import utc_now_iso
+from repro.experiments.reporting import utc_now_iso
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -64,7 +63,6 @@ class RunManifest:
     counters: Dict[str, int] = field(default_factory=dict)
     metrics: Dict[str, float] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
-    profile: Optional[Dict[str, Any]] = None
     trace_file: Optional[str] = None
     git_rev: Optional[str] = None
     created_utc: str = field(default_factory=utc_now_iso)
@@ -85,7 +83,6 @@ class RunManifest:
         config: Optional[Dict[str, Any]] = None,
         wall_s: Optional[float] = None,
         sim: Optional[Any] = None,       # repro.sim.engine.Simulator shaped
-        profile: Optional[Dict[str, Any]] = None,
         trace_file: Optional[str] = None,
         unregistered: Optional[List[str]] = None,
     ) -> "RunManifest":
@@ -125,7 +122,6 @@ class RunManifest:
             counters=dict(getattr(result, "counters", {}) or {}),
             metrics=metrics,
             timings=timings,
-            profile=profile,
             trace_file=trace_file,
             git_rev=collect_git_rev(),
             unregistered_metrics=list(unregistered or []),
@@ -150,8 +146,6 @@ class RunManifest:
             out["unregistered_metrics"] = self.unregistered_metrics
         if self.trace_file is not None:
             out["trace_file"] = self.trace_file
-        if self.profile is not None:
-            out["profile"] = self.profile
         if self.campaign is not None:
             out["campaign"] = self.campaign
         return out
@@ -180,7 +174,6 @@ class RunManifest:
             counters={str(k): int(v) for k, v in data.get("counters", {}).items()},
             metrics={str(k): float(v) for k, v in data.get("metrics", {}).items()},
             timings={str(k): float(v) for k, v in data.get("timings", {}).items()},
-            profile=data.get("profile"),
             trace_file=data.get("trace_file"),
             git_rev=data.get("git_rev"),
             created_utc=str(data.get("created_utc", "")),

@@ -1,4 +1,4 @@
-"""Human-readable views over manifests and traces, plus the perf-smoke run.
+"""Human-readable views over manifests and traces, plus the perfbench gate.
 
 Everything here *returns strings* — printing is the job of the CLI shim in
 ``repro.obs.__main__`` — so the same renderings are usable from tests and
@@ -9,18 +9,24 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.obs.catalog import spec_for
 from repro.obs.manifest import RunManifest, diff_manifests
 
 __all__ = [
+    "TOLERANCE",
     "manifest_summary",
     "diff_report",
     "trace_summary",
-    "run_perf_smoke",
+    "load_perf_baseline",
+    "read_perf_output",
     "bench_compare",
 ]
+
+# Allowed fractional slowdown before the perf gate fails: the ``wall_s`` and
+# ``events_per_s`` bounds in BENCHMARK.json.
+TOLERANCE = 0.25
 
 
 def _fmt_value(value: float) -> str:
@@ -74,19 +80,6 @@ def manifest_summary(manifest: RunManifest, top: int = 25) -> str:
         lines.append("")
         lines.append(format_table(["counter", "value", "unit", "help"], rows,
                                   title=title))
-    if manifest.profile:
-        handlers = manifest.profile.get("handlers", [])
-        rows = [
-            [h.get("name", "?"), h.get("calls", 0), h.get("total_s", 0.0),
-             h.get("mean_us", 0.0), h.get("max_us", 0.0)]
-            for h in handlers[:10]
-        ]
-        if rows:
-            lines.append("")
-            lines.append(format_table(
-                ["handler", "calls", "total_s", "mean_us", "max_us"], rows,
-                title="event-loop profile (top handlers)",
-            ))
     return "\n".join(lines)
 
 
@@ -144,293 +137,102 @@ def trace_summary(path: Union[str, Path]) -> str:
                         title=title)
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if not ordered:
-        return 0.0
-    return (
-        ordered[mid] if len(ordered) % 2
-        else (ordered[mid - 1] + ordered[mid]) / 2.0
-    )
+def _positive(value: Any) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value > 0)
 
 
-def _median_heap(heaps: List[Dict[str, int]]) -> Dict[str, int]:
-    keys = sorted({k for heap in heaps for k in heap})
-    return {
-        k: int(round(_median([float(heap.get(k, 0)) for heap in heaps])))
-        for k in keys
-    }
+def load_perf_baseline(path: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
+    """The committed perf baseline: workload -> digest, wall_s, events_per_s.
 
-
-def _median_handlers(
-    profiles: List[Dict[str, Any]], top: int = 5
-) -> List[Dict[str, Any]]:
-    """Per-handler stats aggregated across repeats: the median of each field.
-
-    A single repeat's handler table is hostage to scheduler noise (one
-    preemption inflates that repeat's max); the median over repeats is the
-    number a regression gate can trust.
+    Raises ``FileNotFoundError`` for a missing file and ``ValueError`` for
+    anything that is not that shape.
     """
-    by_name: Dict[str, List[Dict[str, Any]]] = {}
-    for profile in profiles:
-        for handler in profile.get("handlers", []):
-            by_name.setdefault(str(handler["name"]), []).append(handler)
-    merged: List[Dict[str, Any]] = []
-    for name, stats in by_name.items():
-        calls = int(round(_median([float(s["calls"]) for s in stats])))
-        if calls < 1:
-            # All of this handler's calls were warmup (first-call lazy init):
-            # there is no steady-state stat for a gate to compare against.
-            continue
-        merged.append({
-            "name": name,
-            "calls": calls,
-            "total_s": round(_median([float(s["total_s"]) for s in stats]), 6),
-            "mean_us": round(_median([float(s["mean_us"]) for s in stats]), 3),
-            "max_us": round(_median([float(s["max_us"]) for s in stats]), 3),
-        })
-    merged.sort(key=lambda h: (-float(h["total_s"]), str(h["name"])))
-    return merged[:top]
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed baseline {path}: {exc}") from exc
+    if not isinstance(data, dict) or not data:
+        raise ValueError(f"malformed baseline {path}: expected an object "
+                         "keyed by workload")
+    for workload, entry in data.items():
+        if (not isinstance(entry, dict)
+                or not isinstance(entry.get("digest"), str)
+                or not _positive(entry.get("wall_s"))
+                or not _positive(entry.get("events_per_s"))):
+            raise ValueError(f"malformed baseline {path}: {workload!r} needs "
+                             "a digest and positive wall_s and events_per_s")
+    return data
 
 
-def run_perf_smoke(
-    bench_out: Union[str, Path],
-    manifest_out: Optional[Union[str, Path]] = None,
-    trace_out: Optional[Union[str, Path]] = None,
-    chrome_out: Optional[Union[str, Path]] = None,
-    seed: int = 1,
-    receivers: int = 8,
-    image_kib: int = 4,
-    repeats: int = 1,
-    warmup: int = 0,
-    topology: Optional[str] = None,
-    history_out: Optional[Union[str, Path]] = None,
-) -> Tuple[Dict[str, Any], str]:
-    """Run a small profiled dissemination and write a ``BENCH_*.json``.
+def read_perf_output(path: Union[str, Path]) -> Dict[str, Any]:
+    """The gated fields of one ``perfbench/run.py --trace 0`` output.
 
-    This is the CI perf-smoke entry point: a deterministic dissemination with
-    the event-loop profiler and structured tracing enabled, summarised into a
-    benchmark JSON (events/sec, handler attribution) plus optional manifest
-    and trace artifacts.  Returns ``(bench_dict, profile_report_text)``.
-
-    ``repeats > 1`` runs the identical (deterministic) scenario several times
-    and reports the *median* events/sec, heap stats, and per-handler stats
-    across repeats, damping CI-runner noise; the trace and manifest artifacts
-    come from the last repeat.  ``warmup`` runs that many additional repeats
-    *first* and discards them entirely, so one-time lazy-init cost (imports,
-    GF-table construction) never lands in a measured repeat's wall samples.
-    Independently, each handler's *first call within a repeat* is excluded
-    from the per-handler stats (the profiler's warmup bucket): per-run lazy
-    init — first-page erasure encode, signature checks warming caches —
-    recurs every repeat, and a 39 ms first-call outlier against a 280 µs
-    steady-state mean says nothing a regression gate should act on.
-
-    ``topology`` switches the workload from the default one-hop star to a
-    multi-hop grid (e.g. ``grid:15x15:3``) and names the bench
-    ``sim_grid_perf_smoke`` — the second committed baseline that gates
-    multi-hop performance.  ``history_out`` appends the bench record to the
-    append-only history store (see ``repro.obs.perf``).
+    A perfbench run ends with two JSON lines: the detail line (``workload``,
+    ``digest``) and the result line (``correct``, ``failed``, ``metrics``).
+    Raises ``FileNotFoundError`` for a missing file and ``ValueError`` when
+    those two lines are absent or malformed.
     """
-    from repro.experiments.reporting import stopwatch
-    from repro.experiments.scenarios import (
-        MultiHopScenario,
-        OneHopScenario,
-        run_multihop,
-        run_one_hop,
-    )
-    from repro.obs.events import EventLog
-    from repro.obs.profile import LoopProfiler
-    from repro.sim.engine import Simulator
-    from repro.sim.trace import TraceRecorder
-
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    config: Dict[str, Any]
-    if topology is None:
-        one_hop = OneHopScenario(
-            protocol="lr-seluge", loss_rate=0.1, receivers=receivers,
-            image_size=image_kib * 1024, k=8, n=12, seed=seed,
-        )
-        config = {
-            "protocol": one_hop.protocol,
-            "receivers": one_hop.receivers,
-            "loss_rate": one_hop.loss_rate,
-            "image_kib": image_kib,
-            "k": one_hop.k,
-            "n": one_hop.n,
+    lines = [line for line in
+             Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+    try:
+        detail, result = (json.loads(line) for line in lines[-2:])
+        metrics = result["metrics"]
+        return {
+            "workload": str(detail["workload"]),
+            "digest": str(detail["digest"]),
+            "correct": bool(result["correct"]),
+            "failed": int(result["failed"]),
+            "wall_s": float(metrics["wall_s"]["value"]),
+            "events_per_s": float(metrics["events_per_s"]["value"]),
         }
-        bench_name = "sim_core_perf_smoke"
-
-        def run_once(sim: Simulator, trace: TraceRecorder) -> Any:
-            return run_one_hop(one_hop, sim=sim, trace=trace)
-    else:
-        multi_hop = MultiHopScenario(
-            protocol="lr-seluge", topology=topology,
-            image_size=image_kib * 1024, k=8, n=12, seed=seed,
-        )
-        config = {
-            "protocol": multi_hop.protocol,
-            "topology": topology,
-            "image_kib": image_kib,
-            "k": multi_hop.k,
-            "n": multi_hop.n,
-        }
-        bench_name = "sim_grid_perf_smoke"
-
-        def run_once(sim: Simulator, trace: TraceRecorder) -> Any:
-            return run_multihop(multi_hop, sim=sim, trace=trace)
-
-    for _ in range(warmup):
-        # Discarded: warms imports and lazily built tables so the first
-        # measured repeat pays steady-state cost only.
-        warm_sim = Simulator()
-        run_once(warm_sim, TraceRecorder(sink=EventLog()))
-
-    wall_samples: List[float] = []
-    heap_samples: List[Dict[str, int]] = []
-    profile_samples: List[Dict[str, Any]] = []
-    for _ in range(repeats):
-        sim = Simulator()
-        profiler = LoopProfiler(warmup_calls=1)
-        sim.set_profiler(profiler)
-        log = EventLog()
-        trace = TraceRecorder(sink=log)
-        with stopwatch() as elapsed:
-            result = run_once(sim, trace)
-        wall_samples.append(elapsed())
-        heap_samples.append(sim.heap_stats())
-        profile_samples.append(profiler.summary())
-    wall_s = wall_samples[-1]
-    median_wall = _median(wall_samples)
-    log.flush_open_spans(sim.now)
-
-    trace_file: Optional[str] = None
-    if trace_out is not None:
-        trace_file = str(log.write_jsonl(trace_out))
-    if chrome_out is not None:
-        log.write_chrome_trace(chrome_out)
-
-    heap = _median_heap(heap_samples)
-    profile = profiler.summary(heap_stats=sim.heap_stats())
-    manifest = RunManifest.from_run(
-        "repro.obs.perf-smoke", result, config=config, wall_s=wall_s,
-        sim=sim, profile=profile, trace_file=trace_file,
-        unregistered=trace.registry.unregistered_names(),
-    )
-    if manifest_out is not None:
-        manifest.write(manifest_out)
-
-    bench: Dict[str, Any] = {
-        "name": bench_name,
-        "git_rev": manifest.git_rev,
-        "created_utc": manifest.created_utc,
-        "config": config,
-        "completed": result.completed,
-        "events": sim.processed_events,
-        "sim_time_s": sim.now,
-        "wall_s": round(wall_s, 6),
-        "events_per_s": round(sim.processed_events / median_wall, 1)
-        if median_wall else 0.0,
-        "repeats": repeats,
-        "warmup": warmup,
-        "wall_samples_s": [round(w, 6) for w in wall_samples],
-        "heap": heap,
-        "handler_wall_s": round(
-            _median([p["handler_wall_s"] for p in profile_samples]), 6
-        ),
-        "top_handlers": _median_handlers(profile_samples),
-        "trace_events": len(log),
-    }
-    from repro.persist import PersistError, atomic_write_text
-
-    if history_out is not None:
-        from repro.obs.perf import append_history
-
-        try:
-            append_history(history_out, bench)
-        except (OSError, PersistError) as exc:
-            # The history store is trajectory data, not the measurement: a
-            # full disk degrades the append (noted in the bench artifact so
-            # CI surfaces it) without failing the perf-smoke run itself.
-            bench["history_degraded"] = f"{type(exc).__name__}: {exc}"
-    atomic_write_text(Path(bench_out), json.dumps(bench, indent=2) + "\n")
-    return bench, profiler.report()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed perfbench output {path}: expected its "
+                         f"detail and result lines ({exc})") from exc
 
 
 def bench_compare(
-    current: Union[str, Path, Dict[str, Any]],
-    baseline: Union[str, Path, Dict[str, Any]],
-    tolerance: float = 0.25,
-    handler_warn: float = 0.25,
-    handler_fail: float = 0.50,
+    baseline: Dict[str, Dict[str, Any]], runs: List[Dict[str, Any]]
 ) -> Tuple[bool, str]:
-    """Gate a perf-smoke run against a committed baseline.
+    """Gate perfbench runs against the committed baseline.
 
-    Compares the (median) ``events_per_s`` throughput; returns
-    ``(ok, report_text)`` where ``ok`` is False when the current run is more
-    than ``tolerance`` (default 25%) *slower* than the baseline.  Speedups
-    never fail — the committed baseline is a floor, not a pin.
-
-    When both benches ran the identical workload (matching event counts), the
-    per-handler mean wall times are diffed too: a handler more than
-    ``handler_warn`` (25%) slower is reported as a warning, more than
-    ``handler_fail`` (50%) slower fails the gate — so a regression names its
-    handler instead of hiding inside the aggregate.
+    A run fails when it is not ``correct``, has failed disseminations, or is
+    more than :data:`TOLERANCE` slower than its workload's baseline in
+    ``wall_s`` or ``events_per_s``.  Speed-ups never fail: the baseline is a
+    floor, not a pin.  A changed digest only prints a note, since a
+    deliberate change to the simulated physics may move it.  Returns
+    ``(ok, report_text)``; raises ``ValueError`` when a run names a workload
+    the baseline lacks, or a baseline workload has no run.
     """
-    from repro.obs.perf import handler_mean_deltas
-
-    def _load(source: Union[str, Path, Dict[str, Any]]) -> Dict[str, Any]:
-        if isinstance(source, dict):
-            return source
-        return json.loads(Path(source).read_text(encoding="utf-8"))
-
-    cur = _load(current)
-    base = _load(baseline)
-    cur_eps = float(cur.get("events_per_s", 0.0))
-    base_eps = float(base.get("events_per_s", 0.0))
-    lines = [
-        f"baseline: {base_eps:,.0f} events/s "
-        f"(rev {base.get('git_rev') or '?'}, {base.get('created_utc', '?')})",
-        f"current:  {cur_eps:,.0f} events/s "
-        f"(rev {cur.get('git_rev') or '?'}, {cur.get('created_utc', '?')})",
-    ]
-    same_workload = cur.get("events") == base.get("events")
-    if not same_workload:
+    unknown = sorted({r["workload"] for r in runs} - set(baseline))
+    if unknown:
+        raise ValueError(f"workload(s) not in the baseline: {', '.join(unknown)}")
+    missing = sorted(set(baseline) - {r["workload"] for r in runs})
+    if missing:
+        raise ValueError(f"no run for baseline workload(s): {', '.join(missing)}")
+    ok = True
+    lines: List[str] = []
+    for run in runs:
+        base = baseline[run["workload"]]
+        wall_ratio = run["wall_s"] / base["wall_s"]
+        eps_ratio = run["events_per_s"] / base["events_per_s"]
+        problems: List[str] = []
+        if not run["correct"] or run["failed"] > 0:
+            problems.append(f"not correct ({run['failed']} failed)")
+        if wall_ratio > 1.0 + TOLERANCE:
+            problems.append(f"wall_s above baseline x {1.0 + TOLERANCE:.2f}")
+        if eps_ratio < 1.0 - TOLERANCE:
+            problems.append(f"events_per_s below baseline x {1.0 - TOLERANCE:.2f}")
+        ok = ok and not problems
         lines.append(
-            f"note: event counts differ ({base.get('events')} -> "
-            f"{cur.get('events')}); the workload changed, throughput is "
-            "only loosely comparable"
+            f"{run['workload']}: wall_s {run['wall_s']:.3f} s "
+            f"(baseline {base['wall_s']:.3f}, {wall_ratio - 1.0:+.1%}), "
+            f"events_per_s {run['events_per_s']:,.0f} "
+            f"(baseline {base['events_per_s']:,.0f}, {eps_ratio - 1.0:+.1%})  "
+            + ("FAIL: " + "; ".join(problems) if problems else "ok")
         )
-    if base_eps <= 0:
-        lines.append("baseline has no throughput sample; skipping gate")
-        return True, "\n".join(lines)
-    ratio = cur_eps / base_eps
-    lines.append(f"ratio:    {ratio:.3f} (gate: >= {1.0 - tolerance:.2f})")
-    ok = ratio >= (1.0 - tolerance)
-    if not ok:
-        lines.append(f"aggregate regression exceeds {tolerance:.0%} of baseline")
-
-    if same_workload:
-        deltas = handler_mean_deltas(
-            list(cur.get("top_handlers", [])),
-            list(base.get("top_handlers", [])),
-        )
-        for name, base_us, cur_us, pct in deltas:
-            if pct > handler_fail:
-                ok = False
-                lines.append(
-                    f"FAIL handler {name}: mean {base_us:.1f} -> "
-                    f"{cur_us:.1f} us ({pct:+.0%}, limit +{handler_fail:.0%})"
-                )
-            elif pct > handler_warn:
-                lines.append(
-                    f"WARN handler {name}: mean {base_us:.1f} -> "
-                    f"{cur_us:.1f} us ({pct:+.0%}, warn at +{handler_warn:.0%})"
-                )
-    else:
-        lines.append("per-handler gate skipped (workload changed)")
+        if run["digest"] != base["digest"]:
+            lines.append(f"  note: digest {base['digest']} -> {run['digest']}: "
+                         "the simulated outputs changed")
     lines.append("PASS" if ok else "FAIL")
     return ok, "\n".join(lines)

@@ -137,7 +137,7 @@ class TelemetryHub:
     # -- snapshot --------------------------------------------------------------
 
     def status(self) -> Dict[str, Any]:
-        from repro.obs.profile import utc_now_iso
+        from repro.experiments.reporting import utc_now_iso
 
         elapsed = self._elapsed()
         remaining = self.total - self.done - self.quarantined

@@ -222,7 +222,7 @@ def atomic_write_jsonl(path: Union[str, Path], records: Iterable[Any]) -> Path:
 
     The whole file is rewritten through the temp-then-rename path, so a
     journal updated through this function can never contain a torn line.
-    Append-heavy journals (the campaign checkpoint, the bench history) use
+    Append-heavy journals (the campaign checkpoint) use
     :func:`atomic_append_jsonl` instead and reserve this full rewrite for
     their crash-safe *compaction* step: either the old appended journal or
     the new compacted one is on disk, never a mix.
@@ -273,8 +273,8 @@ def atomic_append_jsonl(path: Union[str, Path], record: Any) -> Path:
     """Append one JSON record to a JSONL file durably.
 
     Unlike :func:`atomic_write_jsonl`, this does not rewrite the file — it is
-    meant for append-only stores that outlive single runs (the bench history
-    at ``results/perf/history.jsonl``, the campaign checkpoint journal).  The
+    meant for append-only stores that outlive single runs (the campaign
+    checkpoint journal).  The
     record is serialised to a single line first, then written with one
     ``O_APPEND`` write (looping on short writes) and fsynced.  POSIX makes
     small O_APPEND writes atomic with respect to other appenders, and a crash

@@ -63,12 +63,14 @@ def current_simulator() -> "Optional[Simulator]":
 
 
 class SimProfiler(Protocol):
-    """What the engine needs from a profiler (see ``repro.obs.profile``).
+    """What the engine needs from a profiler.
 
-    Defined structurally so the engine never imports the observability
-    package: any object with a monotonic ``clock`` and a ``record`` hook
-    works.  With no profiler installed the run loop pays exactly one
-    ``is None`` check per event — the zero-overhead-when-disabled contract.
+    Its one consumer is the ``Tracer`` in ``perfbench/ledger.py``, which
+    charges each handler call to a layer of the stack.  Defined
+    structurally so the engine never imports a profiler: any object with a
+    monotonic ``clock`` and a ``record`` hook works.  With no profiler
+    installed the run loop pays exactly one ``is None`` check per event —
+    the zero-overhead-when-disabled contract.
     """
 
     def clock(self) -> float: ...
@@ -182,7 +184,7 @@ class Simulator:
 
         The profiler's ``clock`` brackets each handler call and ``record``
         receives the handler, its scheduled arguments, its elapsed wall
-        time, and the heap length.  The argument tuple lets profilers
+        time, and the heap length.  The argument tuple lets a profiler
         attribute cost per event *kind* (e.g. which packet type a radio
         delivery carried) without the engine knowing any domain types.
         Wall time is measurement *about* the simulation, never an input to

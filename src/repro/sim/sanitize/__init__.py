@@ -20,7 +20,8 @@ items 1-2) safe to attempt:
 
 None of this touches :mod:`repro.sim.engine`: the perturbed scheduler is a
 :class:`~repro.sim.engine.Simulator` subclass, so production runs pay zero
-overhead (the bench-compare perf gate is the enforcement).  See DESIGN.md
+overhead (the perfbench gate, ``python -m repro.obs bench-compare``, is the
+enforcement).  See DESIGN.md
 section 13 for the workflow and ``python -m repro.sim.sanitize`` for the CLI.
 """
 

@@ -13,7 +13,7 @@ dependence.
 
 The class lives outside :mod:`repro.sim.engine` on purpose: the engine hot
 path stays untouched, keeping the zero-overhead-when-disabled contract that
-the bench-compare perf gate enforces.
+the perfbench gate (``python -m repro.obs bench-compare``) enforces.
 """
 
 from __future__ import annotations

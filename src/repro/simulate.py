@@ -22,15 +22,15 @@ nodes resume from their last completed page after reboot::
     python -m repro.simulate --protocol seluge --image-kib 4 --k 8 --n 12 \\
         --fault-plan plan.json
 
-Observability (``--profile``, ``--trace-out``, ``--chrome-trace``,
-``--manifest``) attaches the event-loop profiler and/or a structured event
-log to the same run — packet/page lifecycle spans land in a JSONL trace
-(and, with ``--chrome-trace``, a Perfetto/chrome://tracing timeline), and
-the run manifest records seed, config, git revision, counters, and wall
-timings for later diffing with ``python -m repro.obs report --diff``::
+Observability (``--trace-out``, ``--chrome-trace``, ``--manifest``)
+attaches a structured event log to the same run — packet/page lifecycle
+spans land in a JSONL trace (and, with ``--chrome-trace``, a
+Perfetto/chrome://tracing timeline), and the run manifest records seed,
+config, git revision, counters, and wall timings for later diffing with
+``python -m repro.obs report --diff``::
 
     python -m repro.simulate --protocol lr-seluge --image-kib 4 --k 8 --n 12 \\
-        --profile --trace-out run.trace.jsonl --manifest run.manifest.json
+        --trace-out run.trace.jsonl --manifest run.manifest.json
 
 ``--flight-record`` additionally attaches the protocol flight recorder
 (per-link tx/rx/loss/auth-drop accounting, tracking-table snapshots, hop
@@ -136,18 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           'comma list of rate_limit, backoff, replay_filter, '
                           "stall_watchdog")
     obs = parser.add_argument_group("observability")
-    obs.add_argument("--profile", action="store_true",
-                     help="attach the event-loop profiler and print the "
-                          "per-handler (and per-event-kind) wall-time tables")
-    obs.add_argument("--profile-warmup", type=int, default=0, metavar="N",
-                     help="exclude each handler's first N calls from the "
-                          "profile (lazy-init cost lands in a warmup bucket)")
-    obs.add_argument("--profile-alloc", action="store_true",
-                     help="with --profile: attribute tracemalloc net "
-                          "allocations per handler")
-    obs.add_argument("--flamegraph", default=None, metavar="STACKS.txt",
-                     help="with --profile: write collapsed stacks "
-                          "(speedscope / flamegraph.pl compatible)")
     obs.add_argument("--trace-out", default=None, metavar="TRACE.jsonl",
                      help="write the structured event trace (JSONL)")
     obs.add_argument("--chrome-trace", default=None, metavar="TRACE.json",
@@ -297,22 +285,6 @@ def main(argv=None) -> int:
         from repro.obs.flight import CausalRecorder
         causal = CausalRecorder(log)
     trace = TraceRecorder(sink=log, flight=flight, causal=causal)
-    profiler = None
-    if args.profile:
-        from repro.obs.profile import LoopProfiler
-        # Kinds are on whenever the profiler is: they feed the flamegraph's
-        # second level and the per-kind report table.  Sampling feeds the
-        # Chrome counter tracks when a timeline is requested.
-        profiler = LoopProfiler(
-            warmup_calls=args.profile_warmup,
-            kinds=True,
-            alloc=args.profile_alloc,
-            sample_every=50 if args.chrome_trace else 0,
-        )
-        sim.set_profiler(profiler)
-    elif args.flamegraph or args.profile_alloc or args.profile_warmup:
-        raise SystemExit(
-            "--flamegraph/--profile-alloc/--profile-warmup require --profile")
 
     with stopwatch() as elapsed:
         if adversarial:
@@ -382,35 +354,19 @@ def main(argv=None) -> int:
         # Topology map + per-link accounting summary land in the trace
         # before it is flushed and written.
         flight.finalize(sim.now)
-    if profiler is not None and args.profile_alloc:
-        profiler.stop_alloc()
     if log is not None:
         log.flush_open_spans(sim.now)
         if args.trace_out:
             log.write_jsonl(args.trace_out)
             print(f"wrote trace:     {args.trace_out} ({len(log)} events)")
         if args.chrome_trace:
-            extra = None
-            if profiler is not None and profiler.samples:
-                from repro.obs.perf import chrome_counter_events
-                extra = chrome_counter_events(profiler.samples)
-            log.write_chrome_trace(args.chrome_trace, extra_events=extra)
+            log.write_chrome_trace(args.chrome_trace)
             print(f"wrote timeline:  {args.chrome_trace}")
-    if profiler is not None:
-        print(profiler.report())
-        if args.flamegraph:
-            from repro.obs.perf import write_flamegraph
-            write_flamegraph(args.flamegraph, profiler.summary())
-            print(f"wrote flamegraph stacks: {args.flamegraph}")
     if args.manifest:
         from repro.obs.manifest import RunManifest
-        profile_summary = (
-            profiler.summary(heap_stats=sim.heap_stats())
-            if profiler is not None else None
-        )
         manifest = RunManifest.from_run(
             "repro.simulate", result, config=_config_dict(args),
-            wall_s=wall_s, sim=sim, profile=profile_summary,
+            wall_s=wall_s, sim=sim,
             trace_file=args.trace_out,
             unregistered=trace.registry.unregistered_names(),
         )

@@ -46,6 +46,32 @@ def test_simulate_one_hop(capsys):
     assert "images verified: True" in out
 
 
+def test_simulate_writes_trace_timeline_and_manifest(tmp_path, capsys):
+    from repro.obs.__main__ import main as obs_main
+    from repro.obs.events import load_jsonl
+
+    trace_path = tmp_path / "run.trace.jsonl"
+    chrome_path = tmp_path / "run.chrome.json"
+    manifest_path = tmp_path / "run.manifest.json"
+    code = simulate_main([
+        "--protocol", "lr-seluge", "--loss", "0.1", "--receivers", "2",
+        "--image-kib", "2", "--k", "8", "--n", "12", "--seed", "1",
+        "--trace-out", str(trace_path), "--chrome-trace", str(chrome_path),
+        "--manifest", str(manifest_path),
+    ])
+    assert code == 0
+
+    header, events = load_jsonl(trace_path)
+    assert header["events"] == len(events) > 0
+    chrome = json.loads(chrome_path.read_text())
+    assert any(e["ph"] == "X" for e in chrome["traceEvents"])
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["trace_file"] == str(trace_path)
+    capsys.readouterr()
+    assert obs_main(["report", str(manifest_path)]) == 0
+    assert "trace:       " + str(trace_path) in capsys.readouterr().out
+
+
 def test_simulate_multihop_with_energy(capsys):
     code = simulate_main([
         "--protocol", "seluge", "--topology", "grid:3x3:3",

@@ -1,6 +1,12 @@
 """Tests for text reporting."""
 
-from repro.experiments.reporting import format_comparison, format_table
+import re
+
+from repro.experiments.reporting import (
+    format_comparison,
+    format_table,
+    utc_now_iso,
+)
 
 
 def test_format_table_alignment():
@@ -30,3 +36,7 @@ def test_format_comparison_signs():
 def test_format_comparison_zero_baseline_skipped():
     line = format_comparison("cmp", {"x": 0.0}, {"x": 5.0})
     assert line == "cmp"
+
+
+def test_utc_now_iso_shape():
+    assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", utc_now_iso())

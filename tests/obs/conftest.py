@@ -1,6 +1,9 @@
-"""Shared fixtures for observability tests: flight-recorded smoke runs."""
+"""Shared fixtures for observability tests: flight-recorded smoke runs and
+synthetic perfbench outputs."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -81,3 +84,30 @@ def run_causal(protocol="lr-seluge", receivers=3, loss=0.1, seed=5,
 @pytest.fixture
 def causal_run():
     return run_causal
+
+
+def write_perf_output(path, workload="onehop-decode", wall_s=2.0,
+                      events_per_s=20000.0, correct=True, failed=0,
+                      digest="a048e9ef4118f865"):
+    """A synthetic ``perfbench/run.py --trace 0`` output: progress noise,
+    then the detail line, then the result line."""
+    detail = {"workload": workload, "seed": 1, "trace": 0, "repeats": 5,
+              "digest": digest, "repeat_wall_s": [wall_s] * 5}
+    result = {
+        "correct": correct, "attempted": 30, "failed": failed,
+        "metrics": {
+            "wall_s": {"value": wall_s, "unit": "s"},
+            "setup_s": {"value": 0.08, "unit": "s"},
+            "events_per_s": {"value": events_per_s, "unit": "1/s"},
+            "peak_rss_mb": {"value": 80.0, "unit": "MB"},
+            "completed_share": {"value": 1.0, "unit": "ratio"},
+        },
+    }
+    path.write_text("warming up\n" + json.dumps(detail) + "\n"
+                    + json.dumps(result) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def perf_output():
+    return write_perf_output

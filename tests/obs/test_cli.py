@@ -1,30 +1,40 @@
 """Exit-code and error-path contract of ``python -m repro.obs``.
 
-Convention under test: 0 success, 1 a gate failed (regression, violation,
-empty history), 2 unusable input (missing file, malformed JSON).
+Convention under test: 0 success, 1 a gate failed (regression, violation),
+2 unusable input (missing file, malformed JSON, wrong arguments).
 """
 
 import json
 
 from repro.obs.__main__ import main
+from repro.obs.manifest import RunManifest
 
-
-def bench_dict(eps=1000.0, events=500):
-    return {
-        "name": "sim_core_perf_smoke",
-        "config": {"protocol": "lr-seluge", "receivers": 2, "image_kib": 2},
-        "git_rev": "aaa",
-        "created_utc": "2026-08-08T00:00:00Z",
-        "events": events,
-        "events_per_s": eps,
-        "wall_s": events / eps,
-        "top_handlers": [],
-    }
+WORKLOADS = ("onehop-decode", "grid-contention", "grid-recorded")
 
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def write_baseline(tmp_path):
+    return write_json(tmp_path / "BENCH_perf.json", {
+        w: {"digest": f"d-{w}", "wall_s": 3.0, "events_per_s": 15000.0}
+        for w in WORKLOADS
+    })
+
+
+def write_runs(tmp_path, perf_output, **onehop):
+    """One output per workload at the baseline figures; ``onehop``
+    overrides the onehop-decode output."""
+    paths = []
+    for w in WORKLOADS:
+        fields = dict(workload=w, wall_s=3.0, events_per_s=15000.0,
+                      digest=f"d-{w}")
+        if w == "onehop-decode":
+            fields.update(onehop)
+        paths.append(perf_output(tmp_path / f"{w}.perf.out", **fields))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +51,14 @@ def test_report_missing_and_malformed_manifest(tmp_path, capsys):
     assert "malformed manifest" in capsys.readouterr().err
 
 
+def test_report_usage_errors_exit_2(tmp_path, capsys):
+    manifest = str(RunManifest(tool="t").write(tmp_path / "m.json"))
+    for argv in (["report"], ["report", manifest, manifest]):
+        assert main(argv) == 2
+        assert "report takes one manifest file" in capsys.readouterr().err
+    assert main(["report", manifest]) == 0
+
+
 def test_trace_commands_report_missing_files(tmp_path, capsys):
     missing = str(tmp_path / "absent.trace.jsonl")
     for command in ("trace", "check-invariants", "analyze"):
@@ -48,31 +66,28 @@ def test_trace_commands_report_missing_files(tmp_path, capsys):
         assert "trace file not found" in capsys.readouterr().err
 
 
-def test_bench_compare_missing_and_malformed_inputs(tmp_path, capsys):
-    current = write_json(tmp_path / "cur.json", bench_dict())
-    assert main(["bench-compare", current,
-                 str(tmp_path / "absent.json")]) == 2
-    assert "baseline bench file not found" in capsys.readouterr().err
+def test_bench_compare_missing_and_malformed_inputs(tmp_path, capsys,
+                                                   perf_output):
+    baseline = write_baseline(tmp_path)
+    runs = write_runs(tmp_path, perf_output)
+
+    assert main(["bench-compare", str(tmp_path / "absent.json")] + runs) == 2
+    assert "file not found" in capsys.readouterr().err
+    assert main(["bench-compare", baseline, runs[0], runs[1],
+                 str(tmp_path / "absent.perf.out")]) == 2
+    assert "file not found" in capsys.readouterr().err
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    assert main(["bench-compare", current, str(bad)]) == 2
-    assert "malformed baseline bench JSON" in capsys.readouterr().err
+    assert main(["bench-compare", str(bad)] + runs) == 2
+    assert "malformed baseline" in capsys.readouterr().err
+    assert main(["bench-compare", baseline, runs[0], runs[1], str(bad)]) == 2
+    assert "malformed perfbench output" in capsys.readouterr().err
 
-    not_object = write_json(tmp_path / "list.json", [1, 2, 3])
-    assert main(["bench-compare", not_object, current]) == 2
-    assert "expected an object" in capsys.readouterr().err
-
-
-def test_bench_history_malformed_baseline(tmp_path, capsys):
-    history = tmp_path / "history.jsonl"
-    history.write_text(json.dumps({
-        "config_key": "a=1", "events_per_s": 1000.0, "events": 10,
-    }) + "\n", encoding="utf-8")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert main(["bench-history", str(history), "--baseline", str(bad)]) == 2
-    assert "malformed baseline bench JSON" in capsys.readouterr().err
+    # A baseline workload with no run is unusable input, not a pass.
+    assert main(["bench-compare", baseline] + runs[:2]) == 2
+    assert "no run for baseline workload(s): grid-recorded" in (
+        capsys.readouterr().err)
 
 
 def test_watch_missing_status_file(tmp_path, capsys):
@@ -84,65 +99,16 @@ def test_watch_missing_status_file(tmp_path, capsys):
 # Gate failures -> exit 1
 # ---------------------------------------------------------------------------
 
-def test_bench_compare_gate_pass_and_fail(tmp_path, capsys):
-    base = write_json(tmp_path / "base.json", bench_dict(eps=1000.0))
-    same = write_json(tmp_path / "same.json", bench_dict(eps=990.0))
-    slow = write_json(tmp_path / "slow.json", bench_dict(eps=600.0))
+def test_bench_compare_gate_pass_and_fail(tmp_path, capsys, perf_output):
+    baseline = write_baseline(tmp_path)
 
-    assert main(["bench-compare", same, base]) == 0
+    assert main(["bench-compare", baseline]
+                + write_runs(tmp_path, perf_output)) == 0
     assert "PASS" in capsys.readouterr().out
 
-    assert main(["bench-compare", slow, base]) == 1
+    assert main(["bench-compare", baseline]
+                + write_runs(tmp_path, perf_output, wall_s=3.0 * 1.3)) == 1
     assert "FAIL" in capsys.readouterr().out
 
-    assert main(["bench-compare", slow, base, "--tolerance", "0.9"]) == 0
-
-
-def test_bench_history_empty_store(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # keep the repo's committed baseline out
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("", encoding="utf-8")
-    assert main(["bench-history", str(empty)]) == 1
-    assert "no recorded runs" in capsys.readouterr().out
-    assert main(["bench-history", str(tmp_path / "absent.jsonl")]) == 1
-
-
-# ---------------------------------------------------------------------------
-# Happy path: perf-smoke feeds the history store feeds bench-history
-# ---------------------------------------------------------------------------
-
-def test_perf_smoke_appends_history_and_bench_history_renders(
-        tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "BENCH.json"
-    history = tmp_path / "history.jsonl"
-    argv = ["perf-smoke", "--out", str(out), "--receivers", "2",
-            "--image-kib", "2", "--warmup", "0",
-            "--history", str(history)]
-    assert main(argv) == 0
-    assert main(argv) == 0
-    assert "appended history record" in capsys.readouterr().out
-
-    assert main(["bench-history", str(history),
-                 "--baseline", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "2 recorded run(s)" in text
-    assert "committed baseline" in text
-
-
-def test_bench_history_prune_compacts_the_store(tmp_path, capsys,
-                                                monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "BENCH.json"
-    history = tmp_path / "history.jsonl"
-    argv = ["perf-smoke", "--out", str(out), "--receivers", "2",
-            "--image-kib", "2", "--warmup", "0",
-            "--history", str(history)]
-    for _ in range(3):
-        assert main(argv) == 0
-    capsys.readouterr()
-
-    assert main(["bench-history", str(history), "--prune", "2"]) == 0
-    text = capsys.readouterr().out
-    assert "3 -> 2 record(s)" in text
-    assert "2 recorded run(s)" in text  # report renders the pruned store
+    assert main(["bench-compare", baseline]
+                + write_runs(tmp_path, perf_output, correct=False)) == 1

@@ -66,8 +66,7 @@ def test_from_run_records_completion_rate_when_present():
 def test_write_load_round_trip(tmp_path):
     manifest = RunManifest.from_run(
         "test.tool", FakeResult(), config={"k": 8}, wall_s=1.0, sim=FakeSim(),
-        trace_file="run.trace.jsonl", profile={"events": 850},
-        unregistered=["oops"],
+        trace_file="run.trace.jsonl", unregistered=["oops"],
     )
     path = tmp_path / "run.manifest.json"
     manifest.write(path)

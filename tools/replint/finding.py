@@ -90,9 +90,10 @@ RULES: Tuple[Rule, ...] = (
         rationale=(
             "time.time()/datetime.now()/time.monotonic() leak host time into "
             "simulation logic, which must be a pure function of (config, "
-            "seed). Wall-clock timing is allowed only in "
-            "experiments/reporting.py's stopwatch() helper, the single "
-            "sanctioned call site used by the CLI for progress reporting."
+            "seed). Wall-clock reads are allowed only in "
+            "experiments/reporting.py — stopwatch() for CLI progress timing "
+            "and utc_now_iso() for manifest stamps. Host cost is measured "
+            "from outside the program by perfbench/run.py."
         ),
     ),
     Rule(
@@ -298,7 +299,8 @@ RULES: Tuple[Rule, ...] = (
             "__slots__ there costs a dict per instance, and a comprehension "
             "or list()/set()/dict() materialisation inside a loop allocates "
             "per iteration of the innermost loop the simulation has. These "
-            "are warnings, not errors: measure first (the perf-smoke gate), "
+            "are warnings, not errors: measure first (perfbench/run.py and "
+            "its bench-compare gate), "
             "but the pattern is worth a look every time it appears in "
             "sim/engine.py, net/radio.py or net/channel.py."
         ),
@@ -307,16 +309,16 @@ RULES: Tuple[Rule, ...] = (
         code="REP018",
         name="unsanctioned-profiling",
         severity=Severity.ERROR,
-        summary="no tracemalloc or from-imported clock calls outside the profiler stack",
+        summary="no tracemalloc or from-imported clock calls outside tests",
         rationale=(
-            "Profiling instrumentation must stay behind the sanctioned "
-            "hooks in src/repro/obs/profile.py and src/repro/obs/perf.py. "
-            "tracemalloc tracing is process-global — one stray start()/"
-            "stop() corrupts every allocation measurement in flight — and "
-            "a from-imported perf_counter() is the same wall-clock leak "
-            "REP002 bans, in a spelling its dotted-name matching cannot "
-            "see. Route timing through reporting.stopwatch() and "
-            "allocation attribution through LoopProfiler(alloc=True)."
+            "Performance is measured from outside the program, by "
+            "perfbench/run.py (end-to-end time and peak_rss_mb, per-layer "
+            "time through Simulator.set_profiler). tracemalloc tracing is "
+            "process-global — one stray start()/stop() corrupts every "
+            "allocation measurement in flight — and a from-imported "
+            "perf_counter() is the same wall-clock leak REP002 bans, in a "
+            "spelling its dotted-name matching cannot see. Route CLI "
+            "timing through reporting.stopwatch()."
         ),
     ),
     Rule(

@@ -143,19 +143,10 @@ class FileContext:
 
     @property
     def clock_sanctioned(self) -> bool:
-        """Modules allowed to read the wall clock.
-
-        Three, by design: the CLI stopwatch shim and the profiler stack
-        (measurement *about* the simulation, never an input to it).
-        """
-        return self.path.endswith(
-            ("experiments/reporting.py", "obs/profile.py", "obs/perf.py")
-        )
-
-    @property
-    def profiling_sanctioned(self) -> bool:
-        """The profiler stack: the only modules allowed to touch tracemalloc."""
-        return self.path.endswith(("obs/profile.py", "obs/perf.py"))
+        """The one module allowed to read the wall clock: the CLI stopwatch
+        and timestamp shim (measurement *about* the simulation, never an
+        input to it)."""
+        return self.path.endswith("experiments/reporting.py")
 
     @property
     def fs_sanctioned(self) -> bool:
@@ -1201,7 +1192,7 @@ def check_rep017(tree: ast.AST, ctx: FileContext) -> List[Finding]:
     (b) a comprehension or list()/set()/dict()/tuple() materialiser inside
     a loop body or inside a handler scheduled in this module — an
     allocation per iteration of the innermost loop the simulation has.
-    Warnings, not errors: the perf gate measures, this rule points.
+    Warnings, not errors: the perfbench gate measures, this rule points.
     """
     if not _is_hot_path(ctx):
         return []
@@ -1276,18 +1267,18 @@ _BARE_CLOCK_NAMES = {
 
 
 def check_rep018(tree: ast.AST, ctx: FileContext) -> List[Finding]:
-    """tracemalloc use, and from-imported clock calls, outside the profilers.
+    """tracemalloc use, and from-imported clock calls, outside tests.
 
     Two gaps this closes over REP002: (a) ``tracemalloc`` — starting or
     stopping allocation tracing is process-global state that perturbs every
-    other measurement in flight, so it belongs exclusively to the profiler
-    stack (``obs/profile.py``, ``obs/perf.py``), which manages the tracing
-    lifecycle and exposes results through sanctioned hooks; (b) ``from time
-    import perf_counter`` followed by a bare ``perf_counter()`` call — the
-    dotted spelling is REP002's territory, but the from-imported form slips
-    past its name matching.  Tests are exempt (they may assert about the
-    profiler's own tracemalloc handling).  Aliased imports are tracked;
-    values smuggled through attributes remain out of syntactic reach.
+    other measurement in flight, so no module of the program may drive it;
+    performance is measured from outside by ``perfbench/`` (``peak_rss_mb``
+    end to end, per-layer time through ``Simulator.set_profiler``); (b)
+    ``from time import perf_counter`` followed by a bare ``perf_counter()``
+    call — the dotted spelling is REP002's territory, but the from-imported
+    form slips past its name matching.  Tests are exempt.  Aliased imports
+    are tracked; values smuggled through attributes remain out of syntactic
+    reach.
     """
     if ctx.in_tests:
         return []
@@ -1300,24 +1291,23 @@ def check_rep018(tree: ast.AST, ctx: FileContext) -> List[Finding]:
                 for alias in node.names:
                     if alias.name in _BARE_CLOCK_NAMES:
                         clock_aliases[alias.asname or alias.name] = alias.name
-            elif node.module == "tracemalloc" and not ctx.profiling_sanctioned:
+            elif node.module == "tracemalloc":
                 findings.append(_finding(
                     "REP018", ctx, node,
-                    "tracemalloc imported outside the profiler stack — "
-                    "allocation tracing is process-global; use "
-                    "LoopProfiler(alloc=True) from repro.obs.profile",
+                    "tracemalloc imported — allocation tracing is "
+                    "process-global; measure memory with perfbench "
+                    "(peak_rss_mb) instead",
                 ))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "tracemalloc":
                     tracemalloc_names.add(alias.asname or alias.name)
-                    if not ctx.profiling_sanctioned:
-                        findings.append(_finding(
-                            "REP018", ctx, node,
-                            "tracemalloc imported outside the profiler stack "
-                            "— allocation tracing is process-global; use "
-                            "LoopProfiler(alloc=True) from repro.obs.profile",
-                        ))
+                    findings.append(_finding(
+                        "REP018", ctx, node,
+                        "tracemalloc imported — allocation tracing is "
+                        "process-global; measure memory with perfbench "
+                        "(peak_rss_mb) instead",
+                    ))
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -1325,16 +1315,11 @@ def check_rep018(tree: ast.AST, ctx: FileContext) -> List[Finding]:
         if dotted is None:
             continue
         head = dotted.partition(".")[0]
-        if (
-            "." in dotted
-            and head in tracemalloc_names
-            and not ctx.profiling_sanctioned
-        ):
+        if "." in dotted and head in tracemalloc_names:
             findings.append(_finding(
                 "REP018", ctx, node,
                 f"{dotted}() mutates process-global allocation tracing — "
-                "only the profiler stack (obs/profile.py, obs/perf.py) may "
-                "drive tracemalloc",
+                "no module of the program may drive tracemalloc",
             ))
         elif dotted in clock_aliases and not ctx.clock_sanctioned:
             origin = clock_aliases[dotted]
@@ -1343,8 +1328,8 @@ def check_rep018(tree: ast.AST, ctx: FileContext) -> List[Finding]:
                 f"bare {dotted}() reads the wall clock (from time import "
                 f"{origin}) — simulation logic must be a pure function of "
                 "(config, seed); for CLI timing use "
-                "repro.experiments.reporting.stopwatch(), for profiling use "
-                "repro.obs.profile.LoopProfiler",
+                "repro.experiments.reporting.stopwatch(), for host cost use "
+                "perfbench/run.py",
             ))
     return findings
 
