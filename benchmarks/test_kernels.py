@@ -93,6 +93,11 @@ def test_merkle_verify_path(benchmark):
     assert ok
 
 
+def test_ecdsa_keygen(benchmark):
+    kp = benchmark(generate_keypair, 1)
+    assert verify(b"root||metadata", sign(b"root||metadata", kp), kp.public)
+
+
 def test_ecdsa_sign(benchmark):
     kp = generate_keypair(1)
     sig = benchmark(sign, b"root||metadata", kp)
@@ -188,3 +193,26 @@ def test_radio_deliver_frame(benchmark, degree):
     sent = trace.counters["tx_total"] - 256
     assert trace.counters["rx_delivered"] == 256 + degree * sent
     assert trace.counters.get("rx_collision", 0) == 0
+
+
+def test_engine_timer_churn(benchmark):
+    """Arm 10k timers, re-arm each once, then run.
+
+    Re-arming cancels the pending event and schedules a new one, the
+    pattern of every protocol retransmission timer; the cancels force heap
+    compactions, and ties in time exercise the sequence tie-break.
+    """
+
+    def churn():
+        sim = Simulator()
+        fired = []
+        timers = [sim.schedule(1.0 + (i % 97) * 0.01, fired.append, i) for i in range(10_000)]
+        for i, timer in enumerate(timers):
+            timer.cancel()
+            sim.schedule(0.5 + (i % 89) * 0.01, fired.append, i)
+        sim.run()
+        return sim, fired
+
+    sim, fired = benchmark(churn)
+    assert sorted(fired) == list(range(10_000))
+    assert sim.heap_stats()["compactions"] > 0

@@ -42,12 +42,8 @@ class ReedSolomonCode(ErasureCode):
             return np.zeros((0, k), dtype=np.uint8)
         if k + parity_rows > 256:
             raise CodingError("Cauchy construction needs k + (n-k) <= 256")
-        out = np.zeros((parity_rows, k), dtype=np.uint8)
-        for i in range(parity_rows):
-            x = k + i
-            for j in range(k):
-                out[i, j] = GF256.inv(x ^ j)
-        return out
+        # C[i, j] = 1 / (x_i + y_j); addition in GF(256) is XOR.
+        return GF256.inv_table[np.bitwise_xor.outer(np.arange(k, k + parity_rows), np.arange(k))]
 
     def coefficient_row(self, index: int) -> np.ndarray:
         """The GF(256) combination row that produced encoded block ``index``."""

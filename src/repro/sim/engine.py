@@ -1,8 +1,11 @@
 """Core discrete-event engine.
 
-The engine is a classic calendar queue built on :mod:`heapq`.  Events are
-totally ordered by ``(time, sequence)`` so that simultaneous events execute in
-scheduling order, which keeps runs deterministic for a fixed seed.
+The engine is a binary heap built on :mod:`heapq`.  The heap holds
+``(time, key, event)`` tuples; the key is a FIFO sequence number, so events
+are totally ordered by ``(time, sequence)`` and simultaneous events execute
+in scheduling order, which keeps runs deterministic for a fixed seed.
+Because ``(time, key)`` is unique, tuple comparison never reaches the
+:class:`Event` and ``heapq`` orders entries entirely in C.
 """
 
 from __future__ import annotations
@@ -86,20 +89,21 @@ class Event:
     with :meth:`cancel`; cancelled events stay in the heap but are skipped
     when popped (lazy deletion).  The owning simulator keeps live/cancelled
     counters so cancellation garbage can be compacted away.
+
+    Events are not comparable: the heap orders ``(time, key, event)``
+    entries by their unique ``(time, key)`` prefix.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         fn: Callable[..., Any],
         args: Tuple[Any, ...],
         sim: "Optional[Simulator]" = None,
     ) -> None:
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -117,12 +121,9 @@ class Event:
             self._sim._note_cancelled()
             self._sim = None
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {state}, fn={self.fn!r})"
+        return f"Event(t={self.time:.6f}, {state}, fn={self.fn!r})"
 
 
 class Simulator:
@@ -152,7 +153,7 @@ class Simulator:
         max_sim_time: Optional[float] = None,
     ) -> None:
         default_events, default_time = _DEFAULT_WATCHDOG
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._running: bool = False
@@ -211,7 +212,8 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        self._queue = [e for e in self._queue if not e.cancelled]
+        # In place: the run loop holds a reference to the queue.
+        self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled = 0
         self._compactions += 1
@@ -224,15 +226,26 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
-        if time < self._now:
+        # Written as ``not >=`` so a NaN time, which compares false both
+        # ways, is rejected too.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
-        event = Event(time, self._seq, fn, args, sim=self)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        event = Event(time, fn, args, self)
+        heapq.heappush(self._queue, (time, self._sequence_key(event), event))
         self._live += 1
         return event
+
+    def _sequence_key(self, event: Event) -> int:
+        """The tie-break key of a newly created ``event``: the FIFO counter.
+
+        Keys must be unique so that no two heap entries compare equal on
+        ``(time, key)``.  Subclasses may override this to permute ties.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -248,32 +261,34 @@ class Simulator:
         _CURRENT_SIM = weakref.ref(self)
         executed = 0
         profiler = self._profiler
+        queue = self._queue
+        heappop = heapq.heappop
         try:
-            while self._queue:
-                event = self._queue[0]
+            while queue:
+                time, _, event = queue[0]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     self._cancelled -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 if (
                     self._watchdog_time is not None
-                    and event.time > self._watchdog_time
+                    and time > self._watchdog_time
                 ):
                     raise SimulationRunawayError(
                         f"simulation exceeded max_sim_time="
-                        f"{self._watchdog_time} (next event at t={event.time:.3f})",
+                        f"{self._watchdog_time} (next event at t={time:.3f})",
                         events=self._processed,
                         sim_time=self._now,
                         heap_stats=self.heap_stats(),
                     )
-                heapq.heappop(self._queue)
+                heappop(queue)
                 self._live -= 1
                 event._sim = None  # late cancel() must not double-count
-                self._now = event.time
+                self._now = time
                 if profiler is None:
                     event.fn(*event.args)
                 else:
@@ -281,7 +296,7 @@ class Simulator:
                     event.fn(*event.args)
                     profiler.record(
                         event.fn, event.args,
-                        profiler.clock() - start, len(self._queue),
+                        profiler.clock() - start, len(queue),
                     )
                 executed += 1
                 self._processed += 1

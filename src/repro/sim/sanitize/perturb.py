@@ -11,17 +11,17 @@ deterministic — permutation of every same-timestamp group for each
 comparing digests is therefore a dynamic race detector for event-order
 dependence.
 
-The class lives outside :mod:`repro.sim.engine` on purpose: the engine hot
-path stays untouched, keeping the zero-overhead-when-disabled contract that
-the perfbench gate (``python -m repro.obs bench-compare``) enforces.
+The class lives outside :mod:`repro.sim.engine` on purpose: it overrides
+only the engine's sequence-key hook, so the engine's single push site and
+run loop are shared and the production hot path stays untouched, keeping
+the zero-overhead-when-disabled contract that the perfbench gate
+(``python -m repro.obs bench-compare``) enforces.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, Dict, Optional
 
-from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import derive_seed
 
@@ -103,7 +103,9 @@ class PerturbedSimulator(Simulator):
     keys unique even on a (vanishingly unlikely) 64-bit hash collision,
     preserving the engine's total-order guarantee.
 
-    An optional :class:`HandlerContext` wraps every callback so the RNG
+    The key is supplied through the engine's ``_sequence_key`` hook; the
+    engine's FIFO counter is the scheduling index.  An optional
+    :class:`HandlerContext` wraps every callback in the same hook so the RNG
     tripwire can attribute stream draws to the executing node.  The wrapper
     costs one closure per event — acceptable for sanitizer runs, never paid
     by production simulations (which use the plain :class:`Simulator`).
@@ -119,31 +121,13 @@ class PerturbedSimulator(Simulator):
         super().__init__(max_events=max_events, max_sim_time=max_sim_time)
         self.perturbation = int(perturbation)
         self.context = context
-        self._counter = 0
 
-    def _perturbed_seq(self) -> int:
-        counter = self._counter
-        self._counter += 1
+    def _sequence_key(self, event: Event) -> int:
+        if self.context is not None:
+            event.fn = _context_wrapper(self.context, event.fn)
+        counter = super()._sequence_key(event)
         priority = derive_seed(self.perturbation, f"tiebreak/{counter}")
         return (priority << 40) | counter
-
-    def schedule_at(
-        self, time: float, fn: Callable[..., Any], *args: Any
-    ) -> Event:
-        # Mirrors Simulator.schedule_at but assigns the perturbed sequence
-        # key at construction (heapq has no decrease-key, so fixing the key
-        # up after the push would mean an O(n) heap search).
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before now={self._now}"
-            )
-        if self.context is not None:
-            fn = _context_wrapper(self.context, fn)
-        event = Event(time, self._perturbed_seq(), fn, args, sim=self)
-        self._seq += 1  # keep the FIFO counter advancing for introspection
-        heapq.heappush(self._queue, event)
-        self._live += 1
-        return event
 
 
 def _context_wrapper(

@@ -131,6 +131,17 @@ def test_rate_one_code():
     assert code.decode({i: b for i, b in enumerate(blocks)}) == blocks
 
 
+@pytest.mark.parametrize("k,n", [(1, 2), (8, 12), (32, 48), (100, 256), (5, 5)])
+def test_cauchy_matrix_matches_scalar_inverses(k, n):
+    expected = np.array(
+        [[GF256.inv(x ^ j) for j in range(k)] for x in range(k, n)],
+        dtype=np.uint8,
+    ).reshape(n - k, k)
+    got = ReedSolomonCode._cauchy_matrix(k, n - k)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, expected)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=1, max_value=10),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
+from repro.sim.sanitize import PerturbedSimulator
 
 
 def test_initial_state(sim):
@@ -65,6 +66,25 @@ def test_schedule_in_past_rejected(sim):
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(0.5, lambda: None)
+
+
+@pytest.mark.parametrize("make", [Simulator, lambda: PerturbedSimulator(3)],
+                         ids=["fifo", "perturbed"])
+def test_nan_times_rejected(make):
+    """A NaN time compares false both ways; it must not slip past the
+    past-time guard and run first with ``now = nan``."""
+    sim = make()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: None)
+    seen = []
+    sim.schedule_at(1.0, seen.append, "one")
+    sim.schedule_at(0.5, seen.append, "half")
+    sim.run()
+    assert seen == ["half", "one"]
+    assert sim.now == 1.0
+    assert sim.heap_stats()["heap_len"] == 0
 
 
 def test_events_scheduled_during_run_execute(sim):
