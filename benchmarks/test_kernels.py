@@ -5,6 +5,8 @@ drives the simulator's computation-overhead accounting and any real
 deployment's energy budget.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,14 @@ from repro.crypto.merkle import MerkleTree, verify_merkle_path
 from repro.crypto.puzzle import MessageSpecificPuzzle
 from repro.erasure.gf256 import GF256
 from repro.erasure.rs import ReedSolomonCode
-from repro.net.channel import NoLoss
+from repro.net.channel import CompositeLoss, GilbertElliottLoss, NoLoss, PerLinkLoss
 from repro.net.node import NetworkNode
-from repro.net.packet import FrameKind
+from repro.net.packet import Frame, FrameKind
 from repro.net.radio import Radio, RadioConfig
-from repro.net.topology import Topology
+from repro.net.topology import Topology, grid_topology, star_topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import Observer, TraceRecorder
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +218,70 @@ def test_engine_timer_churn(benchmark):
     sim, fired = benchmark(churn)
     assert sorted(fired) == list(range(10_000))
     assert sim.heap_stats()["compactions"] > 0
+
+
+def test_loss_composite_should_drop(benchmark):
+    """10k ambient-loss decisions over the links of ``grid:7x7:3``.
+
+    The multi-hop grids' loss model: static per-link loss composed with a
+    Gilbert-Elliott chain per link, asked once per delivery attempt.  Streams
+    are resolved before timing starts; time keeps advancing across rounds.
+    """
+    topo = grid_topology(7, 7, spacing=3.0, rngs=RngRegistry(1))
+    model = CompositeLoss(PerLinkLoss(topo.link_loss),
+                          GilbertElliottLoss(loss_good=0.05, loss_bad=0.5,
+                                             mean_good=6.0, mean_bad=2.0))
+    rngs = RngRegistry(1)
+    frame = Frame(kind=FrameKind.DATA, sender=0, size_bytes=40, payload=None)
+    links = itertools.cycle(sorted(topo.link_loss))
+    clock = itertools.count()
+
+    def decide():
+        drop = model.should_drop
+        return sum(drop(rngs, s, r, frame, next(clock) * 1e-3)
+                   for s, r in itertools.islice(links, 10_000))
+
+    decide()
+    drops = benchmark(decide)
+    assert 0 < drops < 10_000
+
+
+class _DataFrames(Observer):
+    def __init__(self):
+        self.frames = []
+
+    def on_tx(self, ts, frame, unit):
+        if frame.kind is FrameKind.DATA:
+            self.frames.append(frame)
+
+
+def test_on_receive_overheard_data(benchmark):
+    """An lr-seluge node receives DATA for a page it already holds.
+
+    Most receptions on a dense grid are such overheard packets: the node
+    checks the packet against its chained hash and notes the sender's
+    progress, but buffers nothing.
+    """
+    from repro.core.image import CodeImage
+    from repro.experiments.runner import CompletionTracker, run_network
+    from repro.experiments.scenarios import build_protocol_network, make_params
+
+    sim, rngs, trace = Simulator(), RngRegistry(5), TraceRecorder()
+    aired = _DataFrames()
+    trace.subscribe(aired)
+    radio = Radio(sim, star_topology(2), NoLoss(), rngs, trace,
+                  config=RadioConfig(collisions=False))
+    params = make_params("lr-seluge", image_size=3000, k=8, n=12)
+    image = CodeImage.synthetic(3000, version=2, seed=5)
+    tracker = CompletionTracker(trace)
+    base, nodes, _ = build_protocol_network("lr-seluge", sim, radio, rngs, trace,
+                                            params, image, tracker)
+    base.start()
+    result = run_network(sim, trace, tracker, nodes, "lr-seluge",
+                         expected_image=image.data)
+    assert result.completed
+    frame = next(f for f in aired.frames if f.payload.unit == 2)
+    node = next(n for n in nodes if n.node_id != frame.sender)
+    benchmark(node.on_receive, frame, frame.sender)
+    assert node.complete
+    assert node.pipeline.validate_overheard(frame.payload)

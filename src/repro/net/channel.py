@@ -8,6 +8,10 @@ probabilities produced by a propagation model (see
 :mod:`repro.net.topology`), and :class:`GilbertElliottLoss` adds bursty,
 time-correlated losses in the spirit of the TinyOS ``meyer-heavy`` noise
 trace (our documented substitution).
+
+Models draw from the named streams ``loss/{receiver}``, ``loss/{s}-{r}`` and
+``ge/{s}-{r}`` of the run's registry, each resolved once per link per registry
+and kept, so a decision formats no name and does no registry lookup.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import abc
 import math
 import random
-from typing import Dict, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.net.packet import Frame
@@ -38,6 +42,16 @@ __all__ = [
 
 class LossModel(abc.ABC):
     """Decides, per (link, frame, time), whether a reception is dropped."""
+
+    # Streams a model has resolved, per link, and the registry they came from.
+    _rngs: Optional[RngRegistry] = None
+    _streams: Dict[Any, random.Random]
+
+    def _stream(self, rngs: RngRegistry, key: Any, name: str) -> random.Random:
+        if rngs is not self._rngs:
+            self._rngs, self._streams = rngs, {}
+        stream = self._streams[key] = rngs.get(name)
+        return stream
 
     @abc.abstractmethod
     def should_drop(
@@ -72,7 +86,10 @@ class BernoulliLoss(LossModel):
     ) -> bool:
         if self.p == 0.0:
             return False
-        return rngs.get(f"loss/{receiver}").random() < self.p
+        stream = self._streams.get(receiver) if rngs is self._rngs else None
+        if stream is None:
+            stream = self._stream(rngs, receiver, f"loss/{receiver}")
+        return stream.random() < self.p
 
 
 class PerLinkLoss(LossModel):
@@ -88,18 +105,24 @@ class PerLinkLoss(LossModel):
         for link, p in loss_map.items():
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"loss probability {p} for link {link} outside [0, 1]")
+        if not 0.0 <= default <= 1.0:
+            raise ConfigError(f"default loss probability {default} outside [0, 1]")
         self.loss_map = loss_map
         self.default = default
 
     def should_drop(
         self, rngs: RngRegistry, sender: int, receiver: int, frame: Frame, time: float
     ) -> bool:
-        p = self.loss_map.get((sender, receiver), self.default)
+        link = (sender, receiver)
+        p = self.loss_map.get(link, self.default)
         if p <= 0.0:
             return False
         if p >= 1.0:
             return True
-        return rngs.get(f"loss/{sender}-{receiver}").random() < p
+        stream = self._streams.get(link) if rngs is self._rngs else None
+        if stream is None:
+            stream = self._stream(rngs, link, f"loss/{sender}-{receiver}")
+        return stream.random() < p
 
 
 class GilbertElliottLoss(LossModel):
@@ -131,9 +154,9 @@ class GilbertElliottLoss(LossModel):
         # (state, time at which the current state expires) per link
         self._state: Dict[Tuple[int, int], Tuple[bool, float]] = {}
 
-    def _advance(self, rng: random.Random, link: Tuple[int, int], time: float) -> bool:
-        """Return True when the link is in the BAD state at ``time``."""
-        bad, expires = self._state.get(link, (False, 0.0))
+    def _advance(self, rng: random.Random, link: Tuple[int, int], bad: bool,
+                 expires: float, time: float) -> bool:
+        """Step an expired link to its state at ``time``; True when BAD."""
         while expires <= time:
             bad = not bad
             mean = self.mean_bad if bad else self.mean_good
@@ -145,10 +168,13 @@ class GilbertElliottLoss(LossModel):
         self, rngs: RngRegistry, sender: int, receiver: int, frame: Frame, time: float
     ) -> bool:
         link = (sender, receiver)
-        rng = rngs.get(f"ge/{sender}-{receiver}")
-        bad = self._advance(rng, link, time)
-        p = self.loss_bad if bad else self.loss_good
-        return rng.random() < p
+        rng = self._streams.get(link) if rngs is self._rngs else None
+        if rng is None:
+            rng = self._stream(rngs, link, f"ge/{sender}-{receiver}")
+        bad, expires = self._state.get(link, (False, 0.0))
+        if expires <= time:
+            bad = self._advance(rng, link, bad, expires, time)
+        return rng.random() < (self.loss_bad if bad else self.loss_good)
 
 
 class CompositeLoss(LossModel):
@@ -167,9 +193,10 @@ class CompositeLoss(LossModel):
     def should_drop(
         self, rngs: RngRegistry, sender: int, receiver: int, frame: Frame, time: float
     ) -> bool:
-        return any(
-            m.should_drop(rngs, sender, receiver, frame, time) for m in self.models
-        )
+        for m in self.models:
+            if m.should_drop(rngs, sender, receiver, frame, time):
+                return True
+        return False
 
 
 class SyntheticNoiseTrace:

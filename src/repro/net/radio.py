@@ -177,9 +177,6 @@ class Radio:
             raise SimulationError(f"cannot attach unknown node {node_id}")
         self._detached.discard(node_id)
 
-    def is_detached(self, node_id: int) -> bool:
-        return node_id in self._detached
-
     def set_link(self, sender: int, receiver: int, up: bool) -> None:
         """Force a directed link down (churn/partition) or back up."""
         if up:
@@ -291,31 +288,29 @@ class Radio:
     def _finish(self, tx: _Transmission) -> None:
         for heard in tx.hearing:
             heard.remove(tx)
-        if self._on_air.get(tx.sender) is tx:
-            del self._on_air[tx.sender]
+        sender = tx.sender
+        if self._on_air.get(sender) is tx:
+            del self._on_air[sender]
         if tx.aborted:
             self.trace.count("tx_aborted")
             return
-        for receiver in self.neighbors(tx.sender):
-            self._attempt_delivery(tx, receiver)
-        self._pump(tx.sender)
-
-    def _attempt_delivery(self, tx: _Transmission, receiver: int) -> None:
-        now = self.sim.now
-        sender, frame = tx.sender, tx.frame
-        if tx.halfduplex is not None and receiver in tx.halfduplex:
-            cause = "halfduplex"
-        elif tx.collided is not None and receiver in tx.collided:
-            cause = "collision"
-        elif self.loss_model.should_drop(self.rngs, sender, receiver, frame, now):
-            cause = "channel"
-        else:
-            delivered = (frame if self.tamper is None
-                         else self.tamper(frame, sender, receiver))
-            if delivered is not None:
-                self.trace.rx(now, sender, receiver, frame)
-                self._nodes[receiver].on_receive(delivered, sender)
-                self.trace.rx_done()
-                return
-            cause = "tamper"
-        self.trace.loss(now, sender, receiver, cause, frame)
+        now, frame, rngs, tamper = self.sim.now, tx.frame, self.rngs, self.tamper
+        halfduplex, collided = tx.halfduplex or (), tx.collided or ()
+        should_drop, trace, nodes = self.loss_model.should_drop, self.trace, self._nodes
+        for receiver in self.neighbors(sender):
+            if receiver in halfduplex:
+                cause = "halfduplex"
+            elif receiver in collided:
+                cause = "collision"
+            elif should_drop(rngs, sender, receiver, frame, now):
+                cause = "channel"
+            else:
+                delivered = frame if tamper is None else tamper(frame, sender, receiver)
+                if delivered is not None:
+                    trace.rx(now, sender, receiver, frame)
+                    nodes[receiver].on_receive(delivered, sender)
+                    trace.rx_done()
+                    continue
+                cause = "tamper"
+            trace.loss(now, sender, receiver, cause, frame)
+        self._pump(sender)

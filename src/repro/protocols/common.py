@@ -56,6 +56,13 @@ class ProtocolName(str, enum.Enum):
     RATELESS = "rateless-deluge"
 
 
+# Module-level aliases for the receive path: reading a member off an enum
+# class costs ~100 ns on CPython 3.11, a module global ~7 ns.
+_DATA, _SIGNATURE, _ADV, _SNACK = (FrameKind.DATA, FrameKind.SIGNATURE,
+                                   FrameKind.ADV, FrameKind.SNACK)
+_RATELESS = ProtocolName.RATELESS
+
+
 class TxPolicy(abc.ABC):
     """What a TX-state node still owes its neighbors for one unit."""
 
@@ -273,12 +280,6 @@ class DisseminationNode(NetworkNode):
     @property
     def total_units(self) -> Optional[int]:
         return self.pipeline.total_units
-
-    @property
-    def needed_unit(self) -> Optional[int]:
-        if self.complete:
-            return None
-        return self.units_complete
 
     def image_bytes(self) -> bytes:
         """The reassembled code image (valid once complete)."""
@@ -550,8 +551,8 @@ class DisseminationNode(NetworkNode):
         if self._request_tries >= self.timing.request_max_tries:
             return  # back to MAINTAIN; a fresh advertisement resets tries
         unit = self.units_complete
-        if not self._servers_for(unit):
-            return
+        if not any(p > unit for p in self._neighbor_progress.values()):
+            return  # no neighbour can serve it yet
         self._note_request_cause("first_request")
         self._request_timer.start(self.rng.uniform(0.0, self.timing.request_delay_max))
 
@@ -697,13 +698,6 @@ class DisseminationNode(NetworkNode):
             delay *= 1.0 + spread * (2.0 * self._backoff_rng.random() - 1.0)
         return delay
 
-    def _recent_data_leq(self, unit: int) -> bool:
-        """Was data for this or an earlier unit overheard very recently?"""
-        horizon = self.sim.now - self.timing.data_quiet_window
-        return any(
-            t >= horizon for u, t in self._last_data_heard.items() if u <= unit
-        )
-
     def _on_data(self, pkt: DataPacket, sender: int) -> None:
         if pkt.version != (self.pipeline.version or 0):
             self.trace.count("data_version_mismatch")
@@ -721,6 +715,7 @@ class DisseminationNode(NetworkNode):
                                          sender):
                 self.trace.count("defense_replay_dropped")
                 return
+        now = self.sim.now
         acceptable_index = self._acceptable_index(pkt)
         authentic = False
         if not self.complete and pkt.unit == self.units_complete and acceptable_index:
@@ -728,20 +723,17 @@ class DisseminationNode(NetworkNode):
             if buffered is not None:
                 authentic = buffered == pkt
                 if authentic:
-                    self.trace.auth(self.sim.now, self.node_id, sender,
-                                    "duplicate", pkt)
+                    self.trace.auth(now, self.node_id, sender, "duplicate", pkt)
             elif self.pipeline.authenticate(pkt):
                 authentic = True
-                self.trace.auth(self.sim.now, self.node_id, sender, "ok", pkt)
+                self.trace.auth(now, self.node_id, sender, "ok", pkt)
                 if not self._rx_buffer:
                     # First buffered packet of this page: open its assembly
                     # span (first packet -> verified decode).
-                    self.trace.span_begin(self.sim.now, "span_page",
-                                          self.node_id, key=pkt.unit,
-                                          unit=pkt.unit)
+                    self.trace.span_begin(now, "span_page", self.node_id,
+                                          key=pkt.unit, unit=pkt.unit)
                 self._rx_buffer[pkt.index] = pkt
-                self.trace.auth(self.sim.now, self.node_id, sender,
-                                "buffered", pkt)
+                self.trace.auth(now, self.node_id, sender, "buffered", pkt)
                 self._request_tries = 0
                 if self._request_timer.armed:
                     self._note_request_cause("data_progress")
@@ -749,13 +741,13 @@ class DisseminationNode(NetworkNode):
                 self._try_complete_unit()
             else:
                 self.trace.count("data_rejected")
-                self.trace.auth(self.sim.now, self.node_id, sender, "drop", pkt)
+                self.trace.auth(now, self.node_id, sender, "drop", pkt)
         elif acceptable_index:
             # Not the unit we are collecting: a cheap authenticity check
             # decides whether this packet may influence our timers at all.
             authentic = self.pipeline.validate_overheard(pkt)
             if not authentic and self.pipeline.secured:
-                self.trace.auth(self.sim.now, self.node_id, sender, "drop", pkt)
+                self.trace.auth(now, self.node_id, sender, "drop", pkt)
 
         if not authentic:
             if not self.complete:
@@ -765,15 +757,15 @@ class DisseminationNode(NetworkNode):
         # The sender evidently possesses pkt.unit, i.e. >= unit+1 units.
         known = self._neighbor_progress.get(sender, 0)
         self._neighbor_progress[sender] = max(known, pkt.unit + 1)
-        self._last_data_heard[pkt.unit] = self.sim.now
+        self._last_data_heard[pkt.unit] = now
 
         # Sender-side suppression: someone else covered this packet.
         policy = self._service.get(pkt.unit)
         if policy is not None:
             policy.mark_sent(pkt.index)
             self.trace.count("data_suppressed")
-            self.trace.tracker(self.sim.now, self.node_id, pkt.unit,
-                               "overheard", policy, index=pkt.index)
+            self.trace.tracker(now, self.node_id, pkt.unit, "overheard", policy,
+                               index=pkt.index)
         if not self.complete:
             self._maybe_schedule_request()
 
@@ -783,7 +775,7 @@ class DisseminationNode(NetworkNode):
         Rateless protocols accept any index (combinations are unbounded);
         fixed-set protocols only indices < the unit's packet count.
         """
-        if self.protocol is ProtocolName.RATELESS:
+        if self.protocol is _RATELESS:
             return pkt.index >= 0
         if self.total_units is not None and not 0 <= pkt.unit < self.total_units:
             return False
@@ -1077,32 +1069,29 @@ class DisseminationNode(NetworkNode):
     def on_receive(self, frame: Frame, sender: int) -> None:
         if self.crashed:
             return  # defensive: the radio already delivers nothing to us
-        payload = frame.payload
-        if (
-            self._guard is not None
-            and self._guard.config.rate_limit
-            and (frame.kind is FrameKind.ADV or frame.kind is FrameKind.SNACK)
-            and self._guard.quarantined(sender)
-        ):
+        kind, payload = frame.kind, frame.payload
+        if kind is _DATA:
+            self._on_data(payload, sender)
+        elif kind is _SIGNATURE:
+            self._on_signature(payload, sender)
+        elif kind is not _ADV and kind is not _SNACK:
+            return  # jamming noise: no protocol handles it
+        elif (self._guard is not None and self._guard.config.rate_limit
+              and self._guard.quarantined(sender)):
             # A quarantined neighbor's control traffic is dead to us: it can
             # neither be served nor steer our request/suppression timers.
             self.trace.count("defense_quarantined_drop")
-            return
-        if frame.kind is FrameKind.ADV:
+        elif kind is _ADV:
             if self.control_auth is not None and not self.control_auth.check_adv(
                 payload, payload.mac, sender
             ):
                 self.trace.count("ctrl_auth_reject_adv")
                 return
             self._on_adv(payload, sender)
-        elif frame.kind is FrameKind.SNACK:
+        else:
             if self.control_auth is not None and not self.control_auth.check_snack(
                 payload, payload.mac, sender
             ):
                 self.trace.count("ctrl_auth_reject_snack")
                 return
             self._on_snack(payload, sender)
-        elif frame.kind is FrameKind.SIGNATURE:
-            self._on_signature(payload, sender)
-        elif frame.kind is FrameKind.DATA:
-            self._on_data(payload, sender)

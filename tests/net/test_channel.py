@@ -1,5 +1,7 @@
 """Unit tests for loss models."""
 
+import math
+
 import pytest
 
 from repro.net.channel import (
@@ -59,6 +61,9 @@ def test_per_link_uses_directed_probabilities():
 def test_per_link_validation():
     with pytest.raises(ConfigError):
         PerLinkLoss({(0, 1): 1.5})
+    for default in (-0.5, 1.7, math.nan):
+        with pytest.raises(ConfigError):
+            PerLinkLoss({}, default=default)
 
 
 def test_gilbert_elliott_mean_loss_between_states():
