@@ -14,17 +14,17 @@ disseminations and reports what each protocol does:
 Run:  python examples/attack_resilience.py
 """
 
+from repro.attacks import (
+    BogusDataInjector,
+    DenialOfReceiptAttacker,
+    SignatureFlooder,
+)
 from repro.core.image import CodeImage
 from repro.experiments.runner import CompletionTracker, run_network
 from repro.experiments.scenarios import _BUILDERS, make_params
 from repro.net.channel import NoLoss
 from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import star_topology
-from repro.protocols.attacks import (
-    BogusDataInjector,
-    DenialOfReceiptAttacker,
-    SignatureFlooder,
-)
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder

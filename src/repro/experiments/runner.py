@@ -96,6 +96,7 @@ def run_network(
         tracked=tuple(sorted(tracker.expected or ())),
     )
     if manifest_path is not None:
+        from repro.obs.catalog import unregistered_names
         from repro.obs.manifest import RunManifest
 
         config: Dict[str, object] = {"protocol": protocol, "max_time": max_time}
@@ -104,6 +105,6 @@ def run_network(
         RunManifest.from_run(
             "repro.experiments.runner", result, config=config,
             wall_s=elapsed(), sim=sim,
-            unregistered=trace.registry.unregistered_names(),
+            unregistered=unregistered_names(trace.counters),
         ).write(manifest_path)
     return result

@@ -3,6 +3,7 @@
 The figure functions cover the paper's sweeps; this utility covers
 everything else a user might want to explore::
 
+    from repro.experiments.executor import CampaignConfig
     from repro.experiments.sweeps import sweep_one_hop
 
     table = sweep_one_hop(
@@ -10,7 +11,7 @@ everything else a user might want to explore::
         loss_rates=(0.1, 0.3),
         receivers=(10, 20),
         seeds=(1, 2),
-        processes=4,
+        campaign=CampaignConfig(processes=4),
     )
     print(table.report())
 
@@ -49,14 +50,6 @@ __all__ = ["sweep_one_hop", "sweep_multihop"]
 _METRIC_HEADERS = ["data_pkts", "snack_pkts", "adv_pkts", "total_bytes", "latency_s"]
 
 
-def _campaign_for(processes: Optional[int],
-                  campaign: Optional[CampaignConfig]) -> CampaignConfig:
-    """Resolve the executor config from the legacy ``processes`` knob."""
-    if campaign is not None:
-        return campaign
-    return CampaignConfig(processes=processes)
-
-
 def _metric_cells(results: Sequence[RunResult]) -> List[object]:
     """The five averaged metrics, or ``nan`` cells if every seed quarantined."""
     if not results:
@@ -80,7 +73,6 @@ def sweep_one_hop(
     k: int = 32,
     n: int = 48,
     seeds: Sequence[int] = (1,),
-    processes: Optional[int] = None,
     campaign: Optional[CampaignConfig] = None,
 ) -> FigureResult:
     """Cartesian sweep over the one-hop scenario space."""
@@ -94,7 +86,7 @@ def sweep_one_hop(
         ]
     scenarios = [s for combo in combos for s in cells[combo]]
     results = execute_scenarios(
-        "one_hop", run_one_hop, scenarios, _campaign_for(processes, campaign)
+        "one_hop", run_one_hop, scenarios, campaign
     )
     rows: List[List[object]] = []
     for protocol, p, n_recv in combos:
@@ -121,7 +113,6 @@ def sweep_multihop(
     topologies: Sequence[str] = ("tight:8x8",),
     image_size: int = 8 * 1024,
     seeds: Sequence[int] = (1,),
-    processes: Optional[int] = None,
     campaign: Optional[CampaignConfig] = None,
 ) -> FigureResult:
     """Cartesian sweep over grid/random topologies."""
@@ -135,7 +126,7 @@ def sweep_multihop(
         ]
     scenarios = [s for combo in combos for s in cells[combo]]
     results = execute_scenarios(
-        "multihop", run_multihop, scenarios, _campaign_for(processes, campaign)
+        "multihop", run_multihop, scenarios, campaign
     )
     rows: List[List[object]] = []
     for protocol, topology in combos:

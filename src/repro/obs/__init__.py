@@ -4,11 +4,13 @@ The paper's entire evaluation is a measurement exercise, so measurement is a
 first-class subsystem here rather than an ad-hoc ``Counter``:
 
 * :mod:`repro.obs.catalog` — the central metric-name vocabulary (names,
-  units, help text).  replint rule REP011 enforces that every
-  ``trace.count``/``trace.record`` kind literal comes from this catalogue.
-* :mod:`repro.obs.registry` — the typed metrics registry
-  (counters/gauges/histograms) that :class:`repro.sim.trace.TraceRecorder`
-  is a façade over.
+  units, help text) for the counter store that
+  :class:`repro.sim.trace.TraceRecorder` owns.  replint rule REP011
+  enforces that every ``trace.count``/``trace.record`` kind literal comes
+  from this catalogue, and run manifests list the counters a run used
+  without a declaration.
+* :mod:`repro.obs.flight` — the flight and causal recorders, subscribers
+  to the recorder's observation seam.
 * :mod:`repro.obs.events` — schema-versioned structured trace events with
   span support, JSONL persistence, and a Chrome ``trace_event`` / Perfetto
   exporter.
@@ -19,15 +21,13 @@ first-class subsystem here rather than an ad-hoc ``Counter``:
   ``perfbench/run.py`` outputs (how long a run takes, end to end and per
   layer, is measured by ``perfbench/``, outside the package).
 
-This ``__init__`` deliberately imports nothing: ``repro.sim.trace`` (checked
-under ``mypy --strict``) imports :mod:`repro.obs.registry`, and keeping the
-package root empty keeps that import surface minimal and cycle-free.
+This ``__init__`` deliberately imports nothing, so importing one submodule
+(the event log, say) loads only that submodule and what it imports.
 """
 
 __all__ = [
     "catalog",
     "events",
     "manifest",
-    "registry",
     "report",
 ]

@@ -5,8 +5,9 @@ every structured-event kind has a declared :class:`MetricSpec` here: a name,
 a metric kind, a unit, and one line of help text.  The catalogue is the
 single vocabulary that
 
-* the typed registry (:mod:`repro.obs.registry`) resolves specs from,
 * the manifest/report CLI uses to attach units and help to counter tables,
+* :func:`unregistered_names` checks a run's counter store against, so run
+  manifests record any counter that escaped it,
 * replint rule REP011 enforces at review time — a ``trace.count("txdata")``
   typo no longer silently creates an orphan counter, it fails the lint.
 
@@ -17,16 +18,15 @@ code), so every ``MetricSpec`` first argument and every entry of
 Metric kinds:
 
 * ``counter`` — monotonically increasing count (packets, bytes, drops).
-* ``gauge`` — point-in-time level (heap occupancy, pending events).
-* ``histogram`` — distribution of observations (per-handler latency).
-* ``event`` — a structured trace event kind (instant or span); events are
-  also counted, so every event kind doubles as a counter name.
+* ``event`` — a structured trace event kind (instant or span).  Kinds the
+  seam records or closes as spans are also counted; the flight and causal
+  recorders' kinds go to the event log only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "MetricSpec",
@@ -35,6 +35,7 @@ __all__ = [
     "METRICS_BY_NAME",
     "is_known_metric",
     "spec_for",
+    "unregistered_names",
 ]
 
 
@@ -43,7 +44,7 @@ class MetricSpec:
     """Declared identity of one metric: name, kind, unit, help text."""
 
     name: str
-    kind: str = "counter"  # "counter" | "gauge" | "histogram" | "event"
+    kind: str = "counter"  # "counter" | "event"
     unit: str = ""
     help: str = ""
 
@@ -166,11 +167,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     # -- flight recorder (per-link accounting, --flight-record) ---------------
     MetricSpec("link_tx", "event", "frames",
                "flight: a frame was put on the air by a sender"),
-    MetricSpec("link_rx", "event", "frames",
-               "flight: a frame was delivered over one (src, dst) link"),
-    MetricSpec("link_lost", "event", "frames",
-               "flight: a delivery attempt failed (channel/collision/"
-               "halfduplex/tamper cause in detail)"),
     MetricSpec("link_auth_drop", "event", "packets",
                "flight: a data packet failed authentication before buffering"),
     MetricSpec("link_duplicate", "event", "packets",
@@ -209,19 +205,13 @@ METRICS: Tuple[MetricSpec, ...] = (
                "page assembly: first buffered packet to verified decode"),
     MetricSpec("span_serve", "event", "spans",
                "TX service: first SNACK for a unit to the policy draining"),
-    # -- simulator internals (manifest gauges) --------------------------------
-    MetricSpec("sim_events", "gauge", "events", "events executed by the engine"),
-    MetricSpec("sim_heap_peak", "gauge", "events", "peak event-heap occupancy"),
-    MetricSpec("sim_heap_compactions", "gauge", "times",
-               "lazy-deletion heap compactions performed"),
-    MetricSpec("handler_wall_s", "histogram", "seconds",
-               "wall-clock time per event handler invocation"),
 )
 
 # Families of per-instance counter names built with f-strings at runtime
 # (``tx_<kind>_unit_<n>``).  A name matching any of these prefixes is part of
-# the vocabulary; replint skips non-literal kinds anyway, but the registry
-# and report tooling resolve these to their family spec.
+# the vocabulary; replint skips non-literal kinds anyway, but
+# :func:`unregistered_names` and the report tooling resolve these to their
+# family spec.
 DYNAMIC_METRIC_PREFIXES: Tuple[str, ...] = (
     "tx_data_unit_",
     "tx_snack_unit_",
@@ -255,3 +245,8 @@ def spec_for(name: str) -> Optional[MetricSpec]:
         if name.startswith(prefix):
             return family
     return None
+
+
+def unregistered_names(counters: Iterable[str]) -> List[str]:
+    """The names in ``counters`` the catalogue does not declare, sorted."""
+    return sorted(name for name in counters if not is_known_metric(name))

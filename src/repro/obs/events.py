@@ -90,31 +90,23 @@ class TraceEvent:
 
 
 class EventLog:
-    """Bounded, append-only collection of structured trace events."""
+    """Append-only collection of structured trace events."""
 
-    def __init__(self, max_events: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        self.max_events = max_events
-        self.dropped = 0
         self.open_spans_flushed = 0
         self._open_spans: Dict[SpanKey, Tuple[float, Dict[str, Any]]] = {}
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def _append(self, event: TraceEvent) -> None:
-        if self.max_events is not None and len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        self.events.append(event)
-
     # -- sink protocol (used by TraceRecorder) -------------------------------
 
     def instant(self, ts: float, kind: str, node: Optional[int] = None,
                 detail: Optional[Dict[str, Any]] = None) -> None:
         """Record one instantaneous event."""
-        self._append(TraceEvent(ts=ts, kind=kind, ph=_PH_INSTANT, node=node,
-                                detail=detail or {}))
+        self.events.append(TraceEvent(ts=ts, kind=kind, ph=_PH_INSTANT,
+                                      node=node, detail=detail or {}))
 
     def begin(self, ts: float, kind: str, node: Optional[int] = None,
               key: Any = None, detail: Optional[Dict[str, Any]] = None) -> None:
@@ -137,8 +129,9 @@ class EventLog:
         merged = dict(start_detail)
         if detail:
             merged.update(detail)
-        self._append(TraceEvent(ts=start, kind=kind, ph=_PH_COMPLETE, node=node,
-                                dur=max(0.0, ts - start), detail=merged))
+        self.events.append(TraceEvent(ts=start, kind=kind, ph=_PH_COMPLETE,
+                                      node=node, dur=max(0.0, ts - start),
+                                      detail=merged))
 
     def flush_open_spans(self, ts: float) -> int:
         """Emit every still-open span as an open-ended complete event.
@@ -153,9 +146,10 @@ class EventLog:
         ):
             merged = dict(detail)
             merged["open"] = True
-            self._append(TraceEvent(ts=start, kind=kind, ph=_PH_COMPLETE,
-                                    node=node, dur=max(0.0, ts - start),
-                                    detail=merged))
+            self.events.append(TraceEvent(ts=start, kind=kind,
+                                          ph=_PH_COMPLETE, node=node,
+                                          dur=max(0.0, ts - start),
+                                          detail=merged))
             flushed += 1
         self._open_spans.clear()
         self.open_spans_flushed += flushed
@@ -168,7 +162,6 @@ class EventLog:
             "type": "header",
             "schema_version": TRACE_SCHEMA_VERSION,
             "events": len(self.events),
-            "dropped": self.dropped,
             "open_spans_flushed": self.open_spans_flushed,
         }
 

@@ -12,19 +12,29 @@ never through ``TraceRecorder.record`` — so enabling either cannot touch the
 counter store: the same seed and flags produce byte-identical counter
 snapshots, completion times, and RNG draws with and without them.
 
-:class:`FlightRecorder` (``--flight-record``) emits ``link_tx``/``link_rx``/
-``link_lost``/``link_auth_drop``/``link_duplicate``/``pkt_auth_ok``/
-``pkt_buffered``/``tracker_snapshot``/``flight_meta``/``flight_topology``/
+:class:`FlightRecorder` (``--flight-record``) emits ``link_tx``/
+``link_auth_drop``/``link_duplicate``/``pkt_auth_ok``/``pkt_buffered``/
+``tracker_snapshot``/``flight_meta``/``flight_topology``/
 ``flight_link_stats``.  These kinds are declared in :mod:`repro.obs.catalog`
 like every other event kind, so the schema-versioned
 :class:`~repro.obs.events.EventLog` JSONL form carries them unchanged and the
 invariant checker (:mod:`repro.obs.invariants`) and analyzer
-(:mod:`repro.obs.analyze`) replay them offline.  Besides the event stream it
-keeps a per-link accounting matrix in memory;
-:meth:`FlightRecorder.finalize` flushes it as one ``flight_link_stats`` event
-per observed ``(src, dst)`` link plus a ``flight_topology`` event with every
-node's hop distance from the base station (BFS over the observed radio's
-topology).
+(:mod:`repro.obs.analyze`) replay them offline.  Deliveries and failed
+delivery attempts are not logged one by one: they only bump the in-memory
+per-link accounting matrix, which :meth:`FlightRecorder.finalize` flushes
+as one ``flight_link_stats`` event per observed ``(src, dst)`` link, plus a
+``flight_topology`` event with every node's hop distance from the base
+station (BFS over the observed radio's topology).  The per-frame delivery
+stream is the causal recorder's ``causal_rx``/``causal_loss``.
+
+Transmissions, by contrast, are logged by both recorders when both are on:
+``link_tx`` and ``causal_tx`` each record every frame aired.  ``link_tx`` is
+the only transmission record of a flight-only run — the adversarial
+scenarios record flight alone, and the ``serve_only_decoded`` invariant
+reads it there.  It cannot simply be the causal record either: flight
+output carries no frame ids, because frame ids come from a process-wide
+counter and follow tie-break order, and the determinism sanitizer digests
+flight-recorded logs.
 
 :class:`CausalRecorder` (``--causal-trace``) emits the ``causal_*``
 provenance kinds that :mod:`repro.obs.causal` reconstructs the dissemination
@@ -119,19 +129,11 @@ class FlightRecorder(Observer):
 
     def on_rx(self, ts: float, src: int, dst: int, frame: "Frame") -> None:
         self._link(src, dst).rx += 1
-        detail: Dict[str, Any] = {"src": src, "kind": frame.kind.value}
-        unit = getattr(frame.payload, "unit", None)
-        if unit is not None:
-            detail["unit"] = unit
-        self.sink.instant(ts, "link_rx", dst, detail)
 
     def on_loss(self, ts: float, src: int, dst: int, cause: str,
                 frame: "Frame") -> None:
         causes = self._link(src, dst).causes
         causes[cause] = causes.get(cause, 0) + 1
-        self.sink.instant(ts, "link_lost", dst,
-                          {"src": src, "cause": cause,
-                           "kind": frame.kind.value})
 
     # -- protocol outcomes ----------------------------------------------------
 

@@ -129,8 +129,7 @@ def trace_summary(path: Union[str, Path]) -> str:
         rows.append([kind, count, n_spans, round(mean, 3)])
     title = (
         f"{header.get('events', len(events))} events "
-        f"({header.get('dropped', 0)} dropped, "
-        f"{header.get('open_spans_flushed', 0)} open spans flushed), "
+        f"({header.get('open_spans_flushed', 0)} open spans flushed), "
         f"schema v{header.get('schema_version')}"
     )
     return format_table(["kind", "events", "spans", "mean_span_s"], rows,

@@ -3,10 +3,12 @@
 The radio and the protocols report what happened through a
 :class:`TraceRecorder`; experiment code reads the counters afterwards.
 
-The recorder is a thin façade over a typed :class:`~repro.obs.registry.
-MetricsRegistry`: :attr:`TraceRecorder.counters` *is* the registry's counter
-store, so the hot path stays a single dict update while every counter name
-can be resolved to its declared spec (kind, unit, help) for reports.
+The recorder owns the run's counter store, :attr:`TraceRecorder.counters`,
+a plain :class:`collections.Counter`, so the hot path is a single dict
+update.  Counter names are declared in :mod:`repro.obs.catalog`, which
+resolves each to its spec (kind, unit, help) for reports and lists the names
+a run used without a declaration
+(:func:`~repro.obs.catalog.unregistered_names`).
 
 It is also the one observation seam.  Each outcome is reported once, by one
 method: ``enqueue``, ``tx``, ``rx``, ``loss`` (with one of
@@ -34,9 +36,8 @@ parent what it triggers (a SNACK arm, a decode) on it.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
-
-from repro.obs.registry import MetricsRegistry
 
 __all__ = ["TraceRecorder", "TraceSink", "Observer", "LOSS_CAUSES",
            "LOSS_COUNTERS", "AUTH_OUTCOMES"]
@@ -130,23 +131,16 @@ class TraceRecorder:
     def __init__(
         self,
         sink: Optional[TraceSink] = None,
-        registry: Optional[MetricsRegistry] = None,
         flight: Optional[Observer] = None,
         causal: Optional[Observer] = None,
     ) -> None:
-        self.registry: MetricsRegistry = (
-            registry if registry is not None else MetricsRegistry()
-        )
-        # Alias, not copy: incrementing through either view hits the same
-        # Counter object, keeping the hot path a single dict update.
-        self.counters = self.registry.counters
+        self.counters: "Counter[str]" = Counter()
         self.sink = sink
         # The recorders stay reachable by name: the flight recorder is
         # finalized at the end of a run, and protocol code builds causal
         # provenance stamps only when a causal recorder is attached.
         self.flight = flight
         self.causal = causal
-        self._marks: Dict[str, float] = {}
         self._rx_node: Optional[int] = None
         self._rx_frame: Optional[int] = None
         self._observers: List[Observer] = [
@@ -288,14 +282,6 @@ class TraceRecorder:
         self.counters[kind] += 1
         if self.sink is not None:
             self.sink.end(time, kind, node, key, dict(detail) if detail else None)
-
-    def mark(self, name: str, time: float) -> None:
-        """Remember a named timestamp (first write wins)."""
-        if name not in self._marks:
-            self._marks[name] = time
-
-    def get_mark(self, name: str) -> Optional[float]:
-        return self._marks.get(name)
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy of all counters."""

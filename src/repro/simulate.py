@@ -33,8 +33,9 @@ config, git revision, counters, and wall timings for later diffing with
         --trace-out run.trace.jsonl --manifest run.manifest.json
 
 ``--flight-record`` additionally attaches the protocol flight recorder
-(per-link tx/rx/loss/auth-drop accounting, tracking-table snapshots, hop
-topology) so the archived trace can be replayed through
+(every transmission, per-packet authentication outcomes, tracking-table
+snapshots, and — at the end of the run — per-link delivery/loss totals and
+the hop topology) so the archived trace can be replayed through
 ``python -m repro.obs check-invariants`` and reduced with
 ``python -m repro.obs analyze``::
 
@@ -43,9 +44,9 @@ topology) so the archived trace can be replayed through
     python -m repro.obs check-invariants run.trace.jsonl
     python -m repro.obs analyze run.trace.jsonl --out analysis.json
 
-``--causal-trace`` attaches the causal provenance recorder instead: every
-frame carries the event that caused it (the received frame or timer arm
-that triggered the transmission), and the archived trace answers "why was
+``--causal-trace`` attaches the causal provenance recorder, alone or next
+to the flight recorder: every frame carries the event that caused it (the
+received frame or timer arm that triggered the transmission), and the archived trace answers "why was
 node ``n``'s completion at time ``t``?"::
 
     python -m repro.simulate --protocol lr-seluge --image-kib 4 --k 8 --n 12 \\
@@ -144,9 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write a run manifest (seed, config, git rev, "
                           "counters, timings)")
     obs.add_argument("--flight-record", action="store_true",
-                     help="attach the protocol flight recorder (per-link "
-                          "accounting, tracker snapshots) to the trace; "
-                          "implies structured tracing and feeds "
+                     help="attach the protocol flight recorder (tx, auth "
+                          "and tracker events; per-link delivery/loss "
+                          "totals and hop topology at the end) to the "
+                          "trace; implies structured tracing and feeds "
                           "`python -m repro.obs check-invariants/analyze`")
     obs.add_argument("--causal-trace", action="store_true",
                      help="attach the causal provenance recorder (per-frame "
@@ -363,12 +365,13 @@ def main(argv=None) -> int:
             log.write_chrome_trace(args.chrome_trace)
             print(f"wrote timeline:  {args.chrome_trace}")
     if args.manifest:
+        from repro.obs.catalog import unregistered_names
         from repro.obs.manifest import RunManifest
         manifest = RunManifest.from_run(
             "repro.simulate", result, config=_config_dict(args),
             wall_s=wall_s, sim=sim,
             trace_file=args.trace_out,
-            unregistered=trace.registry.unregistered_names(),
+            unregistered=unregistered_names(trace.counters),
         )
         manifest.write(args.manifest)
         print(f"wrote manifest:  {args.manifest}")

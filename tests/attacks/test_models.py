@@ -19,14 +19,6 @@ def test_resolve_kind_rejects_unknown():
         resolve_kind("meteor-strike")
 
 
-def test_legacy_module_docstring_documents_every_export():
-    """Regression: repro.protocols.attacks documents everything it exports."""
-    import repro.protocols.attacks as legacy
-
-    for name in legacy.__all__:
-        assert name in legacy.__doc__, f"{name} missing from module docstring"
-
-
 def test_reactive_jammer_emits_jam_frames(adversarial_rig):
     rig = adversarial_rig("reactive-jammer", params={"duty": 0.15})
     result = rig.run()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.executor import CampaignConfig
 from repro.experiments.sweeps import sweep_multihop, sweep_one_hop
 
 
@@ -27,8 +28,8 @@ def test_one_hop_sweep_structure():
 def test_one_hop_sweep_parallel_matches_serial():
     kwargs = dict(protocols=("lr-seluge",), loss_rates=(0.2,), receivers=(3,),
                   image_size=2048, k=8, n=12, seeds=(1, 2))
-    serial = sweep_one_hop(processes=None, **kwargs)
-    parallel = sweep_one_hop(processes=2, **kwargs)
+    serial = sweep_one_hop(campaign=CampaignConfig(), **kwargs)
+    parallel = sweep_one_hop(campaign=CampaignConfig(processes=2), **kwargs)
     assert serial.rows == parallel.rows
 
 

@@ -7,9 +7,10 @@ from repro.obs.catalog import (
     MetricSpec,
     is_known_metric,
     spec_for,
+    unregistered_names,
 )
 
-VALID_KINDS = {"counter", "gauge", "histogram", "event"}
+VALID_KINDS = {"counter", "event"}
 
 
 def test_names_are_unique():
@@ -52,3 +53,14 @@ def test_spec_for_exact_match_beats_family():
     assert isinstance(spec, MetricSpec)
     assert spec.name == "tx_data"
     assert spec.unit == "packets"
+
+
+def test_unregistered_names_reports_orphans_only():
+    counters = {
+        "tx_data": 1,           # catalogue name
+        "tx_data_unit_3": 1,    # dynamic family
+        "zz_mystery": 1,        # orphan
+        "aa_mystery": 1,        # orphan
+    }
+    assert unregistered_names(counters) == ["aa_mystery", "zz_mystery"]
+    assert unregistered_names({}) == []

@@ -76,16 +76,6 @@ def test_flush_open_spans_marks_and_clears():
     assert log.flush_open_spans(11.0) == 0       # nothing left
 
 
-def test_max_events_bounds_the_log_and_counts_drops():
-    log = EventLog(max_events=3)
-    for i in range(5):
-        log.instant(float(i), "tx_data")
-    assert len(log) == 3
-    assert log.dropped == 2
-    assert [e.ts for e in log.events] == [0.0, 1.0, 2.0]  # oldest kept
-    assert log.header()["dropped"] == 2
-
-
 def test_jsonl_round_trip(tmp_path):
     log = EventLog()
     log.instant(1.0, "tx_data", node=1, detail={"unit": 2})

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.events import EventLog
 from repro.obs.flight import LOSS_CAUSES, FlightRecorder
+from repro.sim.trace import LOSS_COUNTERS
 from tests.obs.conftest import run_flight
 
 
@@ -26,17 +27,21 @@ def test_deluge_advertises_unsecured(flight_run):
 
 
 def test_link_accounting_matches_event_stream(flight_run):
+    """The per-link matrix sums to the seam's delivery and loss counters,
+    and deliveries are accounted, not logged one by one."""
     run = flight_run(protocol="lr-seluge", receivers=3, loss=0.2)
+    counters = run.trace.counters
     matrix = run.flight.link_matrix()
     assert matrix, "a completed run must have observed deliveries"
     assert sum(row["rx"] for row in matrix.values()) == \
-        len(run.log.of_kind("link_rx"))
-    assert sum(row["lost"] for row in matrix.values()) == \
-        len(run.log.of_kind("link_lost"))
+        counters["rx_delivered"]
+    for cause in LOSS_CAUSES:
+        assert sum(row["causes"].get(cause, 0) for row in matrix.values()) \
+            == counters[LOSS_COUNTERS[cause]], cause
     # Bernoulli loss at 20% must drop something, attributed to the channel.
-    lost = run.log.of_kind("link_lost")
-    assert lost and all(e.detail["cause"] in LOSS_CAUSES for e in lost)
-    assert any(e.detail["cause"] == "channel" for e in lost)
+    assert counters["rx_lost"] > 0
+    kinds = {e.kind for e in run.log.events}
+    assert not kinds & {"link_rx", "link_lost"}
 
 
 def test_data_tx_events_carry_the_unit(flight_run):
@@ -113,13 +118,13 @@ def test_flight_recording_does_not_perturb_the_run(protocol):
     assert plain.snack_packets == recorded.snack_packets
     assert plain.total_bytes == recorded.total_bytes
     assert plain_sim.processed_events == flight_sim.processed_events
-    assert plain_trace.registry.snapshot() == flight_trace.registry.snapshot()
+    assert plain_trace.snapshot() == flight_trace.snapshot()
     # The flight events interleave, but the underlying counter/span stream
     # is byte-identical: strip the flight-only kinds and compare.
     flight_kinds = {
-        "link_tx", "link_rx", "link_lost", "link_auth_drop",
-        "link_duplicate", "pkt_auth_ok", "pkt_buffered", "tracker_snapshot",
-        "flight_meta", "flight_topology", "flight_link_stats",
+        "link_tx", "link_auth_drop", "link_duplicate", "pkt_auth_ok",
+        "pkt_buffered", "tracker_snapshot", "flight_meta", "flight_topology",
+        "flight_link_stats",
     }
     stripped = [e for e in log.events if e.kind not in flight_kinds]
     assert stripped == plain_log.events

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacks import BogusDataInjector
 from repro.core.image import CodeImage
 from repro.experiments.runner import CompletionTracker, run_network
 from repro.experiments.scenarios import _BUILDERS, make_params
@@ -23,7 +24,6 @@ from repro.net.topology import star_topology
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
 from repro.obs.invariants import check_events
-from repro.protocols.attacks import BogusDataInjector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder

@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+from repro.attacks import BogusDataInjector
 from repro.core.image import CodeImage
 from repro.experiments.runner import CompletionTracker, run_network
 from repro.experiments.scenarios import (
@@ -36,7 +37,6 @@ from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import star_topology
 from repro.obs.events import EventLog
 from repro.obs.flight import CausalRecorder, FlightRecorder
-from repro.protocols.attacks import BogusDataInjector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -99,13 +99,13 @@ def _sha(text: str) -> str:
 
 def _digests(log, trace):
     return (_sha(log.to_jsonl()),
-            _sha(json.dumps(trace.registry.snapshot(), sort_keys=True)))
+            _sha(json.dumps(trace.snapshot(), sort_keys=True)))
 
 
 def test_grid_stream_and_counters_are_pinned():
     events, counters = _digests(*_grid_run())
     assert events == (
-        "d34daceee6462a97f909feba8cd689e0570f65f8d81acfb2f832e8514b004597")
+        "f1dfeccbd91acb9c7b54cdffab723d491c4f85413072b6f794310d974838088a")
     assert counters == (
         "ab198c7480873788ec5d90bcf81d0c151c80e24880c708cb3c489870cb6b784a")
 
@@ -113,6 +113,6 @@ def test_grid_stream_and_counters_are_pinned():
 def test_forgery_stream_and_counters_are_pinned():
     events, counters = _digests(*_forgery_run())
     assert events == (
-        "e196427c3aed61c618f63a446367845c6028feabcbcdd1a89df9445b93656212")
+        "c454423806ada299a5f56320aacef573b6d2e7c56647905852037b94280dd8c3")
     assert counters == (
         "2e725446deb2fa313b4df2a4de37a6f068f7cc4fb23f06c5b5ca642dfcab8ea7")

@@ -1,83 +1,24 @@
-"""The typed metrics registry behind the TraceRecorder façade."""
+"""Where counters are declared and held: the catalogue's spec lookup and the
+TraceRecorder's counter store."""
 
-from repro.obs.catalog import MetricSpec
-from repro.obs.registry import MetricsRegistry
-
-
-def test_counter_handle_shares_the_registry_store():
-    reg = MetricsRegistry()
-    handle = reg.counter("tx_data")
-    handle.inc()
-    handle.inc(4)
-    assert handle.value == 5
-    assert reg.counters["tx_data"] == 5
-    reg.inc("tx_data", 2)
-    assert handle.value == 7
-
-
-def test_gauge_handle():
-    reg = MetricsRegistry()
-    gauge = reg.gauge("sim_heap_peak")
-    assert gauge.value == 0.0
-    gauge.set(128.0)
-    assert gauge.value == 128.0
-    reg.set_gauge("sim_heap_peak", 256.0)
-    assert gauge.value == 256.0
-
-
-def test_histogram_summary():
-    reg = MetricsRegistry()
-    hist = reg.histogram("handler_wall_s")
-    assert hist.summary() == {
-        "count": 0.0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-    }
-    for value in (1.0, 3.0, 2.0):
-        reg.observe("handler_wall_s", value)
-    summary = hist.summary()
-    assert summary["count"] == 3.0
-    assert summary["sum"] == 6.0
-    assert summary["mean"] == 2.0
-    assert summary["min"] == 1.0
-    assert summary["max"] == 3.0
-    # histogram() returns the same accumulating instance every time.
-    assert reg.histogram("handler_wall_s") is hist
-
-
-def test_unregistered_names_reports_orphans_only():
-    reg = MetricsRegistry()
-    reg.inc("tx_data")              # catalogue name
-    reg.inc("tx_data_unit_3")       # dynamic family
-    reg.inc("zz_mystery")           # orphan
-    reg.inc("aa_mystery")           # orphan
-    assert reg.unregistered_names() == ["aa_mystery", "zz_mystery"]
-
-
-def test_register_clears_unregistered_status():
-    reg = MetricsRegistry()
-    reg.inc("custom_thing")
-    assert reg.unregistered_names() == ["custom_thing"]
-    spec = reg.register(MetricSpec("custom_thing", "counter", "things", "ad hoc"))
-    assert reg.spec("custom_thing") is spec
-    assert reg.unregistered_names() == []
+from repro.obs.catalog import spec_for
+from repro.sim.trace import TraceRecorder
 
 
 def test_spec_falls_back_to_catalogue_and_families():
-    reg = MetricsRegistry(specs=())  # empty local declarations
-    assert reg.spec("tx_data") is not None        # catalogue fallback
-    assert reg.spec("tx_adv_unit_9") is not None  # dynamic family fallback
-    assert reg.spec("nope") is None
+    assert spec_for("tx_data") is not None        # catalogue entry
+    assert spec_for("tx_adv_unit_9") is not None  # dynamic family
+    assert spec_for("tx_adv_unit_9").name == "tx_adv_unit_*"
+    assert spec_for("nope") is None
 
 
 def test_snapshots():
-    reg = MetricsRegistry()
-    reg.inc("tx_data", 3)
-    reg.set_gauge("sim_events", 10.0)
-    reg.observe("handler_wall_s", 0.5)
-    snap = reg.snapshot()
+    rec = TraceRecorder()
+    rec.count("tx_data", 3)
+    snap = rec.snapshot()
     assert snap == {"tx_data": 3}
     snap["tx_data"] = 99
-    assert reg.counters["tx_data"] == 3  # snapshot is a copy
-    full = reg.full_snapshot()
-    assert full["counters"] == {"tx_data": 3}
-    assert full["gauges"] == {"sim_events": 10.0}
-    assert full["histograms"]["handler_wall_s"]["count"] == 1.0
+    assert rec.counters["tx_data"] == 3  # snapshot is a copy
+    rec.count("tx_data")
+    assert snap["tx_data"] == 99
+    assert rec.snapshot() == {"tx_data": 4}

@@ -1,16 +1,16 @@
 """Security experiments: the attacks of DESIGN.md E8 against real networks."""
 
+from repro.attacks import (
+    BogusDataInjector,
+    DenialOfReceiptAttacker,
+    SignatureFlooder,
+)
 from repro.core.image import CodeImage
 from repro.experiments.runner import CompletionTracker, run_network
 from repro.experiments.scenarios import build_protocol_network, make_params
 from repro.net.channel import NoLoss
 from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import star_topology
-from repro.protocols.attacks import (
-    BogusDataInjector,
-    DenialOfReceiptAttacker,
-    SignatureFlooder,
-)
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder

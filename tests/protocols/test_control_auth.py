@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attacks import ControlForger
 from repro.core.image import CodeImage
 from repro.core.packets import Advertisement, SnackRequest
 from repro.crypto.keys import ClusterKey
@@ -10,7 +11,6 @@ from repro.experiments.scenarios import make_params
 from repro.net.channel import NoLoss
 from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import star_topology
-from repro.protocols.attacks import ControlForger
 from repro.protocols.control_auth import (
     ClusterAuthenticator,
     PairwiseAuthenticator,

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.attacks.model import AttackModel
 from repro.core.config import ImageConfig
 from repro.core.image import CodeImage
 from repro.core.preprocess import DelugePreprocessor, LRSelugePreprocessor
@@ -14,7 +15,6 @@ from repro.experiments.scenarios import _BUILDERS, make_params
 from repro.net.channel import BernoulliLoss
 from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import star_topology
-from repro.protocols.attacks import _AttackerNode
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -92,7 +92,7 @@ def test_upgrade_mid_dissemination():
         assert node.image_bytes() == image_v3.data
 
 
-class _VersionLiar(_AttackerNode):
+class _VersionLiar(AttackModel):
     """Broadcasts advertisements claiming a bogus newer version."""
 
     def _attack_once(self):

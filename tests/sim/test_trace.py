@@ -17,8 +17,10 @@ def test_snapshot_is_a_copy():
     t = TraceRecorder()
     t.count("a")
     snap = t.snapshot()
+    assert type(snap) is dict
     t.count("a")
     assert snap["a"] == 1
+    snap["a"] = 99
     assert t.counters["a"] == 2
 
 
@@ -41,23 +43,6 @@ def test_record_keeps_records_when_enabled():
     assert rx.ts == 1.5
     assert rx.node == 3
     assert rx.detail == {"unit": 2, "index": 7}
-
-
-def test_marks_first_write_wins():
-    t = TraceRecorder()
-    t.mark("done", 5.0)
-    t.mark("done", 9.0)
-    assert t.get_mark("done") == 5.0
-    assert t.get_mark("other") is None
-
-
-def test_recorder_is_a_facade_over_the_registry():
-    t = TraceRecorder()
-    assert t.counters is t.registry.counters
-    t.count("tx_data", 3)
-    assert t.registry.snapshot() == {"tx_data": 3}
-    t.registry.inc("tx_data")
-    assert t.counters["tx_data"] == 4
 
 
 class RecordingSink:

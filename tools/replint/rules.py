@@ -752,8 +752,8 @@ def check_rep011(tree: ast.AST, ctx: FileContext) -> List[Finding]:
     Detection: calls ``<...>.trace.count/record/span_begin/span_end`` (or on
     a bare name ``trace``) whose kind argument is a string literal.  Kinds
     built at runtime (f-strings like ``tx_{kind.value}``) are skipped — the
-    catalogue covers those via declared dynamic prefixes, and the registry's
-    ``unregistered_names()`` reports any that escape.  Without a loaded
+    catalogue covers those via declared dynamic prefixes, and
+    ``repro.obs.catalog.unregistered_names()`` reports any that escape.  Without a loaded
     vocabulary (bare ``analyze_source``) the rule is inert.
     """
     vocab = ctx.vocabulary
