@@ -1,9 +1,8 @@
 """Storage chaos engine: deterministic fs-fault injection and crash points.
 
 LR-Seluge's harness persists everything that matters — campaign checkpoint
-journals, quarantine records, bench history, telemetry snapshots, figure
-exports — through :mod:`repro.persist`.  This package tests that layer under
-the failures it claims to survive:
+journals, quarantine records, figure exports — through :mod:`repro.persist`.
+This package tests that layer under the failures it claims to survive:
 
 * :class:`FaultyFS` interposes on the persist seam and injects ENOSPC, EIO,
   short writes, torn writes, and simulated process death at schedule-driven
@@ -14,8 +13,7 @@ the failures it claims to survive:
   an in-process :class:`ChaosCrash` or a real SIGKILL — restarts the
   campaign with ``resume=True``, and asserts the recovery invariants:
   byte-identical aggregate output, no torn non-trailing journal lines,
-  monotone checkpoint/quarantine/results stores, and an always-parseable
-  telemetry ``status.json``.
+  and monotone checkpoint/quarantine/results stores.
 
 CLI: ``python -m repro.chaos explore`` / ``inject``.  Test helper:
 :func:`repro.chaos.testing.faulty_fs`.

@@ -12,7 +12,7 @@
 
     # Run the workload under deterministic fault injection.
     python -m repro.chaos inject --work-dir /tmp/chaos \\
-        --fault enospc:write:status.json \\
+        --fault enospc::results.jsonl \\
         --rate eio=0.05 --chaos-seed 7
 
 Exit codes: 0 success, 1 an invariant failed (or injected faults killed the
@@ -50,8 +50,8 @@ def _error(message: str) -> int:
 def _parse_fault(text: str) -> FaultSpec:
     """``KIND[:OP[:PATH_SUBSTRING[:INDEX]]]`` -> FaultSpec.
 
-    Empty segments mean "any", so ``enospc::status.json`` injects ENOSPC on
-    any op touching a path containing ``status.json``.
+    Empty segments mean "any", so ``enospc::results.jsonl`` injects ENOSPC
+    on any op touching a path containing ``results.jsonl``.
     """
     parts = text.split(":")
     if not parts[0]:

@@ -18,8 +18,7 @@ resumes against the real filesystem, and asserts the recovery invariants:
 * no journal contains a torn *interior* line (a torn tail is the expected
   post-crash state and must be healed, not spread);
 * recovery is monotone: every checkpoint/quarantine key and every complete
-  results record present before the kill is still present after resume;
-* telemetry ``status.json``, when present, always parses.
+  results record present before the kill is still present after resume.
 
 A point that violates any invariant keeps its directory on disk for
 postmortem; passing points are deleted so full sweeps stay cheap.
@@ -37,7 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.fs import ChaosCrash, FaultyFS, OpRecord
 from repro.chaos.workload import ChaosWorkload
-from repro.obs.telemetry import STATUS_FILENAME
 from repro.persist import read_jsonl_report, use_fs
 
 __all__ = [
@@ -196,15 +194,6 @@ def _check_recovery(
                 f"{journal.name}: torn tail survived resume (appends must "
                 "heal it)"
             )
-
-    status_path = workload.telemetry_dir(root) / STATUS_FILENAME
-    if status_path.exists():
-        try:
-            json.loads(status_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            problems.append(f"status.json unparseable: {exc}")
-    else:
-        problems.append("status.json missing after resume")
 
     post = _journal_snapshot(workload, root)
     lost_ckpt = pre["checkpoint_keys"] - post["checkpoint_keys"]

@@ -127,8 +127,8 @@ class FaultyFS(FileSystem):
         fault handling."""
         if self.dead:
             # A dead process performs no further mutations: re-raise at the
-            # first op attempted after the staged death (unwind handlers,
-            # telemetry close, etc. all hit this).
+            # first op attempted after the staged death (unwind handlers
+            # hit this).
             raise ChaosCrash(OpRecord(len(self.ops), op, path, "post-mortem"))
         return self._record(op, path, detail)
 

@@ -2,9 +2,9 @@
 
 A schedule combines two layers:
 
-* **explicit specs** (:class:`FaultSpec`) — "the 3rd fsync of status.json
-  gets EIO" — matched by operation kind, path substring, absolute op index,
-  or nth occurrence;
+* **explicit specs** (:class:`FaultSpec`) — "the 3rd fsync of
+  checkpoint.jsonl gets EIO" — matched by operation kind, path substring,
+  absolute op index, or nth occurrence;
 * **rate-driven injection** — each matching operation draws once from a
   stream derived via :func:`repro.sim.rng.derived_stream` ``("chaos", seed,
   ...)``, so the same seed over the same (deterministic) operation stream

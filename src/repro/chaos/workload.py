@@ -4,13 +4,10 @@ A :class:`ChaosWorkload` is a miniature but *complete* exercise of the
 durability layer: a deluge + lr-seluge one-hop campaign run inline through
 :func:`repro.experiments.executor.run_campaign` with
 
-* the append-only **checkpoint journal** (compaction forced mid-run via a
-  tiny ``checkpoint_compact_every``),
+* the append-only **checkpoint journal** (compacted when a resume finds
+  it dirty),
 * a **quarantine** record (one deliberately failing cell),
-* live **telemetry** ``status.json`` snapshots (unthrottled, so the persist
-  operation stream is deterministic),
-* a per-cell **append-only results store** (``results.jsonl``, the bench-
-  history idiom), and
+* a per-cell **append-only results store** (``results.jsonl``), and
 * a final **aggregate CSV** derived purely from journal-keyed results.
 
 Every cell is a deterministic simulation, so two runs of the same workload
@@ -89,7 +86,6 @@ class ChaosWorkload:
     k: int = 4
     n: int = 6
     include_failing_cell: bool = True
-    compact_every: int = 3
 
     # -- (de)serialisation -----------------------------------------------------
 
@@ -116,10 +112,6 @@ class ChaosWorkload:
     @staticmethod
     def checkpoint_dir(root: Union[str, Path]) -> Path:
         return Path(root) / "ckpt"
-
-    @staticmethod
-    def telemetry_dir(root: Union[str, Path]) -> Path:
-        return Path(root) / "telemetry"
 
     @staticmethod
     def results_path(root: Union[str, Path]) -> Path:
@@ -187,9 +179,6 @@ class ChaosWorkload:
             max_retries=0,
             checkpoint_dir=self.checkpoint_dir(root),
             resume=resume,
-            telemetry_dir=self.telemetry_dir(root),
-            telemetry_write_every_s=0.0,
-            checkpoint_compact_every=self.compact_every,
         )
         tasks = self.tasks(root)
         outcome = run_campaign(tasks, config, encode=_encode, decode=_decode)

@@ -135,9 +135,6 @@ class GreedyRoundRobinScheduler:
         self.table = table
         self._last: Optional[int] = None
 
-    def reset_rotation(self) -> None:
-        self._last = None
-
     def next_packet(self) -> Optional[int]:
         """Choose the next packet index to transmit, or None when done.
 

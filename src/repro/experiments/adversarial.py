@@ -97,17 +97,10 @@ class AdversarialScenario:
     def with_protocol(self, protocol: str) -> "AdversarialScenario":
         return replace(self, protocol=protocol)
 
-    def with_defense(self, defense: Optional[DefenseConfig]) -> "AdversarialScenario":
-        return replace(self, defense=defense)
-
     def undefended(self) -> "AdversarialScenario":
         """The same cell with every hardening layer switched off."""
         return replace(self, defense=None, snack_flood_threshold=None,
                        control_auth=None)
-
-    def attack_free(self) -> "AdversarialScenario":
-        """The matching baseline: identical network, no adversaries."""
-        return replace(self, attacks=())
 
 
 def _topology_for(scenario: AdversarialScenario, rngs: RngRegistry) -> Topology:

@@ -18,13 +18,15 @@ Both journals are **append-only** during a run: each record lands through
 O(record) instead of the full-file rewrite the first implementation paid per
 cell.  A kill mid-append can at worst leave one torn *trailing* line, which
 the loader tolerates (and which the next append truncates away before
-writing).  Periodic **compaction** — last-wins dedup by key, rewritten
+writing).  Within one run the executor journals each task key once, so the
+journal only needs **compaction** — last-wins dedup by key, rewritten
 through :func:`repro.persist.atomic_write_jsonl`'s temp-then-rename path —
-bounds journal growth under heavy resume churn; a crash at any point during
-compaction leaves either the old appended journal or the new compacted one
-on disk, never a mix.  The storage chaos engine (:mod:`repro.chaos`)
-explores a simulated kill at every one of these persist operations,
-including mid-compaction, and asserts resume stays byte-identical.
+when a resume finds it dirty; a crash at any point during that compaction
+leaves either the old appended journal or the new compacted one on disk,
+never a mix.  The storage chaos engine (:mod:`repro.chaos`) explores a
+simulated kill at every persist operation of a campaign run and asserts
+the resume after it stays byte-identical; the resume itself (and so this
+compaction) is not killed.
 
 The journal is single-writer by design: one campaign process owns a
 checkpoint directory at a time.
@@ -42,16 +44,9 @@ from repro.persist import (
     read_jsonl_report,
 )
 
-__all__ = ["CHECKPOINT_SCHEMA_VERSION", "DEFAULT_COMPACT_EVERY",
-           "CampaignCheckpoint"]
+__all__ = ["CHECKPOINT_SCHEMA_VERSION", "CampaignCheckpoint"]
 
 CHECKPOINT_SCHEMA_VERSION = 1
-
-# Appended records between automatic compactions.  Large enough that a
-# normal campaign never compacts mid-run (cells are journalled once each);
-# the chaos workload dials it down to force compaction into the explored
-# operation stream.
-DEFAULT_COMPACT_EVERY = 1024
 
 
 def _valid_records(report: JsonlReport) -> List[Dict[str, Any]]:
@@ -77,17 +72,12 @@ class CampaignCheckpoint:
     """
 
     def __init__(
-        self,
-        directory: Union[str, Path],
-        resume: bool = False,
-        compact_every: int = DEFAULT_COMPACT_EVERY,
+        self, directory: Union[str, Path], resume: bool = False
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "checkpoint.jsonl"
         self.quarantine_path = self.directory / "quarantine.jsonl"
-        self.compact_every = max(int(compact_every), 1)
-        self._appended_since_compact = 0
         self._records: List[Dict[str, Any]] = []
         self._quarantine: List[Dict[str, Any]] = []
         self.load_report: Dict[str, JsonlReport] = {}
@@ -133,9 +123,6 @@ class CampaignCheckpoint:
         }
         self._records.append(record)
         atomic_append_jsonl(self.path, record)
-        self._appended_since_compact += 1
-        if self._appended_since_compact >= self.compact_every:
-            self.compact()
 
     def compact(self) -> None:
         """Rewrite the completed-task journal deduplicated, crash-safely.
@@ -148,7 +135,6 @@ class CampaignCheckpoint:
         deduped = list(self.completed().values())
         self._records = deduped
         atomic_write_jsonl(self.path, deduped)
-        self._appended_since_compact = 0
 
     def _has_duplicate_keys(self) -> bool:
         keys = [str(r.get("key")) for r in self._records]

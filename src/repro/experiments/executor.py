@@ -14,7 +14,7 @@ zero.  This module gives every sweep cell job-level resilience:
   deterministic — produces byte-identical aggregate output;
 * workers run in their own ``multiprocessing.Process`` with a wall-clock
   timeout and a simulation watchdog
-  (:func:`repro.sim.engine.set_default_watchdog`) on by default, failures
+  (:func:`repro.sim.engine.set_default_watchdog`) always installed, failures
   are classified (exception / timeout / worker death / malformed result),
   retried with decelerating jittered backoff
   (:class:`~repro.experiments.backoff.BackoffPolicy`, deterministic per
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -158,21 +157,8 @@ class CampaignConfig:
     call that used this config, so a CLI driving several campaigns (e.g.
     ``python -m repro.experiments all``) can merge them into one manifest.
 
-    ``telemetry_dir`` enables live telemetry: a
-    :class:`repro.obs.telemetry.TelemetryHub` publishes an atomic
-    ``status.json`` snapshot there (watch it with ``python -m repro.obs
-    watch``).  ``heartbeat_s > 0`` additionally makes each supervised
-    worker stream progress heartbeats over its result pipe at that period,
-    so the snapshot shows per-worker events/s, not just task counts.
-    ``telemetry_write_every_s`` throttles snapshot writes; the chaos
-    harness sets it to 0 so the persist-operation stream is a
-    deterministic function of the campaign, not of host speed.
-
-    ``checkpoint_compact_every`` bounds the append-only checkpoint
-    journal: after that many appended records the journal is compacted
-    (deduplicated and atomically rewritten).  The default is high enough
-    that ordinary campaigns never compact mid-run; the chaos workload
-    dials it down to push compaction into the explored crash points.
+    Every cell, inline or supervised, runs under the simulation watchdog
+    at ``DEFAULT_WATCHDOG_MAX_EVENTS`` with no simulated-time limit.
     """
 
     processes: Optional[int] = None
@@ -181,14 +167,8 @@ class CampaignConfig:
     checkpoint_dir: Optional[Union[str, Path]] = None
     resume: bool = False
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
-    watchdog_max_events: Optional[int] = DEFAULT_WATCHDOG_MAX_EVENTS
-    watchdog_max_sim_time: Optional[float] = None
     pace_s: float = 0.0
     reports: List["CampaignReport"] = field(default_factory=list)
-    telemetry_dir: Optional[Union[str, Path]] = None
-    heartbeat_s: float = 0.0
-    telemetry_write_every_s: float = 0.5
-    checkpoint_compact_every: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -197,15 +177,6 @@ class CampaignConfig:
             raise ConfigError("task_timeout_s must be positive")
         if self.resume and self.checkpoint_dir is None:
             raise ConfigError("resume=True requires a checkpoint_dir")
-        if self.heartbeat_s < 0:
-            raise ConfigError("heartbeat_s must be >= 0")
-        if self.telemetry_write_every_s < 0:
-            raise ConfigError("telemetry_write_every_s must be >= 0")
-        if (
-            self.checkpoint_compact_every is not None
-            and self.checkpoint_compact_every < 1
-        ):
-            raise ConfigError("checkpoint_compact_every must be >= 1")
 
 
 @dataclass
@@ -263,87 +234,33 @@ def _identity_codec(value: Any) -> Any:
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _heartbeat_loop(
-    conn: Connection,
-    send_lock: "threading.Lock",
-    stop: "threading.Event",
-    interval_s: float,
-) -> None:
-    """Periodically ship ``("hb", progress)`` tuples until told to stop.
-
-    Runs as a daemon thread beside the task.  Progress is sampled from the
-    live simulator via :func:`repro.sim.engine.current_simulator` — two
-    attribute loads, safe without coordination — so the task itself needs
-    zero instrumentation.  The result pipe is shared with the final send
-    under ``send_lock``; a broken pipe (supervisor killed us) just ends the
-    loop.
-    """
-    from repro.experiments.reporting import stopwatch
-    from repro.sim.engine import current_simulator
-
-    with stopwatch() as elapsed:
-        while not stop.wait(interval_s):
-            beat: Dict[str, Any] = {"wall_s": round(elapsed(), 3)}
-            sim = current_simulator()
-            if sim is not None:
-                beat["events"] = sim.processed_events
-                beat["sim_time_s"] = round(sim.now, 3)
-            with send_lock:
-                if stop.is_set():
-                    return
-                try:
-                    conn.send(("hb", beat))
-                except (BrokenPipeError, OSError):
-                    return
-
-
 def _worker_main(
     conn: Connection,
     runner: Callable[[Any], Any],
     payload: Any,
     encode: Callable[[Any], Any],
-    watchdog_events: Optional[int],
-    watchdog_time: Optional[float],
-    heartbeat_s: float = 0.0,
 ) -> None:
     """Run one task in a worker process and ship the encoded result back.
 
-    The watchdog defaults are installed *before* the task constructs its
+    The watchdog default is installed *before* the task constructs its
     simulator, so a livelocked protocol raises SimulationRunawayError (an
     "exception" failure with heap stats in the traceback) instead of hanging
-    until the supervisor's timeout kill.
-
-    With ``heartbeat_s > 0`` a daemon thread streams progress heartbeats
-    over the same pipe; the final ``("ok"|"error", ...)`` message is still
-    the last thing sent (the stop flag is raised under the send lock before
-    it goes out).
+    until the supervisor's timeout kill.  The pipe carries exactly one
+    message: ``("ok", result)`` or ``("error", detail)``.
     """
     from repro.sim.engine import set_default_watchdog
 
-    set_default_watchdog(watchdog_events, watchdog_time)
-    send_lock = threading.Lock()
-    stop = threading.Event()
-    if heartbeat_s > 0:
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(conn, send_lock, stop, heartbeat_s),
-            daemon=True,
-        ).start()
+    set_default_watchdog(DEFAULT_WATCHDOG_MAX_EVENTS)
     try:
         result = runner(payload)
-        with send_lock:
-            stop.set()
-            conn.send(("ok", encode(result)))
+        conn.send(("ok", encode(result)))
     except Exception as exc:
-        with send_lock:
-            stop.set()
-            conn.send(("error", {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-            }))
+        conn.send(("error", {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "traceback": traceback.format_exc(),
+        }))
     finally:
-        stop.set()
         conn.close()
 
 
@@ -368,52 +285,25 @@ class _WorkerHandle:
     process: Process
     conn: Connection
     deadline: Optional[float]
-    final: Optional[Any] = None        # the ("ok"|"error", body) tuple, once seen
-    recv_error: Optional[str] = None   # unpicklable/corrupt payload diagnosis
-
-
-def _is_heartbeat(payload: Any) -> bool:
-    return (
-        isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "hb"
-    )
-
-
-def _pump_worker_messages(
-    handle: _WorkerHandle,
-    hub: Optional[Any] = None,
-) -> None:
-    """Drain queued pipe messages: heartbeats feed the hub, the final result
-    is stashed on the handle.
-
-    With heartbeats on the wire, ``conn.poll()`` no longer implies the
-    worker finished — only the stashed final message (or process death)
-    does, so every supervisor read goes through this pump.
-    """
-    try:
-        while handle.final is None and handle.recv_error is None \
-                and handle.conn.poll():
-            payload = handle.conn.recv()
-            if _is_heartbeat(payload):
-                if hub is not None:
-                    hub.heartbeat(handle.state.task.key, dict(payload[1]))
-                continue
-            handle.final = payload
-    except (EOFError, OSError):
-        pass
-    except Exception as exc:   # unpicklable/corrupt payloads land here
-        handle.recv_error = f"unreadable result: {exc!r}"
 
 
 def _classify_worker_end(
     handle: _WorkerHandle,
-    hub: Optional[Any] = None,
 ) -> Tuple[str, Dict[str, Any], Optional[Any]]:
-    """Drain a finished worker: ('ok' | failure kind, detail, encoded result)."""
-    _pump_worker_messages(handle, hub)
+    """Read a finished worker's one message: ('ok' | failure kind, detail,
+    encoded result)."""
+    payload: Any = None
+    unreadable: Optional[str] = None
+    try:
+        if handle.conn.poll():
+            payload = handle.conn.recv()
+    except (EOFError, OSError):
+        payload = None
+    except Exception as exc:   # unpicklable/corrupt payloads land here
+        unreadable = f"unreadable result: {exc!r}"
     handle.process.join()
-    if handle.recv_error is not None:
-        return "malformed", {"error": handle.recv_error}, None
-    payload = handle.final
+    if unreadable is not None:
+        return "malformed", {"error": unreadable}, None
     if payload is None:
         exitcode = handle.process.exitcode
         return "worker_death", {
@@ -460,22 +350,9 @@ def run_campaign(
     config = config if config is not None else CampaignConfig()
     journal: Optional[CampaignCheckpoint] = None
     if config.checkpoint_dir is not None:
-        journal_kwargs: Dict[str, Any] = {}
-        if config.checkpoint_compact_every is not None:
-            journal_kwargs["compact_every"] = config.checkpoint_compact_every
-        journal = CampaignCheckpoint(
-            config.checkpoint_dir, resume=config.resume, **journal_kwargs
-        )
+        journal = CampaignCheckpoint(config.checkpoint_dir, resume=config.resume)
     report = CampaignReport(total=len(tasks))
     outcome = CampaignOutcome(results={}, report=report)
-    hub: Optional[Any] = None
-    if config.telemetry_dir is not None:
-        from repro.obs.telemetry import TelemetryHub
-
-        hub = TelemetryHub(
-            config.telemetry_dir, total=len(tasks),
-            write_every_s=config.telemetry_write_every_s,
-        )
 
     # Deduplicate by key (identical cells are the same work) and replay the
     # journal: completed cells are decoded, never re-run.
@@ -491,8 +368,6 @@ def run_campaign(
             report.completed += 1
             report.resumed += 1
             report.note(state.task, "resumed", [])
-            if hub is not None:
-                hub.task_resumed(key)
         else:
             pending.append(state)
 
@@ -508,8 +383,6 @@ def run_campaign(
                 state.task.key, state.task.label, encoded,
                 [a.to_dict() for a in state.attempts],
             )
-        if hub is not None:
-            hub.task_done(state.task.key)
 
     def quarantine(state: _TaskState) -> None:
         report.quarantined += 1
@@ -520,8 +393,6 @@ def run_campaign(
                 state.task.key, state.task.label,
                 [a.to_dict() for a in state.attempts],
             )
-        if hub is not None:
-            hub.task_quarantined(state.task.key)
 
     def fail(state: _TaskState, kind: str, detail: Dict[str, Any],
              now: float) -> Optional[_TaskState]:
@@ -533,21 +404,15 @@ def run_campaign(
                 config.backoff.delay(state.task.key, len(state.attempts) - 1), 6
             )
             state.not_before = now + attempt.backoff_s
-            if hub is not None:
-                hub.task_retrying(state.task.key)
             return state
         quarantine(state)
         return None
 
-    try:
-        if pending:
-            if not config.processes:
-                _run_inline(pending, config, encode, finish_ok, fail, hub)
-            else:
-                _run_supervised(pending, config, encode, finish_ok, fail, hub)
-    finally:
-        if hub is not None:
-            hub.close()
+    if pending:
+        if not config.processes:
+            _run_inline(pending, config, encode, finish_ok, fail)
+        else:
+            _run_supervised(pending, config, encode, finish_ok, fail)
 
     config.reports.append(report)
     return outcome
@@ -559,7 +424,6 @@ def _run_inline(
     encode: Callable[[Any], Any],
     finish_ok: Callable[[_TaskState, Any], None],
     fail: Callable[[_TaskState, str, Dict[str, Any], float], Optional[_TaskState]],
-    hub: Optional[Any] = None,
 ) -> None:
     """Single-process execution: no preemption, but full retry/checkpoint.
 
@@ -579,12 +443,8 @@ def _run_inline(
                 wait = config.pace_s
             if wait > 0.0:
                 time.sleep(wait)
-            if hub is not None:
-                hub.task_started(state.task.key, state.task.label)
             watchdog_before = engine.get_default_watchdog()
-            engine.set_default_watchdog(
-                config.watchdog_max_events, config.watchdog_max_sim_time
-            )
+            engine.set_default_watchdog(DEFAULT_WATCHDOG_MAX_EVENTS)
             try:
                 encoded = encode(state.task.runner(state.task.payload))
             except Exception as exc:
@@ -607,7 +467,6 @@ def _run_supervised(
     encode: Callable[[Any], Any],
     finish_ok: Callable[[_TaskState, Any], None],
     fail: Callable[[_TaskState, str, Dict[str, Any], float], Optional[_TaskState]],
-    hub: Optional[Any] = None,
 ) -> None:
     """Multi-process supervision: timeouts, kill-classification, backoff."""
     ctx = get_context()
@@ -627,14 +486,11 @@ def _run_supervised(
                 process = ctx.Process(
                     target=_worker_main,
                     args=(child_conn, state.task.runner, state.task.payload,
-                          encode, config.watchdog_max_events,
-                          config.watchdog_max_sim_time, config.heartbeat_s),
+                          encode),
                     daemon=True,
                 )
                 process.start()
                 child_conn.close()
-                if hub is not None:
-                    hub.task_started(state.task.key, state.task.label)
                 deadline = (
                     now + config.task_timeout_s
                     if config.task_timeout_s is not None else None
@@ -661,17 +517,9 @@ def _run_supervised(
             still_running: List[_WorkerHandle] = []
             for handle in running:
                 state = handle.state
-                # Heartbeats arrive on the same pipe as the result, so a
-                # readable pipe alone does not mean "finished" — pump first,
-                # then look for a stashed final message or a dead process.
-                _pump_worker_messages(handle, hub)
-                finished = (
-                    handle.final is not None
-                    or handle.recv_error is not None
-                    or not handle.process.is_alive()
-                )
+                finished = handle.conn.poll() or not handle.process.is_alive()
                 if finished:
-                    kind, detail, encoded = _classify_worker_end(handle, hub)
+                    kind, detail, encoded = _classify_worker_end(handle)
                     handle.conn.close()
                     if kind == "ok":
                         finish_ok(state, encoded)

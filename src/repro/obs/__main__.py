@@ -11,7 +11,6 @@
     python -m repro.obs critical-path deluge.jsonl lr.jsonl --out causal.json
     python -m repro.obs why run.trace.jsonl --node 7
     python -m repro.obs bench-compare BENCH_perf.json *.perf.out
-    python -m repro.obs watch results/telemetry/
 
 The ``critical-path``/``why`` commands need a ``--causal-trace`` run (see
 :mod:`repro.obs.causal`); ``analyze`` needs ``--flight-record``.
@@ -117,18 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("outputs", nargs="+",
                          help="perfbench/run.py --trace 0 outputs, one per "
                               "baseline workload")
-
-    watch = sub.add_parser("watch",
-                           help="live view of a running campaign "
-                                "(reads <dir>/status.json)")
-    watch.add_argument("telemetry_dir",
-                       help="the campaign's --telemetry-dir")
-    watch.add_argument("--interval", type=float, default=1.0,
-                       help="poll period in seconds")
-    watch.add_argument("--once", action="store_true",
-                       help="render a single snapshot and exit")
-    watch.add_argument("--max-polls", type=int, default=None,
-                       help="stop after this many polls even if unfinished")
     return parser
 
 
@@ -270,11 +257,6 @@ def main(argv=None) -> int:
             return _error(str(exc))
         print(text)
         return 0 if ok else 1
-    if args.command == "watch":
-        from repro.obs.telemetry import watch
-
-        return watch(args.telemetry_dir, interval_s=args.interval,
-                     once=args.once, max_polls=args.max_polls)
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
 
 

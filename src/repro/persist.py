@@ -28,13 +28,12 @@ crash points into any persist operation without monkeypatching ``os``.
 
 from __future__ import annotations
 
-import errno as _errno
 import json
 import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Iterable, Iterator, List, Union
 from contextlib import contextmanager
 
 from repro.errors import PersistError
@@ -51,7 +50,6 @@ __all__ = [
     "read_jsonl_report",
     "JsonlReport",
     "PersistError",
-    "describe_persist_error",
 ]
 
 _log = logging.getLogger("repro.persist")
@@ -370,24 +368,3 @@ def read_jsonl(path: Union[str, Path]) -> List[Any]:
     torn tail from interior corruption use the report form.
     """
     return read_jsonl_report(path).records
-
-
-def _errno_name(code: Optional[int]) -> str:
-    if code is None:
-        return "?"
-    return _errno.errorcode.get(code, str(code))
-
-
-def describe_persist_error(exc: PersistError) -> Tuple[str, bool]:
-    """Human summary of a persist failure and whether bytes hit the disk.
-
-    ``partial_bytes > 0`` means a torn trailing record may now exist on the
-    target file — the next append repairs it, but reporting layers (chaos
-    reports, degraded-telemetry notes) want to say so explicitly.
-    """
-    partial = exc.partial_bytes is not None and exc.partial_bytes > 0
-    return (
-        f"{_errno_name(exc.errno)} on {exc.path or '?'}"
-        + (f" after {exc.partial_bytes} byte(s)" if partial else ""),
-        partial,
-    )

@@ -32,7 +32,7 @@ and ``replay_filter``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -128,20 +128,11 @@ class DefenseConfig:
             flags[part] = True
         return cls(**flags)
 
-    def with_flag(self, flag: str, value: bool = True) -> "DefenseConfig":
-        if flag not in DEFENSE_FLAGS:
-            raise ConfigError(f"unknown defense flag {flag!r}")
-        return replace(self, **{flag: value})
-
     # -- introspection -------------------------------------------------------
 
     @property
     def enabled_flags(self) -> Tuple[str, ...]:
         return tuple(f for f in DEFENSE_FLAGS if getattr(self, f))
-
-    @property
-    def any_enabled(self) -> bool:
-        return bool(self.enabled_flags)
 
     @property
     def label(self) -> str:

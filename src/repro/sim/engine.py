@@ -11,7 +11,6 @@ Because ``(time, key)`` is unique, tuple comparison never reaches the
 from __future__ import annotations
 
 import heapq
-import weakref
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.errors import SimulationError, SimulationRunawayError
@@ -22,7 +21,6 @@ __all__ = [
     "Simulator",
     "set_default_watchdog",
     "get_default_watchdog",
-    "current_simulator",
 ]
 
 # Process-wide watchdog defaults picked up by every Simulator constructed
@@ -44,25 +42,6 @@ def set_default_watchdog(
 def get_default_watchdog() -> Tuple[Optional[int], Optional[float]]:
     """The ``(max_events, max_sim_time)`` defaults new Simulators inherit."""
     return _DEFAULT_WATCHDOG
-
-
-# Weak reference to the most recently *running* Simulator in this process.
-# Telemetry heartbeat threads (repro.obs.telemetry) sample processed_events /
-# now through this without any runner plumbing; a weakref keeps the engine
-# from pinning finished simulations alive.
-_CURRENT_SIM: "Optional[weakref.ref[Simulator]]" = None
-
-
-def current_simulator() -> "Optional[Simulator]":
-    """The simulator currently (or most recently) inside :meth:`Simulator.run`.
-
-    Returns ``None`` when no simulator has run in this process or the last
-    one has been garbage-collected.  Reads are lock-free: ``now`` and
-    ``processed_events`` are single attribute loads, safe to sample from a
-    heartbeat thread even while the run loop is executing.
-    """
-    ref = _CURRENT_SIM
-    return ref() if ref is not None else None
 
 
 class SimProfiler(Protocol):
@@ -257,8 +236,6 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        global _CURRENT_SIM
-        _CURRENT_SIM = weakref.ref(self)
         executed = 0
         profiler = self._profiler
         queue = self._queue

@@ -25,13 +25,15 @@ def test_inject_survivable_fault_exits_zero(tmp_path, capsys):
     rc = main([
         "inject", "--work-dir", str(tmp_path / "work"),
         "--seeds", "1", "--no-failing-cell",
-        "--fault", "enospc::status.json",
+        "--fault", "enospc::results.jsonl",
     ])
     out = capsys.readouterr().out
     assert rc == 0
     assert "campaign survived" in out
     assert "enospc" in out
-    assert (tmp_path / "work" / "aggregate.csv").exists()
+    # The faulted cell is quarantined and degrades to a nan row.
+    csv = (tmp_path / "work" / "aggregate.csv").read_text(encoding="utf-8")
+    assert ",NO,nan,nan\n" in csv
 
 
 def test_inject_fatal_fault_exits_one(tmp_path, capsys):

@@ -12,8 +12,7 @@ from repro.chaos.workload import _FAILING_LABEL
 # One tiny cell per protocol; no failing cell in the micro workload so the
 # per-test sweeps stay fast.  The full workload (both seeds + quarantine
 # cell) runs in CI's chaos-smoke job and in the nightly full sweep.
-MICRO = ChaosWorkload(seeds=(1,), include_failing_cell=False,
-                      compact_every=2)
+MICRO = ChaosWorkload(seeds=(1,), include_failing_cell=False)
 
 
 def test_workload_is_deterministic(tmp_path):
@@ -29,15 +28,8 @@ def test_enumerate_ops_covers_every_journal(tmp_path):
     assert "checkpoint.jsonl" in paths
     assert "quarantine.jsonl" in paths
     assert "results.jsonl" in paths
-    assert "status.json" in paths
     assert "aggregate.csv" in paths
     assert csv.startswith(b"label,")
-    # Forced compaction (compact_every=2) must appear in the stream as a
-    # temp-then-rename rewrite of the live checkpoint journal.
-    assert any(
-        rec.op == "replace" and ".checkpoint.jsonl" in rec.path
-        for rec in ops
-    )
 
 
 def test_full_sweep_recovers_at_every_point(tmp_path):
@@ -60,7 +52,7 @@ def test_torn_sweep_recovers_at_every_write(tmp_path):
 def test_quarantine_survives_crash_points(tmp_path):
     # The full workload's scripted-failure cell exercises the quarantine
     # journal; sample the op space rather than sweep it to stay quick.
-    workload = ChaosWorkload(seeds=(1,), compact_every=2)
+    workload = ChaosWorkload(seeds=(1,))
     report = explore_crash_points(workload, tmp_path, modes=("before",),
                                   stride=7)
     assert report.points

@@ -210,7 +210,7 @@ def test_faulty_fs_rejects_specs_and_schedule_together():
 # ---------------------------------------------------------------------------
 
 def test_failed_json_write_leaves_previous_content(tmp_path):
-    target = tmp_path / "status.json"
+    target = tmp_path / "state.json"
     atomic_write_json(target, {"generation": 1})
     spec = FaultSpec(kind="enospc", op="write")
     with faulty_fs(spec):
@@ -218,4 +218,4 @@ def test_failed_json_write_leaves_previous_content(tmp_path):
             atomic_write_json(target, {"generation": 2})
     assert json.loads(target.read_text(encoding="utf-8")) == {"generation": 1}
     # No orphaned temp file survives the failed attempt either.
-    assert [p.name for p in tmp_path.iterdir()] == ["status.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]

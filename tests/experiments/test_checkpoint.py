@@ -114,26 +114,12 @@ def test_journal_survives_kill_between_records(tmp_path):
 
 def test_records_append_without_rewriting_earlier_lines(tmp_path):
     """Journalling is O(record): earlier bytes never change between appends."""
-    journal = CampaignCheckpoint(tmp_path, compact_every=1000)
+    journal = CampaignCheckpoint(tmp_path)
     path = tmp_path / "checkpoint.jsonl"
     journal.record_completed("k0", "", {"i": 0}, [])
     first = path.read_bytes()
     journal.record_completed("k1", "", {"i": 1}, [])
     assert path.read_bytes()[: len(first)] == first
-
-
-def test_auto_compaction_dedupes_at_the_threshold(tmp_path):
-    journal = CampaignCheckpoint(tmp_path, compact_every=3)
-    journal.record_completed("a", "", {"v": 1}, [])
-    journal.record_completed("a", "", {"v": 2}, [])
-    assert len(read_jsonl(tmp_path / "checkpoint.jsonl")) == 2
-    # Third append crosses the threshold: the journal compacts, last wins.
-    journal.record_completed("b", "", {"v": 3}, [])
-    on_disk = read_jsonl(tmp_path / "checkpoint.jsonl")
-    assert [(r["key"], r["result"]["v"]) for r in on_disk] == [
-        ("a", 2), ("b", 3),
-    ]
-    assert journal.completed()["a"]["result"] == {"v": 2}
 
 
 def test_resume_heals_torn_tail_and_duplicates(tmp_path):
@@ -162,8 +148,3 @@ def test_resume_keeps_clean_journal_byte_identical(tmp_path):
     CampaignCheckpoint(tmp_path, resume=True)
     assert (tmp_path / "checkpoint.jsonl").read_bytes() == ckpt_bytes
     assert (tmp_path / "quarantine.jsonl").read_bytes() == quarantine_bytes
-
-
-def test_compaction_rejects_bad_threshold(tmp_path):
-    journal = CampaignCheckpoint(tmp_path, compact_every=0)
-    assert journal.compact_every == 1  # clamped, never div-by-zero

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.backoff import BackoffPolicy
 from repro.experiments.executor import (
+    DEFAULT_WATCHDOG_MAX_EVENTS,
     CampaignConfig,
     Task,
     execute_scenarios,
@@ -22,6 +23,7 @@ from repro.experiments.executor import (
     task_key,
 )
 from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.sim.engine import get_default_watchdog
 
 FAST = BackoffPolicy(base_s=0.0)   # retries without waiting
 
@@ -54,6 +56,25 @@ def kills_itself(payload):
 def hangs(payload):
     time.sleep(60.0)
     return "never"
+
+
+def _refuse_unpickling():
+    raise RuntimeError("result cannot be rebuilt")
+
+
+class UnreadableResult:
+    """Pickles in the worker; unpickling it in the supervisor raises."""
+
+    def __reduce__(self):
+        return (_refuse_unpickling, ())
+
+
+def returns_unreadable(payload):
+    return UnreadableResult()
+
+
+def reports_watchdog(payload):
+    return get_default_watchdog()
 
 
 def task(key, runner, x=0, **payload):
@@ -171,6 +192,26 @@ def test_supervised_exception_reports_worker_traceback():
     assert attempts[0].outcome == "exception"
     assert attempts[0].error_type == "ValueError"
     assert "always_raises" in attempts[0].traceback
+
+
+def test_supervised_unreadable_result_is_malformed():
+    config = CampaignConfig(processes=1, max_retries=0, backoff=FAST)
+    outcome = run_campaign([task("odd", returns_unreadable)], config)
+    assert outcome.results == {}
+    attempts = outcome.quarantined["odd"]
+    assert [a.outcome for a in attempts] == ["malformed"]
+    assert "unreadable result" in attempts[0].error
+
+
+def test_watchdog_is_installed_inline_and_supervised():
+    before = get_default_watchdog()
+    expected = (DEFAULT_WATCHDOG_MAX_EVENTS, None)
+    for processes in (None, 1):
+        outcome = run_campaign([task("wd", reports_watchdog)],
+                               CampaignConfig(processes=processes))
+        assert tuple(outcome.results["wd"]) == expected
+    # The inline path restores the caller's process-wide default.
+    assert get_default_watchdog() == before
 
 
 def test_failures_do_not_abort_healthy_cells():

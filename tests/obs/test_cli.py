@@ -90,11 +90,6 @@ def test_bench_compare_missing_and_malformed_inputs(tmp_path, capsys,
         capsys.readouterr().err)
 
 
-def test_watch_missing_status_file(tmp_path, capsys):
-    assert main(["watch", str(tmp_path / "nodir"), "--once"]) == 2
-    assert "no status file" in capsys.readouterr().out
-
-
 # ---------------------------------------------------------------------------
 # Gate failures -> exit 1
 # ---------------------------------------------------------------------------

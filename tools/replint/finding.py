@@ -327,10 +327,11 @@ RULES: Tuple[Rule, ...] = (
         severity=Severity.ERROR,
         summary="fs-mutating os calls in src/ must go through the repro.persist seam",
         rationale=(
-            "Everything the harness persists — checkpoint journals, bench "
-            "history, telemetry snapshots — claims crash-safety, and that "
-            "claim is only as good as the chaos engine's coverage. The "
-            "crash-point explorer interposes on repro.persist.FileSystem; "
+            "Everything the harness persists — checkpoint journals, "
+            "quarantine records, figure exports — claims crash-safety, "
+            "and that claim is only as good as the chaos engine's "
+            "coverage. The crash-point explorer interposes on "
+            "repro.persist.FileSystem; "
             "an os.write()/os.replace()/open-for-write call made directly "
             "is invisible to it, so no simulated kill ever lands there and "
             "its recovery path ships unproven. Route writes through "
