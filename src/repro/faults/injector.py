@@ -158,10 +158,4 @@ class FaultInjector:
             mangled[0] ^= 0xFF
             tampered = dataclasses.replace(payload, payload=bytes(mangled))
         self.trace.count("fault_corrupt_delivered")
-        return Frame(
-            kind=frame.kind,
-            sender=frame.sender,
-            size_bytes=frame.size_bytes,
-            payload=tampered,
-            dest=frame.dest,
-        )
+        return dataclasses.replace(frame, payload=tampered)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import itertools
 from typing import Any, Dict, List, Optional
 
 from repro.net.packet import Frame, FrameKind
@@ -36,6 +37,7 @@ class NetworkNode(abc.ABC):
         self.rngs = rngs
         self.trace = trace
         self.rng = rngs.get(f"node/{node_id}")
+        self._frame_seq = itertools.count()
         radio.register(self)
 
     @property
@@ -54,7 +56,8 @@ class NetworkNode(abc.ABC):
 
         ``cause`` is the optional causal-provenance stamp (built by protocol
         code only when ``trace.causal`` is attached); it rides on the frame
-        object, never on the wire.
+        object, never on the wire.  The frame's id is ``(node_id, seq)``,
+        ``seq`` counting this node's broadcasts from 0.
         """
         frame = Frame(
             kind=kind,
@@ -62,6 +65,7 @@ class NetworkNode(abc.ABC):
             size_bytes=size_bytes,
             payload=payload,
             dest=dest,
+            frame_id=(self.node_id, next(self._frame_seq)),
             cause=cause,
         )
         self.radio.send(frame)

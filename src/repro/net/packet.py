@@ -10,13 +10,13 @@ the neighbor being asked to serve, but everyone in range overhears).
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["FrameKind", "Frame"]
+__all__ = ["FrameKind", "Frame", "FrameId"]
 
-_frame_ids = itertools.count()
+#: ``(sender, seq)``: the sender's ``seq``-th broadcast of the run.
+FrameId = Tuple[int, int]
 
 
 class FrameKind(enum.Enum):
@@ -44,7 +44,10 @@ class Frame:
     size_bytes: int
     payload: Any
     dest: Optional[int] = None
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    #: Numbered by :meth:`repro.net.node.NetworkNode.broadcast`, per sender,
+    #: so it depends on nothing but the run itself; None on a frame that
+    #: never went through a node.
+    frame_id: Optional[FrameId] = None
     #: Causal provenance stamp (``--causal-trace`` only): what triggered this
     #: transmission — ``{"trigger": ..., "parent": frame_id, "armed": ts}``.
     #: Not part of the wire format; None on every frame when tracing is off.

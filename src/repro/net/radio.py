@@ -17,7 +17,9 @@ now``) marks both as collided there.
 
 Each outcome — a frame queued, aired, delivered, lost (with its cause) or
 dropped by the MAC — is reported once, to the run's
-:class:`~repro.sim.trace.TraceRecorder`.
+:class:`~repro.sim.trace.TraceRecorder`; at frame end the radio also hands
+it the frame's receivers and losses in one report, so observers see each
+aired frame once.
 
 The one-hop experiments can disable collision modelling (the paper places
 nodes "close enough to eliminate packet transmission errors caused by channel
@@ -291,12 +293,16 @@ class Radio:
         sender = tx.sender
         if self._on_air.get(sender) is tx:
             del self._on_air[sender]
+        now, frame, trace = self.sim.now, tx.frame, self.trace
+        delivered: List[int] = []
+        lost: List[Tuple[int, str]] = []
         if tx.aborted:
-            self.trace.count("tx_aborted")
+            trace.count("tx_aborted")
+            trace.frame_end(now, frame, tx.start, delivered, lost)
             return
-        now, frame, rngs, tamper = self.sim.now, tx.frame, self.rngs, self.tamper
+        rngs, tamper, nodes = self.rngs, self.tamper, self._nodes
         halfduplex, collided = tx.halfduplex or (), tx.collided or ()
-        should_drop, trace, nodes = self.loss_model.should_drop, self.trace, self._nodes
+        should_drop = self.loss_model.should_drop
         for receiver in self.neighbors(sender):
             if receiver in halfduplex:
                 cause = "halfduplex"
@@ -305,12 +311,15 @@ class Radio:
             elif should_drop(rngs, sender, receiver, frame, now):
                 cause = "channel"
             else:
-                delivered = frame if tamper is None else tamper(frame, sender, receiver)
-                if delivered is not None:
+                received = frame if tamper is None else tamper(frame, sender, receiver)
+                if received is not None:
                     trace.rx(now, sender, receiver, frame)
-                    nodes[receiver].on_receive(delivered, sender)
+                    nodes[receiver].on_receive(received, sender)
                     trace.rx_done()
+                    delivered.append(receiver)
                     continue
                 cause = "tamper"
             trace.loss(now, sender, receiver, cause, frame)
+            lost.append((receiver, cause))
+        trace.frame_end(now, frame, tx.start, delivered, lost)
         self._pump(sender)

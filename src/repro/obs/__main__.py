@@ -234,8 +234,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             return _error(str(exc))
         dag = build_dag(events)
-        if not dag.tx:
-            return _error(f"{args.trace_file} holds no causal events — "
+        if not any(rec.cause is not None for rec in dag.tx.values()):
+            return _error(f"{args.trace_file} holds no cause stamps — "
                           "re-run the simulation with --causal-trace")
         known = set(dag.meta) | set(dag.complete)
         if args.node not in known:

@@ -165,8 +165,9 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("obs_unregistered_metric", "counter", "names",
                "distinct counter names used without a catalogue entry"),
     # -- flight recorder (per-link accounting, --flight-record) ---------------
-    MetricSpec("link_tx", "event", "frames",
-               "flight: a frame was put on the air by a sender"),
+    MetricSpec("frame", "event", "frames",
+               "flight: one aired frame with its receivers and the cause "
+               "of each loss"),
     MetricSpec("link_auth_drop", "event", "packets",
                "flight: a data packet failed authentication before buffering"),
     MetricSpec("link_duplicate", "event", "packets",
@@ -178,23 +179,13 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("tracker_snapshot", "event", "snapshots",
                "flight: TX-policy state after a SNACK fold or a transmission"),
     MetricSpec("flight_meta", "event", "runs",
-               "flight: run metadata (protocol, base station, total units)"),
+               "flight: run metadata (protocol, base station, total units, "
+               "scheduler profile)"),
     MetricSpec("flight_topology", "event", "maps",
                "flight: hop distance of every node from the base station"),
     MetricSpec("flight_link_stats", "event", "links",
                "flight: end-of-run per-link accounting summary"),
     # -- causal tracer (cross-node provenance, --causal-trace) ----------------
-    MetricSpec("causal_meta", "event", "runs",
-               "causal: per-node run metadata (protocol, base, total units)"),
-    MetricSpec("causal_tx", "event", "frames",
-               "causal: a frame went on the air with its causal parent "
-               "(the rx/timer/decode event that triggered it)"),
-    MetricSpec("causal_rx", "event", "frames",
-               "causal: a frame was delivered to one receiver (cross-node "
-               "causal edge tx -> rx)"),
-    MetricSpec("causal_loss", "event", "frames",
-               "causal: a delivery attempt failed (the causal edge that "
-               "retransmission wait is charged to)"),
     MetricSpec("causal_decode", "event", "units",
                "causal: a page decoded/verified, parented on the frame that "
                "completed it"),

@@ -2,8 +2,9 @@
 
 A ``--causal-trace`` run (see :class:`repro.obs.flight.CausalRecorder`)
 stamps every frame with the event that *caused* it — the received frame or
-timer arm that triggered the transmission — and records every cross-node
-delivery.  This module reconstructs that provenance as a DAG and answers the
+timer arm that triggered the transmission — and the flight recorder's
+``frame`` records carry that stamp with every cross-node delivery of the
+frame.  This module reconstructs that provenance as a DAG and answers the
 question the wavefront plots cannot: **why** did node ``n`` complete at time
 ``t``?
 
@@ -58,7 +59,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.obs.events import EventLog, TraceEvent, load_jsonl
+from repro.obs.events import (EventLog, FrameId, TraceEvent, as_frame_id,
+                               load_jsonl)
 
 __all__ = [
     "WAIT_CATEGORIES",
@@ -116,7 +118,7 @@ class _DecodeRecord:
     ts: float
     node: int
     unit: int
-    frame: Optional[int]            # completing packet's frame id
+    frame: Optional[FrameId]        # completing packet's frame id
     need: int = 0
     of: int = 0
 
@@ -127,16 +129,15 @@ class CausalDag:
 
     base: Optional[int] = None
     meta: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    tx: Dict[int, _TxRecord] = field(default_factory=dict)
+    tx: Dict[FrameId, _TxRecord] = field(default_factory=dict)
     #: (frame, node) -> delivery time
-    rx: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    rx: Dict[Tuple[FrameId, int], float] = field(default_factory=dict)
     #: frame -> number of lossy non-deliveries
-    losses: Dict[int, int] = field(default_factory=dict)
+    losses: Dict[FrameId, int] = field(default_factory=dict)
     #: (node, unit) -> decode record
     decodes: Dict[Tuple[int, int], _DecodeRecord] = field(default_factory=dict)
     #: node -> completion time (first node_complete)
     complete: Dict[int, float] = field(default_factory=dict)
-    end_ts: float = 0.0
 
     @property
     def protocol(self) -> str:
@@ -163,31 +164,31 @@ def build_dag(events: Union[EventLog, Iterable[TraceEvent]]) -> CausalDag:
         events = events.events
     dag = CausalDag()
     for e in events:
-        dag.end_ts = max(dag.end_ts, e.ts + (e.dur or 0.0))
         d = e.detail
-        if e.kind == "causal_meta" and e.node is not None:
+        if e.kind == "flight_meta" and e.node is not None:
             dag.meta[e.node] = dict(d)
             if d.get("base"):
                 dag.base = e.node
-        elif e.kind == "causal_tx" and e.node is not None and "frame" in d:
+        elif e.kind == "frame" and e.node is not None:
+            fid = as_frame_id(d["frame"])
             unit = d.get("unit")
-            dag.tx[int(d["frame"])] = _TxRecord(
+            dag.tx[fid] = _TxRecord(
                 ts=e.ts, node=e.node, kind=str(d.get("kind", "?")),
                 enq=float(d.get("enq", e.ts)),
                 unit=None if unit is None else int(unit),
                 cause=d.get("cause"),
             )
-        elif e.kind == "causal_rx" and e.node is not None and "frame" in d:
-            dag.rx.setdefault((int(d["frame"]), e.node), e.ts)
-        elif e.kind == "causal_loss" and "frame" in d:
-            frame = int(d["frame"])
-            dag.losses[frame] = dag.losses.get(frame, 0) + 1
+            end = float(d.get("end", e.ts))
+            for receiver in d.get("rx", ()):
+                dag.rx[(fid, int(receiver))] = end
+            if d.get("lost"):
+                dag.losses[fid] = len(d["lost"])
         elif e.kind == "causal_decode" and e.node is not None:
             unit = int(d["unit"])
             parent = d.get("frame")
             dag.decodes.setdefault((e.node, unit), _DecodeRecord(
                 ts=e.ts, node=e.node, unit=unit,
-                frame=None if parent is None else int(parent),
+                frame=None if parent is None else as_frame_id(parent),
                 need=int(d.get("need", 0)), of=int(d.get("of", 0)),
             ))
         elif e.kind == "node_complete" and e.node is not None:
@@ -323,12 +324,12 @@ def critical_path(dag: CausalDag, node: int) -> Optional[CriticalPath]:
             continue
 
         if tag == "tx":
-            fid, arrived_via_rx = int(item[1]), bool(item[2])
+            fid, arrived_via_rx = item[1], bool(item[2])
             rec = dag.tx.get(fid)
             if rec is None:
                 root(truncated=True)
                 break
-            key = ("t", fid, 0)
+            key = ("t", fid[0], fid[1])
             if key in visited:
                 root(truncated=True)
                 break
@@ -359,7 +360,8 @@ def critical_path(dag: CausalDag, node: int) -> Optional[CriticalPath]:
                 if parent is None:
                     root(truncated=False)
                     break
-                item = ("cause_frame", int(parent), rec.node, "serve_pacing")
+                item = ("cause_frame", as_frame_id(parent), rec.node,
+                        "serve_pacing")
             elif trigger == "request":
                 reason = str(cause.get("reason", "unknown"))
                 cat = _REASON_CATEGORY.get(reason, "request_backoff")
@@ -370,7 +372,7 @@ def critical_path(dag: CausalDag, node: int) -> Optional[CriticalPath]:
                 if parent is None:
                     root(truncated=False)
                     break
-                item = ("cause_frame", int(parent), rec.node, cat)
+                item = ("cause_frame", as_frame_id(parent), rec.node, cat)
             elif trigger == "trickle":
                 uc = int(cause.get("uc", 0))
                 if dag.base is not None and rec.node == dag.base:
@@ -396,7 +398,7 @@ def critical_path(dag: CausalDag, node: int) -> Optional[CriticalPath]:
         if tag == "cause_frame":
             # A request/serve parent: either a frame delivered *to* this
             # node, or (retry chains) this node's own previous transmission.
-            fid, at, gap_cat = int(item[1]), int(item[2]), str(item[3])
+            fid, at, gap_cat = item[1], int(item[2]), str(item[3])
             rx_ts = dag.rx.get((fid, at))
             if rx_ts is not None and rx_ts <= cur:
                 emit(gap_cat, rx_ts, at)

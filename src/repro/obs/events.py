@@ -36,18 +36,20 @@ __all__ = [
     "SUPPORTED_SCHEMA_VERSIONS",
     "TraceEvent",
     "EventLog",
+    "FrameId",
+    "as_frame_id",
     "load_jsonl",
 ]
 
-#: Version stamped on newly written traces.  v2 added the causal provenance
-#: kinds (``causal_*``, :mod:`repro.obs.causal`); the event shape itself is
-#: unchanged, so v1 archives remain fully readable.
-TRACE_SCHEMA_VERSION = 2
+#: Version stamped on newly written traces.  v3 logs each aired frame once,
+#: as a ``frame`` record with its receivers and losses, and names frames by
+#: ``(sender, seq)``; v2's ``link_tx``/``causal_tx``/``causal_rx``/
+#: ``causal_loss`` kinds and global frame numbers are gone.
+TRACE_SCHEMA_VERSION = 3
 
-#: Versions :func:`load_jsonl` accepts.  Readers treat unknown *kinds* as
-#: opaque, so the only compatibility contract is the event dict shape —
-#: identical between v1 and v2.
-SUPPORTED_SCHEMA_VERSIONS = frozenset({1, 2})
+#: Versions :func:`load_jsonl` accepts.  The readers of v1/v2 frame kinds
+#: are gone, so older archives are rejected rather than misread.
+SUPPORTED_SCHEMA_VERSIONS = frozenset({3})
 
 # Chrome trace_event phase codes used here: instant, complete (with dur).
 _PH_INSTANT = "i"
@@ -242,6 +244,17 @@ class EventLog:
             e for e in self.events
             if e.ph == _PH_COMPLETE and (kind is None or e.kind == kind)
         ]
+
+
+#: A frame's ``(sender, seq)`` id (see :class:`repro.net.packet.Frame`).
+FrameId = Tuple[int, int]
+
+
+def as_frame_id(value: Any) -> FrameId:
+    """A frame id as a dict key: the ``(sender, seq)`` pair, which a JSONL
+    round trip turns into a two-element list."""
+    sender, seq = value
+    return (int(sender), int(seq))
 
 
 def load_jsonl(path: Union[str, Path]) -> Tuple[Dict[str, Any], List[TraceEvent]]:

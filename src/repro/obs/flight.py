@@ -12,45 +12,49 @@ never through ``TraceRecorder.record`` — so enabling either cannot touch the
 counter store: the same seed and flags produce byte-identical counter
 snapshots, completion times, and RNG draws with and without them.
 
-:class:`FlightRecorder` (``--flight-record``) emits ``link_tx``/
+:class:`FlightRecorder` (``--flight-record``) emits ``frame``/
 ``link_auth_drop``/``link_duplicate``/``pkt_auth_ok``/``pkt_buffered``/
 ``tracker_snapshot``/``flight_meta``/``flight_topology``/
 ``flight_link_stats``.  These kinds are declared in :mod:`repro.obs.catalog`
 like every other event kind, so the schema-versioned
 :class:`~repro.obs.events.EventLog` JSONL form carries them unchanged and the
-invariant checker (:mod:`repro.obs.invariants`) and analyzer
-(:mod:`repro.obs.analyze`) replay them offline.  Deliveries and failed
-delivery attempts are not logged one by one: they only bump the in-memory
-per-link accounting matrix, which :meth:`FlightRecorder.finalize` flushes
-as one ``flight_link_stats`` event per observed ``(src, dst)`` link, plus a
-``flight_topology`` event with every node's hop distance from the base
-station (BFS over the observed radio's topology).  The per-frame delivery
-stream is the causal recorder's ``causal_rx``/``causal_loss``.
+invariant checker (:mod:`repro.obs.invariants`), analyzer
+(:mod:`repro.obs.analyze`) and critical-path walk (:mod:`repro.obs.causal`)
+replay them offline.
 
-Transmissions, by contrast, are logged by both recorders when both are on:
-``link_tx`` and ``causal_tx`` each record every frame aired.  ``link_tx`` is
-the only transmission record of a flight-only run — the adversarial
-scenarios record flight alone, and the ``serve_only_decoded`` invariant
-reads it there.  It cannot simply be the causal record either: flight
-output carries no frame ids, because frame ids come from a process-wide
-counter and follow tie-break order, and the determinism sanitizer digests
-flight-recorded logs.
+Each aired frame is one ``frame`` record, written when the frame leaves the
+air and stamped with its air start (``ts``) and sender (``node``).  Its
+detail holds the frame id (``frame``, the ``(sender, seq)`` pair that cause
+stamps name as ``parent``), wire ``kind`` and ``size``, MAC enqueue time
+(``enq``; the gap to ``ts`` is MAC/carrier-sense wait), air end (``end``),
+the payload's ``unit``/``index`` and the ``dest`` when present, the
+protocol's ``cause`` stamp when one was made, and the outcome at every
+receiver: ``rx`` lists the receivers it reached and ``lost`` each
+``[receiver, cause]`` it missed (:data:`LOSS_CAUSES`).  An aborted frame
+(its sender crashed mid-air) reaches nobody; a frame still on the air when
+the run ends is written by :meth:`FlightRecorder.finalize` with ``open:
+true``.  The same outcomes feed the in-memory per-link accounting matrix,
+flushed at :meth:`FlightRecorder.finalize` as one ``flight_link_stats``
+event per observed ``(src, dst)`` link, plus a ``flight_topology`` event
+with every node's hop distance from the base station (BFS over the observed
+radio's topology).
 
-:class:`CausalRecorder` (``--causal-trace``) emits the ``causal_*``
-provenance kinds that :mod:`repro.obs.causal` reconstructs the dissemination
-DAG and critical paths from.
+:class:`CausalRecorder` (``--causal-trace``) emits ``causal_decode``.  Its
+presence also tells the protocols to stamp each frame with its ``cause``;
+the DAG's edges are the flight recorder's ``frame`` records, so a causal
+trace attaches both.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.trace import LOSS_CAUSES, Observer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.packets import DataPacket
-    from repro.net.packet import Frame
+    from repro.net.packet import Frame, FrameId
     from repro.net.radio import Radio
     from repro.sim.trace import TraceSink
 
@@ -99,6 +103,11 @@ class FlightRecorder(Observer):
         self.sink = sink
         self._links: Dict[Tuple[int, int], _LinkStats] = {}
         self._tx_frames: Dict[int, int] = {}
+        #: MAC enqueue time of each queued frame, moved to ``_airing`` when
+        #: the frame goes on the air; ``_airing`` holds (frame, enq, start)
+        #: until the frame's record is written.
+        self._queued: Dict["FrameId", float] = {}
+        self._airing: Dict["FrameId", Tuple["Frame", float, float]] = {}
         self._radio: Optional["Radio"] = None
         self._base: Optional[int] = None
         self._finalized = False
@@ -118,22 +127,56 @@ class FlightRecorder(Observer):
 
     # -- radio outcomes -------------------------------------------------------
 
+    def on_enqueue(self, ts: float, frame: "Frame") -> None:
+        self._queued[frame.frame_id] = ts
+
+    def on_mac_drop(self, ts: float, frame: "Frame") -> None:
+        # Never aired: no record, and its enqueue stamp must not leak.
+        self._queued.pop(frame.frame_id, None)
+
     def on_tx(self, ts: float, frame: "Frame", unit: Optional[int]) -> None:
         sender = frame.sender
         self._tx_frames[sender] = self._tx_frames.get(sender, 0) + 1
-        detail: Dict[str, Any] = {"kind": frame.kind.value,
-                                  "size": frame.size_bytes}
+        fid = frame.frame_id
+        self._airing[fid] = (frame, self._queued.pop(fid, ts), ts)
+
+    def on_frame(self, ts: float, frame: "Frame", start: float,
+                 delivered: List[int], lost: List[Tuple[int, str]]) -> None:
+        enq = self._airing.pop(frame.frame_id)[1]
+        self._write(frame, start, enq, ts, delivered, lost)
+        sender = frame.sender
+        for dst in delivered:
+            self._link(sender, dst).rx += 1
+        for dst, cause in lost:
+            causes = self._link(sender, dst).causes
+            causes[cause] = causes.get(cause, 0) + 1
+
+    def _write(self, frame: "Frame", start: float, enq: float, end: float,
+               delivered: List[int], lost: List[Tuple[int, str]],
+               still_open: bool = False) -> None:
+        detail: Dict[str, Any] = {
+            "frame": frame.frame_id,
+            "kind": frame.kind.value,
+            "size": frame.size_bytes,
+            "enq": enq,
+            "end": end,
+        }
+        payload = frame.payload
+        unit = getattr(payload, "unit", None)
         if unit is not None:
             detail["unit"] = unit
-        self.sink.instant(ts, "link_tx", sender, detail)
-
-    def on_rx(self, ts: float, src: int, dst: int, frame: "Frame") -> None:
-        self._link(src, dst).rx += 1
-
-    def on_loss(self, ts: float, src: int, dst: int, cause: str,
-                frame: "Frame") -> None:
-        causes = self._link(src, dst).causes
-        causes[cause] = causes.get(cause, 0) + 1
+        index = getattr(payload, "index", None)
+        if index is not None:
+            detail["index"] = index
+        if frame.dest is not None:
+            detail["dest"] = frame.dest
+        if frame.cause is not None:
+            detail["cause"] = frame.cause
+        detail["rx"] = delivered
+        detail["lost"] = lost
+        if still_open:
+            detail["open"] = True
+        self.sink.instant(start, "frame", frame.sender, detail)
 
     # -- protocol outcomes ----------------------------------------------------
 
@@ -147,6 +190,7 @@ class FlightRecorder(Observer):
             "base": is_base,
             "total_units": total_units,
             "secured": secured,
+            "profile": profile,
         })
 
     def on_auth(self, ts: float, node: int, src: int, outcome: str,
@@ -198,7 +242,8 @@ class FlightRecorder(Observer):
         return hops
 
     def finalize(self, ts: float) -> None:
-        """Flush the topology map and the per-link accounting summary.
+        """Flush the frames still on the air (``open: true``, no receivers
+        yet), the topology map and the per-link accounting summary.
 
         Idempotent: a second call is a no-op so CLI paths that both run and
         persist a simulation cannot double-emit the summary.
@@ -206,6 +251,9 @@ class FlightRecorder(Observer):
         if self._finalized:
             return
         self._finalized = True
+        for frame, enq, start in self._airing.values():
+            self._write(frame, start, enq, ts, [], [], still_open=True)
+        self._airing.clear()
         hops = self.hop_distances()
         if hops or self._tx_frames:
             self.sink.instant(ts, "flight_topology", None, {
@@ -233,25 +281,13 @@ class FlightRecorder(Observer):
 
 
 class CausalRecorder(Observer):
-    """Cross-node causal provenance: who/what triggered every transmission.
+    """Cross-node causal provenance: attaching it makes the protocols stamp
+    every frame with what triggered it (see :attr:`repro.net.packet.Frame.
+    cause`), which the flight recorder's ``frame`` records carry.
 
-    Emitted kinds (catalogued in :mod:`repro.obs.catalog`, replayed offline
+    Emitted kind (catalogued in :mod:`repro.obs.catalog`, replayed offline
     by :mod:`repro.obs.causal`):
 
-    ``causal_meta``
-        Per-node run metadata at ``start()``: protocol, base flag, total
-        units, plus the protocol's ``causal_profile`` label for comparison
-        tables.
-    ``causal_tx``
-        A frame went on the air.  Detail carries the frame id, wire kind,
-        MAC enqueue time (``enq`` — the gap to ``ts`` is MAC/carrier-sense
-        wait), the payload's unit/index when present, and the protocol's
-        ``cause`` stamp: the rx frame, timer arm, or decode that triggered
-        this transmission.
-    ``causal_rx`` / ``causal_loss``
-        One event per delivery attempt outcome at each receiver — the
-        cross-node DAG edges.  ``causal_loss`` is what the analyzer charges
-        retransmission wait to.
     ``causal_decode``
         A page decoded/verified at a node, parented on the frame whose
         arrival completed it (the seam's current frame at the node), with
@@ -261,61 +297,9 @@ class CausalRecorder(Observer):
 
     def __init__(self, sink: "TraceSink") -> None:
         self.sink = sink
-        #: MAC enqueue time per frame id, popped when the frame airs/drops.
-        self._enq: Dict[int, float] = {}
-
-    # -- radio outcomes -------------------------------------------------------
-
-    def on_enqueue(self, ts: float, frame: "Frame") -> None:
-        self._enq[frame.frame_id] = ts
-
-    def on_mac_drop(self, ts: float, frame: "Frame") -> None:
-        # Never aired: no causal_tx, and its enqueue stamp must not leak.
-        self._enq.pop(frame.frame_id, None)
-
-    def on_tx(self, ts: float, frame: "Frame", unit: Optional[int]) -> None:
-        detail: Dict[str, Any] = {
-            "frame": frame.frame_id,
-            "kind": frame.kind.value,
-            "enq": self._enq.pop(frame.frame_id, ts),
-        }
-        if unit is not None:
-            detail["unit"] = unit
-        index = getattr(frame.payload, "index", None)
-        if index is not None:
-            detail["index"] = index
-        if frame.dest is not None:
-            detail["dest"] = frame.dest
-        if frame.cause is not None:
-            detail["cause"] = frame.cause
-        self.sink.instant(ts, "causal_tx", frame.sender, detail)
-
-    def on_rx(self, ts: float, src: int, dst: int, frame: "Frame") -> None:
-        self.sink.instant(ts, "causal_rx", dst,
-                          {"frame": frame.frame_id, "src": src})
-
-    def on_loss(self, ts: float, src: int, dst: int, cause: str,
-                frame: "Frame") -> None:
-        self.sink.instant(ts, "causal_loss", dst, {
-            "frame": frame.frame_id, "src": src, "cause": cause,
-            "kind": frame.kind.value,
-        })
-
-    # -- protocol outcomes ----------------------------------------------------
-
-    def on_meta(self, ts: float, node: int, protocol: str, is_base: bool,
-                total_units: Optional[int], secured: bool,
-                profile: str) -> None:
-        self.sink.instant(ts, "causal_meta", node, {
-            "protocol": protocol,
-            "base": is_base,
-            "total_units": total_units,
-            "secured": secured,
-            "profile": profile,
-        })
 
     def on_decode(self, ts: float, node: int, unit: int,
-                  parent: Optional[int], need: int, of: int) -> None:
+                  parent: Optional["FrameId"], need: int, of: int) -> None:
         self.sink.instant(ts, "causal_decode", node, {
             "unit": unit, "frame": parent, "need": need, "of": of,
         })

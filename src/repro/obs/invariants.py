@@ -24,7 +24,7 @@ Invariant library
     legitimately refreshes (and may raise) that one entry.
 
 ``serve_only_decoded``
-    A node only transmits data packets (``link_tx`` with ``kind="data"``)
+    A node only transmits data packets (``frame`` with ``kind="data"``)
     for pages it has decoded, tracked through ``unit_complete``,
     ``fault_reboot`` (``resume_unit`` accounts for flash recovery), and
     ``version_adopted`` resets.  Senders that never emitted ``flight_meta``
@@ -52,24 +52,27 @@ Invariant library
     never be re-buffered.  Identities reset on ``version_adopted`` and, for
     units at or above the flash resume point, on ``fault_reboot``.
 
-``causal_rx_has_tx``
-    Every cross-node causal edge is grounded: a ``causal_rx`` (and every
-    ``causal_loss``) names a frame that a prior ``causal_tx`` put on the
-    air.  A dangling rx edge would let the critical-path walk invent time.
-
 ``causal_monotone``
     Causality never runs backwards: a frame's ``cause`` parent (and its
-    timer-arm timestamp) precedes the transmission, a delivery follows its
-    transmission, and a decode is parented on a frame that was actually
-    delivered to that node beforehand.  This is the invariant that makes
-    critical paths temporally monotone by construction.
+    timer-arm timestamp) precedes the transmission, the deliveries of a
+    caused frame follow its transmission, and a decode is parented on a
+    frame that was actually delivered to that node beforehand.  This is the
+    invariant that makes critical paths temporally monotone by
+    construction.
 
 The ``auth_before_buffer``/``tracker_monotone``/``quarantine_respected``/
 ``replay_never_rebuffered`` invariants need a flight-recorded trace
-(``--flight-record``); the ``causal_*`` pair needs a causal trace
-(``--causal-trace``); the others also work on plain span traces.  Events whose prerequisites
-are absent are skipped, and :attr:`InvariantReport.checked` records how many
-events each invariant actually examined so "vacuously clean" is visible.
+(``--flight-record``); ``causal_monotone`` needs a causal trace
+(``--causal-trace``); the others also work on plain span traces.  Events
+whose prerequisites are absent are skipped, and
+:attr:`InvariantReport.checked` records how many events each invariant
+actually examined so "vacuously clean" is visible.
+
+Events are replayed in simulated-time order (a stable sort on ``ts``): a
+``frame`` record is written when its frame leaves the air but stamped with
+its air start, so this puts it where the transmission happened.  A
+delivery needs no grounding check, because a frame's deliveries are part
+of its own record.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.obs.events import EventLog, TraceEvent, load_jsonl
+from repro.obs.events import (EventLog, FrameId, TraceEvent, as_frame_id,
+                               load_jsonl)
 
 __all__ = [
     "INVARIANTS",
@@ -97,7 +101,6 @@ INVARIANTS: Tuple[str, ...] = (
     "complete_means_all_pages",
     "quarantine_respected",
     "replay_never_rebuffered",
-    "causal_rx_has_tx",
     "causal_monotone",
 )
 
@@ -170,12 +173,12 @@ class _Checker:
         self.quarantines: Dict[Tuple[int, int], float] = {}
         # replay_never_rebuffered: buffered identities per node
         self.buffered: Dict[int, Set[Tuple[int, int, int]]] = {}
-        # causal_*: frame -> on-air ts, and (frame, node) -> delivery ts
-        self.causal_tx_ts: Dict[int, float] = {}
-        self.causal_rx_ts: Dict[Tuple[int, int], float] = {}
+        # causal_monotone: frame -> on-air ts, (frame, node) -> delivery ts
+        self.air_ts: Dict[FrameId, float] = {}
+        self.rx_ts: Dict[Tuple[FrameId, int], float] = {}
         # cause parents not yet seen on the air: either MAC-dropped (fine)
         # or aired *later* (a causality inversion) — settled after the pass.
-        self.causal_pending: List[Tuple[int, TraceEvent]] = []
+        self.causal_pending: List[Tuple[FrameId, TraceEvent]] = []
 
     def _violate(self, invariant: str, event: TraceEvent, message: str) -> None:
         self.report.violations.append(
@@ -275,11 +278,56 @@ class _Checker:
                     )
         self.last_distances[key] = cur
 
-    def _on_link_tx(self, e: TraceEvent) -> None:
-        if e.node is None or e.detail.get("kind") != "data":
+    def _on_frame(self, e: TraceEvent) -> None:
+        if e.node is None:
             return
+        d = e.detail
+        self._check_served(e)
+        frame = as_frame_id(d["frame"])
+        end = float(d.get("end", e.ts))
+        self.air_ts[frame] = e.ts
+        for receiver in d.get("rx", ()):
+            self.rx_ts[(frame, int(receiver))] = end
+        cause = d.get("cause")
+        if not isinstance(cause, dict):
+            return
+        # One check of the cause, one per delivery.
+        self.report.checked["causal_monotone"] += 1 + len(d.get("rx", ()))
+        if end < e.ts:
+            self._violate(
+                "causal_monotone", e,
+                f"frame {frame} delivered at t={end:g} before it "
+                f"aired (t={e.ts:g})",
+            )
+        parent = cause.get("parent")
+        if parent is not None:
+            parent = as_frame_id(parent)
+            parent_ts = self.air_ts.get(parent)
+            if parent_ts is None:
+                # Either the parent was MAC-dropped and never aired
+                # (legitimate: retries still name it as the cause), or it
+                # airs later in the trace — an inversion only visible once
+                # the whole stream has been read. Settle it in run().
+                self.causal_pending.append((parent, e))
+            elif parent_ts > e.ts:
+                self._violate(
+                    "causal_monotone", e,
+                    f"frame {frame} aired at t={e.ts:g} before its "
+                    f"cause parent {parent} (t={parent_ts:g})",
+                )
+        armed = cause.get("armed")
+        if armed is not None and float(armed) > e.ts:
+            self._violate(
+                "causal_monotone", e,
+                f"frame {frame} aired at t={e.ts:g} before its timer "
+                f"was armed (t={float(armed):g})",
+            )
+
+    def _check_served(self, e: TraceEvent) -> None:
+        """serve_only_decoded: a protocol sender's data frame."""
         unit = e.detail.get("unit")
-        if unit is None or e.node not in self.is_base:
+        if (e.detail.get("kind") != "data" or unit is None
+                or e.node not in self.is_base):
             return  # non-data frame, or a sender outside the protocol
         self.report.checked["serve_only_decoded"] += 1
         if self.units.get(e.node, 0) <= int(unit):
@@ -343,72 +391,6 @@ class _Checker:
         self.buffered.pop(e.node, None)
         self._drop_tracker_state(e.node)
 
-    def _on_causal_tx(self, e: TraceEvent) -> None:
-        d = e.detail
-        if "frame" not in d:
-            return
-        self.causal_tx_ts[int(d["frame"])] = e.ts
-        cause = d.get("cause")
-        if not isinstance(cause, dict):
-            return
-        self.report.checked["causal_monotone"] += 1
-        parent = cause.get("parent")
-        if parent is not None:
-            parent_ts = self.causal_tx_ts.get(int(parent))
-            if parent_ts is None:
-                # Either the parent was MAC-dropped and never aired
-                # (legitimate: retries still name it as the cause), or it
-                # airs later in the trace — an inversion only visible once
-                # the whole stream has been read. Settle it in run().
-                self.causal_pending.append((int(parent), e))
-            elif parent_ts > e.ts:
-                self._violate(
-                    "causal_monotone", e,
-                    f"frame {d['frame']} aired at t={e.ts:g} before its "
-                    f"cause parent {parent} (t={parent_ts:g})",
-                )
-        armed = cause.get("armed")
-        if armed is not None and float(armed) > e.ts:
-            self._violate(
-                "causal_monotone", e,
-                f"frame {d['frame']} aired at t={e.ts:g} before its timer "
-                f"was armed (t={float(armed):g})",
-            )
-
-    def _on_causal_rx(self, e: TraceEvent) -> None:
-        d = e.detail
-        if e.node is None or "frame" not in d:
-            return
-        frame = int(d["frame"])
-        self.report.checked["causal_rx_has_tx"] += 1
-        tx_ts = self.causal_tx_ts.get(frame)
-        if tx_ts is None:
-            self._violate(
-                "causal_rx_has_tx", e,
-                f"delivery of frame {frame} has no prior causal_tx",
-            )
-        else:
-            self.report.checked["causal_monotone"] += 1
-            if tx_ts > e.ts:
-                self._violate(
-                    "causal_monotone", e,
-                    f"frame {frame} delivered at t={e.ts:g} before it "
-                    f"aired (t={tx_ts:g})",
-                )
-            self.causal_rx_ts[(frame, e.node)] = e.ts
-
-    def _on_causal_loss(self, e: TraceEvent) -> None:
-        d = e.detail
-        if "frame" not in d:
-            return
-        frame = int(d["frame"])
-        self.report.checked["causal_rx_has_tx"] += 1
-        if frame not in self.causal_tx_ts:
-            self._violate(
-                "causal_rx_has_tx", e,
-                f"loss of frame {frame} has no prior causal_tx",
-            )
-
     def _on_causal_decode(self, e: TraceEvent) -> None:
         d = e.detail
         if e.node is None:
@@ -417,7 +399,7 @@ class _Checker:
         if parent is None:
             return
         self.report.checked["causal_monotone"] += 1
-        rx_ts = self.causal_rx_ts.get((int(parent), e.node))
+        rx_ts = self.rx_ts.get((as_frame_id(parent), e.node))
         if rx_ts is None:
             self._violate(
                 "causal_monotone", e,
@@ -445,34 +427,32 @@ class _Checker:
         "pkt_buffered": _on_buffered,
         "tracker_snapshot": _on_tracker,
         "defense_quarantine": _on_quarantine,
-        "link_tx": _on_link_tx,
+        "frame": _on_frame,
         "unit_complete": _on_unit_complete,
         "node_complete": _on_node_complete,
         "fault_reboot": _on_reboot,
         "fault_crash": _on_crash,
         "version_adopted": _on_version_adopted,
-        "causal_tx": _on_causal_tx,
-        "causal_rx": _on_causal_rx,
-        "causal_loss": _on_causal_loss,
         "causal_decode": _on_causal_decode,
     }
 
     def run(self, events: Iterable[TraceEvent]) -> InvariantReport:
-        for event in events:
+        for event in sorted(events, key=lambda e: e.ts):
             self.report.events_seen += 1
             handler = self._HANDLERS.get(event.kind)
             if handler is not None:
                 handler(self, event)
         for parent, e in self.causal_pending:
-            parent_ts = self.causal_tx_ts.get(parent)
+            parent_ts = self.air_ts.get(parent)
             if parent_ts is not None and parent_ts > e.ts:
                 # The parent did air after all — just later than its child,
                 # which inverts causality. Parents still unknown here were
                 # MAC-dropped and stay exempt.
                 self._violate(
                     "causal_monotone", e,
-                    f"frame {e.detail['frame']} aired at t={e.ts:g} before "
-                    f"its cause parent {parent} (t={parent_ts:g})",
+                    f"frame {as_frame_id(e.detail['frame'])} aired at "
+                    f"t={e.ts:g} before its cause parent {parent} "
+                    f"(t={parent_ts:g})",
                 )
         return self.report
 

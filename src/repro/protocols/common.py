@@ -93,7 +93,7 @@ class DisseminationNode(NetworkNode):
 
     protocol: ProtocolName = ProtocolName.DELUGE
 
-    #: Causal-tracer scheduler label (``causal_meta`` detail): names the
+    #: Scheduler label (``flight_meta`` ``profile`` detail): names the
     #: transport family so protocol-comparison tables group runs without
     #: re-deriving it from counters.  Overridden per protocol module.
     causal_profile: str = "arq-union"

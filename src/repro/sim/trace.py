@@ -11,16 +11,21 @@ a run used without a declaration
 (:func:`~repro.obs.catalog.unregistered_names`).
 
 It is also the one observation seam.  Each outcome is reported once, by one
-method: ``enqueue``, ``tx``, ``rx``, ``loss`` (with one of
-:data:`LOSS_CAUSES`), ``mac_drop``, ``auth`` (one of :data:`AUTH_OUTCOMES`),
-``decode``, ``meta`` and ``tracker``.  The method bumps the outcome's
-counters inline, then calls the matching ``on_*`` hook of every subscribed
-:class:`Observer` in subscription order — the constructor subscribes
-``flight`` before ``causal`` — with positional arguments, so no event object
-is allocated per outcome.  A subscriber is called only for the hooks it
-overrides.  Subscribers write to their own sink, never to the counter
-store, so counters, RNG draws and the counted event stream are the same
-whichever recorders are attached.
+method: ``enqueue``, ``tx``, ``frame_end``, ``mac_drop``, ``auth`` (one of
+:data:`AUTH_OUTCOMES`), ``decode``, ``meta`` and ``tracker``.  The method
+bumps the outcome's counters inline, then calls the matching ``on_*`` hook
+of every subscribed :class:`Observer` in subscription order — the
+constructor subscribes ``flight`` before ``causal`` — with positional
+arguments, so no event object is allocated per outcome.  A subscriber is
+called only for the hooks it overrides.  Subscribers write to their own
+sink, never to the counter store, so counters, RNG draws and the counted
+event stream are the same whichever recorders are attached.
+
+Deliveries are counted one by one, by ``rx`` (with :meth:`~TraceRecorder.
+rx_done`) and ``loss`` (with one of :data:`LOSS_CAUSES`), but observers
+hear of them once per aired frame: every receiver of a broadcast hears it
+at the same instant, so ``frame_end`` hands the hooks the frame's whole
+receiver set and each lost receiver's cause.
 
 ``sink`` is the structured event log (:class:`repro.obs.events.EventLog`
 shaped): :meth:`TraceRecorder.record` mirrors counted instants into it and
@@ -94,12 +99,12 @@ class Observer:
     def on_tx(self, ts: float, frame: Any, unit: Optional[int]) -> None:
         """``frame`` went on the air; ``unit`` is its payload's unit, if any."""
 
-    def on_rx(self, ts: float, src: int, dst: int, frame: Any) -> None:
-        """``frame`` was delivered over the directed link ``src -> dst``."""
-
-    def on_loss(self, ts: float, src: int, dst: int, cause: str,
-                frame: Any) -> None:
-        """A delivery of ``frame`` on ``src -> dst`` failed (LOSS_CAUSES)."""
+    def on_frame(self, ts: float, frame: Any, start: float,
+                 delivered: List[int], lost: List[Tuple[int, str]]) -> None:
+        """``frame``, on the air since ``start``, ended at ``ts``: it reached
+        the receivers in ``delivered`` and was lost at each ``(receiver,
+        cause)`` of ``lost`` (LOSS_CAUSES).  An aborted frame reaches
+        nobody, so both lists are empty."""
 
     def on_mac_drop(self, ts: float, frame: Any) -> None:
         """``frame`` left the MAC queue without ever going on the air."""
@@ -142,7 +147,7 @@ class TraceRecorder:
         self.flight = flight
         self.causal = causal
         self._rx_node: Optional[int] = None
-        self._rx_frame: Optional[int] = None
+        self._rx_frame: Any = None
         self._observers: List[Observer] = [
             o for o in (flight, causal) if o is not None]
         self._bind()
@@ -162,8 +167,7 @@ class TraceRecorder:
         self._on_radio = hooks("observe_radio")
         self._on_enqueue = hooks("on_enqueue")
         self._on_tx = hooks("on_tx")
-        self._on_rx = hooks("on_rx")
-        self._on_loss = hooks("on_loss")
+        self._on_frame = hooks("on_frame")
         self._on_mac_drop = hooks("on_mac_drop")
         self._on_auth = hooks("on_auth")
         self._on_decode = hooks("on_decode")
@@ -213,22 +217,26 @@ class TraceRecorder:
         counters["rx_delivered_bytes"] += frame.size_bytes
         self._rx_node = dst
         self._rx_frame = frame.frame_id
-        for hook in self._on_rx:
-            hook(ts, src, dst, frame)
 
     def rx_done(self) -> None:
         """The receiver's handler returned: no frame is being handled."""
         self._rx_node = None
 
-    def current_frame(self, node: int) -> Optional[int]:
-        """The frame id ``node`` is handling right now, or None (timer fire)."""
+    def current_frame(self, node: int) -> Any:
+        """The id of the frame ``node`` is handling right now, or None (a
+        timer fire)."""
         return self._rx_frame if node == self._rx_node else None
 
     def loss(self, ts: float, src: int, dst: int, cause: str,
              frame: Any) -> None:
         self.counters[LOSS_COUNTERS[cause]] += 1
-        for hook in self._on_loss:
-            hook(ts, src, dst, cause, frame)
+
+    def frame_end(self, ts: float, frame: Any, start: float,
+                  delivered: List[int], lost: List[Tuple[int, str]]) -> None:
+        """``frame`` left the air; ``rx``/``loss`` already counted each of
+        its receivers."""
+        for hook in self._on_frame:
+            hook(ts, frame, start, delivered, lost)
 
     def mac_drop(self, ts: float, frame: Any) -> None:
         """The MAC gave up on ``frame`` after too many busy-channel backoffs."""

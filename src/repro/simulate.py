@@ -33,7 +33,8 @@ config, git revision, counters, and wall timings for later diffing with
         --trace-out run.trace.jsonl --manifest run.manifest.json
 
 ``--flight-record`` additionally attaches the protocol flight recorder
-(every transmission, per-packet authentication outcomes, tracking-table
+(every aired frame with its receivers and losses, per-packet
+authentication outcomes, tracking-table
 snapshots, and — at the end of the run — per-link delivery/loss totals and
 the hop topology) so the archived trace can be replayed through
 ``python -m repro.obs check-invariants`` and reduced with
@@ -44,10 +45,11 @@ the hop topology) so the archived trace can be replayed through
     python -m repro.obs check-invariants run.trace.jsonl
     python -m repro.obs analyze run.trace.jsonl --out analysis.json
 
-``--causal-trace`` attaches the causal provenance recorder, alone or next
-to the flight recorder: every frame carries the event that caused it (the
-received frame or timer arm that triggered the transmission), and the archived trace answers "why was
-node ``n``'s completion at time ``t``?"::
+``--causal-trace`` attaches the causal provenance recorder and, since its
+DAG's edges are the flight recorder's frame records, the flight recorder
+too: every frame carries the event that caused it (the received frame or
+timer arm that triggered the transmission), and the archived trace answers
+"why was node ``n``'s completion at time ``t``?"::
 
     python -m repro.simulate --protocol lr-seluge --image-kib 4 --k 8 --n 12 \\
         --loss 0.15 --causal-trace --trace-out run.trace.jsonl
@@ -145,15 +147,18 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write a run manifest (seed, config, git rev, "
                           "counters, timings)")
     obs.add_argument("--flight-record", action="store_true",
-                     help="attach the protocol flight recorder (tx, auth "
-                          "and tracker events; per-link delivery/loss "
+                     help="attach the protocol flight recorder (one record "
+                          "per aired frame with its receivers and losses, "
+                          "auth and tracker events; per-link delivery/loss "
                           "totals and hop topology at the end) to the "
                           "trace; implies structured tracing and feeds "
                           "`python -m repro.obs check-invariants/analyze`")
     obs.add_argument("--causal-trace", action="store_true",
                      help="attach the causal provenance recorder (per-frame "
-                          "cause stamps, cross-node edges) to the trace; "
-                          "implies structured tracing and feeds "
+                          "cause stamps, page decodes) and the flight "
+                          "recorder, whose frame records are the cross-node "
+                          "edges, to the trace; implies structured tracing "
+                          "and feeds "
                           "`python -m repro.obs critical-path/why`")
     return parser
 
@@ -279,7 +284,7 @@ def main(argv=None) -> int:
         from repro.obs.events import EventLog
         log = EventLog()
     flight = None
-    if args.flight_record:
+    if args.flight_record or args.causal_trace:
         from repro.obs.flight import FlightRecorder
         flight = FlightRecorder(log)
     causal = None

@@ -26,6 +26,8 @@ from repro.net.node import NetworkNode
 from repro.net.packet import FrameKind
 from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import Topology
+from repro.obs.events import EventLog
+from repro.obs.flight import FlightRecorder
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Observer, TraceRecorder
@@ -50,11 +52,11 @@ class OutcomeLog(Observer):
     def on_tx(self, ts, frame, unit):
         self.aired[frame.frame_id] = (frame.sender, ts, frame.size_bytes)
 
-    def on_rx(self, ts, src, dst, frame):
-        self.outcomes[(frame.frame_id, dst)] = "delivered"
-
-    def on_loss(self, ts, src, dst, cause, frame):
-        self.outcomes[(frame.frame_id, dst)] = cause
+    def on_frame(self, ts, frame, start, delivered, lost):
+        for dst in delivered:
+            self.outcomes[(frame.frame_id, dst)] = "delivered"
+        for dst, cause in lost:
+            self.outcomes[(frame.frame_id, dst)] = cause
 
 
 class Net:
@@ -250,13 +252,9 @@ def _random_topology(rnd, n, symmetric):
     return neighbors
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-@pytest.mark.parametrize("seed", [1, 4, 5, 6])
-def test_random_schedules_match_oracle(seed, symmetric):
+def _random_net(seed, symmetric, n=12, horizon=20.0):
     rnd = random.Random(seed)
-    n = 12
     net = Net(_random_topology(rnd, n, symmetric))
-    horizon = 20.0
     for _ in range(700):
         net.send_at(rnd.uniform(0.0, horizon), rnd.randrange(n),
                     rnd.choice([1, 1, 1, 4, 20, 60, 200, 700, 3000]))
@@ -270,7 +268,13 @@ def test_random_schedules_match_oracle(seed, symmetric):
         node = rnd.randrange(n)
         net.detach_at(t, node)
         net.attach_at(t + rnd.uniform(0.01, 0.5), node)
-    net.run()
+    return net
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("seed", [1, 4, 5, 6])
+def test_random_schedules_match_oracle(seed, symmetric):
+    net = _random_net(seed, symmetric).run()
     assert net.trace.counters["tx_total"] > 256
     expected = oracle(net)
     assert set(net.log.outcomes) == set(expected)
@@ -281,3 +285,62 @@ def test_random_schedules_match_oracle(seed, symmetric):
     assert "collision" in expected.values()
     # Carrier sense over symmetric links rules half-duplex losses out.
     assert ("halfduplex" in expected.values()) is not symmetric
+
+
+def _flight(net):
+    log = EventLog()
+    flight = FlightRecorder(log)
+    net.trace.subscribe(flight)
+    return log, flight
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("seed", [1, 4, 5, 6])
+def test_frame_records_partition_the_up_neighbours(seed, symmetric):
+    """One flight ``frame`` record per aired frame.  A finished frame's
+    ``rx`` and ``lost`` split, without overlap, exactly the sender's
+    attached neighbours over up links at frame end (nobody, if the sender
+    was detached mid-frame)."""
+    net = _random_net(seed, symmetric)
+    log, flight = _flight(net)
+    net.sim.run(until=15.0)
+    flight.finalize(net.sim.now)
+
+    records = log.of_kind("frame")
+    assert sorted(e.detail["frame"] for e in records) == sorted(net.log.aired)
+    detaches = net.detach_log
+    links = [(t, (s, r), up) for t, s, r, up in net.link_log]
+    for e in records:
+        d, sender = e.detail, e.node
+        assert d["frame"][0] == sender
+        lost = [r for r, _cause in d["lost"]]
+        assert len(set(d["rx"]) | set(lost)) == len(d["rx"]) + len(lost)
+        if d.get("open"):
+            expected = set()
+        elif any(node == sender and not up and e.ts <= t < d["end"]
+                 for t, node, up in detaches):
+            expected = set()  # aborted
+        else:
+            expected = {r for r in net.topo.neighbors[sender]
+                        if _state_at(detaches, r, d["end"], True)
+                        and _state_at(links, (sender, r), d["end"], True)}
+        assert set(d["rx"]) | set(lost) == expected
+
+
+def test_aborted_and_open_frames_get_one_record_each():
+    net = Net({1: [2], 2: [1]})
+    net.send_at(0.0, 1, 200, "aborted")
+    net.detach_at(0.02, 1)
+    net.send_at(0.5, 2, 4000, "open")     # ~1.67 s on air
+    log, flight = _flight(net)
+    net.sim.run(until=1.0)
+    flight.finalize(net.sim.now)
+    aborted, still_on_air = log.of_kind("frame")
+    assert (aborted.node, aborted.ts, aborted.detail["end"]) == (
+        1, 0.0, pytest.approx(net.radio.config.airtime(200)))
+    assert aborted.detail["rx"] == aborted.detail["lost"] == []
+    assert "open" not in aborted.detail
+    assert (still_on_air.node, still_on_air.ts) == (2, 0.5)
+    assert still_on_air.detail["open"] is True
+    assert still_on_air.detail["end"] == 1.0
+    assert still_on_air.detail["rx"] == still_on_air.detail["lost"] == []

@@ -46,12 +46,12 @@ def flight_run():
 
 
 class CausalRun:
-    """One finished causal-traced dissemination (one-hop or multihop)."""
+    """One finished causal-traced dissemination (one-hop or multihop), with
+    the flight recorder attached too, as ``--causal-trace`` does."""
 
-    def __init__(self, result, log, causal, sim, trace):
+    def __init__(self, result, log, sim, trace):
         self.result = result
         self.log = log
-        self.causal = causal
         self.sim = sim
         self.trace = trace
 
@@ -63,8 +63,8 @@ def run_causal(protocol="lr-seluge", receivers=3, loss=0.1, seed=5,
 
     sim = Simulator()
     log = EventLog()
-    causal = CausalRecorder(log)
-    trace = TraceRecorder(sink=log, causal=causal)
+    flight = FlightRecorder(log)
+    trace = TraceRecorder(sink=log, flight=flight, causal=CausalRecorder(log))
     if topology is not None:
         from repro.experiments.scenarios import MultiHopScenario, run_multihop
 
@@ -77,8 +77,9 @@ def run_causal(protocol="lr-seluge", receivers=3, loss=0.1, seed=5,
             protocol=protocol, loss_rate=loss, receivers=receivers,
             image_size=image_size, k=k, n=n, seed=seed, max_time=max_time,
         ), sim=sim, trace=trace)
+    flight.finalize(sim.now)
     log.flush_open_spans(sim.now)
-    return CausalRun(result, log, causal, sim, trace)
+    return CausalRun(result, log, sim, trace)
 
 
 @pytest.fixture

@@ -20,15 +20,26 @@ from repro.obs.causal import (
 from repro.obs.events import EventLog, TraceEvent
 from repro.obs.invariants import check_events
 
+from tests.obs.test_flight import FLIGHT_KINDS
+
+RECORDER_KINDS = FLIGHT_KINDS | {"causal_decode"}
+
 
 def _ev(ts, kind, node=None, **detail):
     return TraceEvent(ts=ts, kind=kind, node=node, detail=detail)
 
 
-def _tx(ts, node, frame, fkind, enq, **rest):
+def _meta(node, base=False):
+    return _ev(0.0, "flight_meta", node=node, protocol="deluge", base=base,
+               total_units=1, secured=False, profile="arq-union")
+
+
+def _frame(ts, node, seq, fkind, enq, end, rx=(), **rest):
+    """Frame ``(node, seq)``: on air ``ts``..``end``, delivered to ``rx``."""
     # detail "kind" (the frame kind) collides with the event-kind kwarg.
-    detail = {"frame": frame, "kind": fkind, "enq": enq, **rest}
-    return TraceEvent(ts=ts, kind="causal_tx", node=node, detail=detail)
+    detail = {"frame": (node, seq), "kind": fkind, "enq": enq, "end": end,
+              "rx": list(rx), "lost": [], **rest}
+    return TraceEvent(ts=ts, kind="frame", node=node, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +53,6 @@ def test_causal_run_satisfies_causal_invariants(causal_run, protocol):
     assert run.result.completed
     report = check_events(run.log)
     assert report.ok, report.summary()
-    assert report.checked["causal_rx_has_tx"] > 0
     assert report.checked["causal_monotone"] > 0
 
 
@@ -79,8 +89,8 @@ def test_critical_path_edges_telescope(causal_run):
 
 
 def test_causal_recorder_does_not_perturb_the_run(causal_run, flight_run):
-    """With the recorder detached the event stream and counters are
-    byte-identical: the causal layer only ever *adds* causal_* events."""
+    """With the recorders detached the event stream and counters are
+    byte-identical: the recorders only ever *add* their own kinds."""
     from repro.experiments.scenarios import OneHopScenario, run_one_hop
     from repro.sim.engine import Simulator
     from repro.sim.trace import TraceRecorder
@@ -101,10 +111,12 @@ def test_causal_recorder_does_not_perturb_the_run(causal_run, flight_run):
 
     assert causal.result.latency == plain_result.latency
     assert causal.trace.counters == plain_trace.counters
-    non_causal = [e.to_dict() for e in causal.log.events
-                  if not e.kind.startswith("causal_")]
-    assert non_causal == [e.to_dict() for e in plain_log.events]
-    assert any(e.kind.startswith("causal_") for e in causal.log.events)
+    plain_kinds = {e.kind for e in plain_log.events}
+    assert not plain_kinds & RECORDER_KINDS
+    unrecorded = [e.to_dict() for e in causal.log.events
+                  if e.kind not in RECORDER_KINDS]
+    assert unrecorded == [e.to_dict() for e in plain_log.events]
+    assert any(e.kind == "causal_decode" for e in causal.log.events)
 
 
 def test_grid_smoke_direction_matches_paper(causal_run):
@@ -129,24 +141,21 @@ def test_grid_smoke_direction_matches_paper(causal_run):
 def _tiny_trace():
     """Base 0 advertises, node 1 requests, base serves, node 1 decodes."""
     return [
-        _ev(0.0, "causal_meta", node=0, protocol="deluge", base=True,
-            total_units=1, secured=False, profile="arq-union"),
-        _ev(0.0, "causal_meta", node=1, protocol="deluge", base=False,
-            total_units=1, secured=False, profile="arq-union"),
-        # base ADV: frame 1, enqueued 1.0, on air 1.2, delivered 1.3
-        _tx(1.2, 0, 1, "adv", 1.0, cause={"trigger": "trickle", "uc": 1}),
-        _ev(1.3, "causal_rx", node=1, frame=1, src=0),
-        # node 1 SNACK: armed by the ADV at 1.3, fires 2.3, airs 2.4
-        _tx(2.4, 1, 2, "snack", 2.3,
-            cause={"trigger": "request", "reason": "first_request",
-                   "armed": 1.3, "parent": 1}),
-        _ev(2.5, "causal_rx", node=0, frame=2, src=1),
-        # base DATA burst: armed by the SNACK at 2.5, enqueued 3.0, airs 3.1
-        _tx(3.1, 0, 3, "data", 3.0, unit=0,
-            cause={"trigger": "serve", "unit": 0, "parent": 2,
-                   "armed": 2.5}),
-        _ev(3.4, "causal_rx", node=1, frame=3, src=0),
-        _ev(3.4, "causal_decode", node=1, unit=0, frame=3, need=8, of=8),
+        _meta(0, base=True),
+        _meta(1),
+        # base ADV (0, 0): enqueued 1.0, on air 1.2, delivered 1.3
+        _frame(1.2, 0, 0, "adv", 1.0, 1.3, rx=[1],
+               cause={"trigger": "trickle", "uc": 1}),
+        # node 1 SNACK (1, 0): armed by the ADV at 1.3, fires 2.3, airs 2.4
+        _frame(2.4, 1, 0, "snack", 2.3, 2.5, rx=[0],
+               cause={"trigger": "request", "reason": "first_request",
+                      "armed": 1.3, "parent": (0, 0)}),
+        # base DATA (0, 1): armed by the SNACK at 2.5, enqueued 3.0, airs 3.1
+        _frame(3.1, 0, 1, "data", 3.0, 3.4, rx=[1], unit=0,
+               cause={"trigger": "serve", "unit": 0, "parent": (1, 0),
+                      "armed": 2.5}),
+        _ev(3.4, "causal_decode", node=1, unit=0, frame=(0, 1), need=8,
+            of=8),
         _ev(3.4, "unit_complete", node=1, unit=0),
         _ev(3.4, "node_complete", node=1, total=1),
     ]
@@ -169,41 +178,38 @@ def test_synthetic_walk_categories_and_attribution():
     assert cp.per_unit()[0]  # every edge explains page 0
 
 
+def test_frame_ids_round_trip_through_jsonl(tmp_path):
+    """A written and reloaded trace (ids and parents become JSON lists)
+    rebuilds the same DAG and critical path as the in-memory one."""
+    from repro.obs.events import load_jsonl
+
+    _header, loaded = load_jsonl(_write_trace(tmp_path, _tiny_trace()))
+    assert loaded[2].detail["frame"] == [0, 0]
+    fresh, reread = build_dag(_tiny_trace()), build_dag(loaded)
+    assert set(reread.tx) == set(fresh.tx) == {(0, 0), (1, 0), (0, 1)}
+    assert reread.rx == fresh.rx
+    assert reread.decodes == fresh.decodes
+    assert critical_path(reread, 1) == critical_path(fresh, 1)
+
+
 def test_synthetic_trace_passes_causal_invariants():
     report = check_events(_tiny_trace())
     assert report.ok, report.summary()
-    assert report.checked["causal_rx_has_tx"] == 3
-    assert report.checked["causal_monotone"] > 0
-
-
-def test_rx_without_tx_violates_grounding():
-    events = _tiny_trace()
-    events.insert(3, _ev(1.35, "causal_rx", node=1, frame=99, src=0))
-    report = check_events(events)
-    assert [v.invariant for v in report.violations] == ["causal_rx_has_tx"]
-    assert "frame 99" in report.violations[0].message
-
-
-def test_loss_without_tx_violates_grounding():
-    events = _tiny_trace()
-    events.append(TraceEvent(ts=3.5, kind="causal_loss", node=1,
-                             detail={"frame": 77, "src": 0,
-                                     "cause": "channel", "kind": "data"}))
-    report = check_events(events)
-    assert [v.invariant for v in report.violations] == ["causal_rx_has_tx"]
+    # three caused frames, their three deliveries, one parented decode
+    assert report.checked["causal_monotone"] == 7
 
 
 def test_delivery_before_air_violates_monotonicity():
     events = _tiny_trace()
-    # frame 3 airs at 3.1 but this delivery claims 3.0
-    events.insert(8, _ev(3.0, "causal_rx", node=1, frame=3, src=0))
+    # frame (0, 1) airs at 3.1 but its record claims delivery at 3.0
+    events[4].detail["end"] = 3.0
     report = check_events(events)
     assert any(v.invariant == "causal_monotone" for v in report.violations)
 
 
 def test_decode_parented_on_undelivered_frame_violates_monotonicity():
-    events = [e for e in _tiny_trace()
-              if not (e.kind == "causal_rx" and e.detail.get("frame") == 3)]
+    events = _tiny_trace()
+    events[4].detail["rx"] = []
     report = check_events(events)
     kinds = {v.invariant for v in report.violations}
     assert "causal_monotone" in kinds
@@ -211,10 +217,11 @@ def test_decode_parented_on_undelivered_frame_violates_monotonicity():
 
 def test_cause_parent_after_tx_violates_monotonicity():
     events = _tiny_trace()
-    # SNACK claims frame 3 (airs at 3.1, *after* this tx) caused it
-    events[4] = _tx(2.4, 1, 2, "snack", 2.3,
-                    cause={"trigger": "request", "reason": "first_request",
-                           "armed": 1.3, "parent": 3})
+    # SNACK claims frame (0, 1) (airs at 3.1, *after* this tx) caused it
+    events[3] = _frame(2.4, 1, 0, "snack", 2.3, 2.5, rx=[0],
+                       cause={"trigger": "request",
+                              "reason": "first_request", "armed": 1.3,
+                              "parent": (0, 1)})
     report = check_events(events)
     assert any(v.invariant == "causal_monotone" for v in report.violations)
 
@@ -223,21 +230,18 @@ def test_walk_truncates_on_mac_dropped_parent():
     """A retry parented on a frame that never aired roots early (no loop,
     no invented time) and is flagged truncated."""
     events = [
-        _ev(0.0, "causal_meta", node=1, protocol="deluge", base=False,
-            total_units=1, secured=False, profile="arq-union"),
-        _tx(5.0, 1, 10, "snack", 4.9,
-            cause={"trigger": "request", "reason": "retry", "armed": 4.0,
-                   "parent": 7}),  # frame 7 was MAC-dropped: no causal_tx
-        _tx(5.2, 0, 11, "data", 5.1, unit=0,
-            cause={"trigger": "serve", "unit": 0, "parent": 10,
-                   "armed": 5.05}),
-        _ev(5.3, "causal_rx", node=1, frame=11, src=0),
-        _ev(5.3, "causal_decode", node=1, unit=0, frame=11, need=8, of=8),
+        _meta(1),
+        # (1, 7) was MAC-dropped: no frame record
+        _frame(5.0, 1, 10, "snack", 4.9, 5.05, rx=[0],
+               cause={"trigger": "request", "reason": "retry", "armed": 4.0,
+                      "parent": (1, 7)}),
+        _frame(5.2, 0, 11, "data", 5.1, 5.3, rx=[1], unit=0,
+               cause={"trigger": "serve", "unit": 0, "parent": (1, 10),
+                      "armed": 5.05}),
+        _ev(5.3, "causal_decode", node=1, unit=0, frame=(0, 11), need=8,
+            of=8),
         _ev(5.3, "node_complete", node=1, total=1),
     ]
-    # the serve parent (frame 10) was never recorded as delivered to the
-    # base, so ground it:
-    events.insert(2, _ev(5.05, "causal_rx", node=0, frame=10, src=1))
     dag = build_dag(events)
     cp = critical_path(dag, 1)
     assert cp is not None
@@ -248,9 +252,7 @@ def test_walk_truncates_on_mac_dropped_parent():
 
 def test_attribute_run_reports_incomplete_nodes():
     events = _tiny_trace()
-    events.append(_ev(0.0, "causal_meta", node=2, protocol="deluge",
-                      base=False, total_units=1, secured=False,
-                      profile="arq-union"))
+    events.append(_meta(2))
     analysis = attribute_run(events)
     assert analysis["completed"] == 1
     stuck = [n for n in analysis["nodes"] if n["node"] == 2]
@@ -295,17 +297,18 @@ def test_comparison_report_has_one_column_per_run(causal_run):
 
 
 def test_chrome_trace_exports_causal_kinds(causal_run):
-    """Causal events land on the Perfetto timeline under the 'causal' cat."""
+    """Frame records and decodes land on the Perfetto timeline, under the
+    'frame' and 'causal' categories."""
     run = causal_run(protocol="deluge", receivers=2)
     doc = run.log.to_chrome_trace()
-    causal_events = [e for e in doc["traceEvents"]
-                     if e.get("cat") == "causal"]
-    assert causal_events
-    kinds = {e["name"] for e in causal_events}
-    assert "causal_tx" in kinds and "causal_rx" in kinds
-    assert "causal_meta" in kinds and "causal_decode" in kinds
-    tx = next(e for e in causal_events if e["name"] == "causal_tx")
-    assert "frame" in tx["args"]
+    by_cat = {}
+    for e in doc["traceEvents"]:
+        by_cat.setdefault(e.get("cat"), set()).add(e["name"])
+    assert by_cat["causal"] == {"causal_decode"}
+    assert by_cat["frame"] == {"frame"}
+    frame = next(e for e in doc["traceEvents"] if e["name"] == "frame")
+    assert {"frame", "rx", "lost", "cause"} <= set(frame["args"])
+    json.dumps(doc)  # frame ids and loss pairs serialise
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +342,8 @@ def test_cli_critical_path_json_output(tmp_path, capsys):
 def test_cli_critical_path_gates_on_attribution_and_completion(tmp_path,
                                                                capsys):
     # no completed receivers -> exit 1
-    empty = _write_trace(tmp_path, [
-        _ev(0.0, "causal_meta", node=0, protocol="deluge", base=True,
-            total_units=1, secured=False, profile="arq-union"),
-        _ev(0.0, "causal_meta", node=1, protocol="deluge", base=False,
-            total_units=1, secured=False, profile="arq-union"),
-    ], name="empty.jsonl")
+    empty = _write_trace(tmp_path, [_meta(0, base=True), _meta(1)],
+                         name="empty.jsonl")
     assert main(["critical-path", empty]) == 1
     assert "no completed receivers" in capsys.readouterr().err
     # missing file -> exit 2
@@ -375,13 +374,19 @@ def test_cli_why_rejects_unknown_node_and_non_causal_trace(tmp_path, capsys):
     ], name="plain.jsonl")
     assert main(["why", plain, "--node", "1"]) == 2
     assert "--causal-trace" in capsys.readouterr().err
+    # a flight-only trace has frame records but no cause stamps
+    flight_only = _write_trace(tmp_path, [
+        _meta(0, base=True), _meta(1),
+        _frame(1.2, 0, 0, "adv", 1.0, 1.3, rx=[1]),
+        _ev(1.3, "node_complete", node=1, total=1),
+    ], name="flight.jsonl")
+    assert main(["why", flight_only, "--node", "1"]) == 2
+    assert "--causal-trace" in capsys.readouterr().err
 
 
 def test_cli_why_incomplete_node_exits_one(tmp_path, capsys):
     events = _tiny_trace()
-    events.append(_ev(0.0, "causal_meta", node=2, protocol="deluge",
-                      base=False, total_units=1, secured=False,
-                      profile="arq-union"))
+    events.append(_meta(2))
     trace = _write_trace(tmp_path, events)
     assert main(["why", trace, "--node", "2"]) == 1
     assert "never completed" in capsys.readouterr().out

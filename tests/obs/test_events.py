@@ -109,42 +109,22 @@ def test_load_jsonl_rejects_bad_headers(tmp_path):
         load_jsonl(future)
 
 
-def test_schema_v1_traces_remain_readable(tmp_path):
-    # Schema v2 added the causal_* event kinds without changing the event
-    # record shape, so v1 traces written before the bump must still load,
-    # analyze, and pass the invariant checker.
-    assert TRACE_SCHEMA_VERSION == 2
-    assert SUPPORTED_SCHEMA_VERSIONS == frozenset({1, 2})
-    path = tmp_path / "legacy.trace.jsonl"
-    lines = [json.dumps({
-        "type": "header", "schema_version": 1, "events": 3, "dropped": 0,
-    })]
-    for record in (
-        {"ts": 0.5, "kind": "tx_data", "ph": "i", "node": 0,
-         "detail": {"unit": 0}},
-        {"ts": 0.9, "kind": "unit_complete", "ph": "i", "node": 1,
-         "detail": {"unit": 0}},
-        {"ts": 0.9, "kind": "node_complete", "ph": "i", "node": 1,
-         "detail": {"total": 1}},
-    ):
-        lines.append(json.dumps(record))
-    path.write_text("\n".join(lines) + "\n")
-
-    header, events = load_jsonl(path)
-    assert header["schema_version"] == 1
-    assert [e.kind for e in events] == [
-        "tx_data", "unit_complete", "node_complete",
-    ]
-
-    from repro.obs.analyze import analyze_jsonl
-    analysis = analyze_jsonl(path)
-    assert analysis["type"] == "flight_analysis"
-    assert analysis["completed"] == 1
-
-    from repro.obs.invariants import check_jsonl
-    report = check_jsonl(path)
-    assert report.ok
-    assert report.events_seen == 3
+def test_schema_v1_and_v2_traces_are_rejected(tmp_path):
+    # Schema v3 logs each aired frame once, as a ``frame`` record named by
+    # its (sender, seq) id; the v1/v2 frame kinds (link_tx, causal_tx,
+    # causal_rx, causal_loss) and their global frame numbers have no reader
+    # left, so older traces fail loudly instead of replaying half-empty.
+    assert TRACE_SCHEMA_VERSION == 3
+    assert SUPPORTED_SCHEMA_VERSIONS == frozenset({3})
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.trace.jsonl"
+        path.write_text(json.dumps({
+            "type": "header", "schema_version": version, "events": 1,
+        }) + "\n" + json.dumps(
+            {"ts": 0.5, "kind": "link_tx", "ph": "i", "node": 0,
+             "detail": {"kind": "data", "unit": 0}}) + "\n")
+        with pytest.raises(ValueError, match="unsupported trace schema"):
+            load_jsonl(path)
 
 
 def test_trace_event_dict_round_trip():

@@ -9,6 +9,13 @@ from repro.obs.flight import LOSS_CAUSES, FlightRecorder
 from repro.sim.trace import LOSS_COUNTERS
 from tests.obs.conftest import run_flight
 
+#: Every kind the flight recorder writes.
+FLIGHT_KINDS = frozenset({
+    "frame", "link_auth_drop", "link_duplicate", "pkt_auth_ok",
+    "pkt_buffered", "tracker_snapshot", "flight_meta", "flight_topology",
+    "flight_link_stats",
+})
+
 
 def test_flight_meta_covers_every_node(flight_run):
     run = flight_run(protocol="lr-seluge", receivers=3)
@@ -46,7 +53,7 @@ def test_link_accounting_matches_event_stream(flight_run):
 
 def test_data_tx_events_carry_the_unit(flight_run):
     run = flight_run(protocol="lr-seluge", receivers=2)
-    txs = run.log.of_kind("link_tx")
+    txs = run.log.of_kind("frame")
     data_txs = [e for e in txs if e.detail["kind"] == "data"]
     assert data_txs and all("unit" in e.detail for e in data_txs)
     adv_txs = [e for e in txs if e.detail["kind"] == "adv"]
@@ -121,10 +128,5 @@ def test_flight_recording_does_not_perturb_the_run(protocol):
     assert plain_trace.snapshot() == flight_trace.snapshot()
     # The flight events interleave, but the underlying counter/span stream
     # is byte-identical: strip the flight-only kinds and compare.
-    flight_kinds = {
-        "link_tx", "link_auth_drop", "link_duplicate", "pkt_auth_ok",
-        "pkt_buffered", "tracker_snapshot", "flight_meta", "flight_topology",
-        "flight_link_stats",
-    }
-    stripped = [e for e in log.events if e.kind not in flight_kinds]
+    stripped = [e for e in log.events if e.kind not in FLIGHT_KINDS]
     assert stripped == plain_log.events

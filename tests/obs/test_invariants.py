@@ -12,10 +12,12 @@ def _ev(ts, kind, node=None, **detail):
     return TraceEvent(ts=ts, kind=kind, node=node, detail=detail)
 
 
-def _data_tx(ts, node, unit):
+def _data_tx(ts, node, unit, seq=0):
     # detail "kind" (the frame kind) collides with the event-kind kwarg above.
-    return TraceEvent(ts=ts, kind="link_tx", node=node,
-                      detail={"kind": "data", "size": 83, "unit": unit})
+    return TraceEvent(ts=ts, kind="frame", node=node,
+                      detail={"frame": (node, seq), "kind": "data",
+                              "size": 83, "enq": ts, "end": ts + 0.05,
+                              "unit": unit, "rx": [], "lost": []})
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def test_serve_only_decoded_flags_premature_service():
         _ev(0.0, "flight_meta", 1, base=False, secured=True),
         _ev(1.0, "unit_complete", 1, unit=0),
         _data_tx(2.0, 1, unit=0),
-        _data_tx(3.0, 1, unit=1),
+        _data_tx(3.0, 1, unit=1, seq=1),
     ]
     report = check_events(events)
     assert report.checked["serve_only_decoded"] == 2
@@ -158,6 +160,20 @@ def test_serve_only_decoded_exempts_base_and_outsiders():
     report = check_events(events)
     assert report.ok
     assert report.checked["serve_only_decoded"] == 1  # only the base tx
+
+
+def test_serve_only_decoded_judges_a_frame_at_its_air_start():
+    """A frame record is written when the frame leaves the air; the sender
+    adopting a new version while it was on the air does not count."""
+    events = [
+        _ev(0.0, "flight_meta", 1, base=False, secured=True),
+        _ev(1.0, "unit_complete", 1, unit=0),
+        _ev(2.02, "version_adopted", 1, version=3),
+        _data_tx(2.0, 1, unit=0),     # on the air 2.0 .. 2.05
+    ]
+    report = check_events(events)
+    assert report.ok, report.summary()
+    assert report.checked["serve_only_decoded"] == 1
 
 
 def test_pages_sequential_flags_a_skip():

@@ -1,14 +1,14 @@
 """Byte-level pin of the combined flight + causal event stream.
 
 Both recorders share one :class:`EventLog`, so the order in which they write
-for the same outcome (flight first, then causal) is part of the archived
-trace format.  These runs attach both and pin the sha256 of the JSONL stream
-and of the counter snapshot: any change to what a recorder emits, to the
-order they emit it in, or to the counters a recorder could disturb shows up
-here.
+is part of the archived trace format.  These runs attach both and pin the
+sha256 of the JSONL stream and of the counter snapshot: any change to what a
+recorder emits, to the order they emit it in, or to the counters a recorder
+could disturb shows up here.
 
-Frame ids come from a process-wide counter, so each run restarts it to keep
-the digests independent of which tests ran before.
+Frame ids are ``(sender, seq)`` pairs counted by each node, so a run's
+stream depends on nothing the process ran before it; the determinism test
+below runs one scenario twice in a row to hold that.
 
 To re-pin after a deliberate change to the trace format, print
 ``_digests(*_grid_run())`` and ``_digests(*_forgery_run())``.
@@ -17,7 +17,6 @@ To re-pin after a deliberate change to the trace format, print
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 
 import pytest
@@ -31,7 +30,6 @@ from repro.experiments.scenarios import (
     make_params,
     run_multihop,
 )
-from repro.net import packet
 from repro.net.channel import NoLoss
 from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import star_topology
@@ -42,11 +40,6 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 
 
-@pytest.fixture(autouse=True)
-def _fresh_frame_ids(monkeypatch):
-    monkeypatch.setattr(packet, "_frame_ids", itertools.count())
-
-
 def _recorded_trace():
     log = EventLog()
     flight = FlightRecorder(log)
@@ -54,13 +47,14 @@ def _recorded_trace():
     return log, flight, trace
 
 
-def _grid_run():
-    """The causal-smoke configuration: lossy 4x4 grid, collisions on."""
+def _grid_run(topology="grid:4x4:4", image_size=8 * 1024, k=16, n=24):
+    """By default the causal-smoke configuration: lossy 4x4 grid,
+    collisions on."""
     sim = Simulator()
     log, flight, trace = _recorded_trace()
     result = run_multihop(MultiHopScenario(
-        protocol="lr-seluge", topology="grid:4x4:4", image_size=8 * 1024,
-        k=16, n=24, seed=3,
+        protocol="lr-seluge", topology=topology, image_size=image_size,
+        k=k, n=n, seed=3,
     ), sim=sim, trace=trace)
     assert result.completed and result.images_ok
     flight.finalize(sim.now)
@@ -102,10 +96,20 @@ def _digests(log, trace):
             _sha(json.dumps(trace.snapshot(), sort_keys=True)))
 
 
+def test_same_scenario_twice_in_one_process_is_byte_identical():
+    """Nothing in a recorded stream (frame ids and cause parents included)
+    depends on what the process ran before."""
+    small = dict(topology="grid:3x3:4", image_size=2 * 1024, k=8, n=12)
+    first, _ = _grid_run(**small)
+    second, _ = _grid_run(**small)
+    assert first.of_kind("frame") and first.of_kind("causal_decode")
+    assert first.to_jsonl() == second.to_jsonl()
+
+
 def test_grid_stream_and_counters_are_pinned():
     events, counters = _digests(*_grid_run())
     assert events == (
-        "f1dfeccbd91acb9c7b54cdffab723d491c4f85413072b6f794310d974838088a")
+        "41242c105c2d003ac8b29a17dc764136d7f1118e29b0f75fcf73b3b3d23c9979")
     assert counters == (
         "ab198c7480873788ec5d90bcf81d0c151c80e24880c708cb3c489870cb6b784a")
 
@@ -113,6 +117,6 @@ def test_grid_stream_and_counters_are_pinned():
 def test_forgery_stream_and_counters_are_pinned():
     events, counters = _digests(*_forgery_run())
     assert events == (
-        "c454423806ada299a5f56320aacef573b6d2e7c56647905852037b94280dd8c3")
+        "78a7e7698958385d27bbad4e6c11c5e228e4fc30afbfc5bc49786c3b1aa34ae0")
     assert counters == (
         "2e725446deb2fa313b4df2a4de37a6f068f7cc4fb23f06c5b5ca642dfcab8ea7")

@@ -269,7 +269,7 @@ def test_pinned_baseline_digests():
     assert metrics_digest(result) == (
         "03aea5b8e769ffb44afbc226d2d9042ceb6f615ce9cf1df72429dbdb9d737e45")
     assert event_digest(log) == (
-        "4fca291a61ac4231c1faa60056c2c6b295007fa4fdaca6b3da6ba79e0b7fd07e")
+        "f14038caf54d49bcca1f94255586aaefc8c69bf424e0bcc6e48df66ebc9b7e6d")
 
 
 def test_divergence_detection_catches_an_injected_race():

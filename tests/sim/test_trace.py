@@ -122,11 +122,8 @@ class Calls(Observer):
         self.name = name
         self.log = log
 
-    def on_rx(self, ts, src, dst, frame):
-        self.log.append((self.name, "rx", dst))
-
-    def on_loss(self, ts, src, dst, cause, frame):
-        self.log.append((self.name, "loss", cause))
+    def on_frame(self, ts, frame, start, delivered, lost):
+        self.log.append((self.name, start, ts, delivered, lost))
 
 
 def _frame(frame_id=7, size=10):
@@ -139,11 +136,15 @@ def _frame(frame_id=7, size=10):
 def test_outcomes_count_then_reach_observers_flight_first():
     log = []
     t = TraceRecorder(flight=Calls("flight", log), causal=Calls("causal", log))
+    # Deliveries and losses are counted one by one; observers hear of them
+    # once per frame, at frame end.
     t.rx(1.0, 1, 2, _frame())
-    t.loss(2.0, 1, 3, "collision", _frame())
-    assert log == [("flight", "rx", 2), ("causal", "rx", 2),
-                   ("flight", "loss", "collision"),
-                   ("causal", "loss", "collision")]
+    t.rx_done()
+    t.loss(1.0, 1, 3, "collision", _frame())
+    assert log == []
+    t.frame_end(1.0, _frame(), 0.9, [2], [(3, "collision")])
+    assert log == [("flight", 0.9, 1.0, [2], [(3, "collision")]),
+                   ("causal", 0.9, 1.0, [2], [(3, "collision")])]
     assert t.counters["rx_delivered"] == 1
     assert t.counters["rx_delivered_bytes"] == 10
     assert t.counters["rx_collision"] == 1
