@@ -67,8 +67,7 @@ class PersistError(ReproError):
     """A durable write through :mod:`repro.persist` failed.
 
     Raised instead of a bare :class:`OSError` when the sanctioned persistence
-    layer cannot complete a write — typically ENOSPC or EIO from the real
-    filesystem, or an injected fault from the storage chaos engine.  The
+    layer cannot complete a write — typically ENOSPC or EIO.  The
     structured payload says *how far* the write got: ``partial_bytes > 0``
     on an append means a torn trailing record may now exist on disk (which
     the next append repairs), while ``partial_bytes == 0`` means the target

@@ -13,20 +13,15 @@ directory:
   with the full failure taxonomy (kind, error, traceback, backoff waits) so
   a campaign postmortem needs no log spelunking.
 
-Both journals are **append-only** during a run: each record lands through
+Both journals are **append-only**: each record lands through
 :func:`repro.persist.atomic_append_jsonl` — one fsynced ``O_APPEND`` write,
 O(record) instead of the full-file rewrite the first implementation paid per
 cell.  A kill mid-append can at worst leave one torn *trailing* line, which
-the loader tolerates (and which the next append truncates away before
-writing).  Within one run the executor journals each task key once, so the
-journal only needs **compaction** — last-wins dedup by key, rewritten
-through :func:`repro.persist.atomic_write_jsonl`'s temp-then-rename path —
-when a resume finds it dirty; a crash at any point during that compaction
-leaves either the old appended journal or the new compacted one on disk,
-never a mix.  The storage chaos engine (:mod:`repro.chaos`) explores a
-simulated kill at every persist operation of a campaign run and asserts
-the resume after it stays byte-identical; the resume itself (and so this
-compaction) is not killed.
+the loader skips and the next append truncates away before writing, on
+resume exactly as mid-run.  Within one run the executor journals each task
+key once; should a key appear twice (a cell that completed around a kill),
+:meth:`CampaignCheckpoint.completed` resolves it last-wins, so a resume
+never rewrites the journal.
 
 The journal is single-writer by design: one campaign process owns a
 checkpoint directory at a time.
@@ -37,21 +32,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.persist import (
-    JsonlReport,
-    atomic_append_jsonl,
-    atomic_write_jsonl,
-    read_jsonl_report,
-)
+from repro.persist import atomic_append_jsonl, atomic_write_jsonl, read_jsonl
 
 __all__ = ["CHECKPOINT_SCHEMA_VERSION", "CampaignCheckpoint"]
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
 
-def _valid_records(report: JsonlReport) -> List[Dict[str, Any]]:
+def _valid_records(records: List[Any]) -> List[Dict[str, Any]]:
     return [
-        r for r in report.records
+        r for r in records
         if isinstance(r, dict)
         and r.get("schema_version") == CHECKPOINT_SCHEMA_VERSION
     ]
@@ -62,13 +52,9 @@ class CampaignCheckpoint:
 
     ``resume=False`` starts a fresh journal (truncating any stale one in the
     directory); ``resume=True`` loads the existing records so the executor
-    can skip already-completed tasks.  On resume, a journal left dirty by a
-    crash — torn tail, or duplicate keys from a cell that completed twice
-    around a kill — is healed by an immediate compaction, so the post-resume
-    on-disk state is always clean.  ``load_report`` keeps the tolerant-read
-    evidence (torn/skipped line counts per journal) for postmortems: a torn
-    *tail* is the expected post-crash state, torn *interior* lines are real
-    corruption and are surfaced, never silently dropped.
+    can skip already-completed tasks.  Resuming only reads: a torn tail left
+    by a crash is healed by the next append, and a key journalled twice
+    resolves last-wins.
     """
 
     def __init__(
@@ -80,22 +66,12 @@ class CampaignCheckpoint:
         self.quarantine_path = self.directory / "quarantine.jsonl"
         self._records: List[Dict[str, Any]] = []
         self._quarantine: List[Dict[str, Any]] = []
-        self.load_report: Dict[str, JsonlReport] = {}
         if resume:
-            ckpt_report = read_jsonl_report(self.path)
-            quarantine_report = read_jsonl_report(self.quarantine_path)
-            self.load_report = {
-                "checkpoint": ckpt_report,
-                "quarantine": quarantine_report,
-            }
-            self._records = _valid_records(ckpt_report)
+            self._records = _valid_records(read_jsonl(self.path))
             self._quarantine = [
-                r for r in quarantine_report.records if isinstance(r, dict)
+                r for r in read_jsonl(self.quarantine_path)
+                if isinstance(r, dict)
             ]
-            if not ckpt_report.clean or self._has_duplicate_keys():
-                self.compact()
-            if not quarantine_report.clean:
-                atomic_write_jsonl(self.quarantine_path, self._quarantine)
         else:
             atomic_write_jsonl(self.path, self._records)
             atomic_write_jsonl(self.quarantine_path, self._quarantine)
@@ -123,22 +99,6 @@ class CampaignCheckpoint:
         }
         self._records.append(record)
         atomic_append_jsonl(self.path, record)
-
-    def compact(self) -> None:
-        """Rewrite the completed-task journal deduplicated, crash-safely.
-
-        Last-wins dedup by key, preserving first-seen order; the rewrite
-        goes through the atomic temp-then-rename path, so a kill at any
-        point leaves either the old appended journal or the new compacted
-        one — both fully parseable, both containing every completed task.
-        """
-        deduped = list(self.completed().values())
-        self._records = deduped
-        atomic_write_jsonl(self.path, deduped)
-
-    def _has_duplicate_keys(self) -> bool:
-        keys = [str(r.get("key")) for r in self._records]
-        return len(keys) != len(set(keys))
 
     # -- quarantined tasks ------------------------------------------------------
 

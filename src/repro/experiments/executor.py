@@ -151,7 +151,8 @@ class CampaignConfig:
     timeouts and kill-based preemption.
 
     ``pace_s`` inserts a minimum wall-clock delay before each inline cell —
-    a throttle for shared machines (and the chaos tests' kill window).
+    a throttle for shared machines (and the SIGKILL resume test's kill
+    window).
 
     ``reports`` accumulates one :class:`CampaignReport` per ``run_campaign``
     call that used this config, so a CLI driving several campaigns (e.g.

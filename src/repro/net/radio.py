@@ -39,7 +39,7 @@ from repro.net.packet import Frame
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import LOSS_COUNTERS, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import NetworkNode
@@ -302,7 +302,7 @@ class Radio:
             return
         rngs, tamper, nodes = self.rngs, self.tamper, self._nodes
         halfduplex, collided = tx.halfduplex or (), tx.collided or ()
-        should_drop = self.loss_model.should_drop
+        should_drop, count = self.loss_model.should_drop, trace.count
         for receiver in self.neighbors(sender):
             if receiver in halfduplex:
                 cause = "halfduplex"
@@ -313,13 +313,13 @@ class Radio:
             else:
                 received = frame if tamper is None else tamper(frame, sender, receiver)
                 if received is not None:
-                    trace.rx(now, sender, receiver, frame)
+                    trace.rx(receiver, frame)
                     nodes[receiver].on_receive(received, sender)
                     trace.rx_done()
                     delivered.append(receiver)
                     continue
                 cause = "tamper"
-            trace.loss(now, sender, receiver, cause, frame)
+            count(LOSS_COUNTERS[cause])
             lost.append((receiver, cause))
         trace.frame_end(now, frame, tx.start, delivered, lost)
         self._pump(sender)

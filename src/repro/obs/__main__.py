@@ -268,5 +268,5 @@ if __name__ == "__main__":
 
         # Not durability I/O: re-point the dying stdout at /dev/null so the
         # interpreter's shutdown flush cannot raise a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # replint: disable=REP019 -- stdout redirect, not a persisted artifact
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # replint: disable=REP012 -- stdout redirect, not a persisted artifact
         sys.exit(0)

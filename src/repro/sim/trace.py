@@ -21,11 +21,14 @@ called only for the hooks it overrides.  Subscribers write to their own
 sink, never to the counter store, so counters, RNG draws and the counted
 event stream are the same whichever recorders are attached.
 
-Deliveries are counted one by one, by ``rx`` (with :meth:`~TraceRecorder.
-rx_done`) and ``loss`` (with one of :data:`LOSS_CAUSES`), but observers
-hear of them once per aired frame: every receiver of a broadcast hears it
-at the same instant, so ``frame_end`` hands the hooks the frame's whole
-receiver set and each lost receiver's cause.
+Deliveries and losses are counted one by one, as the radio reaches each
+receiver: a delivery by ``rx`` (with :meth:`~TraceRecorder.rx_done`), a
+loss by ``count`` of its cause's :data:`LOSS_COUNTERS` entry.  A run that
+completes inside a receive handler freezes its counters there, mid-frame,
+so each must land when it happens.  Observers hear of both once per aired
+frame: every receiver of a broadcast hears it at the same instant, so
+``frame_end`` hands the hooks the frame's whole receiver set and each lost
+receiver's cause.
 
 ``sink`` is the structured event log (:class:`repro.obs.events.EventLog`
 shaped): :meth:`TraceRecorder.record` mirrors counted instants into it and
@@ -209,7 +212,7 @@ class TraceRecorder:
         for hook in self._on_tx:
             hook(ts, frame, unit)
 
-    def rx(self, ts: float, src: int, dst: int, frame: Any) -> None:
+    def rx(self, dst: int, frame: Any) -> None:
         """``frame`` reached ``dst``; it is ``dst``'s current frame until
         :meth:`rx_done`."""
         counters = self.counters
@@ -227,14 +230,10 @@ class TraceRecorder:
         timer fire)."""
         return self._rx_frame if node == self._rx_node else None
 
-    def loss(self, ts: float, src: int, dst: int, cause: str,
-             frame: Any) -> None:
-        self.counters[LOSS_COUNTERS[cause]] += 1
-
     def frame_end(self, ts: float, frame: Any, start: float,
                   delivered: List[int], lost: List[Tuple[int, str]]) -> None:
-        """``frame`` left the air; ``rx``/``loss`` already counted each of
-        its receivers."""
+        """``frame`` left the air; its receivers were already counted, one
+        by one, as the radio reached them."""
         for hook in self._on_frame:
             hook(ts, frame, start, delivered, lost)
 

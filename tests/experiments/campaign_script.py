@@ -1,4 +1,4 @@
-"""A small resumable sweep campaign, run as a subprocess by the chaos tests.
+"""A small resumable sweep campaign, run as a subprocess by test_resume_determinism.py.
 
 Usage::
 

@@ -1,12 +1,23 @@
-"""Tests for the crash-safe campaign checkpoint journal and persist helpers."""
+"""Tests for the crash-safe campaign checkpoint journal and persist helpers.
 
+Durability is pinned here by targeted tests, one per way a write can go
+wrong (a full disk mid-write, a short write, a torn tail left by a kill),
+and end to end by ``test_resume_determinism.py``'s real SIGKILL.  Faults
+are injected by monkeypatching ``os.write``, which is the only call that
+moves bytes in :mod:`repro.persist`.
+"""
+
+import errno
 import json
+import os
 
 import pytest
 
+from repro.errors import PersistError
 from repro.experiments.checkpoint import CHECKPOINT_SCHEMA_VERSION, CampaignCheckpoint
 from repro.persist import (
-    atomic_write_jsonl,
+    atomic_append_jsonl,
+    atomic_write_json,
     atomic_write_text,
     read_jsonl,
 )
@@ -30,25 +41,110 @@ def test_atomic_write_text_creates_parent_dirs(tmp_path):
     assert target.read_text(encoding="utf-8") == "deep"
 
 
-def test_atomic_write_failure_cleans_temp_and_keeps_old(tmp_path):
+def test_atomic_write_failure_cleans_temp_and_keeps_old(tmp_path, monkeypatch):
     target = tmp_path / "artifact.json"
-    atomic_write_text(target, "old")
+    atomic_write_json(target, {"generation": 1})
 
-    class Unserialisable:
-        pass
+    def full_disk(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    with pytest.raises(TypeError):
-        atomic_write_jsonl(target, [{"bad": Unserialisable()}])
-    assert target.read_text(encoding="utf-8") == "old"
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(PersistError) as err:
+        atomic_write_json(target, {"generation": 2})
+    monkeypatch.undo()
+    assert err.value.errno == errno.ENOSPC
+    assert err.value.partial_bytes == 0
+    assert json.loads(target.read_text(encoding="utf-8")) == {"generation": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
-def test_read_jsonl_tolerates_torn_tail(tmp_path):
+def test_enospc_on_write_surfaces_partial_byte_count(tmp_path, monkeypatch):
+    # The disk fills after half the payload is written: the error reports
+    # how far the write got, and no partial target is ever exposed.
+    real_write = os.write
+    calls = []
+
+    def fills_up(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[: len(data) // 2])
+
+    monkeypatch.setattr(os, "write", fills_up)
+    with pytest.raises(PersistError) as err:
+        atomic_write_text(tmp_path / "a.txt", "x" * 64)
+    monkeypatch.undo()
+    assert err.value.errno == errno.ENOSPC
+    assert err.value.partial_bytes == 32
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_json_write_leaves_previous_content(tmp_path, monkeypatch):
+    # The temp file is complete but fsync fails: the error propagates, the
+    # previous generation stays readable and the temp file is removed.
+    target = tmp_path / "state.json"
+    atomic_write_json(target, {"generation": 1})
+
+    def failing_fsync(fd):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError) as err:
+        atomic_write_json(target, {"generation": 2})
+    monkeypatch.undo()
+    assert err.value.errno == errno.EIO
+    assert json.loads(target.read_text(encoding="utf-8")) == {"generation": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+def test_short_writes_are_finished_by_the_loop(tmp_path, monkeypatch):
+    real_write = os.write
+    calls = []
+
+    def half_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[: max(1, len(data) // 2)])
+
+    monkeypatch.setattr(os, "write", half_write)
+    atomic_append_jsonl(tmp_path / "a.jsonl", {"payload": "x" * 64})
+    atomic_write_text(tmp_path / "b.txt", "y" * 64)
+    monkeypatch.undo()
+    assert read_jsonl(tmp_path / "a.jsonl") == [{"payload": "x" * 64}]
+    assert (tmp_path / "b.txt").read_text(encoding="utf-8") == "y" * 64
+    assert len(calls) > 2
+
+
+def test_read_jsonl_tolerates_torn_tail(tmp_path, caplog):
     path = tmp_path / "journal.jsonl"
     lines = [json.dumps({"i": 0}), json.dumps({"i": 1}), '{"i": 2, "tor']
     path.write_text("\n".join(lines), encoding="utf-8")
-    assert read_jsonl(path) == [{"i": 0}, {"i": 1}]
+    with caplog.at_level("WARNING", logger="repro.persist"):
+        assert read_jsonl(path) == [{"i": 0}, {"i": 1}]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: torn trailing line (crash mid-append?); kept 2 complete "
+        "record(s)"
+    ]
     assert read_jsonl(tmp_path / "missing.jsonl") == []
+
+
+def test_interior_corruption_is_reported_not_swallowed(tmp_path, caplog):
+    path = tmp_path / "journal.jsonl"
+    path.write_text('{"a": 1}\nnot json at all\n{"b": 2}\n', encoding="utf-8")
+    with caplog.at_level("WARNING", logger="repro.persist"):
+        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1 and "corruption" in messages[0]
+
+
+def test_next_append_drops_a_torn_fragment(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    atomic_append_jsonl(path, {"complete": 1})
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"doomed": tr')  # a writer killed mid-record
+    atomic_append_jsonl(path, {"after": 2})
+    assert path.read_text(encoding="utf-8") == (
+        '{"complete": 1}\n{"after": 2}\n'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +205,7 @@ def test_journal_survives_kill_between_records(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# append-only journal + compaction
+# append-only journal
 # ---------------------------------------------------------------------------
 
 def test_records_append_without_rewriting_earlier_lines(tmp_path):
@@ -122,7 +218,7 @@ def test_records_append_without_rewriting_earlier_lines(tmp_path):
     assert path.read_bytes()[: len(first)] == first
 
 
-def test_resume_heals_torn_tail_and_duplicates(tmp_path):
+def test_resume_reads_duplicates_last_wins_and_next_append_heals(tmp_path, caplog):
     journal = CampaignCheckpoint(tmp_path)
     journal.record_completed("a", "", {"v": 1}, [])
     journal.record_completed("a", "", {"v": 2}, [])
@@ -131,11 +227,18 @@ def test_resume_heals_torn_tail_and_duplicates(tmp_path):
         fh.write('{"torn": ')  # mid-append kill
     resumed = CampaignCheckpoint(tmp_path, resume=True)
     assert resumed.completed()["a"]["result"] == {"v": 2}
-    # The post-resume journal is compacted clean: one line, no fragment.
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["result"] == {"v": 2}
-    assert resumed.load_report["checkpoint"].torn_tail
+    resumed.record_completed("b", "", {"v": 3}, [])
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="repro.persist"):
+        records = read_jsonl(path)
+    assert caplog.records == []
+    assert [(r["key"], r["result"]) for r in records] == [
+        ("a", {"v": 1}), ("a", {"v": 2}), ("b", {"v": 3}),
+    ]
+    again = CampaignCheckpoint(tmp_path, resume=True).completed()
+    assert {k: r["result"] for k, r in again.items()} == {
+        "a": {"v": 2}, "b": {"v": 3},
+    }
 
 
 def test_resume_keeps_clean_journal_byte_identical(tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PersistError
 from repro.experiments.backoff import BackoffPolicy
 from repro.experiments.executor import (
     DEFAULT_WATCHDOG_MAX_EVENTS,
@@ -242,6 +242,20 @@ def test_checkpoint_resume_skips_completed_cells(tmp_path):
     assert resumed.report.completed == 3
     statuses = {info["status"] for info in resumed.report.tasks.values()}
     assert statuses == {"resumed"}
+
+
+def test_journal_write_failure_stops_the_campaign(tmp_path, monkeypatch):
+    """A cell failure is retried and quarantined, but a campaign that cannot
+    journal its progress cannot promise a byte-identical resume: it dies."""
+    def full_disk(path, record):
+        raise PersistError(f"write to {path} failed", path=str(path))
+
+    monkeypatch.setattr(
+        "repro.experiments.checkpoint.atomic_append_jsonl", full_disk
+    )
+    config = CampaignConfig(checkpoint_dir=tmp_path, backoff=FAST)
+    with pytest.raises(PersistError):
+        run_campaign([task("t0", double, x=1)], config)
 
 
 def test_resume_runs_only_missing_cells(tmp_path):

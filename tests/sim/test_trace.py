@@ -2,7 +2,7 @@
 
 from types import SimpleNamespace
 
-from repro.sim.trace import LOSS_COUNTERS, Observer, TraceRecorder
+from repro.sim.trace import LOSS_CAUSES, LOSS_COUNTERS, Observer, TraceRecorder
 
 
 def test_counters_accumulate():
@@ -138,9 +138,9 @@ def test_outcomes_count_then_reach_observers_flight_first():
     t = TraceRecorder(flight=Calls("flight", log), causal=Calls("causal", log))
     # Deliveries and losses are counted one by one; observers hear of them
     # once per frame, at frame end.
-    t.rx(1.0, 1, 2, _frame())
+    t.rx(2, _frame())
     t.rx_done()
-    t.loss(1.0, 1, 3, "collision", _frame())
+    t.count(LOSS_COUNTERS["collision"])
     assert log == []
     t.frame_end(1.0, _frame(), 0.9, [2], [(3, "collision")])
     assert log == [("flight", 0.9, 1.0, [2], [(3, "collision")]),
@@ -152,15 +152,15 @@ def test_outcomes_count_then_reach_observers_flight_first():
 
 def test_every_loss_cause_has_its_own_counter():
     t = TraceRecorder()
-    for cause in LOSS_COUNTERS:
-        t.loss(1.0, 1, 2, cause, _frame())
+    for cause in LOSS_CAUSES:
+        t.count(LOSS_COUNTERS[cause])
     assert t.snapshot() == {name: 1 for name in LOSS_COUNTERS.values()}
 
 
 def test_current_frame_lasts_from_rx_to_rx_done():
     t = TraceRecorder()
     assert t.current_frame(2) is None
-    t.rx(1.0, 1, 2, _frame(frame_id=42))
+    t.rx(2, _frame(frame_id=42))
     assert t.current_frame(2) == 42
     assert t.current_frame(3) is None
     t.rx_done()

@@ -212,15 +212,18 @@ RULES: Tuple[Rule, ...] = (
         code="REP012",
         name="unsanctioned-artifact-write",
         severity=Severity.ERROR,
-        summary="no direct open(...,'w')/write_text in src/ outside repro/persist.py",
+        summary="no open(...,'w')/write_text/fs-mutating os.* call in src/ "
+                "outside repro/persist.py",
         rationale=(
             "Artifacts (manifests, checkpoints, figure exports, benchmark "
             "JSON) must be written through repro/persist.py's atomic "
             "write-temp-then-rename helpers, so a crash or SIGKILL mid-write "
             "can never leave a torn half-file that a resumed campaign or a "
             "manifest diff then misreads. A direct open-for-write bypasses "
-            "that durability contract. (Exception *handling* around writes "
-            "is REP005's territory; this rule only covers the write path.)"
+            "that durability contract, and so does a raw os.write()/"
+            "os.replace()/os.unlink() call. (Exception *handling* around "
+            "writes is REP005's territory; this rule only covers the write "
+            "path.)"
         ),
     ),
     Rule(
@@ -319,24 +322,6 @@ RULES: Tuple[Rule, ...] = (
             "perf_counter() is the same wall-clock leak REP002 bans, in a "
             "spelling its dotted-name matching cannot see. Route CLI "
             "timing through reporting.stopwatch()."
-        ),
-    ),
-    Rule(
-        code="REP019",
-        name="unsanctioned-fs-syscall",
-        severity=Severity.ERROR,
-        summary="fs-mutating os calls in src/ must go through the repro.persist seam",
-        rationale=(
-            "Everything the harness persists — checkpoint journals, "
-            "quarantine records, figure exports — claims crash-safety, "
-            "and that claim is only as good as the chaos engine's "
-            "coverage. The crash-point explorer interposes on "
-            "repro.persist.FileSystem; "
-            "an os.write()/os.replace()/open-for-write call made directly "
-            "is invisible to it, so no simulated kill ever lands there and "
-            "its recovery path ships unproven. Route writes through "
-            "atomic_write_*/atomic_append_jsonl, or current_fs() when raw "
-            "fd access is genuinely needed."
         ),
     ),
 )

@@ -148,15 +148,6 @@ class FileContext:
         input to it)."""
         return self.path.endswith("experiments/reporting.py")
 
-    @property
-    def fs_sanctioned(self) -> bool:
-        """Modules allowed raw fs syscalls: the persist seam and the chaos
-        engine that interposes on it."""
-        return (
-            self.path.endswith("repro/persist.py")
-            or "/chaos/" in self.path
-        )
-
 
 def _finding(code: str, ctx: FileContext, node: ast.AST, message: str) -> Finding:
     lineno = getattr(node, "lineno", 1)
@@ -876,12 +867,42 @@ def _open_mode(node: ast.Call) -> Optional[str]:
     return "r"
 
 
+# os-level calls that mutate the filesystem.  Durability (atomic replace,
+# fsynced appends, torn-tail repair) lives in repro/persist.py; a direct call
+# elsewhere ships a write path no durability test covers.  Read-only calls
+# (os.read, os.lseek, os.stat) stay legal.
+_FS_MUTATING_OS_CALLS = {
+    "write", "fsync", "fdatasync", "replace", "rename", "open", "fdopen",
+    "truncate", "ftruncate", "unlink", "remove", "link", "symlink",
+}
+
+
+def _os_call_origins(tree: ast.AST) -> Tuple[Set[str], Dict[str, str]]:
+    """Names bound to the os module, and from-imported fs-mutating calls
+    (local name -> os function name)."""
+    os_names: Set[str] = set()
+    fs_aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "os":
+                    os_names.add(alias.asname or alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in _FS_MUTATING_OS_CALLS:
+                    fs_aliases[alias.asname or alias.name] = alias.name
+    return os_names, fs_aliases
+
+
 def check_rep012(tree: ast.AST, ctx: FileContext) -> List[Finding]:
     """Direct artifact writes in src/ outside the sanctioned persist helper.
 
-    Detection: ``open(...)`` / ``os.fdopen(...)`` with a write/append/update
-    mode, and any ``<...>.write_text(...)`` call.  ``src/repro/persist.py``
-    is the single sanctioned call site (its helpers implement the atomic
+    Detection: ``open(...)`` / ``io.open(...)`` with a write/append/update
+    mode, any ``<...>.write_text(...)`` call, and any fs-mutating ``os``
+    call (``os.write``/``os.replace``/``os.unlink``/...) in its dotted,
+    aliased-module (``import os as _os``) or from-imported
+    (``from os import replace``) spelling.  ``src/repro/persist.py`` is the
+    single sanctioned call site (its helpers implement the atomic
     write-temp-then-rename + fsync protocol); tests and tools may write
     however they like.  Heuristic limits: a file handle smuggled through a
     helper that opens on the caller's behalf is not seen — the REP012 test
@@ -890,11 +911,26 @@ def check_rep012(tree: ast.AST, ctx: FileContext) -> List[Finding]:
     if not ctx.in_src or ctx.path.endswith("repro/persist.py"):
         return []
     findings: List[Finding] = []
+    os_names, fs_aliases = _os_call_origins(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         dotted = _dotted(node.func)
-        if dotted in ("open", "os.fdopen", "io.open"):
+        if dotted is not None:
+            head, _, tail = dotted.partition(".")
+            if tail in _FS_MUTATING_OS_CALLS and head in os_names:
+                origin: Optional[str] = tail
+            else:
+                origin = fs_aliases.get(dotted)
+            if origin is not None:
+                findings.append(_finding(
+                    "REP012", ctx, node,
+                    f"{dotted}() mutates the filesystem directly — route "
+                    f"the {origin} through repro/persist.py (atomic_write_*/"
+                    "atomic_append_jsonl) so a crash cannot tear the file",
+                ))
+                continue
+        if dotted in ("open", "io.open"):
             mode = _open_mode(node)
             if mode is not None and _mode_writes(mode):
                 findings.append(_finding(
@@ -1334,66 +1370,6 @@ def check_rep018(tree: ast.AST, ctx: FileContext) -> List[Finding]:
     return findings
 
 
-# ---------------------------------------------------------------------------
-# REP019 — unsanctioned-fs-syscall
-# ---------------------------------------------------------------------------
-
-# os-level calls that mutate the filesystem.  Durability guarantees (atomic
-# replace, fsynced appends, torn-tail repair) and chaos-fault coverage both
-# live behind the repro.persist.FileSystem seam; a direct call bypasses the
-# crash-point explorer entirely, so whatever it writes is never proven
-# recoverable.  Read-only calls (os.read, os.lseek, os.stat) stay legal.
-_FS_MUTATING_OS_CALLS = {
-    "write", "fsync", "fdatasync", "replace", "rename", "open", "fdopen",
-    "truncate", "ftruncate", "unlink", "remove", "link", "symlink",
-}
-
-
-def check_rep019(tree: ast.AST, ctx: FileContext) -> List[Finding]:
-    """Direct fs-mutating os calls in src/ outside the persist/chaos seam.
-
-    Covers the dotted spelling (``os.replace(...)``), aliased module imports
-    (``import os as _os``), and from-imports (``from os import replace``).
-    Tests and tools are exempt — the seam protects the *shipped* durability
-    layer; tests routinely build fixtures with raw syscalls.
-    """
-    if not ctx.in_src or ctx.fs_sanctioned:
-        return []
-    findings: List[Finding] = []
-    os_names: Set[str] = set()
-    fs_aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "os":
-                    os_names.add(alias.asname or alias.name)
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
-            for alias in node.names:
-                if alias.name in _FS_MUTATING_OS_CALLS:
-                    fs_aliases[alias.asname or alias.name] = alias.name
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = _dotted(node.func)
-        if dotted is None:
-            continue
-        head, _, tail = dotted.partition(".")
-        if tail in _FS_MUTATING_OS_CALLS and head in os_names:
-            origin = tail
-        elif "." not in dotted and dotted in fs_aliases:
-            origin = fs_aliases[dotted]
-        else:
-            continue
-        findings.append(_finding(
-            "REP019", ctx, node,
-            f"{dotted}() bypasses the persist seam — durability code must "
-            "go through repro.persist (atomic_write_*/atomic_append_jsonl "
-            "or current_fs()), where crash-point exploration and fault "
-            f"injection can see the {origin} syscall",
-        ))
-    return findings
-
-
 RULE_CHECKS: Dict[str, Callable[[ast.AST, FileContext], List[Finding]]] = {
     "REP001": check_rep001,
     "REP002": check_rep002,
@@ -1413,7 +1389,6 @@ RULE_CHECKS: Dict[str, Callable[[ast.AST, FileContext], List[Finding]]] = {
     "REP016": check_rep016,
     "REP017": check_rep017,
     "REP018": check_rep018,
-    "REP019": check_rep019,
 }
 
 
