@@ -198,17 +198,14 @@ def build_adversarial(
     scenario: AdversarialScenario,
     sim: Optional[Simulator] = None,
     trace: Optional[TraceRecorder] = None,
-    rngs: Optional[RngRegistry] = None,
 ) -> AdversarialRig:
     """Wire one adversarial run without starting it.
 
     A caller-supplied ``trace`` keeps its own sink/flight attachments (no
     attribution or invariant check if it lacks them); by default the rig
     attaches an :class:`EventLog` sink and a :class:`FlightRecorder`.
-    A caller-supplied ``rngs`` (e.g. the sanitizer's tripwire registry)
-    must be seeded with ``scenario.seed`` to reproduce the default run.
     """
-    rngs = rngs if rngs is not None else RngRegistry(scenario.seed)
+    rngs = RngRegistry(scenario.seed)
     sim = sim if sim is not None else Simulator()
     if trace is None:
         log: Optional[EventLog] = EventLog()
@@ -285,7 +282,6 @@ def run_adversarial(
     scenario: AdversarialScenario,
     sim: Optional[Simulator] = None,
     trace: Optional[TraceRecorder] = None,
-    rngs: Optional[RngRegistry] = None,
 ) -> RunResult:
     """Simulate one adversarial dissemination and return enriched metrics."""
-    return build_adversarial(scenario, sim=sim, trace=trace, rngs=rngs).run()
+    return build_adversarial(scenario, sim=sim, trace=trace).run()

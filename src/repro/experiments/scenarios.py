@@ -129,17 +129,14 @@ def run_one_hop(
     scenario: OneHopScenario,
     sim: Optional[Simulator] = None,
     trace: Optional[TraceRecorder] = None,
-    rngs: Optional[RngRegistry] = None,
 ) -> RunResult:
     """Simulate one one-hop dissemination and return its metrics.
 
     ``sim``/``trace`` may be supplied by observability callers (profiler
     installed, structured-event sink attached); defaults are fresh instances
-    and the run is bit-identical either way.  ``rngs`` may likewise be
-    injected (the sanitizer's tripwire registry) and must be seeded with
-    ``scenario.seed`` to reproduce the default run.
+    and the run is bit-identical either way.
     """
-    rngs = rngs if rngs is not None else RngRegistry(scenario.seed)
+    rngs = RngRegistry(scenario.seed)
     sim = sim if sim is not None else Simulator()
     trace = trace if trace is not None else TraceRecorder()
     topo = star_topology(scenario.receivers)
@@ -248,16 +245,14 @@ def run_faulty_grid(
     scenario: FaultyGridScenario,
     trace: Optional[TraceRecorder] = None,
     sim: Optional[Simulator] = None,
-    rngs: Optional[RngRegistry] = None,
 ) -> RunResult:
     """Simulate a grid dissemination under the scenario's fault model.
 
     Pass a ``TraceRecorder(sink=EventLog())`` to capture the full fault /
     recovery event sequence (crash, reboot with resume unit, link churn);
-    pass a ``sim`` to profile the event loop.  An injected ``rngs`` must be
-    seeded with ``scenario.seed`` to reproduce the default run.
+    pass a ``sim`` to profile the event loop.
     """
-    rngs = rngs if rngs is not None else RngRegistry(scenario.seed)
+    rngs = RngRegistry(scenario.seed)
     sim = sim if sim is not None else Simulator()
     trace = trace if trace is not None else TraceRecorder()
     topo = _build_topology(scenario, rngs)
@@ -316,14 +311,9 @@ def run_multihop(
     scenario: MultiHopScenario,
     sim: Optional[Simulator] = None,
     trace: Optional[TraceRecorder] = None,
-    rngs: Optional[RngRegistry] = None,
 ) -> RunResult:
-    """Simulate a multi-hop dissemination over a grid and return metrics.
-
-    An injected ``rngs`` must be seeded with ``scenario.seed`` to reproduce
-    the default run.
-    """
-    rngs = rngs if rngs is not None else RngRegistry(scenario.seed)
+    """Simulate a multi-hop dissemination over a grid and return metrics."""
+    rngs = RngRegistry(scenario.seed)
     sim = sim if sim is not None else Simulator()
     trace = trace if trace is not None else TraceRecorder()
     topo = _build_topology(scenario, rngs)

@@ -673,8 +673,10 @@ class DisseminationNode(NetworkNode):
         overhears the same frame re-arms at exactly rx_time + timeout, all
         the timers fire in the same simulator tick, and *who transmits
         first* falls to the engine's same-timestamp tie-break — an order
-        dependence the determinism sanitizer flags.  Real radios never tie
-        exactly; +/-5% keeps the contention physical.
+        dependence that ``test_divergence_detection_catches_an_injected_race``
+        in ``tests/sim/test_sanitize.py`` reintroduces and the tie-order test
+        catches.  Real radios never tie exactly; +/-5% keeps the contention
+        physical.
         """
         return base * self.rng.uniform(0.95, 1.05)
 

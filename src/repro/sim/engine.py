@@ -14,9 +14,11 @@ import heapq
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.errors import SimulationError, SimulationRunawayError
+from repro.sim.rng import derive_seed
 
 __all__ = [
     "Event",
+    "PerturbedSimulator",
     "SimProfiler",
     "Simulator",
     "set_default_watchdog",
@@ -302,3 +304,31 @@ class Simulator:
                 f"simulation did not quiesce within {max_events} events"
             )
         return executed
+
+
+class PerturbedSimulator(Simulator):
+    """A :class:`Simulator` whose same-timestamp tie-break is permuted.
+
+    ``perturbation`` selects the permutation: each event's sequence key
+    becomes ``(keyed_hash(perturbation, counter) << 40) | counter``, so
+    events at distinct times run exactly as before (time dominates the heap
+    order), while events at the same time run in a pseudo-random order that
+    is a pure function of the perturbation seed and each event's scheduling
+    index.  The counter in the low bits keeps keys unique even on a 64-bit
+    hash collision, preserving the engine's total order.
+
+    Correct protocol code must not depend on FIFO ties: simultaneity is a
+    float coincidence.  ``tests/sim/test_sanitize.py`` runs small scenarios
+    under several perturbations and requires identical results (DESIGN.md
+    section 13).  Production runs use the plain :class:`Simulator`, so this
+    override never touches the hot path.
+    """
+
+    def __init__(self, perturbation: int) -> None:
+        super().__init__()
+        self.perturbation = int(perturbation)
+
+    def _sequence_key(self, event: Event) -> int:
+        counter = super()._sequence_key(event)
+        priority = derive_seed(self.perturbation, f"tiebreak/{counter}")
+        return (priority << 40) | counter

@@ -66,30 +66,6 @@ def trace():
 
 
 @pytest.fixture
-def sanitizer():
-    """Run the determinism sanitizer over one cell; fail on any finding.
-
-    Usage: ``report = sanitizer(cell, perturbations=2)``.  Fails the test
-    with the divergence/alias/tripwire details when the cell is order-
-    dependent; returns the :class:`~repro.sim.sanitize.CellReport` when
-    clean.  Use before/after engine or protocol-timing refactors.
-    """
-    from repro.sim.sanitize import run_cell
-
-    def _run(cell, perturbations=2):
-        report = run_cell(cell, perturbations=perturbations)
-        if not report.ok:
-            details = [d.format() for d in report.divergences]
-            details += [f"shared at setup: {a.format()}" for a in report.aliases_setup]
-            details += [f"shared after run: {a.format()}" for a in report.aliases_final]
-            details += [f"rng: {v}" for v in report.rng_violations]
-            pytest.fail("sanitizer found order dependence:\n" + "\n".join(details))
-        return report
-
-    return _run
-
-
-@pytest.fixture
 def assert_invariants():
     """Replay a trace through the invariant library; fail on any violation."""
     from repro.obs.invariants import check_events

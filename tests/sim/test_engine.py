@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
-from repro.sim.sanitize import PerturbedSimulator
+from repro.sim.engine import PerturbedSimulator, Simulator
 
 
 def test_initial_state(sim):

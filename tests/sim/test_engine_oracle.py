@@ -17,9 +17,8 @@ for the FIFO :class:`Simulator` and for :class:`PerturbedSimulator`.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import PerturbedSimulator, Simulator
 from repro.sim.rng import derive_seed
-from repro.sim.sanitize import PerturbedSimulator
 
 
 class _Entry:

@@ -1,37 +1,99 @@
-"""The determinism sanitizer: perturbation, tripwire, alias scan, digests.
+"""Tie-order independence: results must not depend on the engine's tie-break.
 
-The end-to-end cells here are deliberately small (3 receivers, 1 KiB image)
-so the suite stays fast; CI's ``sanitizer-smoke`` job runs the full
-quick-grid cells with ``python -m repro.sim.sanitize``.
+:class:`~repro.sim.engine.PerturbedSimulator` runs every group of
+same-timestamp events in a seeded pseudo-random order.  Each cell below must
+produce the same metrics digest and the same canonical event list under
+perturbations 1-5 as under the production FIFO tie-break (DESIGN.md
+section 13).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from typing import Any, List, Tuple
+
 import pytest
 
-from repro.errors import ConfigError
-from repro.sim.engine import Simulator
-from repro.sim.sanitize import (
-    DEFAULT_CELLS,
-    HandlerContext,
-    PerturbedSimulator,
-    SanitizeCell,
-    TripwireRegistry,
-    canonical_events,
-    default_cells,
-    event_digest,
-    find_shared_state,
-    first_divergence,
-    metrics_digest,
-    run_cell,
-    run_sanitizer,
+from repro.attacks.plan import AttackSpec
+from repro.errors import SimulationError
+from repro.experiments.adversarial import AdversarialScenario, build_adversarial
+from repro.faults.plan import FaultEvent, FaultKind
+from repro.protocols.common import DisseminationNode
+from repro.sim.engine import PerturbedSimulator, Simulator
+
+PERTURBATIONS = range(1, 6)
+
+# A deterministic crash/reboot plus a link flap for the fault cell.
+FAULTS = (
+    FaultEvent(time=20.0, kind=FaultKind.NODE_CRASH, node=2),
+    FaultEvent(time=60.0, kind=FaultKind.NODE_REBOOT, node=2),
+    FaultEvent(time=30.0, kind=FaultKind.LINK_DOWN, link=(0, 4)),
+    FaultEvent(time=75.0, kind=FaultKind.LINK_UP, link=(0, 4)),
 )
-from repro.sim.sanitize.harness import _run_scenario
+
+# One bogus-data injector: the attack cell's adversary.
+ATTACKS = (AttackSpec(kind="bogus-data", start=0.5, period=0.3),)
 
 
-# A small, fast cell reused by the end-to-end tests below.
-PIN_CELL = SanitizeCell(name="pin", protocol="lr-seluge", receivers=3,
-                        image_size=1024, k=4, n=6, seed=3, max_time=900.0)
+def _cell(protocol: str, faults: Tuple[Any, ...] = (),
+          attacks: Tuple[Any, ...] = ()) -> AdversarialScenario:
+    return AdversarialScenario(
+        protocol=protocol, topology="star:5", loss_rate=0.1, image_size=2048,
+        k=4, n=6, seed=3, max_time=1800.0, faults=faults, attacks=attacks,
+    )
+
+
+CELLS = {
+    "deluge": _cell("deluge"),
+    "seluge": _cell("seluge"),
+    "lr-seluge": _cell("lr-seluge"),
+    "lr-seluge+faults": _cell("lr-seluge", faults=FAULTS),
+    "lr-seluge+attack": _cell("lr-seluge", attacks=ATTACKS),
+}
+
+# The digest-pinned cell: 3 receivers and a 1 KiB image keep it fast.
+PIN_CELL = AdversarialScenario(
+    protocol="lr-seluge", topology="star:3", loss_rate=0.1, image_size=1024,
+    k=4, n=6, seed=3, max_time=900.0,
+)
+
+
+# -- digests ------------------------------------------------------------------
+
+def _sha256(payload: str) -> str:
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def metrics_digest(result: Any) -> str:
+    """Digest of a RunResult (sorted keys, repr-exact floats)."""
+    return _sha256(json.dumps(result.to_jsonable(), sort_keys=True))
+
+
+def canonical_events(log: Any) -> List[str]:
+    """The log's events as sorted-key JSON, ordered by (ts, content).
+
+    Distinct-time events keep their temporal order; same-time events land
+    in a content-defined order that every tie-break permutation agrees on.
+    """
+    rendered: List[Tuple[float, str]] = []
+    for event in log.events:
+        data = event.to_dict()
+        rendered.append((float(data["ts"]), json.dumps(data, sort_keys=True)))
+    rendered.sort()
+    return [text for _, text in rendered]
+
+
+def event_digest(log: Any) -> str:
+    return _sha256("\n".join(canonical_events(log)))
+
+
+def _outcome(scenario: AdversarialScenario,
+             sim: Simulator) -> Tuple[str, List[str]]:
+    """Run ``scenario`` on ``sim``: (metrics digest, canonical events)."""
+    rig = build_adversarial(scenario, sim=sim)
+    result = rig.run()
+    return metrics_digest(result), canonical_events(rig.log)
 
 
 # -- PerturbedSimulator -------------------------------------------------------
@@ -73,117 +135,11 @@ def test_perturbed_rejects_past_times_like_the_engine():
     sim = PerturbedSimulator(1)
     sim.schedule_at(5.0, lambda: None)
     sim.run()
-    from repro.errors import SimulationError
-
     with pytest.raises(SimulationError):
         sim.schedule_at(1.0, lambda: None)
 
 
-# -- HandlerContext -----------------------------------------------------------
-
-class _FakeNode:
-    def __init__(self, node_id, rngs):
-        self.node_id = node_id
-        self.rngs = rngs
-
-    def draw(self, stream):
-        return self.rngs.get(stream).random()
-
-
-def test_handler_context_labels_nodes_and_anonymous_owners():
-    ctx = HandlerContext()
-    node = _FakeNode(4, None)
-    assert ctx.current == HandlerContext.SETUP
-    assert ctx.label_for(node.draw) == "node/4"
-
-    class Widget:
-        def tick(self):
-            pass
-
-    a, b = Widget(), Widget()
-    assert ctx.label_for(a.tick) == "Widget#0"
-    assert ctx.label_for(b.tick) == "Widget#1"
-    assert ctx.label_for(a.tick) == "Widget#0"  # stable on re-query
-
-
-def test_handler_context_publishes_during_perturbed_events():
-    ctx = HandlerContext()
-    sim = PerturbedSimulator(1, context=ctx)
-    labels = []
-
-    class Probe:
-        def __init__(self, node_id):
-            self.node_id = node_id
-
-        def fire(self):
-            labels.append(ctx.current)
-
-    sim.schedule_at(1.0, Probe(9).fire)
-    sim.run()
-    assert labels == ["node/9"]
-    assert ctx.current == HandlerContext.SETUP  # restored after the event
-
-
-# -- TripwireRegistry ---------------------------------------------------------
-
-def test_tripwire_flags_streams_shared_across_nodes():
-    ctx = HandlerContext()
-    rngs = TripwireRegistry(1, context=ctx)
-    a, b = _FakeNode(1, rngs), _FakeNode(2, rngs)
-    for node in (a, b):
-        previous = ctx.enter(node.draw)
-        node.draw("shared")
-        node.draw(f"node/{node.node_id}")
-        ctx.exit(previous)
-    violations = rngs.violations()
-    assert [v.name for v in violations] == ["shared"]
-    assert set(violations[0].node_contexts) == {"node/1", "node/2"}
-    assert rngs.consumers("node/1") == {"node/1"}
-
-
-def test_tripwire_ignores_setup_and_infrastructure_draws():
-    ctx = HandlerContext()
-    rngs = TripwireRegistry(1, context=ctx)
-    rngs.get("topology/shadowing")  # setup context
-    node = _FakeNode(3, rngs)
-    previous = ctx.enter(node.draw)
-    node.draw("topology/shadowing")
-    ctx.exit(previous)
-    # setup + one node: not two distinct *node* contexts.
-    assert rngs.violations() == []
-
-
-def test_tripwire_is_a_dropin_registry():
-    plain = __import__("repro.sim.rng", fromlist=["RngRegistry"]).RngRegistry(5)
-    wired = TripwireRegistry(5)
-    assert plain.get("x").random() == wired.get("x").random()
-
-
-# -- shared-state detection ---------------------------------------------------
-
-class _Holder:
-    def __init__(self, buf):
-        self.buf = buf
-        self.own = []
-
-
-def test_alias_scan_finds_cross_owner_containers():
-    shared = {"window": []}
-    owners = {"node/1": _Holder(shared), "node/2": _Holder(shared)}
-    findings = find_shared_state(owners)
-    assert findings, "shared dict must be reported"
-    assert any(set(f.owners) == {"node/1", "node/2"} for f in findings)
-
-
-def test_alias_scan_respects_sanction_list_and_private_state():
-    shared = {"window": []}
-    owners = {"node/1": _Holder(shared), "node/2": _Holder(shared)}
-    assert find_shared_state(owners, sanctioned=[shared]) == []
-    private = {"node/1": _Holder({}), "node/2": _Holder({})}
-    assert find_shared_state(private) == []
-
-
-# -- digests ------------------------------------------------------------------
+# -- canonical events ---------------------------------------------------------
 
 class _FakeEvent:
     def __init__(self, ts, kind):
@@ -209,79 +165,60 @@ def test_canonical_events_are_tie_order_insensitive():
     assert event_digest(c) != event_digest(d)
 
 
-def test_first_divergence_reports_minimal_diff():
-    assert first_divergence(["a", "b"], ["a", "b"]) is None
-    assert first_divergence(["a", "b"], ["a", "c"]) == (1, "b", "c")
-    assert first_divergence(["a"], ["a", "b"]) == (1, "<absent>", "b")
-    assert first_divergence(["a", "b"], ["a"]) == (1, "b", "<absent>")
-
-
-# -- harness ------------------------------------------------------------------
+# -- tie-order independence ---------------------------------------------------
 
 def test_default_cells_cover_the_acceptance_grid():
-    names = [cell.name for cell in DEFAULT_CELLS]
-    assert names == ["deluge", "seluge", "lr-seluge",
-                     "lr-seluge+faults", "lr-seluge+attack"]
-    assert any(cell.faults for cell in DEFAULT_CELLS)
-    assert any(cell.attacks for cell in DEFAULT_CELLS)
-    assert default_cells(["seluge"]) == (DEFAULT_CELLS[1],)
-    with pytest.raises(ConfigError):
-        default_cells(["warp-grid"])
+    assert list(CELLS) == ["deluge", "seluge", "lr-seluge",
+                           "lr-seluge+faults", "lr-seluge+attack"]
+    assert any(cell.faults for cell in CELLS.values())
+    assert any(cell.attacks for cell in CELLS.values())
 
 
-def test_run_sanitizer_rejects_zero_perturbations():
-    with pytest.raises(ConfigError):
-        run_sanitizer(perturbations=0, cells=(PIN_CELL,))
+def test_small_cell_is_order_independent():
+    """Every cell gives the FIFO run's metrics and events under each
+    perturbation: no result depends on the same-timestamp tie-break."""
+    for name, scenario in CELLS.items():
+        fifo_digest, fifo_events = _outcome(scenario, Simulator())
+        for perturbation in PERTURBATIONS:
+            digest, events = _outcome(scenario, PerturbedSimulator(perturbation))
+            where = f"cell {name}, perturbation {perturbation}"
+            assert events == fifo_events, where
+            assert digest == fifo_digest, where
 
 
-def test_small_cell_is_order_independent(sanitizer):
-    """Regression for the request-timer re-arm race: with the per-node
-    re-arm jitter in place, tie-break permutations must not change results."""
-    report = sanitizer(PIN_CELL, perturbations=2)
-    assert report.events > 0
-    assert set(report.perturbed) == {1, 2}
-    assert report.aliases_setup == [] and report.aliases_final == []
-    assert report.rng_violations == []
+def test_divergence_detection_catches_an_injected_race(monkeypatch):
+    """Without the ``_rearm_delay`` jitter, timers that re-arm on the same
+    overheard frame fire in one tick and the tie-break picks who transmits
+    first: the tie-order check must see the results move."""
+    monkeypatch.setattr(DisseminationNode, "_rearm_delay",
+                        lambda self, base: base)
+    scenario = CELLS["lr-seluge"]
+    fifo = _outcome(scenario, Simulator())
+    assert any(_outcome(scenario, PerturbedSimulator(p)) != fifo
+               for p in PERTURBATIONS)
 
 
 def test_pinned_baseline_digests():
-    """Digest pin for the ``_rearm_delay`` jitter fix (PR: determinism
-    sanitizer).  Constant request/tx timer re-arms used to synchronise whole
-    neighborhoods onto one timestamp and hand the outcome to the engine's
-    tie-break; the fix draws +/-5% jitter from each node's own stream.
+    """Digest pin for the ``_rearm_delay`` jitter fix.  Constant
+    request/tx timer re-arms used to synchronise whole neighborhoods onto
+    one timestamp and hand the outcome to the engine's tie-break; the fix
+    draws +/-5% jitter from each node's own stream.
 
     If a deliberate protocol/timing change lands, re-pin with::
 
         PYTHONPATH=src python -c "
-        from repro.sim.engine import Simulator
-        from repro.sim.sanitize import TripwireRegistry, metrics_digest, event_digest
-        from tests.sim.test_sanitize import PIN_CELL
-        from repro.sim.sanitize.harness import _run_scenario
-        r, log, _, _ = _run_scenario(PIN_CELL, Simulator(), TripwireRegistry(PIN_CELL.seed))
-        print(metrics_digest(r)); print(event_digest(log))"
+        from repro.experiments.adversarial import build_adversarial
+        from tests.sim.test_sanitize import PIN_CELL, metrics_digest, event_digest
+        rig = build_adversarial(PIN_CELL); r = rig.run()
+        print(metrics_digest(r)); print(event_digest(rig.log))"
 
     An *accidental* change here means run results shifted for every seed —
     investigate before re-pinning.
     """
-    result, log, _, _ = _run_scenario(
-        PIN_CELL, Simulator(), TripwireRegistry(PIN_CELL.seed))
+    rig = build_adversarial(PIN_CELL)
+    result = rig.run()
     assert result.completed
     assert metrics_digest(result) == (
         "03aea5b8e769ffb44afbc226d2d9042ceb6f615ce9cf1df72429dbdb9d737e45")
-    assert event_digest(log) == (
+    assert event_digest(rig.log) == (
         "f14038caf54d49bcca1f94255586aaefc8c69bf424e0bcc6e48df66ebc9b7e6d")
-
-
-def test_divergence_detection_catches_an_injected_race():
-    """The harness must actually detect order dependence, not just pass:
-    run the pin cell against a *different seed's* baseline digests and
-    check the machinery that would report a divergence fires."""
-    result_a, log_a, _, _ = _run_scenario(
-        PIN_CELL, Simulator(), TripwireRegistry(PIN_CELL.seed))
-    other = SanitizeCell(name="pin-b", protocol="lr-seluge", receivers=3,
-                         image_size=1024, k=4, n=6, seed=4, max_time=900.0)
-    result_b, log_b, _, _ = _run_scenario(
-        other, Simulator(), TripwireRegistry(other.seed))
-    assert metrics_digest(result_a) != metrics_digest(result_b)
-    diff = first_divergence(canonical_events(log_a), canonical_events(log_b))
-    assert diff is not None and diff[0] >= 0

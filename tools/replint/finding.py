@@ -252,9 +252,10 @@ RULES: Tuple[Rule, ...] = (
             "An event scheduled with zero delay (or at the current sim time) "
             "runs in the same timestamp group as its scheduler, so its "
             "position among simultaneous events is decided by the engine's "
-            "tie-break — which the determinism sanitizer deliberately "
-            "permutes and a future batched engine will not preserve. A "
-            "handler in that position that reads the engine's queue "
+            "tie-break — which the tie-order test (tests/sim/"
+            "test_sanitize.py) permutes and a future batched engine will "
+            "not preserve. A handler in that position that reads the "
+            "engine's queue "
             "introspection (pending_events, processed_events, heap_stats, "
             "_queue, _seq) observes tie-break order directly, making its "
             "behaviour a function of scheduling internals instead of "
@@ -269,10 +270,10 @@ RULES: Tuple[Rule, ...] = (
         rationale=(
             "A list/dict/set assigned in a class body is one object shared "
             "by every instance: every node (or attacker) in the network "
-            "reads and writes the same container, which is exactly the "
-            "cross-node aliased state the sanitizer's shared-state detector "
-            "hunts dynamically. Whether one node's write lands before "
-            "another node's read depends on event order. Initialise mutable "
+            "reads and writes the same container. Whether one node's write "
+            "lands before another node's read depends on event order, down "
+            "to the same-timestamp tie-break that the tie-order test "
+            "(tests/sim/test_sanitize.py) permutes. Initialise mutable "
             "state per-instance in __init__."
         ),
     ),

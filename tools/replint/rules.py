@@ -1021,7 +1021,7 @@ def check_rep014(tree: ast.AST, ctx: FileContext) -> List[Finding]:
                     f"'{node.name}' runs in its scheduler's timestamp group "
                     f"(scheduled with zero delay / at sim.now) and reads "
                     f"engine queue state '.{inner.attr}' — its value there "
-                    "is tie-break order, which the sanitizer permutes; "
+                    "is tie-break order, which the tie-order test permutes; "
                     "derive the decision from simulated time or node state",
                 ))
     return findings
