@@ -34,7 +34,7 @@ Subpackages
 ``repro.analysis``
     Section-V transmission models plus an analytical latency model.
 ``repro.experiments``
-    Scenarios, metrics, energy accounting, sweeps, figure/table harness.
+    Scenarios, metrics, energy accounting, figure/table harness.
 """
 
 __version__ = "1.0.0"

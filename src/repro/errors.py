@@ -29,8 +29,8 @@ class SimulationRunawayError(SimulationError):
     Raised by :class:`repro.sim.engine.Simulator` when a livelocked protocol
     would otherwise run (and hang a campaign worker) forever.  The structured
     payload — events executed, simulated time, and the event-heap statistics
-    at the moment the guard fired — travels with the exception so supervisors
-    can record *why* a task was killed, not just that it died.
+    at the moment the guard fired — travels with the exception so a campaign
+    can record *why* a task was stopped, not just that it failed.
     """
 
     def __init__(

@@ -15,7 +15,6 @@ from repro.experiments.scenarios import (
     run_one_hop,
 )
 from repro.experiments.energy import EnergyModel, EnergyReport, estimate_energy
-from repro.experiments.sweeps import sweep_multihop, sweep_one_hop
 
 __all__ = [
     "RunResult",
@@ -28,6 +27,4 @@ __all__ = [
     "EnergyModel",
     "EnergyReport",
     "estimate_energy",
-    "sweep_one_hop",
-    "sweep_multihop",
 ]

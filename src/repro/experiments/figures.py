@@ -6,12 +6,12 @@ can run scaled-down versions; the CLI (``python -m repro.experiments``)
 runs the full-size defaults.
 
 Every figure is a campaign: its simulations are gathered up front, executed
-through the fault-tolerant executor (:mod:`repro.experiments.executor`), and
-joined back into rows by content-derived task key.  Passing a
-:class:`~repro.experiments.executor.CampaignConfig` (the CLI's ``--resume``
-/ ``--task-timeout`` / ``--max-retries`` / ``--checkpoint-dir`` flags) makes
-a figure run parallel, supervised, and resumable; the default config runs
-cells inline with identical results.
+once each through the campaign executor (:mod:`repro.experiments.executor`),
+and joined back into rows by content-derived task key.  Passing a
+:class:`~repro.experiments.executor.CampaignConfig` (the CLI's
+``--processes`` / ``--checkpoint-dir`` / ``--resume`` flags) makes a figure
+run on a process pool and resumable; the default config runs cells inline
+with identical results.
 """
 
 from __future__ import annotations

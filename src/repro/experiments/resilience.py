@@ -7,9 +7,9 @@ baseline, so each attacked cell can report *inflation* ratios — latency and
 packet cost relative to the same network left alone — instead of raw numbers
 whose scale depends on the topology.
 
-The grid executes through the fault-tolerant campaign executor
-(:mod:`repro.experiments.executor`): cells checkpoint, retry, and resume
-like any other sweep, and results join back by content-derived task key.
+The grid executes through the campaign executor
+(:mod:`repro.experiments.executor`): cells checkpoint and resume like any
+other campaign, and results join back by content-derived task key.
 The resulting :class:`Scorecard` renders a text table (``report()``),
 serialises to JSON (``save()``), and carries a CI gate: ``ok`` is False
 whenever any cell saw a trace-invariant violation or was quarantined by

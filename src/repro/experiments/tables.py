@@ -4,10 +4,10 @@ Table II: 15x15 tight mica2 grid (high density).
 Table III: 15x15 medium mica2 grid (low density).
 
 Multi-hop cells are the longest simulations in the repo, so the tables run
-through the fault-tolerant campaign executor: pass a
+through the campaign executor: pass a
 :class:`~repro.experiments.executor.CampaignConfig` with a checkpoint
 directory to make a table resumable after a crash, or with ``processes`` to
-run the protocol/seed cells in supervised workers.
+run the protocol/seed cells on a process pool.
 """
 
 from __future__ import annotations

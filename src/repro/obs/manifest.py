@@ -69,8 +69,9 @@ class RunManifest:
     schema_version: int = MANIFEST_SCHEMA_VERSION
     unregistered_metrics: List[str] = field(default_factory=list)
     # Campaign report (repro.experiments.executor CampaignReport.to_dict()):
-    # per-task attempt histories, retry/quarantine counts.  Additive and
-    # optional, so schema_version stays 1 and old readers ignore it.
+    # per-task status (with the error of a quarantined task) and the
+    # completed/resumed/quarantined counts.  Additive and optional, so
+    # schema_version stays 1 and old readers ignore it.
     campaign: Optional[Dict[str, Any]] = None
 
     # -- construction ----------------------------------------------------------

@@ -153,7 +153,7 @@ def test_next_append_drops_a_torn_fragment(tmp_path):
 
 def test_fresh_checkpoint_truncates_stale_journals(tmp_path):
     first = CampaignCheckpoint(tmp_path)
-    first.record_completed("k1", "cell", {"x": 1}, [])
+    first.record_completed("k1", "cell", {"x": 1})
     assert CampaignCheckpoint(tmp_path, resume=True).completed().keys() == {"k1"}
 
     fresh = CampaignCheckpoint(tmp_path, resume=False)
@@ -163,16 +163,17 @@ def test_fresh_checkpoint_truncates_stale_journals(tmp_path):
 
 def test_resume_replays_completed_and_quarantined(tmp_path):
     journal = CampaignCheckpoint(tmp_path)
-    journal.record_completed("k1", "cell-1", {"metric": 1.5},
-                             [{"attempt": 1, "outcome": "ok"}])
-    journal.record_quarantined("k2", "cell-2",
-                               [{"attempt": 1, "outcome": "timeout"}])
+    journal.record_completed("k1", "cell-1", {"metric": 1.5})
+    journal.record_quarantined("k2", "cell-2", {"error_type": "ValueError"})
 
     resumed = CampaignCheckpoint(tmp_path, resume=True)
     completed = resumed.completed()
     assert completed["k1"]["result"] == {"metric": 1.5}
     assert completed["k1"]["schema_version"] == CHECKPOINT_SCHEMA_VERSION
-    assert [q["key"] for q in resumed.quarantined()] == ["k2"]
+    # A quarantined cell stays on disk for the postmortem but is not
+    # completed: a resume runs it again.
+    assert [q["key"] for q in read_jsonl(tmp_path / "quarantine.jsonl")] == ["k2"]
+    assert "k2" not in completed
 
 
 def test_resume_ignores_foreign_schema_records(tmp_path):
@@ -194,7 +195,7 @@ def test_journal_survives_kill_between_records(tmp_path):
     """Every record_completed leaves a fully-parseable journal on disk."""
     journal = CampaignCheckpoint(tmp_path)
     for i in range(5):
-        journal.record_completed(f"k{i}", "", {"i": i}, [])
+        journal.record_completed(f"k{i}", "", {"i": i})
         on_disk = read_jsonl(tmp_path / "checkpoint.jsonl")
         assert len(on_disk) == i + 1
         assert all(isinstance(r, dict) and "result" in r for r in on_disk)
@@ -212,22 +213,22 @@ def test_records_append_without_rewriting_earlier_lines(tmp_path):
     """Journalling is O(record): earlier bytes never change between appends."""
     journal = CampaignCheckpoint(tmp_path)
     path = tmp_path / "checkpoint.jsonl"
-    journal.record_completed("k0", "", {"i": 0}, [])
+    journal.record_completed("k0", "", {"i": 0})
     first = path.read_bytes()
-    journal.record_completed("k1", "", {"i": 1}, [])
+    journal.record_completed("k1", "", {"i": 1})
     assert path.read_bytes()[: len(first)] == first
 
 
 def test_resume_reads_duplicates_last_wins_and_next_append_heals(tmp_path, caplog):
     journal = CampaignCheckpoint(tmp_path)
-    journal.record_completed("a", "", {"v": 1}, [])
-    journal.record_completed("a", "", {"v": 2}, [])
+    journal.record_completed("a", "", {"v": 1})
+    journal.record_completed("a", "", {"v": 2})
     path = tmp_path / "checkpoint.jsonl"
     with path.open("a", encoding="utf-8") as fh:
         fh.write('{"torn": ')  # mid-append kill
     resumed = CampaignCheckpoint(tmp_path, resume=True)
     assert resumed.completed()["a"]["result"] == {"v": 2}
-    resumed.record_completed("b", "", {"v": 3}, [])
+    resumed.record_completed("b", "", {"v": 3})
     caplog.clear()
     with caplog.at_level("WARNING", logger="repro.persist"):
         records = read_jsonl(path)
@@ -244,8 +245,8 @@ def test_resume_reads_duplicates_last_wins_and_next_append_heals(tmp_path, caplo
 def test_resume_keeps_clean_journal_byte_identical(tmp_path):
     """No gratuitous rewrites: a clean journal is left untouched on resume."""
     journal = CampaignCheckpoint(tmp_path)
-    journal.record_completed("a", "", {"v": 1}, [])
-    journal.record_quarantined("q", "", [{"attempt": 1, "outcome": "timeout"}])
+    journal.record_completed("a", "", {"v": 1})
+    journal.record_quarantined("q", "", {"error_type": "ValueError"})
     ckpt_bytes = (tmp_path / "checkpoint.jsonl").read_bytes()
     quarantine_bytes = (tmp_path / "quarantine.jsonl").read_bytes()
     CampaignCheckpoint(tmp_path, resume=True)

@@ -117,7 +117,6 @@ def test_experiments_cli_campaign_flags_and_manifest(tmp_path, capsys):
     manifest_path = tmp_path / "campaign.manifest.json"
     args = ["fig3a", "--quick",
             "--checkpoint-dir", str(ckpt),
-            "--max-retries", "1",
             "--manifest", str(manifest_path)]
     assert experiments_main(args) == 0
     first_out = capsys.readouterr().out

@@ -1,19 +1,20 @@
-"""Tests for the fault-tolerant campaign executor.
+"""Tests for the campaign executor.
 
-Worker runners live at module level so the supervised (multiprocessing)
-mode can pickle them.  Cross-process state (the flaky runner's "fail once"
-memory) goes through marker files, never globals.
+Worker runners live at module level so the process pool can pickle them.
+Cross-process state (the dying runner's "die once" memory) goes through
+marker files, never globals.
 """
 
 import os
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError, PersistError
-from repro.experiments.backoff import BackoffPolicy
+from repro.experiments.checkpoint import CampaignCheckpoint
 from repro.experiments.executor import (
     DEFAULT_WATCHDOG_MAX_EVENTS,
     CampaignConfig,
@@ -23,9 +24,8 @@ from repro.experiments.executor import (
     task_key,
 )
 from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.persist import read_jsonl
 from repro.sim.engine import get_default_watchdog
-
-FAST = BackoffPolicy(base_s=0.0)   # retries without waiting
 
 
 # ---------------------------------------------------------------------------
@@ -40,37 +40,18 @@ def always_raises(payload):
     raise ValueError(f"cell {payload['x']} is broken")
 
 
-def flaky_until_marker(payload):
-    """Fail on the first attempt; succeed once the marker file exists."""
+def dies_once(payload):
+    """SIGKILL the worker once the journal holds a cell; succeed next time."""
     marker = Path(payload["marker"])
     if marker.exists():
-        return "recovered"
-    marker.write_text("attempted", encoding="utf-8")
-    raise RuntimeError("transient failure")
-
-
-def kills_itself(payload):
+        return "survived"
+    journal = Path(payload["journal"])
+    for _ in range(3000):                 # 30 s at most
+        if journal.exists() and journal.read_text(encoding="utf-8").strip():
+            break
+        time.sleep(0.01)
+    marker.write_text("died", encoding="utf-8")
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def hangs(payload):
-    time.sleep(60.0)
-    return "never"
-
-
-def _refuse_unpickling():
-    raise RuntimeError("result cannot be rebuilt")
-
-
-class UnreadableResult:
-    """Pickles in the worker; unpickling it in the supervisor raises."""
-
-    def __reduce__(self):
-        return (_refuse_unpickling, ())
-
-
-def returns_unreadable(payload):
-    return UnreadableResult()
 
 
 def reports_watchdog(payload):
@@ -101,10 +82,6 @@ def test_task_key_is_stable_and_content_derived():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        CampaignConfig(max_retries=-1)
-    with pytest.raises(ConfigError):
-        CampaignConfig(task_timeout_s=0.0)
-    with pytest.raises(ConfigError):
         CampaignConfig(resume=True)   # resume needs a checkpoint_dir
 
 
@@ -117,35 +94,22 @@ def test_inline_results_are_keyed_not_positional():
     outcome = run_campaign(tasks, CampaignConfig())
     assert outcome.results == {"t3": 6, "t1": 2, "t2": 4}
     assert outcome.report.completed == 3
-    assert outcome.report.summary() == (
-        "3/3 completed (0 resumed, 0 retried, 0 quarantined)"
-    )
+    assert outcome.report.summary() == "3/3 completed (0 resumed, 0 quarantined)"
 
 
-def test_inline_persistent_failure_quarantines_after_retries():
-    config = CampaignConfig(max_retries=2, backoff=FAST)
+def test_inline_failure_quarantines_after_one_attempt(tmp_path):
+    config = CampaignConfig(checkpoint_dir=tmp_path)
     outcome = run_campaign([task("bad", always_raises, x=7)], config)
     assert outcome.results == {}
     assert outcome.report.quarantined == 1
-    attempts = outcome.quarantined["bad"]
-    assert len(attempts) == 3                       # initial + 2 retries
-    assert all(a.outcome == "exception" for a in attempts)
-    assert attempts[0].error_type == "ValueError"
-    assert "cell 7 is broken" in attempts[0].error
-    assert attempts[0].backoff_s is not None        # a retry was scheduled
-    assert attempts[-1].backoff_s is None           # the last one was final
-
-
-def test_inline_flaky_task_retries_then_completes(tmp_path):
-    config = CampaignConfig(max_retries=2, backoff=FAST)
-    outcome = run_campaign(
-        [task("flaky", flaky_until_marker, marker=str(tmp_path / "m"))], config
-    )
-    assert outcome.results == {"flaky": "recovered"}
-    assert outcome.report.retried == 1
-    assert outcome.report.quarantined == 0
-    report_attempts = outcome.report.tasks["flaky"]["attempts"]
-    assert [a["outcome"] for a in report_attempts] == ["exception", "ok"]
+    error = outcome.quarantined["bad"]
+    assert error["error_type"] == "ValueError"
+    assert "cell 7 is broken" in error["error"]
+    assert outcome.report.tasks["bad"]["status"] == "quarantined"
+    assert outcome.report.tasks["bad"]["error_type"] == "ValueError"
+    [record] = read_jsonl(tmp_path / "quarantine.jsonl")
+    assert (record["key"], record["error"]) == ("bad", "cell 7 is broken")
+    assert read_jsonl(tmp_path / "checkpoint.jsonl") == []
 
 
 def test_duplicate_keys_run_once():
@@ -155,52 +119,57 @@ def test_duplicate_keys_run_once():
 
 
 # ---------------------------------------------------------------------------
-# Supervised mode
+# Pool mode
 # ---------------------------------------------------------------------------
 
 def test_supervised_matches_inline_results():
     tasks = [task(f"t{i}", double, x=i) for i in range(5)]
     inline = run_campaign(tasks, CampaignConfig())
-    supervised = run_campaign(tasks, CampaignConfig(processes=2))
-    assert inline.results == supervised.results
+    pooled = run_campaign(tasks, CampaignConfig(processes=2))
+    assert inline.results == pooled.results
 
 
-def test_supervised_worker_death_is_classified_and_quarantined():
-    config = CampaignConfig(processes=1, max_retries=1, backoff=FAST)
-    outcome = run_campaign([task("dead", kills_itself)], config)
-    assert outcome.results == {}
-    attempts = outcome.quarantined["dead"]
-    assert [a.outcome for a in attempts] == ["worker_death", "worker_death"]
-    assert "exitcode" in attempts[0].error
+def test_pool_matches_inline_on_real_scenarios():
+    scenarios = [
+        OneHopScenario(protocol=protocol, loss_rate=p, receivers=3,
+                       image_size=2048, k=8, n=12, seed=1)
+        for protocol, p in (("seluge", 0.1), ("lr-seluge", 0.2),
+                            ("lr-seluge", 0.3))
+    ]
+    inline = execute_scenarios("one_hop", run_one_hop, scenarios)
+    pooled = execute_scenarios("one_hop", run_one_hop, scenarios,
+                               CampaignConfig(processes=2))
+    assert len(inline) == len(scenarios)
+    assert {k: r.to_jsonable() for k, r in pooled.items()} == {
+        k: r.to_jsonable() for k, r in inline.items()
+    }
 
 
-def test_supervised_timeout_kills_and_quarantines():
-    config = CampaignConfig(
-        processes=1, task_timeout_s=0.5, max_retries=0, backoff=FAST,
-    )
-    outcome = run_campaign([task("hung", hangs)], config)
-    assert outcome.results == {}
-    attempts = outcome.quarantined["hung"]
-    assert [a.outcome for a in attempts] == ["timeout"]
-    assert "wall-clock timeout" in attempts[0].error
+def test_worker_death_stops_the_campaign_and_resume_finishes(tmp_path):
+    payload = {"marker": str(tmp_path / "died"),
+               "journal": str(tmp_path / "ckpt" / "checkpoint.jsonl")}
+    tasks = [task("first", double, x=4), task("dying", dies_once, **payload)]
+    with pytest.raises(BrokenProcessPool):
+        run_campaign(tasks, CampaignConfig(processes=1,
+                                           checkpoint_dir=tmp_path / "ckpt"))
+    # The cell journalled before the death stays; the dead one is not
+    # quarantined (it never raised) and is simply missing.
+    journal = CampaignCheckpoint(tmp_path / "ckpt", resume=True)
+    assert set(journal.completed()) == {"first"}
+    assert read_jsonl(tmp_path / "ckpt" / "quarantine.jsonl") == []
+
+    resumed = run_campaign(tasks, CampaignConfig(
+        processes=1, checkpoint_dir=tmp_path / "ckpt", resume=True))
+    assert resumed.results == {"first": 8, "dying": "survived"}
+    assert resumed.report.summary() == "2/2 completed (1 resumed, 0 quarantined)"
 
 
 def test_supervised_exception_reports_worker_traceback():
-    config = CampaignConfig(processes=1, max_retries=0, backoff=FAST)
-    outcome = run_campaign([task("bad", always_raises, x=1)], config)
-    attempts = outcome.quarantined["bad"]
-    assert attempts[0].outcome == "exception"
-    assert attempts[0].error_type == "ValueError"
-    assert "always_raises" in attempts[0].traceback
-
-
-def test_supervised_unreadable_result_is_malformed():
-    config = CampaignConfig(processes=1, max_retries=0, backoff=FAST)
-    outcome = run_campaign([task("odd", returns_unreadable)], config)
-    assert outcome.results == {}
-    attempts = outcome.quarantined["odd"]
-    assert [a.outcome for a in attempts] == ["malformed"]
-    assert "unreadable result" in attempts[0].error
+    outcome = run_campaign([task("bad", always_raises, x=1)],
+                           CampaignConfig(processes=1))
+    error = outcome.quarantined["bad"]
+    assert error["error_type"] == "ValueError"
+    assert "always_raises" in error["traceback"]
 
 
 def test_watchdog_is_installed_inline_and_supervised():
@@ -215,11 +184,10 @@ def test_watchdog_is_installed_inline_and_supervised():
 
 
 def test_failures_do_not_abort_healthy_cells():
-    config = CampaignConfig(processes=2, max_retries=0, backoff=FAST)
     tasks = [task("bad", always_raises)] + [
         task(f"ok{i}", double, x=i) for i in range(4)
     ]
-    outcome = run_campaign(tasks, config)
+    outcome = run_campaign(tasks, CampaignConfig(processes=2))
     assert outcome.results == {f"ok{i}": i * 2 for i in range(4)}
     assert outcome.report.quarantined == 1
     assert outcome.report.completed == 4
@@ -245,15 +213,15 @@ def test_checkpoint_resume_skips_completed_cells(tmp_path):
 
 
 def test_journal_write_failure_stops_the_campaign(tmp_path, monkeypatch):
-    """A cell failure is retried and quarantined, but a campaign that cannot
-    journal its progress cannot promise a byte-identical resume: it dies."""
+    """A cell failure is quarantined, but a campaign that cannot journal its
+    progress cannot promise a byte-identical resume: it dies."""
     def full_disk(path, record):
         raise PersistError(f"write to {path} failed", path=str(path))
 
     monkeypatch.setattr(
         "repro.experiments.checkpoint.atomic_append_jsonl", full_disk
     )
-    config = CampaignConfig(checkpoint_dir=tmp_path, backoff=FAST)
+    config = CampaignConfig(checkpoint_dir=tmp_path)
     with pytest.raises(PersistError):
         run_campaign([task("t0", double, x=1)], config)
 

@@ -22,7 +22,7 @@ from repro.experiments.reporting import stopwatch
 SCRIPT = Path(__file__).with_name("campaign_script.py")
 TOTAL_CELLS = 8          # 2 protocols x 2 loss rates x 2 seeds
 KILL_AFTER_CELLS = 2     # SIGKILL once this many cells are journalled
-PACE_S = "0.35"          # per-cell throttle: the kill window
+PACE_S = "0.35"          # sleep before each cell: the kill window
 DEADLINE_S = 120.0
 
 
@@ -51,8 +51,8 @@ def _journalled_cells(checkpoint_dir) -> int:
 
 
 def test_sigkill_then_resume_is_byte_identical(tmp_path):
-    baseline_out = tmp_path / "baseline.csv"
-    resumed_out = tmp_path / "resumed.csv"
+    baseline_out = tmp_path / "baseline.json"
+    resumed_out = tmp_path / "resumed.json"
     baseline_dir = tmp_path / "ckpt-baseline"
     chaos_dir = tmp_path / "ckpt-chaos"
 

@@ -1,44 +1,28 @@
-"""Tests for the generic sweep utility."""
+"""A protocol x loss-rate sweep of one-hop cells run as one campaign."""
 
-import pytest
+import itertools
 
-from repro.experiments.executor import CampaignConfig
-from repro.experiments.sweeps import sweep_multihop, sweep_one_hop
+from repro.experiments.executor import execute_scenarios, task_key
+from repro.experiments.figures import mean_metrics
+from repro.experiments.scenarios import OneHopScenario, run_one_hop
 
 
 def test_one_hop_sweep_structure():
-    table = sweep_one_hop(
-        protocols=("seluge", "lr-seluge"),
-        loss_rates=(0.1, 0.3),
-        receivers=(3,),
-        image_size=2048,
-        k=8,
-        n=12,
-        seeds=(1,),
-    )
-    assert len(table.rows) == 4  # 2 protocols x 2 loss rates x 1 N
-    assert all(row[-1] == "yes" for row in table.rows)
-    assert table.headers[:3] == ["protocol", "p", "N"]
+    protocols = ("seluge", "lr-seluge")
+    loss_rates = (0.1, 0.3)
+    cells = {
+        (protocol, p): OneHopScenario(protocol=protocol, loss_rate=p,
+                                      receivers=3, image_size=2048, k=8,
+                                      n=12, seed=1)
+        for protocol, p in itertools.product(protocols, loss_rates)
+    }
+    results = execute_scenarios("one_hop", run_one_hop, list(cells.values()))
+    assert len(results) == 4  # 2 protocols x 2 loss rates x 1 N
+    by_key = {combo: results[task_key("one_hop", scenario)]
+              for combo, scenario in cells.items()}
+    assert all(run.completed for run in by_key.values())
     # Higher loss means higher cost within each protocol.
-    by_key = {(row[0], row[1]): row for row in table.rows}
-    for protocol in ("seluge", "lr-seluge"):
-        assert by_key[(protocol, 0.3)][6] > by_key[(protocol, 0.1)][6]
-
-
-def test_one_hop_sweep_parallel_matches_serial():
-    kwargs = dict(protocols=("lr-seluge",), loss_rates=(0.2,), receivers=(3,),
-                  image_size=2048, k=8, n=12, seeds=(1, 2))
-    serial = sweep_one_hop(campaign=CampaignConfig(), **kwargs)
-    parallel = sweep_one_hop(campaign=CampaignConfig(processes=2), **kwargs)
-    assert serial.rows == parallel.rows
-
-
-def test_multihop_sweep():
-    table = sweep_multihop(
-        protocols=("seluge",),
-        topologies=("grid:3x3:3",),
-        image_size=2048,
-        seeds=(1,),
-    )
-    assert len(table.rows) == 1
-    assert table.rows[0][-1] == "yes"
+    for protocol in protocols:
+        low = mean_metrics([by_key[(protocol, 0.1)]])["data_pkts"]
+        high = mean_metrics([by_key[(protocol, 0.3)]])["data_pkts"]
+        assert high > low

@@ -125,10 +125,10 @@ def test_collect_git_rev_inside_and_outside_a_repo(tmp_path):
 
 def test_campaign_field_round_trips_and_stays_optional(tmp_path):
     campaign = {
-        "total": 3, "completed": 3, "resumed": 1, "retried": 1,
-        "quarantined": 0,
-        "tasks": {"abc123": {"label": "cell", "status": "completed",
-                             "attempts": [{"attempt": 1, "outcome": "ok"}]}},
+        "total": 3, "completed": 2, "resumed": 1, "quarantined": 1,
+        "tasks": {"abc123": {"label": "cell", "status": "quarantined",
+                             "error_type": "ValueError", "error": "bad cell",
+                             "traceback": "Traceback ..."}},
     }
     m = RunManifest("repro.experiments", campaign=campaign)
     path = tmp_path / "manifest.json"
