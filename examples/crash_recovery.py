@@ -14,8 +14,10 @@ latency penalty — relative to the fault-free baseline of the same seed.
 Run:  python examples/crash_recovery.py
 """
 
+from dataclasses import replace
+
 from repro.experiments.metrics import degradation
-from repro.experiments.scenarios import FaultyGridScenario, run_faulty_grid
+from repro.experiments.scenarios import Scenario, run_scenario
 from repro.faults import FaultPlan
 from repro.obs.events import EventLog
 from repro.sim.trace import TraceRecorder
@@ -26,12 +28,12 @@ PROTOCOLS = ("deluge", "seluge", "lr-seluge")
 def part1_deterministic_crash() -> None:
     print("=== Part 1: scripted crash at t=8s, reboot at t=23s ===")
     plan = FaultPlan().crash(8.0, node=3, reboot_after=15.0)
-    scenario = FaultyGridScenario(
-        protocol="lr-seluge", topology="grid:2x2:3",
-        image_size=3072, k=8, n=12, seed=7, max_time=600.0, plan=plan,
+    scenario = Scenario(
+        protocol="lr-seluge", topology="grid:2x2:3", ambient=False,
+        image_size=3072, k=8, n=12, seed=7, max_time=600.0, faults=plan.events,
     )
     log = EventLog()
-    result = run_faulty_grid(scenario, trace=TraceRecorder(sink=log))
+    result = run_scenario(scenario, trace=TraceRecorder(sink=log))
     for event in log.events:
         if event.kind.startswith("fault_"):
             extra = f" {event.detail}" if event.detail else ""
@@ -46,16 +48,16 @@ def part1_deterministic_crash() -> None:
 
 def part2_churn_degradation() -> None:
     print("=== Part 2: crash/reboot churn (MTBF=5s, MTTR=4s) vs baseline ===")
-    churn = FaultyGridScenario(
-        topology="grid:2x2:3", image_size=3000, k=8, n=12, seed=1,
+    churn = Scenario(
+        topology="grid:2x2:3", ambient=False, image_size=3000, k=8, n=12, seed=1,
         max_time=600.0, mtbf=5.0, mttr=4.0, churn_horizon=60.0,
     )
     header = (f"  {'protocol':10s} {'done':>5s} {'crashes':>7s} "
               f"{'latency':>8s} {'penalty':>8s} {'extra pkts':>10s}")
     print(header)
     for protocol in PROTOCOLS:
-        faulty = run_faulty_grid(churn.with_protocol(protocol))
-        baseline = run_faulty_grid(churn.with_protocol(protocol).fault_free())
+        faulty = run_scenario(replace(churn, protocol=protocol))
+        baseline = run_scenario(replace(churn, protocol=protocol).fault_free())
         report = degradation(faulty, baseline)
         print(f"  {protocol:10s} {str(faulty.completed):>5s} "
               f"{report.crashes:7d} {faulty.latency:7.1f}s "

@@ -11,7 +11,7 @@ Run:  python examples/multihop_grid.py [--rows 8] [--cols 8] [--medium]
 
 import argparse
 
-from repro.experiments.scenarios import MultiHopScenario, run_multihop
+from repro.experiments.scenarios import MultiHopScenario, run_scenario
 
 
 def wavefront_map(result, rows: int, cols: int) -> str:
@@ -44,7 +44,7 @@ def main() -> None:
     topology = f"{density}:{args.rows}x{args.cols}"
 
     for protocol in ("seluge", "lr-seluge"):
-        result = run_multihop(MultiHopScenario(
+        result = run_scenario(MultiHopScenario(
             protocol=protocol, topology=topology,
             image_size=args.image_kib * 1024, seed=1,
         ))

@@ -12,7 +12,7 @@ Run:  python examples/one_hop_lossy.py [--quick]
 import sys
 
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.experiments.scenarios import OneHopScenario, run_scenario
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     for p in loss_rates:
         row = [p]
         for protocol in ("seluge", "lr-seluge"):
-            result = run_one_hop(OneHopScenario(
+            result = run_scenario(OneHopScenario(
                 protocol=protocol, loss_rate=p, receivers=receivers,
                 image_size=image_size, seed=1,
             ))

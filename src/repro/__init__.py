@@ -9,9 +9,9 @@ harness that regenerates every figure and table of the paper's evaluation.
 
 Quick start::
 
-    from repro.experiments import OneHopScenario, run_one_hop
+    from repro.experiments import OneHopScenario, run_scenario
 
-    result = run_one_hop(OneHopScenario(protocol="lr-seluge", loss_rate=0.2))
+    result = run_scenario(OneHopScenario(protocol="lr-seluge", loss_rate=0.2))
     assert result.images_ok
 
 Subpackages

@@ -11,8 +11,10 @@ from repro.experiments.runner import CompletionTracker, run_network
 from repro.experiments.scenarios import (
     MultiHopScenario,
     OneHopScenario,
-    run_multihop,
-    run_one_hop,
+    Rig,
+    Scenario,
+    build_rig,
+    run_scenario,
 )
 from repro.experiments.energy import EnergyModel, EnergyReport, estimate_energy
 
@@ -20,10 +22,12 @@ __all__ = [
     "RunResult",
     "CompletionTracker",
     "run_network",
+    "Scenario",
+    "Rig",
+    "build_rig",
+    "run_scenario",
     "OneHopScenario",
     "MultiHopScenario",
-    "run_one_hop",
-    "run_multihop",
     "EnergyModel",
     "EnergyReport",
     "estimate_energy",

@@ -10,25 +10,11 @@
 
 from __future__ import annotations
 
-import statistics
 from typing import List, Sequence
 
-from repro.core.image import CodeImage
 from repro.experiments.figures import FigureResult, mean_metrics
-from repro.experiments.runner import CompletionTracker, run_network
-from repro.experiments.scenarios import (
-    OneHopScenario,
-    build_protocol_network,
-    make_params,
-    run_one_hop,
-)
-from repro.net.channel import BernoulliLoss, GilbertElliottLoss
-from repro.net.radio import Radio, RadioConfig
-from repro.net.topology import star_topology
-from repro.protocols.lr_seluge import LRSelugeNode
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
+from repro.experiments.scenarios import OneHopScenario, build_rig, run_scenario
+from repro.net.channel import GilbertElliottLoss
 
 __all__ = ["ablate_scheduler", "ablate_overhead", "ablate_burstiness"]
 
@@ -38,23 +24,11 @@ _METRIC_HEADERS = ["data_pkts", "snack_pkts", "adv_pkts", "total_bytes", "latenc
 def _run_lr_with_scheduler(
     scheduler: str, p: float, receivers: int, image_size: int, seed: int
 ):
-    rngs = RngRegistry(seed)
-    sim = Simulator()
-    trace = TraceRecorder()
-    topo = star_topology(receivers)
-    radio = Radio(sim, topo, BernoulliLoss(p), rngs, trace,
-                  config=RadioConfig(collisions=False))
-    params = make_params("lr-seluge", image_size=image_size)
-    image = CodeImage.synthetic(image_size, version=2, seed=seed)
-    tracker = CompletionTracker(trace)
-    base, nodes, pre = build_protocol_network(
-        "lr-seluge", sim, radio, rngs, trace, params, image, tracker
-    )
-    for node in [base] + nodes:
+    rig = build_rig(OneHopScenario(receivers, protocol="lr-seluge", loss_rate=p,
+                                   image_size=image_size, seed=seed))
+    for node in [rig.base] + rig.nodes:
         node.scheduler_kind = scheduler
-    base.start()
-    return run_network(sim, trace, tracker, nodes, f"lr-{scheduler}",
-                       max_time=7200.0, expected_image=image.data, seed=seed)
+    return rig.run()
 
 
 def ablate_scheduler(
@@ -92,8 +66,8 @@ def ablate_overhead(
     rows: List[List[object]] = []
     for kprime in kprimes:
         runs = [
-            run_one_hop(OneHopScenario(
-                protocol="lr-seluge", loss_rate=p, receivers=receivers,
+            run_scenario(OneHopScenario(
+                receivers, protocol="lr-seluge", loss_rate=p,
                 image_size=image_size, kprime=kprime, seed=s,
             ))
             for s in seeds
@@ -120,31 +94,19 @@ def ablate_burstiness(
     mean_loss = (ge["mean_good"] * ge["loss_good"] + ge["mean_bad"] * ge["loss_bad"]) / (
         ge["mean_good"] + ge["mean_bad"]
     )
-    def make_model(label: str):
-        # Gilbert-Elliott carries per-link state, so each run gets its own.
-        if label.startswith("bursty"):
-            return GilbertElliottLoss(**ge)
-        return BernoulliLoss(mean_loss)
-
     for protocol in ("seluge", "lr-seluge"):
         for label in (f"iid(p={mean_loss:.2f})", "bursty(GE)"):
             runs = []
             for seed in seeds:
-                rngs = RngRegistry(seed)
-                sim = Simulator()
-                trace = TraceRecorder()
-                topo = star_topology(receivers)
-                radio = Radio(sim, topo, make_model(label), rngs, trace,
-                              config=RadioConfig(collisions=False))
-                params = make_params(protocol, image_size=image_size)
-                image = CodeImage.synthetic(image_size, version=2, seed=seed)
-                tracker = CompletionTracker(trace)
-                base, nodes, pre = build_protocol_network(
-                    protocol, sim, radio, rngs, trace, params, image, tracker
-                )
-                base.start()
-                runs.append(run_network(sim, trace, tracker, nodes, protocol,
-                                        max_time=14400.0, expected_image=image.data))
+                rig = build_rig(OneHopScenario(
+                    receivers, protocol=protocol, loss_rate=mean_loss,
+                    image_size=image_size, seed=seed, max_time=14400.0,
+                ))
+                if label.startswith("bursty"):
+                    # Gilbert-Elliott carries per-link state, so each run
+                    # gets its own.
+                    rig.radio.loss_model = GilbertElliottLoss(**ge)
+                runs.append(rig.run())
             metrics = mean_metrics(runs)
             rows.append([protocol, label]
                         + [round(metrics[h], 1) for h in _METRIC_HEADERS])

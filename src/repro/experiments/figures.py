@@ -17,7 +17,7 @@ with identical results.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.onehop import (
@@ -31,7 +31,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.metrics import RunResult
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.experiments.scenarios import OneHopScenario, Scenario, run_scenario
 
 __all__ = [
     "FigureResult",
@@ -123,15 +123,15 @@ def _last_page_tx(result: RunResult) -> int:
 
 
 def _execute_one_hop(
-    scenarios: Sequence[OneHopScenario],
+    scenarios: Sequence[Scenario],
     campaign: Optional[CampaignConfig],
 ) -> Dict[str, RunResult]:
     """Run one-hop cells through the executor, keyed by content-derived key."""
-    return execute_scenarios("one_hop", run_one_hop, scenarios, campaign)
+    return execute_scenarios("one_hop", run_scenario, scenarios, campaign)
 
 
 def _gather(
-    results: Dict[str, RunResult], scenarios: Sequence[OneHopScenario]
+    results: Dict[str, RunResult], scenarios: Sequence[Scenario]
 ) -> List[RunResult]:
     """Join executor results back to a scenario group; quarantined cells drop."""
     keys = (task_key("one_hop", s) for s in scenarios)
@@ -143,7 +143,7 @@ def _mean_or_nan(values: Sequence[float]) -> float:
 
 
 def _page_tx_scenarios(protocol: str, p: float, receivers: int,
-                       image_size: int, seeds: Sequence[int]) -> List[OneHopScenario]:
+                       image_size: int, seeds: Sequence[int]) -> List[Scenario]:
     return [
         OneHopScenario(protocol=protocol, loss_rate=p, receivers=receivers,
                        image_size=image_size, seed=s)
@@ -253,14 +253,12 @@ def _metric_cells(runs: Sequence[RunResult]) -> List[object]:
     return [round(metrics[h], 1) for h in _METRIC_HEADERS]
 
 
-def _sweep_rows(scenarios: Sequence[Tuple[object, OneHopScenario]],
+def _sweep_rows(scenarios: Sequence[Tuple[object, Scenario]],
                 seeds: Sequence[int],
                 campaign: Optional[CampaignConfig] = None) -> List[List[object]]:
     groups = {
         (x, protocol): [
-            OneHopScenario(
-                **{**base_scenario.__dict__, "protocol": protocol, "seed": s}
-            )
+            replace(base_scenario, protocol=protocol, seed=s)
             for s in seeds
         ]
         for x, base_scenario in scenarios

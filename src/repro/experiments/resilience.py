@@ -28,9 +28,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.attacks import AttackSpec
 from repro.errors import ConfigError
-from repro.experiments.adversarial import AdversarialScenario, run_adversarial
+from repro.experiments.adversarial import run_adversarial
 from repro.experiments.executor import CampaignConfig, execute_scenarios, task_key
 from repro.experiments.metrics import RunResult
+from repro.experiments.scenarios import Scenario
 from repro.persist import atomic_write_json
 from repro.protocols.defense import DefenseConfig
 
@@ -94,12 +95,13 @@ class ResilienceGrid:
             DefenseConfig.from_flags(spec)  # raises ConfigError on typos
 
     def scenario(self, protocol: str, attack: str, defense: str,
-                 seed: int) -> AdversarialScenario:
+                 seed: int) -> Scenario:
         """The fully specified cell for one grid coordinate."""
-        return AdversarialScenario(
+        return Scenario(
             protocol=protocol,
             topology=self.topology,
             loss_rate=self.loss_rate,
+            ambient=False,
             image_size=self.image_size,
             k=self.k,
             n=self.n,
@@ -108,7 +110,6 @@ class ResilienceGrid:
             max_time=self.max_time,
             attacks=ATTACK_PRESETS[attack],
             defense=DefenseConfig.from_flags(defense),
-            label=f"{protocol}/{attack}/{defense}/s{seed}",
         )
 
 
@@ -232,7 +233,7 @@ def run_resilience(
     """
     grid = grid if grid is not None else ResilienceGrid()
     attacks = ("none",) + tuple(grid.attacks)
-    cells: Dict[Tuple[str, str, str, int], AdversarialScenario] = {}
+    cells: Dict[Tuple[str, str, str, int], Scenario] = {}
     for protocol in grid.protocols:
         for defense in grid.defenses:
             for attack in attacks:

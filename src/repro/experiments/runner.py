@@ -16,6 +16,9 @@ from repro.sim.trace import TraceRecorder
 
 __all__ = ["CompletionTracker", "run_network"]
 
+# Simulated seconds between completion checks.
+_CHUNK_S = 5.0
+
 
 class CompletionTracker:
     """Collects per-node completion events; freezes counters at the end."""
@@ -57,25 +60,14 @@ def run_network(
     protocol: str,
     max_time: float = 7200.0,
     expected_image: Optional[bytes] = None,
-    chunk: float = 5.0,
     seed: int = 0,
-    manifest_path: Optional[str] = None,
-    manifest_config: Optional[Dict[str, object]] = None,
 ) -> RunResult:
-    """Run until every tracked node completes or ``max_time`` elapses.
-
-    With ``manifest_path`` set, a :class:`repro.obs.manifest.RunManifest`
-    (seed, config, git rev, counters, wall/sim timings) is written there
-    after the run.
-    """
-    from repro.experiments.reporting import stopwatch
-
+    """Run until every tracked node completes or ``max_time`` elapses."""
     tracker.expect([n.node_id for n in nodes])
     for node in nodes:
         node.start()
-    with stopwatch() as elapsed:
-        while not tracker.all_done and sim.now < max_time:
-            sim.run(until=min(sim.now + chunk, max_time))
+    while not tracker.all_done and sim.now < max_time:
+        sim.run(until=min(sim.now + _CHUNK_S, max_time))
     completed = tracker.all_done
     counters = tracker.snapshot if completed else trace.snapshot()
     latency = tracker.done_time if completed else max_time
@@ -84,7 +76,7 @@ def run_network(
         images_ok = completed and all(
             node.image_bytes() == expected_image for node in nodes
         )
-    result = RunResult(
+    return RunResult(
         protocol=protocol,
         completed=completed,
         latency=latency,
@@ -95,16 +87,3 @@ def run_network(
         n_nodes=len(nodes),
         tracked=tuple(sorted(tracker.expected or ())),
     )
-    if manifest_path is not None:
-        from repro.obs.catalog import unregistered_names
-        from repro.obs.manifest import RunManifest
-
-        config: Dict[str, object] = {"protocol": protocol, "max_time": max_time}
-        if manifest_config:
-            config.update(manifest_config)
-        RunManifest.from_run(
-            "repro.experiments.runner", result, config=config,
-            wall_s=elapsed(), sim=sim,
-            unregistered=unregistered_names(trace.counters),
-        ).write(manifest_path)
-    return result

@@ -1,4 +1,4 @@
-"""Canonical scenarios: the paper's one-hop and multi-hop setups.
+"""Scenarios: one frozen description of a run, and the one rig that wires it.
 
 One-hop (Section VI-B): a fully connected star — one sender, ``N`` local
 receivers — with losses emulated at the application layer: every node drops
@@ -8,21 +8,28 @@ each received data/advertisement/SNACK packet independently with probability
 Multi-hop (Section VI-C): 15x15 mica2-style grids (tight/medium density)
 with per-link loss probabilities from the propagation model and the CSMA
 collision model enabled.
+
+A :class:`Scenario` describes either setup, plus optional faults (an
+explicit plan and/or stochastic churn) and attackers.  :func:`build_rig`
+wires it — topology, loss, radio, protocol network, attackers, faults — in
+one fixed order, and :meth:`Rig.run` starts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
+from repro.attacks import AttackContext, AttackEngine, AttackModel, AttackPlan, AttackSpec
 from repro.core.config import DelugeParams, ImageConfig, LRSelugeParams, ProtocolTiming, SelugeParams
 from repro.core.image import CodeImage
+from repro.errors import ConfigError
 from repro.experiments.metrics import RunResult
 from repro.experiments.runner import CompletionTracker, run_network
 from repro.faults.flash import NodeFlash
 from repro.faults.generators import crash_reboot_churn, link_flap_churn
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.net.channel import (
     BernoulliLoss,
     CompositeLoss,
@@ -39,6 +46,9 @@ from repro.net.topology import (
     random_disk_topology,
     star_topology,
 )
+from repro.net.topology_file import load_topology
+from repro.protocols.common import DisseminationNode
+from repro.protocols.defense import DefenseConfig
 from repro.protocols.deluge import build_deluge_network
 from repro.protocols.lr_seluge import build_lr_seluge_network
 from repro.protocols.rateless import build_rateless_network
@@ -46,16 +56,19 @@ from repro.protocols.seluge import build_seluge_network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
-from repro.errors import ConfigError
 
 __all__ = [
+    "Scenario",
+    "Rig",
     "OneHopScenario",
     "MultiHopScenario",
-    "FaultyGridScenario",
+    "build_rig",
+    "run_scenario",
     "run_one_hop",
     "run_multihop",
-    "run_faulty_grid",
     "build_protocol_network",
+    "make_params",
+    "topology_from_spec",
 ]
 
 _BUILDERS = {
@@ -64,6 +77,10 @@ _BUILDERS = {
     "lr-seluge": build_lr_seluge_network,
     "rateless": build_rateless_network,
 }
+
+#: Seconds between link-flap checks, and seconds a flapped link stays down.
+FLAP_INTERVAL = 30.0
+FLAP_DOWN_TIME = 15.0
 
 
 def make_params(
@@ -96,23 +113,44 @@ def build_protocol_network(
     params,
     image: CodeImage,
     on_complete,
+    defense: Optional[DefenseConfig] = None,
 ):
     """Dispatch to the right network builder; returns (base, nodes, pre)."""
     builder = _BUILDERS.get(protocol)
     if builder is None:
         raise ConfigError(f"unknown protocol {protocol!r}")
     return builder(
-        sim, radio, rngs, trace, params, image=image, on_complete=on_complete
+        sim, radio, rngs, trace, params, image=image, on_complete=on_complete,
+        defense=defense,
     )
 
 
 @dataclass(frozen=True)
-class OneHopScenario:
-    """Section VI-B setup: one sender, N receivers, app-layer loss p."""
+class Scenario:
+    """One dissemination run: network, channel, image, faults and attackers.
+
+    ``topology`` is ``star:<receivers>``, ``tight``/``medium[:RxC]``,
+    ``grid:RxC:spacing``, ``random:nodes:side`` or ``file:<path>`` (see
+    :func:`topology_from_spec`).  A star uses the app-layer Bernoulli
+    ``loss_rate``; every other topology uses its per-link loss, with the
+    ambient Gilbert-Elliott bursts on top when ``ambient`` is set.
+
+    Faults come from the explicit ``faults`` events and/or the stochastic
+    generators: with ``mtbf`` set, every *receiver* (never the base station,
+    whose image is the golden copy) crash-reboots with exponential
+    MTBF/MTTR; with ``link_flap`` set, directed links flap Bernoulli-style
+    until ``churn_horizon`` (default ``max_time / 2``).
+
+    The frozen dataclass form is load-bearing: the campaign executor hashes
+    scenarios into stable task keys, so every field — including each
+    :class:`AttackSpec` and :class:`FaultEvent` — must canonicalise.
+    """
 
     protocol: str = "lr-seluge"
+    topology: str = "tight"
     loss_rate: float = 0.1
-    receivers: int = 20
+    ambient: bool = True
+    collisions: bool = True
     image_size: int = 20 * 1024
     k: int = 32
     n: int = 48
@@ -120,168 +158,73 @@ class OneHopScenario:
     seed: int = 1
     max_time: float = 7200.0
     timing: Optional[ProtocolTiming] = None
+    faults: Tuple[FaultEvent, ...] = ()
+    mtbf: Optional[float] = None
+    mttr: float = 60.0
+    link_flap: float = 0.0
+    churn_horizon: Optional[float] = None
+    attacks: Tuple[AttackSpec, ...] = ()
+    defense: Optional[DefenseConfig] = None
 
-    def with_protocol(self, protocol: str) -> "OneHopScenario":
-        return replace(self, protocol=protocol)
-
-
-def run_one_hop(
-    scenario: OneHopScenario,
-    sim: Optional[Simulator] = None,
-    trace: Optional[TraceRecorder] = None,
-) -> RunResult:
-    """Simulate one one-hop dissemination and return its metrics.
-
-    ``sim``/``trace`` may be supplied by observability callers (profiler
-    installed, structured-event sink attached); defaults are fresh instances
-    and the run is bit-identical either way.
-    """
-    rngs = RngRegistry(scenario.seed)
-    sim = sim if sim is not None else Simulator()
-    trace = trace if trace is not None else TraceRecorder()
-    topo = star_topology(scenario.receivers)
-    loss = BernoulliLoss(scenario.loss_rate)
-    radio = Radio(
-        sim, topo, loss, rngs, trace, config=RadioConfig(collisions=False)
-    )
-    params = make_params(
-        scenario.protocol,
-        image_size=scenario.image_size,
-        k=scenario.k,
-        n=scenario.n,
-        kprime=scenario.kprime,
-        timing=scenario.timing,
-    )
-    image = CodeImage.synthetic(scenario.image_size, version=2, seed=scenario.seed)
-    tracker = CompletionTracker(trace)
-    base, nodes, pre = build_protocol_network(
-        scenario.protocol, sim, radio, rngs, trace, params, image, tracker
-    )
-    base.start()
-    return run_network(
-        sim, trace, tracker, nodes, scenario.protocol,
-        max_time=scenario.max_time, expected_image=image.data, seed=scenario.seed,
-    )
+    def fault_free(self) -> "Scenario":
+        """The same scenario with every fault source removed (baseline)."""
+        return replace(self, faults=(), mtbf=None, link_flap=0.0)
 
 
-@dataclass(frozen=True)
-class MultiHopScenario:
-    """Section VI-C setup: 15x15 mica2 grids with link-level losses."""
-
-    protocol: str = "lr-seluge"
-    topology: str = "tight"        # "tight" | "medium" | "grid:<rows>x<cols>:<spacing>"
-    image_size: int = 20 * 1024
-    k: int = 32
-    n: int = 48
-    kprime: int = 0
-    seed: int = 1
-    max_time: float = 14400.0
-    ambient: bool = True           # meyer-heavy-style bursty ambient loss on top
-    bursty_only: bool = False      # Gilbert-Elliott alone (ablation)
-    timing: Optional[ProtocolTiming] = None
-
-    def with_protocol(self, protocol: str) -> "MultiHopScenario":
-        return replace(self, protocol=protocol)
+def OneHopScenario(receivers: int = 20, **fields) -> Scenario:
+    """Section VI-B defaults: a star of ``receivers``, collisions off."""
+    return Scenario(**{"topology": f"star:{receivers}", "collisions": False,
+                       **fields})
 
 
-def _build_topology(scenario: MultiHopScenario, rngs: RngRegistry) -> Topology:
-    spec = scenario.topology
-    if spec.startswith(("tight", "medium")):
-        kind, _, dims = spec.partition(":")
-        rows, cols = (15, 15) if not dims else (int(x) for x in dims.split("x"))
+def MultiHopScenario(**fields) -> Scenario:
+    """Section VI-C defaults: the tight 15x15 grid, four simulated hours."""
+    return Scenario(**{"topology": "tight", "max_time": 14400.0, **fields})
+
+
+def topology_from_spec(spec: str, rngs: RngRegistry) -> Topology:
+    """Build the topology a scenario's ``topology`` string names."""
+    kind, _, rest = spec.partition(":")
+    if kind == "star":
+        receivers = int(rest)
+        if receivers < 1:
+            raise ConfigError(f"star topology needs >= 1 receiver, got {receivers}")
+        return star_topology(receivers)
+    if kind in ("tight", "medium"):
+        rows, cols = (15, 15) if not rest else (int(x) for x in rest.split("x"))
         build = mica2_grid_tight if kind == "tight" else mica2_grid_medium
         return build(rngs, rows=rows, cols=cols)
-    if spec.startswith("grid:"):
-        _, dims, spacing = spec.split(":")
+    if kind == "grid":
+        dims, spacing = rest.split(":")
         rows, cols = (int(x) for x in dims.split("x"))
         return grid_topology(rows, cols, spacing=float(spacing), rngs=rngs)
-    if spec.startswith("random:"):
+    if kind == "random":
         # "random:<nodes>:<area-side-m>" — the TinyOS topology-tool analogue.
-        _, n_nodes, side = spec.split(":")
+        n_nodes, side = rest.split(":")
         return random_disk_topology(int(n_nodes), float(side), rngs)
+    if kind == "file":
+        return load_topology(rest)
     raise ConfigError(f"unknown topology {spec!r}")
 
 
-@dataclass(frozen=True)
-class FaultyGridScenario:
-    """A multi-hop grid under fault injection (crashes, churn, link flaps).
-
-    Faults come from an explicit :class:`FaultPlan` and/or the stochastic
-    generators: with ``mtbf`` set, every *receiver* (never the base station,
-    whose image is the golden copy) crash-reboots with exponential
-    MTBF/MTTR; with ``link_flap`` set, directed links flap Bernoulli-style.
-    Every receiver gets a :class:`NodeFlash`, so reboots resume from the
-    persisted page index.  Identical seed + plan reproduces an identical
-    trace.
-    """
-
-    protocol: str = "lr-seluge"
-    topology: str = "grid:4x4:3"
-    image_size: int = 4096
-    k: int = 8
-    n: int = 12
-    kprime: int = 0
-    seed: int = 1
-    max_time: float = 7200.0
-    ambient: bool = False
-    plan: Optional[FaultPlan] = None
-    mtbf: Optional[float] = None      # mean seconds between crashes, per node
-    mttr: float = 60.0                # mean seconds a crashed node stays down
-    link_flap: float = 0.0            # Bernoulli down-probability per check
-    flap_interval: float = 30.0       # seconds between flap checks
-    flap_down_time: float = 15.0      # seconds a flapped link stays down
-    churn_horizon: Optional[float] = None  # default: max_time / 2
-    timing: Optional[ProtocolTiming] = None
-
-    def with_protocol(self, protocol: str) -> "FaultyGridScenario":
-        return replace(self, protocol=protocol)
-
-    def fault_free(self) -> "FaultyGridScenario":
-        """The same scenario with every fault source removed (baseline)."""
-        return replace(self, plan=None, mtbf=None, link_flap=0.0)
-
-
-def run_faulty_grid(
-    scenario: FaultyGridScenario,
-    trace: Optional[TraceRecorder] = None,
-    sim: Optional[Simulator] = None,
-) -> RunResult:
-    """Simulate a grid dissemination under the scenario's fault model.
-
-    Pass a ``TraceRecorder(sink=EventLog())`` to capture the full fault /
-    recovery event sequence (crash, reboot with resume unit, link churn);
-    pass a ``sim`` to profile the event loop.
-    """
-    rngs = RngRegistry(scenario.seed)
-    sim = sim if sim is not None else Simulator()
-    trace = trace if trace is not None else TraceRecorder()
-    topo = _build_topology(scenario, rngs)
-    loss: LossModel
-    if scenario.ambient:
-        loss = CompositeLoss(
-            PerLinkLoss(topo.link_loss),
-            GilbertElliottLoss(loss_good=0.05, loss_bad=0.5, mean_good=6.0, mean_bad=2.0),
-        )
-    else:
-        loss = PerLinkLoss(topo.link_loss)
-    radio = Radio(sim, topo, loss, rngs, trace, config=RadioConfig(collisions=True))
-    params = make_params(
-        scenario.protocol,
-        image_size=scenario.image_size,
-        k=scenario.k,
-        n=scenario.n,
-        kprime=scenario.kprime,
-        timing=scenario.timing,
+def _loss(scenario: Scenario, topo: Topology) -> LossModel:
+    """The scenario's channel: the one place a loss model is chosen."""
+    if scenario.topology.startswith("star"):
+        return BernoulliLoss(scenario.loss_rate)
+    if not scenario.ambient:
+        return PerLinkLoss(topo.link_loss)
+    # Static link quality plus time-correlated ambient bursts — the
+    # meyer-heavy environment the paper's TOSSIM runs sample.
+    return CompositeLoss(
+        PerLinkLoss(topo.link_loss),
+        GilbertElliottLoss(loss_good=0.05, loss_bad=0.5, mean_good=6.0, mean_bad=2.0),
     )
-    image = CodeImage.synthetic(scenario.image_size, version=2, seed=scenario.seed)
-    tracker = CompletionTracker(trace)
-    base, nodes, pre = build_protocol_network(
-        scenario.protocol, sim, radio, rngs, trace, params, image, tracker
-    )
-    for node in nodes:
-        node.flash = NodeFlash(node.node_id)
 
-    plan = scenario.plan if scenario.plan is not None else FaultPlan()
+
+def _fault_plan(scenario: Scenario, rngs: RngRegistry,
+                nodes: List[DisseminationNode], topo: Topology) -> FaultPlan:
+    """The explicit fault events merged with the stochastic churn plans."""
+    plan = FaultPlan(scenario.faults)
     horizon = scenario.churn_horizon or scenario.max_time / 2.0
     if scenario.mtbf is not None:
         plan = plan.merge(crash_reboot_churn(
@@ -293,58 +236,109 @@ def run_faulty_grid(
             (u, v) for u, nbrs in topo.neighbors.items() for v in nbrs
         )
         plan = plan.merge(link_flap_churn(
-            rngs, links, p_flap=scenario.link_flap,
-            down_time=scenario.flap_down_time,
-            check_interval=scenario.flap_interval, horizon=horizon,
+            rngs, links, p_flap=scenario.link_flap, down_time=FLAP_DOWN_TIME,
+            check_interval=FLAP_INTERVAL, horizon=horizon,
         ))
-    injector = FaultInjector(sim, radio, trace, [base] + nodes, plan, rngs)
-    injector.install()
-
-    base.start()
-    return run_network(
-        sim, trace, tracker, nodes, scenario.protocol,
-        max_time=scenario.max_time, expected_image=image.data, seed=scenario.seed,
-    )
+    return plan
 
 
-def run_multihop(
-    scenario: MultiHopScenario,
+@dataclass
+class Rig:
+    """A fully wired, not-yet-started run.
+
+    :func:`build_rig` returns one so callers can adjust nodes or the radio
+    before the run, and hold on to the attackers and the trace after it.
+    """
+
+    scenario: Scenario
+    sim: Simulator
+    trace: TraceRecorder
+    radio: Radio
+    tracker: CompletionTracker
+    base: DisseminationNode
+    nodes: List[DisseminationNode]
+    engine: AttackEngine
+    image: CodeImage
+
+    @property
+    def attackers(self) -> List[AttackModel]:
+        return self.engine.attackers
+
+    def run(self) -> RunResult:
+        """Start the attackers, then the base station, and run to completion
+        or the scenario's time horizon."""
+        scenario = self.scenario
+        self.engine.start_all()
+        self.base.start()
+        return run_network(
+            self.sim, self.trace, self.tracker, self.nodes, scenario.protocol,
+            max_time=scenario.max_time, expected_image=self.image.data,
+            seed=scenario.seed,
+        )
+
+
+def build_rig(
+    scenario: Scenario,
     sim: Optional[Simulator] = None,
     trace: Optional[TraceRecorder] = None,
-) -> RunResult:
-    """Simulate a multi-hop dissemination over a grid and return metrics."""
+) -> Rig:
+    """Wire one run without starting it.
+
+    ``sim``/``trace`` may be supplied by observability callers (profiler
+    installed, structured-event sink or recorders attached); defaults are
+    fresh instances and the run is bit-identical either way.
+    """
     rngs = RngRegistry(scenario.seed)
     sim = sim if sim is not None else Simulator()
     trace = trace if trace is not None else TraceRecorder()
-    topo = _build_topology(scenario, rngs)
-    loss: LossModel
-    if scenario.bursty_only:
-        loss = GilbertElliottLoss()
-    elif scenario.ambient:
-        # Static link quality plus time-correlated ambient bursts — the
-        # meyer-heavy environment the paper's TOSSIM runs sample.
-        loss = CompositeLoss(
-            PerLinkLoss(topo.link_loss),
-            GilbertElliottLoss(loss_good=0.05, loss_bad=0.5, mean_good=6.0, mean_bad=2.0),
-        )
-    else:
-        loss = PerLinkLoss(topo.link_loss)
-    radio = Radio(sim, topo, loss, rngs, trace, config=RadioConfig(collisions=True))
+    topo = topology_from_spec(scenario.topology, rngs)
+    radio = Radio(sim, topo, _loss(scenario, topo), rngs, trace,
+                  config=RadioConfig(collisions=scenario.collisions))
     params = make_params(
-        scenario.protocol,
-        image_size=scenario.image_size,
-        k=scenario.k,
-        n=scenario.n,
-        kprime=scenario.kprime,
-        timing=scenario.timing,
+        scenario.protocol, image_size=scenario.image_size, k=scenario.k,
+        n=scenario.n, kprime=scenario.kprime, timing=scenario.timing,
     )
     image = CodeImage.synthetic(scenario.image_size, version=2, seed=scenario.seed)
     tracker = CompletionTracker(trace)
+
+    # Attackers halt once every victim holds the image: their periodic
+    # processes would otherwise keep churning the event heap (and the trace)
+    # long after there is anything left to attack.
+    def on_complete(node: DisseminationNode) -> None:
+        tracker(node)
+        if tracker.all_done:
+            engine.halt_all()
+
     base, nodes, pre = build_protocol_network(
-        scenario.protocol, sim, radio, rngs, trace, params, image, tracker
+        scenario.protocol, sim, radio, rngs, trace, params, image, on_complete,
+        defense=scenario.defense,
     )
-    base.start()
-    return run_network(
-        sim, trace, tracker, nodes, scenario.protocol,
-        max_time=scenario.max_time, expected_image=image.data, seed=scenario.seed,
+    engine = AttackEngine(
+        sim, radio, rngs, trace, AttackPlan(scenario.attacks),
+        context=AttackContext(base=base, nodes=tuple(nodes), preprocessed=pre),
     )
+    attackers = engine.deploy()
+
+    if scenario.faults or scenario.mtbf is not None or scenario.link_flap > 0.0:
+        # Reboots resume from the persisted page index.
+        for node in nodes:
+            node.flash = NodeFlash(node.node_id)
+        FaultInjector(sim, radio, trace, [base] + nodes + attackers,
+                      _fault_plan(scenario, rngs, nodes, topo), rngs).install()
+
+    return Rig(scenario=scenario, sim=sim, trace=trace, radio=radio,
+               tracker=tracker, base=base, nodes=list(nodes), engine=engine,
+               image=image)
+
+
+def run_scenario(
+    scenario: Scenario,
+    sim: Optional[Simulator] = None,
+    trace: Optional[TraceRecorder] = None,
+) -> RunResult:
+    """Simulate one dissemination and return its metrics."""
+    return build_rig(scenario, sim=sim, trace=trace).run()
+
+
+# The family runners' names, which perfbench calls.
+run_one_hop = run_multihop = run_scenario

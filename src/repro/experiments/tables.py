@@ -21,7 +21,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.figures import FigureResult, mean_metrics
 from repro.experiments.metrics import RunResult
-from repro.experiments.scenarios import MultiHopScenario, run_multihop
+from repro.experiments.scenarios import MultiHopScenario, run_scenario
 
 __all__ = ["multihop_table", "table2", "table3"]
 
@@ -47,7 +47,7 @@ def multihop_table(
         for protocol in protocols
     }
     results = execute_scenarios(
-        "multihop", run_multihop,
+        "multihop", run_scenario,
         [s for group in groups.values() for s in group], campaign,
     )
     rows: List[List[object]] = []

@@ -11,11 +11,12 @@ metrics (plus optional energy accounting)::
 
 One-hop star runs use the paper's application-layer Bernoulli losses;
 grid/random/file topologies use per-link PRR plus ambient bursts and CSMA
-collisions.
+collisions.  Every flag combination builds one scenario, so faults,
+attackers and any topology compose.
 
-Fault injection (``--fault-plan``, ``--mtbf``, ``--link-flap``) runs the
-scenario on a faulty grid — every receiver gets persistent flash so crashed
-nodes resume from their last completed page after reboot::
+Fault injection (``--fault-plan``, ``--mtbf``, ``--link-flap``) defaults to
+a 4x4 grid — every receiver gets persistent flash so crashed nodes resume
+from their last completed page after reboot::
 
     python -m repro.simulate --protocol lr-seluge --image-kib 4 --k 8 --n 12 \\
         --mtbf 30 --mttr 10
@@ -62,26 +63,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.image import CodeImage
+from repro.experiments.adversarial import run_attributed
 from repro.experiments.energy import estimate_energy
 from repro.experiments.reporting import stopwatch
-from repro.experiments.runner import CompletionTracker, run_network
-from repro.experiments.scenarios import (
-    FaultyGridScenario,
-    MultiHopScenario,
-    OneHopScenario,
-    build_protocol_network,
-    make_params,
-    run_faulty_grid,
-    run_multihop,
-    run_one_hop,
-)
+from repro.experiments.scenarios import Scenario, build_rig
 from repro.faults import FaultPlan
-from repro.net.channel import CompositeLoss, GilbertElliottLoss, PerLinkLoss
-from repro.net.radio import Radio, RadioConfig
-from repro.net.topology_file import load_topology
+from repro.protocols.defense import DefenseConfig
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["main"]
@@ -99,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--receivers", type=int, default=20,
                         help="one-hop receiver count (star topology only)")
     parser.add_argument("--topology", default=None,
-                        help='multi-hop spec, e.g. "tight:8x8", "medium", '
-                             '"grid:5x5:3", "random:40:30"')
+                        help='topology spec, e.g. "tight:8x8", "medium", '
+                             '"grid:5x5:3", "random:40:30", "star:8"')
     parser.add_argument("--topology-file", default=None,
                         help="TinyOS-style topology file (see repro.net.topology_file)")
     parser.add_argument("--image-kib", type=int, default=20)
@@ -111,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-time", type=float, default=14400.0)
     parser.add_argument("--energy", action="store_true",
                         help="print the energy breakdown as well")
-    faults = parser.add_argument_group("fault injection (grid topologies)")
+    faults = parser.add_argument_group("fault injection")
     faults.add_argument("--fault-plan", default=None, metavar="PLAN.json",
                         help="replay a declarative FaultPlan JSON file")
     faults.add_argument("--mtbf", type=float, default=None,
@@ -163,43 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_from_file(args, sim: Simulator, trace: TraceRecorder):
-    topo = load_topology(args.topology_file)
-    rngs = RngRegistry(args.seed)
-    loss = CompositeLoss(
-        PerLinkLoss(topo.link_loss),
-        GilbertElliottLoss(loss_good=0.05, loss_bad=0.5, mean_good=6.0, mean_bad=2.0),
-    )
-    radio = Radio(sim, topo, loss, rngs, trace, config=RadioConfig(collisions=True))
-    params = make_params(args.protocol, image_size=args.image_kib * 1024,
-                         k=args.k, n=args.n, kprime=args.kprime)
-    image = CodeImage.synthetic(args.image_kib * 1024, version=2, seed=args.seed)
-    tracker = CompletionTracker(trace)
-    base, nodes, pre = build_protocol_network(
-        args.protocol, sim, radio, rngs, trace, params, image, tracker)
-    base.start()
-    result = run_network(sim, trace, tracker, nodes, args.protocol,
-                         max_time=args.max_time, expected_image=image.data,
-                         seed=args.seed)
-    return result, [n.pipeline for n in nodes], len(nodes) + 1
-
-
-def _run_faulty(args, sim: Simulator, trace: TraceRecorder):
-    plan = (
-        FaultPlan.from_json_file(args.fault_plan) if args.fault_plan else None
-    )
-    scenario = FaultyGridScenario(
-        protocol=args.protocol,
-        topology=args.topology or "grid:4x4:3",
-        image_size=args.image_kib * 1024,
-        k=args.k, n=args.n, kprime=args.kprime,
-        seed=args.seed, max_time=args.max_time,
-        plan=plan, mtbf=args.mtbf, mttr=args.mttr,
-        link_flap=args.link_flap, churn_horizon=args.churn_horizon,
-    )
-    return run_faulty_grid(scenario, trace=trace, sim=sim)
-
-
 def _attack_specs(args):
     """Resolve --attack-plan and every --attack into one AttackSpec tuple."""
     from repro.attacks import ATTACK_KINDS, AttackPlan, AttackSpec
@@ -221,25 +172,34 @@ def _attack_specs(args):
     return tuple(specs)
 
 
-def _run_adversarial(args, sim: Simulator, trace: TraceRecorder, specs):
-    from repro.experiments.adversarial import AdversarialScenario, run_adversarial
-    from repro.protocols.defense import DefenseConfig
+def _scenario(args, attacks, adversarial: bool, faulty: bool) -> Scenario:
+    """The one scenario the command line describes.
 
-    faults = ()
-    if args.fault_plan:
-        faults = FaultPlan.from_json_file(args.fault_plan).events
-    scenario = AdversarialScenario(
-        protocol=args.protocol,
-        topology=args.topology or f"star:{args.receivers}",
-        loss_rate=args.loss,
-        image_size=args.image_kib * 1024,
-        k=args.k, n=args.n, kprime=args.kprime,
-        seed=args.seed, max_time=args.max_time,
-        attacks=specs,
-        defense=DefenseConfig.from_flags(args.defense or "none"),
-        faults=faults,
+    Without ``--topology`` a run is a star of ``--receivers``, or the
+    ``grid:4x4:3`` fault grid when faults but no attackers or defenses are
+    asked for.  A plain star has no collisions (the paper's one-hop setup);
+    adversarial and faulty runs have no ambient loss.
+    """
+    if args.topology_file:
+        topology = f"file:{args.topology_file}"
+    elif args.topology:
+        topology = args.topology
+    elif faulty and not adversarial:
+        topology = "grid:4x4:3"
+    else:
+        topology = f"star:{args.receivers}"
+    faults = (FaultPlan.from_json_file(args.fault_plan).events
+              if args.fault_plan else ())
+    return Scenario(
+        protocol=args.protocol, topology=topology, loss_rate=args.loss,
+        ambient=not (adversarial or faulty),
+        collisions=adversarial or not topology.startswith("star"),
+        image_size=args.image_kib * 1024, k=args.k, n=args.n,
+        kprime=args.kprime, seed=args.seed, max_time=args.max_time,
+        faults=faults, mtbf=args.mtbf, mttr=args.mttr,
+        link_flap=args.link_flap, churn_horizon=args.churn_horizon,
+        attacks=attacks, defense=DefenseConfig.from_flags(args.defense or "none"),
     )
-    return run_adversarial(scenario, sim=sim, trace=trace)
 
 
 def _config_dict(args) -> dict:
@@ -275,7 +235,6 @@ def main(argv=None) -> int:
     attack_specs = _attack_specs(args)
     adversarial = bool(attack_specs or args.defense)
     faulty = bool(args.fault_plan or args.mtbf is not None or args.link_flap)
-    pipelines = None
 
     sim = Simulator()
     log = None
@@ -294,38 +253,9 @@ def main(argv=None) -> int:
     trace = TraceRecorder(sink=log, flight=flight, causal=causal)
 
     with stopwatch() as elapsed:
-        if adversarial:
-            if args.topology_file:
-                raise SystemExit("adversaries need --topology, "
-                                 "not --topology-file")
-            if args.mtbf is not None or args.link_flap:
-                raise SystemExit("stochastic churn does not compose with "
-                                 "--attack/--defense; use --fault-plan")
-            result = _run_adversarial(args, sim, trace, attack_specs)
-            n_nodes = len(result.per_node_completion) + 1
-        elif faulty:
-            if args.topology_file:
-                raise SystemExit("fault injection needs --topology, "
-                                 "not --topology-file")
-            result = _run_faulty(args, sim, trace)
-            n_nodes = (result.n_nodes or 0) + 1
-        elif args.topology_file:
-            result, pipelines, n_nodes = _run_from_file(args, sim, trace)
-        elif args.topology:
-            result = run_multihop(MultiHopScenario(
-                protocol=args.protocol, topology=args.topology,
-                image_size=args.image_kib * 1024, k=args.k, n=args.n,
-                kprime=args.kprime, seed=args.seed, max_time=args.max_time,
-            ), sim=sim, trace=trace)
-            n_nodes = len(result.per_node_completion) + 1
-        else:
-            result = run_one_hop(OneHopScenario(
-                protocol=args.protocol, loss_rate=args.loss,
-                receivers=args.receivers, image_size=args.image_kib * 1024,
-                k=args.k, n=args.n, kprime=args.kprime, seed=args.seed,
-                max_time=args.max_time,
-            ), sim=sim, trace=trace)
-            n_nodes = args.receivers + 1
+        rig = build_rig(_scenario(args, attack_specs, adversarial, faulty),
+                        sim=sim, trace=trace)
+        result = run_attributed(rig) if adversarial else rig.run()
     wall_s = elapsed()
 
     print(f"protocol:        {result.protocol}")
@@ -352,7 +282,8 @@ def main(argv=None) -> int:
         print(f"crashes:         {result.crash_count}")
         print(f"reboots:         {result.reboot_count}")
     if args.energy:
-        report = estimate_energy(result, n_nodes=n_nodes, pipelines=pipelines)
+        report = estimate_energy(result, n_nodes=len(rig.nodes) + 1,
+                                 pipelines=[n.pipeline for n in rig.nodes])
         print("energy (network-wide):")
         for key, value in report.breakdown().items():
             print(f"  {key:10s} {value:.1f}")

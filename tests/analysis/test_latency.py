@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.latency import estimate_lr_seluge_latency, estimate_seluge_latency
 from repro.core.config import ImageConfig, LRSelugeParams, SelugeParams
-from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.experiments.scenarios import OneHopScenario, run_scenario
 
 
 def test_monotone_in_loss():
@@ -27,7 +27,7 @@ def test_lr_predicted_faster_under_loss():
 def test_seluge_prediction_within_factor_of_simulation(p):
     params = SelugeParams(k=32, image=ImageConfig(image_size=8 * 1024))
     predicted = estimate_seluge_latency(params, p, 10)
-    simulated = run_one_hop(OneHopScenario(
+    simulated = run_scenario(OneHopScenario(
         protocol="seluge", loss_rate=p, receivers=10, image_size=8 * 1024,
         seed=2,
     )).latency
@@ -38,7 +38,7 @@ def test_seluge_prediction_within_factor_of_simulation(p):
 def test_lr_prediction_within_factor_of_simulation(p):
     params = LRSelugeParams(k=32, n=48, image=ImageConfig(image_size=8 * 1024))
     predicted = estimate_lr_seluge_latency(params, p, 10)
-    simulated = run_one_hop(OneHopScenario(
+    simulated = run_scenario(OneHopScenario(
         protocol="lr-seluge", loss_rate=p, receivers=10, image_size=8 * 1024,
         seed=2,
     )).latency

@@ -1,7 +1,8 @@
 import pytest
 
 from repro.attacks import AttackSpec
-from repro.experiments.adversarial import AdversarialScenario, build_adversarial
+from repro.experiments.adversarial import recording_trace
+from repro.experiments.scenarios import Scenario, build_rig
 
 
 @pytest.fixture
@@ -15,11 +16,12 @@ def adversarial_rig():
             attacks = () if kind is None else (
                 AttackSpec(kind=kind, start=start, period=period,
                            params=params or {}),)
-        scenario = AdversarialScenario(
-            protocol=protocol, topology=topology, image_size=image_size,
-            k=k, n=n, seed=seed, max_time=max_time, attacks=tuple(attacks),
-            defense=defense, faults=tuple(faults),
+        scenario = Scenario(
+            protocol=protocol, topology=topology, loss_rate=0.05,
+            ambient=False, image_size=image_size, k=k, n=n, seed=seed,
+            max_time=max_time, faults=tuple(faults), attacks=tuple(attacks),
+            defense=defense,
         )
-        return build_adversarial(scenario)
+        return build_rig(scenario, trace=recording_trace())
 
     return make

@@ -4,6 +4,7 @@ import pytest
 
 from repro.attacks import AttackEngine, AttackPlan, AttackSpec
 from repro.errors import ConfigError
+from repro.experiments.adversarial import run_attributed
 
 
 def test_deploy_places_attacker_into_topology(adversarial_rig):
@@ -85,7 +86,7 @@ def test_attacker_is_audible_on_per_link_grids(adversarial_rig):
     adversary on every grid topology."""
     rig = adversarial_rig("sybil-snack", topology="grid:3x3:3", period=0.3,
                           max_time=2400.0)
-    result = rig.run()
+    result = run_attributed(rig)
     assert result.completed
     attacker = rig.attackers[0]
     assert attacker.sent > 0  # it overheard adverts, so it fired

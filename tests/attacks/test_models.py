@@ -4,6 +4,7 @@ import pytest
 
 from repro.attacks import ATTACK_KINDS, resolve_kind
 from repro.errors import ConfigError
+from repro.experiments.adversarial import run_attributed
 from repro.obs.invariants import check_events
 
 
@@ -51,10 +52,10 @@ def test_greyhole_serves_and_drops(adversarial_rig):
 
 def test_replay_reinjects_but_never_rebuffers(adversarial_rig):
     rig = adversarial_rig("replay", period=0.3, max_time=2400.0)
-    result = rig.run()
+    result = run_attributed(rig)
     assert result.completed and result.images_ok
     assert rig.trace.counters["attack_replayed"] > 0
-    report = check_events(rig.log)
+    report = check_events(rig.trace.sink)
     assert report.checked["replay_never_rebuffered"] > 0
     assert not report.of_invariant("replay_never_rebuffered")
 

@@ -18,13 +18,13 @@ import time
 from functools import partial
 
 from repro.experiments.executor import CampaignConfig, execute_scenarios
-from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.experiments.scenarios import OneHopScenario, run_scenario
 from repro.persist import atomic_write_text
 
 
 def paced_one_hop(pace_s, scenario):
     time.sleep(pace_s)
-    return run_one_hop(scenario)
+    return run_scenario(scenario)
 
 
 def main() -> int:

@@ -72,6 +72,13 @@ def test_simulate_writes_trace_timeline_and_manifest(tmp_path, capsys):
     assert "trace:       " + str(trace_path) in capsys.readouterr().out
 
 
+def _energy(out):
+    """The ``--energy`` breakdown lines as a {name: mJ} dict."""
+    lines = out.split("energy (network-wide):\n", 1)[1].splitlines()
+    return {key: float(value) for key, value in
+            (line.split() for line in lines if line.startswith("  "))}
+
+
 def test_simulate_multihop_with_energy(capsys):
     code = simulate_main([
         "--protocol", "seluge", "--topology", "grid:3x3:3",
@@ -79,7 +86,21 @@ def test_simulate_multihop_with_energy(capsys):
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert "total_mj" in out
+    energy = _energy(out)
+    assert energy["crypto_mj"] > 0
+    assert energy["total_mj"] > energy["crypto_mj"]
+
+
+def test_cli_composes_attack_with_churn(capsys):
+    code = simulate_main([
+        "--topology", "grid:3x3:3", "--image-kib", "2", "--k", "4",
+        "--n", "6", "--attack", "sybil", "--mtbf", "30", "--mttr", "10",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "completed:       True" in out
+    crashes = int(out.split("crashes:", 1)[1].split()[0])
+    assert crashes > 0
 
 
 def test_simulate_topology_file(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.energy import EnergyModel, EnergyReport, estimate_energy
 from repro.experiments.metrics import RunResult
-from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.experiments.scenarios import OneHopScenario, run_scenario
 
 
 def _result(tx_bytes=10_000, rx_bytes=50_000, latency=100.0):
@@ -61,7 +61,7 @@ def test_end_to_end_energy_comparison():
     """Under loss, LR-Seluge's radio energy is lower despite decode costs."""
     reports = {}
     for protocol in ("seluge", "lr-seluge"):
-        result = run_one_hop(OneHopScenario(
+        result = run_scenario(OneHopScenario(
             protocol=protocol, loss_rate=0.25, receivers=6,
             image_size=6000, k=16, n=24, seed=11,
         ))
@@ -71,8 +71,8 @@ def test_end_to_end_energy_comparison():
 
 def test_rx_bytes_counted_by_radio():
     """The radio counts delivered bytes (the energy model's rx input)."""
-    result = run_one_hop(OneHopScenario(protocol="deluge", loss_rate=0.0,
-                                        receivers=2, image_size=2048, k=8, seed=3))
+    result = run_scenario(OneHopScenario(protocol="deluge", loss_rate=0.0,
+                                         receivers=2, image_size=2048, k=8, seed=3))
     assert result.completed
     assert result.counters.get("rx_delivered_bytes", 0) > 0
     # Broadcast: every transmitted byte is heard by both receivers and the base.

@@ -23,7 +23,7 @@ from repro.experiments.executor import (
     run_campaign,
     task_key,
 )
-from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.experiments.scenarios import OneHopScenario, run_scenario
 from repro.persist import read_jsonl
 from repro.sim.engine import get_default_watchdog
 
@@ -136,8 +136,8 @@ def test_pool_matches_inline_on_real_scenarios():
         for protocol, p in (("seluge", 0.1), ("lr-seluge", 0.2),
                             ("lr-seluge", 0.3))
     ]
-    inline = execute_scenarios("one_hop", run_one_hop, scenarios)
-    pooled = execute_scenarios("one_hop", run_one_hop, scenarios,
+    inline = execute_scenarios("one_hop", run_scenario, scenarios)
+    pooled = execute_scenarios("one_hop", run_scenario, scenarios,
                                CampaignConfig(processes=2))
     assert len(inline) == len(scenarios)
     assert {k: r.to_jsonable() for k, r in pooled.items()} == {
@@ -253,6 +253,6 @@ def test_reports_accumulate_on_shared_config(tmp_path):
 def test_execute_scenarios_round_trips_run_results():
     scenario = OneHopScenario(protocol="lr-seluge", loss_rate=0.2, receivers=3,
                               image_size=2048, k=8, n=12, seed=1)
-    direct = run_one_hop(scenario)
-    via_executor = execute_scenarios("one_hop", run_one_hop, [scenario])
+    direct = run_scenario(scenario)
+    via_executor = execute_scenarios("one_hop", run_scenario, [scenario])
     assert via_executor[task_key("one_hop", scenario)] == direct

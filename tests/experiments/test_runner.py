@@ -100,26 +100,3 @@ def test_completion_rate_clamps_without_tracked_ids():
     assert legacy.completion_rate == 1.0  # clamped, never 1.5
     untracked = RunResult(protocol="stub", completed=True, latency=5.0)
     assert untracked.completion_rate is None
-
-
-def test_run_network_emits_a_manifest(tmp_path):
-    from repro.obs.manifest import RunManifest
-
-    sim = Simulator()
-    trace = TraceRecorder()
-    tracker, nodes = _network(sim, trace, [(1, 1.0), (2, 2.0)])
-    path = tmp_path / "run.manifest.json"
-    result = run_network(
-        sim, trace, tracker, nodes, "stub", max_time=60.0, seed=11,
-        manifest_path=str(path), manifest_config={"receivers": 2},
-    )
-    manifest = RunManifest.load(path)
-    assert manifest.tool == "repro.experiments.runner"
-    assert manifest.seed == 11
-    assert manifest.config["protocol"] == "stub"
-    assert manifest.config["receivers"] == 2
-    assert manifest.counters == result.counters
-    assert manifest.metrics["completed"] == 1.0
-    assert manifest.metrics["latency_s"] == 2.0
-    assert manifest.timings["sim_time_s"] == sim.now
-    assert "wall_s" in manifest.timings

@@ -8,8 +8,7 @@ from repro.experiments.scenarios import (
     MultiHopScenario,
     OneHopScenario,
     make_params,
-    run_multihop,
-    run_one_hop,
+    run_scenario,
 )
 
 
@@ -17,7 +16,7 @@ from repro.experiments.scenarios import (
 def test_one_hop_all_protocols_complete(protocol):
     scenario = OneHopScenario(protocol=protocol, loss_rate=0.15, receivers=3,
                               image_size=2500, k=8, n=12, seed=5, max_time=2400)
-    result = run_one_hop(scenario)
+    result = run_scenario(scenario)
     assert result.completed
     assert result.images_ok
     assert result.data_packets > 0
@@ -27,8 +26,8 @@ def test_one_hop_all_protocols_complete(protocol):
 def test_one_hop_deterministic_given_seed():
     scenario = OneHopScenario(protocol="lr-seluge", loss_rate=0.2, receivers=3,
                               image_size=2500, k=8, n=12, seed=9)
-    a = run_one_hop(scenario)
-    b = run_one_hop(scenario)
+    a = run_scenario(scenario)
+    b = run_scenario(scenario)
     assert a.counters == b.counters
     assert a.latency == b.latency
 
@@ -36,8 +35,8 @@ def test_one_hop_deterministic_given_seed():
 def test_one_hop_seed_changes_outcome():
     base = dict(protocol="lr-seluge", loss_rate=0.2, receivers=3,
                 image_size=2500, k=8, n=12)
-    a = run_one_hop(OneHopScenario(seed=1, **base))
-    b = run_one_hop(OneHopScenario(seed=2, **base))
+    a = run_scenario(OneHopScenario(seed=1, **base))
+    b = run_scenario(OneHopScenario(seed=2, **base))
     assert a.counters != b.counters
 
 
@@ -45,7 +44,7 @@ def test_multihop_small_grid_completes():
     scenario = MultiHopScenario(protocol="lr-seluge", topology="grid:3x3:3",
                                 image_size=2500, k=8, n=12, seed=3,
                                 ambient=False, max_time=2400)
-    result = run_multihop(scenario)
+    result = run_scenario(scenario)
     assert result.completed
     assert result.images_ok
 
@@ -53,13 +52,13 @@ def test_multihop_small_grid_completes():
 def test_multihop_mica2_names():
     scenario = MultiHopScenario(protocol="seluge", topology="tight:4x4",
                                 image_size=2500, k=8, n=12, seed=3, max_time=3600)
-    result = run_multihop(scenario)
+    result = run_scenario(scenario)
     assert result.completed
 
 
 def test_multihop_unknown_topology():
     with pytest.raises(ConfigError):
-        run_multihop(MultiHopScenario(topology="ring:10"))
+        run_scenario(MultiHopScenario(topology="ring:10"))
 
 
 def test_make_params_dispatch():
@@ -72,8 +71,8 @@ def test_make_params_dispatch():
 
 
 def test_run_result_metrics_consistent():
-    result = run_one_hop(OneHopScenario(protocol="seluge", loss_rate=0.1,
-                                        receivers=2, image_size=2500, k=8, seed=4))
+    result = run_scenario(OneHopScenario(protocol="seluge", loss_rate=0.1,
+                                         receivers=2, image_size=2500, k=8, seed=4))
     row = result.summary_row()
     assert row["data_pkts"] == result.data_packets
     assert row["total_bytes"] == result.total_bytes
@@ -82,9 +81,9 @@ def test_run_result_metrics_consistent():
 
 
 def test_incomplete_run_reports_max_time():
-    result = run_one_hop(OneHopScenario(protocol="seluge", loss_rate=0.3,
-                                        receivers=3, image_size=2500, k=8,
-                                        seed=4, max_time=1.0))
+    result = run_scenario(OneHopScenario(protocol="seluge", loss_rate=0.3,
+                                         receivers=3, image_size=2500, k=8,
+                                         seed=4, max_time=1.0))
     assert not result.completed
     assert result.latency == 1.0
     assert result.images_ok is False

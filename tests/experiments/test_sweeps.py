@@ -4,7 +4,7 @@ import itertools
 
 from repro.experiments.executor import execute_scenarios, task_key
 from repro.experiments.figures import mean_metrics
-from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.experiments.scenarios import OneHopScenario, run_scenario
 
 
 def test_one_hop_sweep_structure():
@@ -16,7 +16,7 @@ def test_one_hop_sweep_structure():
                                       n=12, seed=1)
         for protocol, p in itertools.product(protocols, loss_rates)
     }
-    results = execute_scenarios("one_hop", run_one_hop, list(cells.values()))
+    results = execute_scenarios("one_hop", run_scenario, list(cells.values()))
     assert len(results) == 4  # 2 protocols x 2 loss rates x 1 N
     by_key = {combo: results[task_key("one_hop", scenario)]
               for combo, scenario in cells.items()}

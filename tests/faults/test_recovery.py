@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core.packets import DataPacket
-from repro.experiments.scenarios import FaultyGridScenario, run_faulty_grid
+from repro.experiments.scenarios import Scenario, run_scenario
 from repro.faults import FaultPlan, NodeFlash
 from repro.obs.events import EventLog
 from repro.sim.trace import TraceRecorder
 
 PROTOCOLS = ("deluge", "seluge", "lr-seluge")
 
-SMALL_GRID = dict(topology="grid:2x2:3", image_size=3072, k=8, n=12,
-                  max_time=600.0)
+SMALL_GRID = dict(topology="grid:2x2:3", ambient=False, image_size=3072, k=8,
+                  n=12, max_time=600.0)
 
 
 # -- NodeFlash unit behaviour -------------------------------------------------
@@ -64,11 +64,11 @@ def test_flash_unit_packets_returns_a_copy():
 
 
 def _crash_run(protocol, plan, seed=7, trace=None, **overrides):
-    scenario = FaultyGridScenario(
-        protocol=protocol, seed=seed, plan=plan,
+    scenario = Scenario(
+        protocol=protocol, seed=seed, faults=plan.events,
         **{**SMALL_GRID, **overrides},
     )
-    return run_faulty_grid(scenario, trace=trace)
+    return run_scenario(scenario, trace=trace)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -90,9 +90,9 @@ def test_cold_reboot_without_flash_restarts_from_zero():
     plan = FaultPlan().crash(8.0, node=3, reboot_after=15.0)
     log = EventLog()
     trace = TraceRecorder(sink=log)
-    scenario = FaultyGridScenario(protocol="lr-seluge", seed=7, plan=plan,
-                                  **SMALL_GRID)
-    # run_faulty_grid attaches NodeFlash; strip node 3's to model a node
+    scenario = Scenario(protocol="lr-seluge", seed=7, faults=plan.events,
+                        **SMALL_GRID)
+    # build_rig attaches NodeFlash; strip node 3's to model a node
     # whose flash is absent (factory-fresh or corrupted beyond use)
     import repro.experiments.scenarios as scenarios_mod
 
@@ -101,7 +101,7 @@ def test_cold_reboot_without_flash_restarts_from_zero():
         scenarios_mod.NodeFlash = (
             lambda node_id: None if node_id == 3 else original(node_id)
         )
-        result = run_faulty_grid(scenario, trace=trace)
+        result = run_scenario(scenario, trace=trace)
     finally:
         scenarios_mod.NodeFlash = original
     assert result.completed and result.images_ok
@@ -125,13 +125,13 @@ def test_base_station_outage_stalls_then_recovers():
 # -- stochastic churn ---------------------------------------------------------
 
 
-CHURN = dict(topology="grid:2x2:3", image_size=3000, k=8, n=12, seed=1,
-             max_time=600.0, mtbf=5.0, mttr=4.0, churn_horizon=60.0)
+CHURN = dict(topology="grid:2x2:3", ambient=False, image_size=3000, k=8, n=12,
+             seed=1, max_time=600.0, mtbf=5.0, mttr=4.0, churn_horizon=60.0)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_all_protocols_complete_under_churn(protocol):
-    result = run_faulty_grid(FaultyGridScenario(protocol=protocol, **CHURN))
+    result = run_scenario(Scenario(protocol=protocol, **CHURN))
     assert result.completed and result.images_ok
     assert result.completion_rate == 1.0
     assert result.crash_count > 0
@@ -139,8 +139,8 @@ def test_all_protocols_complete_under_churn(protocol):
 
 
 def test_churn_costs_latency_vs_fault_free_baseline():
-    scenario = FaultyGridScenario(protocol="lr-seluge", **CHURN)
-    faulty = run_faulty_grid(scenario)
-    baseline = run_faulty_grid(scenario.fault_free())
+    scenario = Scenario(protocol="lr-seluge", **CHURN)
+    faulty = run_scenario(scenario)
+    baseline = run_scenario(scenario.fault_free())
     assert baseline.crash_count == 0
     assert faulty.latency > baseline.latency

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.scenarios import MultiHopScenario, OneHopScenario, run_multihop, run_one_hop
+from repro.experiments.scenarios import MultiHopScenario, OneHopScenario, run_scenario
 
 
 def test_four_protocols_same_scenario_ranking_under_loss():
@@ -12,7 +12,7 @@ def test_four_protocols_same_scenario_ranking_under_loss():
     seeds = (31, 32, 33)
     mean_latency = {}
     for protocol in ("deluge", "seluge", "lr-seluge", "rateless"):
-        runs = [run_one_hop(OneHopScenario(
+        runs = [run_scenario(OneHopScenario(
             protocol=protocol, loss_rate=0.3, receivers=8,
             image_size=8000, k=16, n=24, seed=s,
         )) for s in seeds]
@@ -23,7 +23,7 @@ def test_four_protocols_same_scenario_ranking_under_loss():
 
 def test_lr_seluge_multihop_pipeline_deep_chain():
     """A 1x8 line forces pipelined page-by-page forwarding over 8 hops."""
-    result = run_multihop(MultiHopScenario(
+    result = run_scenario(MultiHopScenario(
         protocol="lr-seluge", topology="grid:1x8:3", image_size=3000,
         k=8, n=12, seed=6, ambient=False, max_time=3600,
     ))
@@ -32,7 +32,7 @@ def test_lr_seluge_multihop_pipeline_deep_chain():
 
 
 def test_seluge_multihop_with_ambient_bursts():
-    result = run_multihop(MultiHopScenario(
+    result = run_scenario(MultiHopScenario(
         protocol="seluge", topology="grid:3x3:3", image_size=2500,
         k=8, seed=7, ambient=True, max_time=3600,
     ))
@@ -43,12 +43,12 @@ def test_counters_are_frozen_at_completion():
     """Post-completion Trickle chatter must not leak into the metrics."""
     scenario = OneHopScenario(protocol="seluge", loss_rate=0.05, receivers=2,
                               image_size=2500, k=8, seed=8)
-    a = run_one_hop(scenario)
+    a = run_scenario(scenario)
     assert a.completed
     # The snapshot was taken at latency time: counters cannot include advs
     # whose Trickle interval starts after completion.  Re-running gives the
     # identical snapshot (determinism), proving no post-hoc drift.
-    b = run_one_hop(scenario)
+    b = run_scenario(scenario)
     assert a.counters == b.counters
 
 
@@ -56,14 +56,14 @@ def test_all_nodes_hold_bitwise_identical_image():
     from repro.core.image import CodeImage
     scenario = OneHopScenario(protocol="lr-seluge", loss_rate=0.25, receivers=5,
                               image_size=5000, k=8, n=12, seed=12)
-    result = run_one_hop(scenario)
+    result = run_scenario(scenario)
     assert result.completed
     assert result.images_ok  # checked against the original bytes inside
 
 
 def test_larger_images_mean_proportionally_more_traffic():
-    small = run_one_hop(OneHopScenario(protocol="lr-seluge", loss_rate=0.1,
-                                       receivers=3, image_size=2500, k=8, n=12, seed=3))
-    large = run_one_hop(OneHopScenario(protocol="lr-seluge", loss_rate=0.1,
-                                       receivers=3, image_size=7500, k=8, n=12, seed=3))
+    small = run_scenario(OneHopScenario(protocol="lr-seluge", loss_rate=0.1,
+                                        receivers=3, image_size=2500, k=8, n=12, seed=3))
+    large = run_scenario(OneHopScenario(protocol="lr-seluge", loss_rate=0.1,
+                                        receivers=3, image_size=7500, k=8, n=12, seed=3))
     assert large.data_packets > 2 * small.data_packets

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.experiments.scenarios import OneHopScenario, run_one_hop
+from repro.experiments.scenarios import MultiHopScenario, OneHopScenario, run_scenario
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
 from repro.sim.engine import Simulator
@@ -31,7 +31,7 @@ def run_flight(protocol="lr-seluge", receivers=3, loss=0.1, seed=5,
     log = EventLog()
     flight = FlightRecorder(log)
     trace = TraceRecorder(sink=log, flight=flight)
-    result = run_one_hop(OneHopScenario(
+    result = run_scenario(OneHopScenario(
         protocol=protocol, loss_rate=loss, receivers=receivers,
         image_size=image_size, k=k, n=n, seed=seed, max_time=max_time,
     ), sim=sim, trace=trace)
@@ -66,17 +66,16 @@ def run_causal(protocol="lr-seluge", receivers=3, loss=0.1, seed=5,
     flight = FlightRecorder(log)
     trace = TraceRecorder(sink=log, flight=flight, causal=CausalRecorder(log))
     if topology is not None:
-        from repro.experiments.scenarios import MultiHopScenario, run_multihop
-
-        result = run_multihop(MultiHopScenario(
+        scenario = MultiHopScenario(
             protocol=protocol, topology=topology, image_size=image_size,
             k=k, n=n, seed=seed, max_time=max_time,
-        ), sim=sim, trace=trace)
+        )
     else:
-        result = run_one_hop(OneHopScenario(
+        scenario = OneHopScenario(
             protocol=protocol, loss_rate=loss, receivers=receivers,
             image_size=image_size, k=k, n=n, seed=seed, max_time=max_time,
-        ), sim=sim, trace=trace)
+        )
+    result = run_scenario(scenario, sim=sim, trace=trace)
     flight.finalize(sim.now)
     log.flush_open_spans(sim.now)
     return CausalRun(result, log, sim, trace)

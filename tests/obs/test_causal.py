@@ -91,7 +91,7 @@ def test_critical_path_edges_telescope(causal_run):
 def test_causal_recorder_does_not_perturb_the_run(causal_run, flight_run):
     """With the recorders detached the event stream and counters are
     byte-identical: the recorders only ever *add* their own kinds."""
-    from repro.experiments.scenarios import OneHopScenario, run_one_hop
+    from repro.experiments.scenarios import OneHopScenario, run_scenario
     from repro.sim.engine import Simulator
     from repro.sim.trace import TraceRecorder
 
@@ -99,7 +99,7 @@ def test_causal_recorder_does_not_perturb_the_run(causal_run, flight_run):
         sim = Simulator()
         log = EventLog()
         trace = TraceRecorder(sink=log)
-        result = run_one_hop(OneHopScenario(
+        result = run_scenario(OneHopScenario(
             protocol="lr-seluge", loss_rate=0.2, receivers=3,
             image_size=3000, k=8, n=12, seed=9,
         ), sim=sim, trace=trace)

@@ -104,7 +104,7 @@ def test_auth_events_track_the_packet_lifecycle(flight_run):
 @pytest.mark.parametrize("protocol", ["deluge", "seluge", "lr-seluge"])
 def test_flight_recording_does_not_perturb_the_run(protocol):
     """Same seed, same flags: byte-identical outcome with and without flight."""
-    from repro.experiments.scenarios import OneHopScenario, run_one_hop
+    from repro.experiments.scenarios import OneHopScenario, run_scenario
     from repro.sim.engine import Simulator
     from repro.sim.trace import TraceRecorder
 
@@ -113,12 +113,12 @@ def test_flight_recording_does_not_perturb_the_run(protocol):
     plain_sim = Simulator()
     plain_log = EventLog()
     plain_trace = TraceRecorder(sink=plain_log)
-    plain = run_one_hop(scenario, sim=plain_sim, trace=plain_trace)
+    plain = run_scenario(scenario, sim=plain_sim, trace=plain_trace)
 
     flight_sim = Simulator()
     log = EventLog()
     flight_trace = TraceRecorder(sink=log, flight=FlightRecorder(log))
-    recorded = run_one_hop(scenario, sim=flight_sim, trace=flight_trace)
+    recorded = run_scenario(scenario, sim=flight_sim, trace=flight_trace)
 
     assert plain.latency == recorded.latency
     assert plain.data_packets == recorded.data_packets

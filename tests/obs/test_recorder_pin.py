@@ -28,7 +28,7 @@ from repro.experiments.scenarios import (
     _BUILDERS,
     MultiHopScenario,
     make_params,
-    run_multihop,
+    run_scenario,
 )
 from repro.net.channel import NoLoss
 from repro.net.radio import Radio, RadioConfig
@@ -52,7 +52,7 @@ def _grid_run(topology="grid:4x4:4", image_size=8 * 1024, k=16, n=24):
     collisions on."""
     sim = Simulator()
     log, flight, trace = _recorded_trace()
-    result = run_multihop(MultiHopScenario(
+    result = run_scenario(MultiHopScenario(
         protocol="lr-seluge", topology=topology, image_size=image_size,
         k=k, n=n, seed=3,
     ), sim=sim, trace=trace)

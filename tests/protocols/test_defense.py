@@ -5,8 +5,8 @@ import pytest
 from repro.attacks import AttackSpec
 from repro.core.image import CodeImage
 from repro.errors import ConfigError
-from repro.experiments.adversarial import AdversarialScenario, build_adversarial, run_adversarial
-from repro.experiments.scenarios import make_params
+from repro.experiments.adversarial import recording_trace, run_adversarial, run_attributed
+from repro.experiments.scenarios import Scenario, build_rig, make_params
 from repro.faults.plan import FaultEvent, FaultKind
 from repro.net.channel import NoLoss
 from repro.net.radio import Radio, RadioConfig
@@ -118,10 +118,15 @@ def test_replay_window_is_bounded():
 # -- protocol integration -----------------------------------------------------
 
 def _scenario(**kwargs):
-    defaults = dict(protocol="lr-seluge", topology="star:4", image_size=2048,
-                    k=4, n=6, seed=1, max_time=1500.0)
+    defaults = dict(protocol="lr-seluge", topology="star:4", loss_rate=0.05,
+                    ambient=False, image_size=2048, k=4, n=6, seed=1,
+                    max_time=1500.0)
     defaults.update(kwargs)
-    return AdversarialScenario(**defaults)
+    return Scenario(**defaults)
+
+
+def _rig(scenario):
+    return build_rig(scenario, trace=recording_trace())
 
 
 def test_disabled_defense_matches_no_defense_exactly():
@@ -172,35 +177,35 @@ def test_rate_limit_quarantines_dor_flooder():
                          params={"victim": 1, "unit": 0, "n_packets": 12}),)
     # The undefended victim crawls home in ~2000s of simulated time; give
     # both runs headroom so the comparison is between completed runs.
-    undefended = build_adversarial(_scenario(attacks=attack, max_time=3000.0))
-    r_open = undefended.run()
-    defended = build_adversarial(_scenario(
+    undefended = _rig(_scenario(attacks=attack, max_time=3000.0))
+    r_open = run_attributed(undefended)
+    defended = _rig(_scenario(
         attacks=attack, defense=DefenseConfig(rate_limit=True),
         max_time=3000.0))
-    r_shut = defended.run()
+    r_shut = run_attributed(defended)
     assert r_open.completed and r_shut.completed
     assert defended.trace.counters["defense_quarantine"] >= 1
     assert defended.trace.counters["defense_snack_rate_limited"] > 0
     # Battery drain plateaus: the served flood stops once quarantine bites.
     assert r_shut.counters["tx_data"] < r_open.counters["tx_data"]
-    base_tx_open = undefended.flight.tx_frame_counts()[0]
-    base_tx_shut = defended.flight.tx_frame_counts()[0]
+    base_tx_open = undefended.trace.flight.tx_frame_counts()[0]
+    base_tx_shut = defended.trace.flight.tx_frame_counts()[0]
     assert base_tx_shut < base_tx_open
     # The invariant holds: no quarantined neighbor was ever served.
-    report = check_events(defended.log)
+    report = check_events(defended.trace.sink)
     assert report.checked["quarantine_respected"] > 0
     assert not report.of_invariant("quarantine_respected")
 
 
 def test_replay_filter_drops_replayed_control():
     attack = (AttackSpec(kind="replay", start=1.0, period=0.3),)
-    rig = build_adversarial(_scenario(
+    rig = _rig(_scenario(
         attacks=attack, defense=DefenseConfig(replay_filter=True),
         max_time=2400.0))
-    result = rig.run()
+    result = run_attributed(rig)
     assert result.completed
     assert rig.trace.counters["defense_replay_dropped"] > 0
-    report = check_events(rig.log)
+    report = check_events(rig.trace.sink)
     assert not report.of_invariant("replay_never_rebuffered")
 
 
@@ -208,8 +213,8 @@ def test_attacker_crash_composes_with_fault_plan():
     """Satellite: a FaultPlan can kill an attacker mid-run; victims finish."""
     attack = (AttackSpec(kind="sybil-snack", start=1.0, period=0.3),)
     faults = (FaultEvent(10.0, FaultKind.NODE_CRASH, node=5),)  # the attacker
-    rig = build_adversarial(_scenario(attacks=attack, faults=faults))
-    result = rig.run()
+    rig = _rig(_scenario(attacks=attack, faults=faults))
+    result = run_attributed(rig)
     assert result.completed and result.images_ok
     attacker = rig.attackers[0]
     assert attacker.crashed

@@ -17,7 +17,8 @@ import pytest
 
 from repro.attacks.plan import AttackSpec
 from repro.errors import SimulationError
-from repro.experiments.adversarial import AdversarialScenario, build_adversarial
+from repro.experiments.adversarial import recording_trace, run_attributed
+from repro.experiments.scenarios import Scenario, build_rig
 from repro.faults.plan import FaultEvent, FaultKind
 from repro.protocols.common import DisseminationNode
 from repro.sim.engine import PerturbedSimulator, Simulator
@@ -37,8 +38,8 @@ ATTACKS = (AttackSpec(kind="bogus-data", start=0.5, period=0.3),)
 
 
 def _cell(protocol: str, faults: Tuple[Any, ...] = (),
-          attacks: Tuple[Any, ...] = ()) -> AdversarialScenario:
-    return AdversarialScenario(
+          attacks: Tuple[Any, ...] = ()) -> Scenario:
+    return Scenario(
         protocol=protocol, topology="star:5", loss_rate=0.1, image_size=2048,
         k=4, n=6, seed=3, max_time=1800.0, faults=faults, attacks=attacks,
     )
@@ -53,7 +54,7 @@ CELLS = {
 }
 
 # The digest-pinned cell: 3 receivers and a 1 KiB image keep it fast.
-PIN_CELL = AdversarialScenario(
+PIN_CELL = Scenario(
     protocol="lr-seluge", topology="star:3", loss_rate=0.1, image_size=1024,
     k=4, n=6, seed=3, max_time=900.0,
 )
@@ -88,12 +89,12 @@ def event_digest(log: Any) -> str:
     return _sha256("\n".join(canonical_events(log)))
 
 
-def _outcome(scenario: AdversarialScenario,
+def _outcome(scenario: Scenario,
              sim: Simulator) -> Tuple[str, List[str]]:
     """Run ``scenario`` on ``sim``: (metrics digest, canonical events)."""
-    rig = build_adversarial(scenario, sim=sim)
-    result = rig.run()
-    return metrics_digest(result), canonical_events(rig.log)
+    rig = build_rig(scenario, sim=sim, trace=recording_trace())
+    result = run_attributed(rig)
+    return metrics_digest(result), canonical_events(rig.trace.sink)
 
 
 # -- PerturbedSimulator -------------------------------------------------------
@@ -207,18 +208,19 @@ def test_pinned_baseline_digests():
     If a deliberate protocol/timing change lands, re-pin with::
 
         PYTHONPATH=src python -c "
-        from repro.experiments.adversarial import build_adversarial
+        from repro.experiments.adversarial import recording_trace, run_attributed
+        from repro.experiments.scenarios import build_rig
         from tests.sim.test_sanitize import PIN_CELL, metrics_digest, event_digest
-        rig = build_adversarial(PIN_CELL); r = rig.run()
-        print(metrics_digest(r)); print(event_digest(rig.log))"
+        rig = build_rig(PIN_CELL, trace=recording_trace()); r = run_attributed(rig)
+        print(metrics_digest(r)); print(event_digest(rig.trace.sink))"
 
     An *accidental* change here means run results shifted for every seed —
     investigate before re-pinning.
     """
-    rig = build_adversarial(PIN_CELL)
-    result = rig.run()
+    rig = build_rig(PIN_CELL, trace=recording_trace())
+    result = run_attributed(rig)
     assert result.completed
     assert metrics_digest(result) == (
         "03aea5b8e769ffb44afbc226d2d9042ceb6f615ce9cf1df72429dbdb9d737e45")
-    assert event_digest(rig.log) == (
+    assert event_digest(rig.trace.sink) == (
         "f14038caf54d49bcca1f94255586aaefc8c69bf424e0bcc6e48df66ebc9b7e6d")

@@ -98,16 +98,16 @@ def test_spans_without_a_sink_are_no_ops():
 def test_counter_snapshot_does_not_depend_on_the_sink():
     """Attaching an event log (``--trace-out``) must not change the counters
     a run reports, span completions included."""
-    from repro.experiments.scenarios import OneHopScenario, run_one_hop
+    from repro.experiments.scenarios import OneHopScenario, run_scenario
     from repro.obs.events import EventLog
 
     scenario = OneHopScenario(protocol="lr-seluge", receivers=3,
                               loss_rate=0.15, image_size=3000, k=8, n=12,
                               seed=9)
     bare = TraceRecorder()
-    run_one_hop(scenario, trace=bare)
+    run_scenario(scenario, trace=bare)
     logged = TraceRecorder(sink=EventLog())
-    run_one_hop(scenario, trace=logged)
+    run_scenario(scenario, trace=logged)
     assert bare.snapshot()["span_page"] > 0
     assert bare.snapshot() == logged.snapshot()
 
