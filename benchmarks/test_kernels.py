@@ -17,7 +17,7 @@ from repro.crypto.merkle import MerkleTree, verify_merkle_path
 from repro.crypto.puzzle import MessageSpecificPuzzle
 from repro.erasure.gf256 import GF256
 from repro.erasure.rs import ReedSolomonCode
-from repro.net.channel import CompositeLoss, GilbertElliottLoss, NoLoss, PerLinkLoss
+from repro.net.channel import GilbertElliottLoss, NoLoss
 from repro.net.node import NetworkNode
 from repro.net.packet import Frame, FrameKind
 from repro.net.radio import Radio, RadioConfig
@@ -223,14 +223,13 @@ def test_engine_timer_churn(benchmark):
 def test_loss_composite_should_drop(benchmark):
     """10k ambient-loss decisions over the links of ``grid:7x7:3``.
 
-    The multi-hop grids' loss model: static per-link loss composed with a
-    Gilbert-Elliott chain per link, asked once per delivery attempt.  Streams
+    The multi-hop grids' loss model: one Gilbert-Elliott chain per link
+    behind the link's static loss, asked once per delivery attempt.  Streams
     are resolved before timing starts; time keeps advancing across rounds.
     """
     topo = grid_topology(7, 7, spacing=3.0, rngs=RngRegistry(1))
-    model = CompositeLoss(PerLinkLoss(topo.link_loss),
-                          GilbertElliottLoss(loss_good=0.05, loss_bad=0.5,
-                                             mean_good=6.0, mean_bad=2.0))
+    model = GilbertElliottLoss(loss_good=0.05, loss_bad=0.5, mean_good=6.0,
+                               mean_bad=2.0, loss_map=topo.link_loss)
     rngs = RngRegistry(1)
     frame = Frame(kind=FrameKind.DATA, sender=0, size_bytes=40, payload=None)
     links = itertools.cycle(sorted(topo.link_loss))

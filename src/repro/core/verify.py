@@ -234,14 +234,16 @@ class SelugeReceiver(_SecureReceiver):
                  puzzle: Optional[MessageSpecificPuzzle] = None):
         super().__init__(public_key, puzzle or MessageSpecificPuzzle(difficulty=10))
         self.params = params
+        m0 = params.hash_page_packets()
+        self._hash_page_geometry = (m0, m0)
+        self._page_geometry = (params.k, params.k)
 
     def geometry(self, unit: int) -> Tuple[int, int]:
         if unit == 0:
             return 1, 1
         if unit == 1:
-            m0 = self.params.hash_page_packets()
-            return m0, m0
-        return self.params.k, self.params.k
+            return self._hash_page_geometry
+        return self._page_geometry
 
     def authenticate(self, packet: DataPacket) -> bool:
         if packet.unit == 1:
@@ -293,13 +295,15 @@ class LRSelugeReceiver(_SecureReceiver):
             seed=params.code_seed + 1,
         )
         self._decoded_blocks: Dict[int, List[bytes]] = {}
+        self._hash_page_geometry = (params.n0, params.k0prime)
+        self._page_geometry = (params.n, params.resolved_kprime)
 
     def geometry(self, unit: int) -> Tuple[int, int]:
         if unit == 0:
             return 1, 1
         if unit == 1:
-            return self.params.n0, self.params.k0prime
-        return self.params.n, self.params.resolved_kprime
+            return self._hash_page_geometry
+        return self._page_geometry
 
     def authenticate(self, packet: DataPacket) -> bool:
         if packet.unit == 1:

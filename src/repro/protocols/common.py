@@ -550,8 +550,7 @@ class DisseminationNode(NetworkNode):
             return  # TX pump re-schedules us once drained
         if self._request_tries >= self.timing.request_max_tries:
             return  # back to MAINTAIN; a fresh advertisement resets tries
-        unit = self.units_complete
-        if not any(p > unit for p in self._neighbor_progress.values()):
+        if max(self._neighbor_progress.values(), default=-1) <= self.units_complete:
             return  # no neighbour can serve it yet
         self._note_request_cause("first_request")
         self._request_timer.start(self.rng.uniform(0.0, self.timing.request_delay_max))
@@ -596,9 +595,8 @@ class DisseminationNode(NetworkNode):
             self._request_timer.start(self._rearm_delay(self.timing.request_timeout))
             return
         unit = self.units_complete
-        servers = self._servers_for(unit)
-        if not servers:
-            return
+        if max(self._neighbor_progress.values(), default=-1) <= unit:
+            return  # no neighbour can serve it
         if self._request_tries >= self.timing.request_max_tries:
             return
         # Deluge rule: overheard data suppresses a pending request — but
@@ -609,9 +607,6 @@ class DisseminationNode(NetworkNode):
         # neighborhood advancing page-by-page in near lockstep.
         now = self.sim.now
         last_same = self._last_data_heard.get(unit)
-        last_lower = max(
-            (t for u, t in self._last_data_heard.items() if u < unit), default=None
-        )
         if self._data_suppressions < self.timing.data_suppression_cap:
             if last_same is not None and now - last_same < self.timing.burst_active_gap:
                 self._data_suppressions += 1
@@ -619,6 +614,9 @@ class DisseminationNode(NetworkNode):
                 self._note_request_cause("data_burst")
                 self._request_timer.start(self.timing.burst_active_gap * self.rng.uniform(1.0, 2.0))
                 return
+            last_lower = max(
+                (t for u, t in self._last_data_heard.items() if u < unit), default=None
+            )
             if (
                 last_lower is not None
                 and now - last_lower < self.timing.data_quiet_window
@@ -645,6 +643,7 @@ class DisseminationNode(NetworkNode):
             return
         # Stick with the best server while making progress; rotate through
         # the alternatives as consecutive tries fail (bad/asymmetric link).
+        servers = self._servers_for(unit)
         server = servers[self._request_tries % len(servers)]
         request = SnackRequest(
             version=self.pipeline.version or 0,

@@ -63,6 +63,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ConfigError
 from repro.experiments.adversarial import run_attributed
 from repro.experiments.energy import estimate_energy
 from repro.experiments.reporting import stopwatch
@@ -231,7 +232,8 @@ def _config_dict(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     attack_specs = _attack_specs(args)
     adversarial = bool(attack_specs or args.defense)
     faulty = bool(args.fault_plan or args.mtbf is not None or args.link_flap)
@@ -253,8 +255,11 @@ def main(argv=None) -> int:
     trace = TraceRecorder(sink=log, flight=flight, causal=causal)
 
     with stopwatch() as elapsed:
-        rig = build_rig(_scenario(args, attack_specs, adversarial, faulty),
-                        sim=sim, trace=trace)
+        try:
+            rig = build_rig(_scenario(args, attack_specs, adversarial, faulty),
+                            sim=sim, trace=trace)
+        except ConfigError as exc:
+            parser.error(str(exc))
         result = run_attributed(rig) if adversarial else rig.run()
     wall_s = elapsed()
 

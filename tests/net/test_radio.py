@@ -98,6 +98,37 @@ def test_per_link_loss_respected():
     assert len(nodes[3].received) == 1
 
 
+def test_receiver_table_follows_every_fault_surface_call():
+    """Each call that changes who hears a sender rebuilds its receiver
+    table: the next frame reaches exactly ``Radio.neighbors()``."""
+    sim = Simulator()
+    rngs = RngRegistry(1)
+    trace = TraceRecorder()
+    radio = Radio(sim, star_topology(3), NoLoss(), rngs, trace)
+    nodes = [Sink(i, sim, radio, rngs, trace) for i in (0, 1, 2)]
+
+    def receivers_of_next_frame():
+        before = {node.node_id: len(node.received) for node in nodes}
+        nodes[0].broadcast(FrameKind.DATA, 30, "x")
+        sim.run()
+        got = {node.node_id for node in nodes
+               if len(node.received) > before[node.node_id]}
+        assert got == set(radio.neighbors(0))
+        return got
+
+    assert receivers_of_next_frame() == {1, 2}
+    radio.detach(1)
+    assert receivers_of_next_frame() == {2}
+    radio.attach(1)
+    assert receivers_of_next_frame() == {1, 2}
+    radio.set_link(0, 2, up=False)
+    assert receivers_of_next_frame() == {1}
+    radio.set_link(0, 2, up=True)
+    assert receivers_of_next_frame() == {1, 2}
+    nodes.append(Sink(3, sim, radio, rngs, trace))  # a late register
+    assert receivers_of_next_frame() == {1, 2, 3}
+
+
 def _custom_network(neighbors, collisions=True):
     from repro.net.topology import Topology
 

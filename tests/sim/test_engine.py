@@ -86,6 +86,17 @@ def test_nan_times_rejected(make):
     assert sim.heap_stats()["heap_len"] == 0
 
 
+@pytest.mark.parametrize("delay", [float("nan"), -1e-9], ids=["nan", "negative"])
+def test_rejected_delay_leaves_heap_unchanged(delay):
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    before = sim.heap_stats()
+    with pytest.raises(SimulationError):
+        sim.schedule(delay, lambda: None)
+    assert sim.heap_stats() == before
+    assert sim.run() == 1
+
+
 def test_events_scheduled_during_run_execute(sim):
     seen = []
 
