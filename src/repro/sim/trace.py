@@ -36,10 +36,13 @@ shaped): :meth:`TraceRecorder.record` mirrors counted instants into it and
 close packet/page lifecycle spans there.  Span completions are counted
 whether or not a sink is attached.
 
-Between :meth:`~TraceRecorder.rx` and :meth:`~TraceRecorder.rx_done` the
-radio is handing a delivered frame to the receiver's ``on_receive``;
-:meth:`~TraceRecorder.current_frame` names that frame, so protocol code can
-parent what it triggers (a SNACK arm, a decode) on it.
+:meth:`~TraceRecorder.rx` marks the receiver a delivered frame is being
+handed to, and :meth:`~TraceRecorder.current_frame` names that frame, so the
+receiver's ``on_receive`` can parent what it triggers (a SNACK arm, a
+decode) on it.  The mark stays until the next ``rx`` or until the radio
+calls :meth:`~TraceRecorder.rx_done` at the end of the frame's delivery
+loop, so it also covers the loss and tamper decisions for later receivers
+of the same frame; those must not ask for it.
 """
 
 from __future__ import annotations
@@ -214,7 +217,7 @@ class TraceRecorder:
 
     def rx(self, dst: int, frame: Any) -> None:
         """``frame`` reached ``dst``; it is ``dst``'s current frame until
-        :meth:`rx_done`."""
+        the next ``rx`` or :meth:`rx_done`."""
         counters = self.counters
         counters["rx_delivered"] += 1
         counters["rx_delivered_bytes"] += frame.size_bytes
@@ -222,7 +225,7 @@ class TraceRecorder:
         self._rx_frame = frame.frame_id
 
     def rx_done(self) -> None:
-        """The receiver's handler returned: no frame is being handled."""
+        """The frame's delivery loop ended: no frame is being handled."""
         self._rx_node = None
 
     def current_frame(self, node: int) -> Any:
