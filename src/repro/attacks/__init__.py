@@ -1,45 +1,31 @@
 """The composable adversary engine (DESIGN.md §12).
 
-Declarative :class:`AttackPlan`s (JSON-round-trippable, like
-:class:`repro.faults.plan.FaultPlan`) name attackers from a plugin registry;
-an :class:`AttackEngine` deploys them into any scenario's topology and halts
-them the moment every victim completes.
+Declarative :class:`AttackSpec` records (JSON-loadable with
+:func:`load_attack_plan`, like :class:`repro.faults.plan.FaultPlan`) name
+attackers from :data:`ATTACK_KINDS`; an :class:`AttackEngine` deploys them
+into any scenario's topology and halts them the moment every victim
+completes.
 """
 
-from repro.attacks.engine import AttackContext, AttackEngine
-from repro.attacks.model import (
-    ATTACK_KINDS,
-    AttackModel,
-    register_attack,
-    resolve_kind,
-)
+from repro.attacks.engine import AttackEngine
+from repro.attacks.model import AttackModel
 from repro.attacks.models import (
+    ATTACK_KINDS,
     BogusDataInjector,
     ControlForger,
     DenialOfReceiptAttacker,
-    GreyholeRelay,
-    ReactiveJammer,
-    ReplayAttacker,
     SignatureFlooder,
-    SybilSnackForger,
 )
-from repro.attacks.plan import AttackPlan, AttackSpec
+from repro.attacks.plan import AttackSpec, load_attack_plan
 
 __all__ = [
     "ATTACK_KINDS",
-    "AttackContext",
     "AttackEngine",
     "AttackModel",
-    "AttackPlan",
     "AttackSpec",
     "BogusDataInjector",
     "ControlForger",
     "DenialOfReceiptAttacker",
-    "GreyholeRelay",
-    "ReactiveJammer",
-    "ReplayAttacker",
     "SignatureFlooder",
-    "SybilSnackForger",
-    "register_attack",
-    "resolve_kind",
+    "load_attack_plan",
 ]

@@ -1,65 +1,38 @@
-"""Deploying attack plans into live scenarios.
+"""Deploying attack specs into live scenarios.
 
-The :class:`AttackEngine` turns a declarative :class:`~repro.attacks.plan.
-AttackPlan` into radio-attached attacker nodes: it allocates fresh node ids
-above the legitimate population, extends the scenario's :class:`~repro.net.
-topology.Topology` *in place* (so per-link channel models that hold a
-reference to ``link_loss`` see the new links), instantiates each spec's
-registered model, and manages the fleet's lifecycle — most importantly
-:meth:`halt_all`, which the completion callback wires up so attackers stop
-firing the instant every victim reports completion instead of inflating
-event counts until ``max_time``.
+The :class:`AttackEngine` turns a scenario's declarative :class:`~repro.
+attacks.plan.AttackSpec` tuple into radio-attached attacker nodes: it
+allocates fresh node ids above the legitimate population, extends the
+scenario's :class:`~repro.net.topology.Topology` *in place* (so per-link
+channel models that hold a reference to ``link_loss`` see the new links),
+instantiates each spec's model, and manages the fleet's lifecycle — most
+importantly :meth:`halt_all`, which the completion callback wires up so
+attackers stop firing the instant every victim reports completion instead
+of inflating event counts until ``max_time``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.attacks.model import AttackModel, resolve_kind
-from repro.attacks.plan import AttackPlan
+from repro.attacks.model import AttackModel
+from repro.attacks.models import ATTACK_KINDS
+from repro.attacks.plan import AttackSpec
 from repro.errors import ConfigError
 from repro.net.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import WireFormat
-    from repro.core.preprocess import PreprocessedImage
-    from repro.protocols.common import DisseminationNode
-
-__all__ = ["AttackContext", "AttackEngine"]
+__all__ = ["AttackEngine"]
 
 #: Synthetic links to/from attackers are clean and loud: the adversary picks
 #: its spot and transmit power, so the *channel* never saves the victims.
 _ATTACK_LINK_RX_DBM = -50.0
 
 
-class AttackContext:
-    """What an *insider* adversary knows about the deployment.
-
-    Outsider attacks (jamming, forging, replaying) ignore this; insider
-    attacks like :class:`~repro.attacks.models.GreyholeRelay` use the base
-    station's pipeline to emit authentic packets.
-    """
-
-    def __init__(
-        self,
-        base: "DisseminationNode",
-        nodes: Iterable["DisseminationNode"] = (),
-        preprocessed: Optional["PreprocessedImage"] = None,
-    ):
-        self.base = base
-        self.nodes = tuple(nodes)
-        self.preprocessed = preprocessed
-
-    @property
-    def wire(self) -> "WireFormat":
-        return self.base.wire
-
-
 class AttackEngine:
-    """Instantiate, place, and manage the attackers of an attack plan."""
+    """Instantiate, place, and manage the attackers of a spec tuple."""
 
     def __init__(
         self,
@@ -67,15 +40,13 @@ class AttackEngine:
         radio: Radio,
         rngs: RngRegistry,
         trace: TraceRecorder,
-        plan: AttackPlan,
-        context: Optional[AttackContext] = None,
+        specs: Sequence[AttackSpec],
     ):
         self.sim = sim
         self.radio = radio
         self.rngs = rngs
         self.trace = trace
-        self.plan = plan
-        self.context = context
+        self.specs = tuple(specs)
         self.attackers: List[AttackModel] = []
 
     # -- placement -----------------------------------------------------------
@@ -115,21 +86,23 @@ class AttackEngine:
     # -- lifecycle -----------------------------------------------------------
 
     def deploy(self) -> List[AttackModel]:
-        """Create one attacker node per plan spec (ids above the victims)."""
+        """Create one attacker node per spec (ids above the victims)."""
         if self.attackers:
             raise ConfigError("attack engine already deployed")
         topo = self.radio.topology
         next_id = (max(topo.node_ids) + 1) if topo.positions else 0
-        for spec in self.plan:
+        for spec in self.specs:
+            cls = ATTACK_KINDS.get(spec.kind)
+            if cls is None:
+                raise ConfigError(f"unknown attack kind {spec.kind!r} "
+                                  f"(known: {', '.join(sorted(ATTACK_KINDS))})")
             node_id = next_id
             next_id += 1
             self._place(node_id, spec.position, spec.reach)
-            cls = resolve_kind(spec.kind)
             attacker = cls(
                 node_id, self.sim, self.radio, self.rngs, self.trace,
                 period=spec.period, start_delay=spec.start,
-                stop_time=spec.stop, context=self.context,
-                **spec.kwargs(),
+                stop_time=spec.stop, **spec.kwargs(),
             )
             self.trace.record(self.sim.now, "attack_deployed", node_id,
                               attack=spec.kind)

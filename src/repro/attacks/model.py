@@ -1,4 +1,4 @@
-"""The adversary plugin base and its kind registry.
+"""The adversary base class.
 
 An :class:`AttackModel` is a radio-attached node that fires attack traffic on
 a period (via :class:`~repro.sim.process.PeriodicProcess`), snoops
@@ -12,16 +12,15 @@ the rest of the harness expects:
   stop inflating event counts after the interesting part is over;
 * an optional absolute ``stop_time`` from the spec's activation window.
 
-Concrete attacks subclass this, set a class-level ``kind`` string, and
-register themselves with :func:`register_attack`; the registry is what makes
-:class:`~repro.attacks.plan.AttackSpec` kinds resolvable by the engine.
+Concrete attacks subclass this and set a class-level ``kind`` string, the
+name an :class:`~repro.attacks.plan.AttackSpec` uses for them
+(:data:`repro.attacks.models.ATTACK_KINDS`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Type
+from typing import ClassVar, Optional
 
-from repro.errors import ConfigError
 from repro.net.node import NetworkNode
 from repro.net.packet import Frame, FrameKind
 from repro.net.radio import Radio
@@ -30,32 +29,7 @@ from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.attacks.engine import AttackContext
-
-__all__ = ["AttackModel", "ATTACK_KINDS", "register_attack", "resolve_kind"]
-
-#: kind string -> attack class; populated by :func:`register_attack`.
-ATTACK_KINDS: Dict[str, Type["AttackModel"]] = {}
-
-
-def register_attack(cls: Type["AttackModel"]) -> Type["AttackModel"]:
-    """Class decorator: add ``cls`` to the attack-kind registry."""
-    if not cls.kind:
-        raise ConfigError(f"{cls.__name__} must set a non-empty kind")
-    if cls.kind in ATTACK_KINDS:
-        raise ConfigError(f"duplicate attack kind {cls.kind!r}")
-    ATTACK_KINDS[cls.kind] = cls
-    return cls
-
-
-def resolve_kind(kind: str) -> Type["AttackModel"]:
-    """Look up a registered attack class; raise ConfigError on unknown kinds."""
-    try:
-        return ATTACK_KINDS[kind]
-    except KeyError:
-        known = ", ".join(sorted(ATTACK_KINDS)) or "<none registered>"
-        raise ConfigError(f"unknown attack kind {kind!r} (known: {known})")
+__all__ = ["AttackModel"]
 
 
 class AttackModel(NetworkNode):
@@ -73,13 +47,11 @@ class AttackModel(NetworkNode):
         period: float = 0.5,
         start_delay: float = 0.1,
         stop_time: Optional[float] = None,
-        context: Optional["AttackContext"] = None,
     ):
         super().__init__(node_id, sim, radio, rngs, trace)
         self.sent = 0
         self.halted = False
         self.crashed = False
-        self.context = context
         self._period = period
         self._start_delay = start_delay
         self._stop_time = stop_time
@@ -148,10 +120,6 @@ class AttackModel(NetworkNode):
         # Attackers snoop advertisements to target the current page.
         if frame.kind is FrameKind.ADV:
             self._observe_adv(frame.payload, sender)
-        self._observe(frame, sender)
 
     def _observe_adv(self, adv, sender: int) -> None:
         """Hook: an advertisement was overheard."""
-
-    def _observe(self, frame: Frame, sender: int) -> None:
-        """Hook: any frame was overheard (reactive attacks live here)."""

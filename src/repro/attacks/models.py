@@ -1,6 +1,7 @@
 """The attack library (DESIGN.md §12).
 
-Eight registered adversaries:
+The paper's three attacks (Section IV-E) and the control-packet forger that
+its cluster/pairwise keys defeat:
 
 * :class:`BogusDataInjector` (``bogus-data``) — floods forged data packets
   for the page its victims are collecting; secure receivers reject each at
@@ -12,39 +13,22 @@ Eight registered adversaries:
   at a single MAC check.
 * :class:`DenialOfReceiptAttacker` (``denial-of-receipt``) — a compromised
   node spamming all-ones SNACKs at one victim to drain its battery.
-* :class:`ReactiveJammer` (``reactive-jammer``) — transmits jam frames on
-  overheard activity, under an airtime duty-cycle budget (an energy-limited
-  jammer); jam frames carry no protocol payload and hurt purely through
-  channel occupancy and collisions.
-* :class:`GreyholeRelay` (``greyhole``) — an insider holding the authentic
-  image that advertises full progress to lure requesters, then serves each
-  requested packet only with probability ``1 - drop_rate``.
-* :class:`ReplayAttacker` (``replay``) — captures authentic frames off the
-  air and re-injects them later: replayed SNACKs make servers re-serve full
-  bursts, replayed stale-page data trips receivers' quiet-window deferrals.
-* :class:`SybilSnackForger` (``sybil-snack``) — one radio, many fabricated
-  requester identities: defeats any per-*claimed-identity* counter (each
-  fake identity stays under threshold) so only link-layer rate limiting
-  (``DefenseConfig.rate_limit``) bounds it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Type
 
 from repro.core.packets import Advertisement, DataPacket, SignaturePacket, SnackRequest
-from repro.net.packet import Frame, FrameKind
-from repro.attacks.model import AttackModel, register_attack
+from repro.net.packet import FrameKind
+from repro.attacks.model import AttackModel
 
 __all__ = [
+    "ATTACK_KINDS",
     "BogusDataInjector",
     "SignatureFlooder",
     "ControlForger",
     "DenialOfReceiptAttacker",
-    "ReactiveJammer",
-    "GreyholeRelay",
-    "ReplayAttacker",
-    "SybilSnackForger",
 ]
 
 
@@ -53,7 +37,6 @@ def _snack_size(n_packets: int) -> int:
     return 11 + 4 + (n_packets + 7) // 8
 
 
-@register_attack
 class BogusDataInjector(AttackModel):
     """Injects forged data packets for the page victims are collecting."""
 
@@ -92,7 +75,6 @@ class BogusDataInjector(AttackModel):
         self.trace.count("attack_bogus_data")
 
 
-@register_attack
 class SignatureFlooder(AttackModel):
     """Floods forged signature packets (no valid puzzle solution)."""
 
@@ -117,7 +99,6 @@ class SignatureFlooder(AttackModel):
         self.trace.count("attack_bogus_signature")
 
 
-@register_attack
 class ControlForger(AttackModel):
     """An outsider forging control traffic (no cluster key).
 
@@ -163,7 +144,6 @@ class ControlForger(AttackModel):
         self.trace.count("attack_forged_control")
 
 
-@register_attack
 class DenialOfReceiptAttacker(AttackModel):
     """A compromised node spamming all-ones SNACKs at one victim."""
 
@@ -191,228 +171,11 @@ class DenialOfReceiptAttacker(AttackModel):
         self.trace.count("attack_dor_snack")
 
 
-@register_attack
-class ReactiveJammer(AttackModel):
-    """Jams on overheard activity, bounded by an airtime duty cycle.
-
-    Hearing a frame of a reactive kind (data by default — the frames worth
-    destroying) triggers one jam transmission, provided the attacker's
-    energy budget allows: jam airtime accrues at ``duty`` seconds per second
-    up to a ``burst_s`` reservoir, so a defended network that keeps moving
-    eventually outruns the jammer.  Jam frames are :data:`FrameKind.JAM` —
-    protocol nodes ignore their content entirely; the damage is channel
-    occupancy (CSMA backoff at every neighbor) and collisions.
-    """
-
-    kind = "reactive-jammer"
-
-    def __init__(self, *args, jam_size: int = 96, duty: float = 0.15,
-                 burst_s: float = 0.5, react_to: Tuple[str, ...] = ("data",),
-                 **kwargs):
-        super().__init__(*args, **kwargs)
-        self.jam_size = jam_size
-        self.duty = duty
-        self.burst_s = burst_s
-        self.react_to = tuple(react_to)
-        self._budget = burst_s
-        self._budget_at = 0.0
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        self._budget = min(self.burst_s,
-                           self._budget + (now - self._budget_at) * self.duty)
-        self._budget_at = now
-
-    def _jam(self) -> bool:
-        self._refill()
-        airtime = self.radio.config.airtime(self.jam_size)
-        if self._budget < airtime:
-            return False
-        self._budget -= airtime
-        self.broadcast(FrameKind.JAM, self.jam_size, None)
-        self.sent += 1
-        self.trace.count("attack_jam")
-        return True
-
-    def _observe(self, frame: Frame, sender: int) -> None:
-        if frame.kind.value in self.react_to:
-            self._jam()
-
-    def _attack_once(self) -> None:
-        # Background pressure: spend whatever budget silence accumulated.
-        self._jam()
-
-
-@register_attack
-class GreyholeRelay(AttackModel):
-    """An insider with the authentic image that forwards selectively.
-
-    Advertises full progress every period (an irresistible server for any
-    neighbor that cannot hear a better-tied one), then serves each packet a
-    SNACK asks of it only with probability ``1 - drop_rate``.  Victims burn
-    request retries on it before rotating away; the stall-recovery watchdog
-    (``DefenseConfig.stall_watchdog``) is the defense that re-aims them.
-
-    Requires the engine's :class:`~repro.attacks.engine.AttackContext` (the
-    insider holds the base station's preprocessed image).
-    """
-
-    kind = "greyhole"
-
-    def __init__(self, *args, drop_rate: float = 0.8, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not 0.0 <= drop_rate <= 1.0:
-            from repro.errors import ConfigError
-            raise ConfigError(f"greyhole drop_rate {drop_rate} outside [0, 1]")
-        self.drop_rate = drop_rate
-
-    @property
-    def _version(self) -> int:
-        return self.context.base.pipeline.version or 0
-
-    @property
-    def _total_units(self) -> int:
-        return self.context.base.units_complete
-
-    def _attack_once(self) -> None:
-        if self.context is None:
-            return
-        adv = Advertisement(
-            version=self._version,
-            units_complete=self._total_units,
-            total_units=self._total_units,
-        )
-        self.broadcast(FrameKind.ADV, 20, adv)
-        self.sent += 1
-
-    def _observe(self, frame: Frame, sender: int) -> None:
-        if self.context is None or frame.kind is not FrameKind.SNACK:
-            return
-        request = frame.payload
-        if request.server != self.node_id or request.version != self._version:
-            return
-        if not 0 <= request.unit < self._total_units:
-            return
-        base = self.context.base
-        wire = self.context.wire
-        if base.uses_signature and request.unit == 0:
-            if self.rng.random() >= self.drop_rate:
-                self.broadcast(FrameKind.SIGNATURE, wire.signature_packet_size(),
-                               self.context.preprocessed.signature_packet)
-                self.sent += 1
-                self.trace.count("attack_greyhole_served")
-            else:
-                self.trace.count("attack_greyhole_dropped")
-            return
-        packets = base.pipeline.serving_packets(request.unit)
-        for index in request.needed:
-            if not 0 <= index < len(packets):
-                continue
-            if self.rng.random() < self.drop_rate:
-                self.trace.count("attack_greyhole_dropped")
-                continue
-            pkt = packets[index]
-            size = wire.data_packet_size(len(pkt.payload), len(pkt.auth_path))
-            self.broadcast(FrameKind.DATA, size, pkt)
-            self.sent += 1
-            self.trace.count("attack_greyhole_served")
-
-
-@register_attack
-class ReplayAttacker(AttackModel):
-    """Captures authentic frames off the air and re-injects them later.
-
-    Every overheard data/SNACK frame lands in a bounded capture ring; each
-    period the attacker re-broadcasts the next captured frame at least
-    ``min_age`` seconds old, byte-for-byte.  The payloads are *authentic*,
-    so per-packet authentication never rejects them: replayed SNACKs make
-    their named server re-serve a full burst, and replayed stale-page data
-    refreshes receivers' quiet windows (deferring their own requests).  Only
-    the replay window (``DefenseConfig.replay_filter``) stops the loop.
-    """
-
-    kind = "replay"
-
-    def __init__(self, *args, min_age: float = 1.0, capture: int = 256,
-                 capture_kinds: Tuple[str, ...] = ("data", "snack"), **kwargs):
-        super().__init__(*args, **kwargs)
-        self.min_age = min_age
-        self.capture = capture
-        self.capture_kinds = tuple(capture_kinds)
-        self._captured: List[Tuple[float, Frame]] = []
-        self._cursor = 0
-
-    def _observe(self, frame: Frame, sender: int) -> None:
-        if frame.kind.value not in self.capture_kinds:
-            return
-        self._captured.append((self.sim.now, frame))
-        if len(self._captured) > self.capture:
-            self._captured.pop(0)
-
-    def _attack_once(self) -> None:
-        now = self.sim.now
-        eligible = [f for ts, f in self._captured if now - ts >= self.min_age]
-        if not eligible:
-            return
-        frame = eligible[self._cursor % len(eligible)]
-        self._cursor += 1
-        self.broadcast(frame.kind, frame.size_bytes, frame.payload,
-                       dest=frame.dest)
-        self.sent += 1
-        self.trace.count("attack_replayed")
-
-
-@register_attack
-class SybilSnackForger(AttackModel):
-    """One radio, many fabricated requester identities.
-
-    Each period it picks its best-progressed neighbor as the server and
-    issues an all-ones SNACK under the next fake identity.  A per-identity
-    counter (the paper's Section IV-E mitigation, keyed on the *claimed*
-    requester id) never trips — every identity stays under threshold — so
-    the server's tracking table holds ``n_identities`` phantom neighbors
-    that are refreshed forever.  The link-layer token bucket + quarantine
-    (``DefenseConfig.rate_limit``), keyed on the unforgeable radio sender,
-    is the defense that bounds it.
-    """
-
-    kind = "sybil-snack"
-
-    def __init__(self, *args, n_identities: int = 8, n_packets: int = 12,
-                 version: int = 2, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.n_identities = n_identities
-        self.n_packets = n_packets
-        self.version = version
-        self._progress: Dict[int, int] = {}
-        self._counter = 0
-
-    def _observe_adv(self, adv, sender: int) -> None:
-        self._progress[sender] = adv.units_complete
-        self.version = max(self.version, adv.version)
-
-    def _target_server(self) -> Optional[Tuple[int, int]]:
-        served = [(p, s) for s, p in self._progress.items() if p > 0]
-        if not served:
-            return None
-        progress, server = max(served, key=lambda kv: (kv[0], -kv[1]))
-        return server, progress
-
-    def _attack_once(self) -> None:
-        target = self._target_server()
-        if target is None:
-            return
-        server, progress = target
-        identity = 100_000 + self.node_id * 100 + (self._counter % self.n_identities)
-        self._counter += 1
-        request = SnackRequest(
-            version=self.version,
-            unit=progress - 1,
-            requester=identity,
-            server=server,
-            needed=tuple(range(self.n_packets)),
-        )
-        self.broadcast(FrameKind.SNACK, _snack_size(self.n_packets), request,
-                       dest=server)
-        self.sent += 1
-        self.trace.count("attack_sybil_snack")
+#: kind string -> attack class: what an :class:`~repro.attacks.plan.
+#: AttackSpec` names and the :class:`~repro.attacks.engine.AttackEngine`
+#: instantiates.
+ATTACK_KINDS: Dict[str, Type[AttackModel]] = {
+    cls.kind: cls
+    for cls in (BogusDataInjector, SignatureFlooder, ControlForger,
+                DenialOfReceiptAttacker)
+}

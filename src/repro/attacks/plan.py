@@ -1,14 +1,14 @@
-"""Declarative attack plans.
+"""Declarative attack specs.
 
-An :class:`AttackPlan` is an ordered list of :class:`AttackSpec` records —
-pure data, exactly like :class:`repro.faults.plan.FaultPlan`: building a plan
-performs no simulation work, so plans can be generated, merged, serialised to
-JSON (the ``--attack-plan`` CLI flag), embedded in frozen scenario
-dataclasses (stable campaign task keys), and deployed deterministically by an
-:class:`~repro.attacks.engine.AttackEngine`.
+An attack plan is a tuple of :class:`AttackSpec` records — pure data, like
+the events of a :class:`repro.faults.plan.FaultPlan`: building one performs
+no simulation work, so specs can be read from JSON (the ``--attack-plan``
+CLI flag, :func:`load_attack_plan`), embedded in frozen scenario
+dataclasses (stable campaign task keys), and deployed deterministically by
+an :class:`~repro.attacks.engine.AttackEngine`.
 
-Each spec names an attack *kind* from the plugin registry
-(:data:`repro.attacks.model.ATTACK_KINDS`), its activation window, its firing
+Each spec names an attack *kind* (a key of
+:data:`repro.attacks.models.ATTACK_KINDS`), its activation window, its firing
 period, and a kind-specific parameter mapping passed to the attack model's
 constructor.  ``position``/``reach`` control where the engine drops the
 attacker into the topology (default: the victim centroid, audible to every
@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 
-__all__ = ["AttackSpec", "AttackPlan"]
+__all__ = ["AttackSpec", "load_attack_plan"]
 
 
 def _frozen_params(params: Optional[Mapping[str, object]]) -> Tuple[Tuple[str, object], ...]:
@@ -102,71 +102,17 @@ class AttackSpec:
         )
 
 
-class AttackPlan:
-    """A buildable, mergeable, JSON-round-trippable list of attack specs."""
+def load_attack_plan(path: Union[str, Path]) -> Tuple[AttackSpec, ...]:
+    """Read an attack plan file: ``{"attacks": [spec, ...]}`` or a bare list.
 
-    def __init__(self, specs: Iterable[AttackSpec] = ()):
-        self._specs: List[AttackSpec] = list(specs)
-
-    # -- building ------------------------------------------------------------
-
-    def add(self, spec: AttackSpec) -> "AttackPlan":
-        self._specs.append(spec)
-        return self
-
-    def attack(self, kind: str, start: float = 0.1, period: float = 0.5,
-               stop: Optional[float] = None,
-               position: Optional[Tuple[float, float]] = None,
-               reach: Optional[float] = None,
-               **params: object) -> "AttackPlan":
-        """Append one attacker of ``kind`` with model parameters ``params``."""
-        return self.add(AttackSpec(
-            kind=kind, start=start, period=period, stop=stop,
-            position=position, reach=reach, params=_frozen_params(params),
-        ))
-
-    def merge(self, other: "AttackPlan") -> "AttackPlan":
-        """A new plan holding this plan's specs followed by ``other``'s."""
-        return AttackPlan(self._specs + other._specs)
-
-    # -- access --------------------------------------------------------------
-
-    @property
-    def specs(self) -> Tuple[AttackSpec, ...]:
-        """All specs in insertion order (one attacker node each)."""
-        return tuple(self._specs)
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def __iter__(self) -> Iterator[AttackSpec]:
-        return iter(self._specs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AttackPlan):
-            return NotImplemented
-        return self.specs == other.specs
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AttackPlan({len(self._specs)} attackers)"
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"attacks": [s.to_dict() for s in self._specs]},
-                          indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackPlan":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"attack plan is not valid JSON: {exc}")
-        specs = raw.get("attacks") if isinstance(raw, dict) else raw
-        if not isinstance(specs, list):
-            raise ConfigError('attack plan JSON must be {"attacks": [...]} or a list')
-        return cls(AttackSpec.from_dict(s) for s in specs)
-
-    @classmethod
-    def from_json_file(cls, path: Union[str, Path]) -> "AttackPlan":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+    Each spec is an :meth:`AttackSpec.to_dict` object; malformed JSON or a
+    malformed spec raises :class:`ConfigError`.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"attack plan is not valid JSON: {exc}")
+    specs = raw.get("attacks") if isinstance(raw, dict) else raw
+    if not isinstance(specs, list):
+        raise ConfigError('attack plan JSON must be {"attacks": [...]} or a list')
+    return tuple(AttackSpec.from_dict(s) for s in specs)

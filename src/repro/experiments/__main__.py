@@ -96,17 +96,8 @@ def _ablations(quick, campaign):
     return results
 
 
-def _resilience(quick, campaign):
-    from repro.experiments import resilience
-
-    if quick:
-        return resilience.run_resilience(resilience.quick_grid(), campaign=campaign)
-    return resilience.run_resilience(resilience.paper_grid(), campaign=campaign)
-
-
 _TARGETS = {
     "fig3a": _fig3a,
-    "resilience": _resilience,
     "fig3b": _fig3b,
     "fig4": _fig4,
     "fig5": _fig5,
@@ -169,8 +160,6 @@ def main(argv=None) -> int:
                         help="skip cells already journalled in --checkpoint-dir")
     parser.add_argument("--manifest", metavar="FILE", default=None,
                         help="write a campaign manifest (per-task status)")
-    parser.add_argument("--scorecard-out", metavar="FILE", default=None,
-                        help="write the resilience scorecard JSON to FILE")
     args = parser.parse_args(argv)
 
     if args.resume and not args.checkpoint_dir:
@@ -178,7 +167,6 @@ def main(argv=None) -> int:
 
     campaign = _campaign_from_args(args)
     names = sorted(_TARGETS) if args.target == "all" else [args.target]
-    exit_code = 0
     for name in names:
         with stopwatch() as elapsed:
             result = _TARGETS[name](args.quick, campaign)
@@ -186,16 +174,6 @@ def main(argv=None) -> int:
         for i, r in enumerate(results):
             print(r.report())
             print()
-            from repro.experiments.resilience import Scorecard
-
-            if isinstance(r, Scorecard):
-                if args.scorecard_out:
-                    r.save(args.scorecard_out)
-                    print(f"[scorecard written to {args.scorecard_out}]")
-                if not r.ok:
-                    # The adversary gate: invariant violations or missing
-                    # cells fail the run even though the table still prints.
-                    exit_code = 1
             if args.export:
                 from pathlib import Path
 
@@ -210,7 +188,7 @@ def main(argv=None) -> int:
     if args.manifest:
         _write_campaign_manifest(args.manifest, args.target, campaign)
         print(f"[campaign manifest written to {args.manifest}]")
-    return exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,34 +2,30 @@
 
 An adversarial run is an ordinary :class:`~repro.experiments.scenarios.
 Scenario` with ``attacks`` (deployed through the :class:`~repro.attacks.
-engine.AttackEngine`), an optional flag-gated ``defense`` and optional
-``faults`` (attackers are radio participants like any node, so they can
-crash and reboot mid-run too).  A campaign cell sets ``collisions`` even on
-a star: a reactive jammer's only damage channel is airtime contention.
+engine.AttackEngine`) and optional ``faults`` (attackers are radio
+participants like any node, so they can crash and reboot mid-run too).
 
 :func:`run_attributed` runs a rig and folds per-attacker damage attribution
 (read from the flight recorder's per-link matrix) and the invariant verdict
-(``quarantine_respected``, ``replay_never_rebuffered``, replayed from the
-event log) into the returned :class:`~repro.experiments.metrics.RunResult`
-``counters`` as plain ints (``adv_attacker_<id>_injected`` …,
-``invariant_violations``), so results survive the campaign executor's JSON
-round-trip unchanged.  :func:`run_adversarial` is the campaign runner: it
-attaches both recorders first.
+(every trace invariant, ``replay_never_rebuffered`` among them, replayed
+from the event log) into the returned :class:`~repro.experiments.metrics.
+RunResult` ``counters`` as plain ints (``adv_attacker_<id>_injected`` …,
+``invariant_violations``).  :func:`recording_trace` builds the trace that
+carries both recorders.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.experiments.metrics import RunResult
-from repro.experiments.scenarios import Rig, Scenario, build_rig
+from repro.experiments.scenarios import Rig
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
 from repro.obs.invariants import check_events
-from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
-__all__ = ["recording_trace", "run_attributed", "run_adversarial"]
+__all__ = ["recording_trace", "run_attributed"]
 
 
 def recording_trace() -> TraceRecorder:
@@ -81,15 +77,3 @@ def run_attributed(rig: Rig) -> RunResult:
         result.counters["invariant_violations"] = len(report.violations)
     return result
 
-
-def run_adversarial(
-    scenario: Scenario,
-    sim: Optional[Simulator] = None,
-    trace: Optional[TraceRecorder] = None,
-) -> RunResult:
-    """Simulate one adversarial dissemination and return enriched metrics.
-
-    Without a ``trace`` the run records an event log and flight recorder.
-    """
-    trace = trace if trace is not None else recording_trace()
-    return run_attributed(build_rig(scenario, sim=sim, trace=trace))

@@ -273,7 +273,7 @@ def run_campaign(
 
 
 # ---------------------------------------------------------------------------
-# Scenario campaigns (the bridge figures/tables/resilience use)
+# Scenario campaigns (the bridge figures and tables use)
 # ---------------------------------------------------------------------------
 
 def _encode_run_result(result: Any) -> Any:
@@ -292,9 +292,9 @@ def execute_scenarios(
 ) -> Dict[str, RunResult]:
     """Run scenario cells through the executor; results keyed by task key.
 
-    This is the single execution path for every figure, table, and
-    resilience campaign: callers build their scenario list, execute it
-    here, and join results back by ``task_key(kind, scenario)``.
+    This is the single execution path for every figure and table
+    campaign: callers build their scenario list, execute it here, and join
+    results back by ``task_key(kind, scenario)``.
     Quarantined cells are absent from the mapping — the caller degrades its
     aggregate rather than aborting.
     """

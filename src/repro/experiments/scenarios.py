@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from repro.attacks import AttackContext, AttackEngine, AttackModel, AttackPlan, AttackSpec
+from repro.attacks import AttackEngine, AttackModel, AttackSpec
 from repro.core.config import DelugeParams, ImageConfig, LRSelugeParams, ProtocolTiming, SelugeParams
 from repro.core.image import CodeImage
 from repro.errors import ConfigError
@@ -47,7 +47,6 @@ from repro.net.topology import (
 )
 from repro.net.topology_file import load_topology
 from repro.protocols.common import DisseminationNode
-from repro.protocols.defense import DefenseConfig
 from repro.protocols.deluge import build_deluge_network
 from repro.protocols.lr_seluge import build_lr_seluge_network
 from repro.protocols.rateless import build_rateless_network
@@ -112,7 +111,6 @@ def build_protocol_network(
     params,
     image: CodeImage,
     on_complete,
-    defense: Optional[DefenseConfig] = None,
 ):
     """Dispatch to the right network builder; returns (base, nodes, pre)."""
     builder = _BUILDERS.get(protocol)
@@ -120,7 +118,6 @@ def build_protocol_network(
         raise ConfigError(f"unknown protocol {protocol!r}")
     return builder(
         sim, radio, rngs, trace, params, image=image, on_complete=on_complete,
-        defense=defense,
     )
 
 
@@ -163,7 +160,6 @@ class Scenario:
     link_flap: float = 0.0
     churn_horizon: Optional[float] = None
     attacks: Tuple[AttackSpec, ...] = ()
-    defense: Optional[DefenseConfig] = None
 
     def fault_free(self) -> "Scenario":
         """The same scenario with every fault source removed (baseline)."""
@@ -331,14 +327,10 @@ def build_rig(
         if tracker.all_done:
             engine.halt_all()
 
-    base, nodes, pre = build_protocol_network(
+    base, nodes, _ = build_protocol_network(
         scenario.protocol, sim, radio, rngs, trace, params, image, on_complete,
-        defense=scenario.defense,
     )
-    engine = AttackEngine(
-        sim, radio, rngs, trace, AttackPlan(scenario.attacks),
-        context=AttackContext(base=base, nodes=tuple(nodes), preprocessed=pre),
-    )
+    engine = AttackEngine(sim, radio, rngs, trace, scenario.attacks)
     attackers = engine.deploy()
 
     if scenario.faults or scenario.mtbf is not None or scenario.link_flap > 0.0:

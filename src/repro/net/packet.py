@@ -26,9 +26,6 @@ class FrameKind(enum.Enum):
     SNACK = "snack"
     ADV = "adv"
     SIGNATURE = "signature"
-    #: Meaningless noise from a jammer: no protocol handles it, but it
-    #: occupies airtime (carrier sense, collisions) like any other frame.
-    JAM = "jam"
 
     @property
     def metric_name(self) -> str:

@@ -123,35 +123,10 @@ METRICS: Tuple[MetricSpec, ...] = (
                "forged control packets injected"),
     MetricSpec("attack_dor_snack", "counter", "packets",
                "denial-of-receipt SNACK floods injected"),
-    MetricSpec("attack_jam", "counter", "frames",
-               "jam frames transmitted by a reactive jammer"),
-    MetricSpec("tx_jam", "counter", "frames", "jam frames transmitted"),
-    MetricSpec("tx_jam_bytes", "counter", "bytes", "jam bytes transmitted"),
-    MetricSpec("attack_greyhole_served", "counter", "packets",
-               "packets a greyhole relay chose to forward"),
-    MetricSpec("attack_greyhole_dropped", "counter", "packets",
-               "packets a greyhole relay silently swallowed"),
-    MetricSpec("attack_replayed", "counter", "frames",
-               "captured authentic frames re-injected by a replay attacker"),
-    MetricSpec("attack_sybil_snack", "counter", "packets",
-               "SNACKs forged under fabricated Sybil requester identities"),
     MetricSpec("attack_deployed", "event", "attackers",
                "the attack engine placed an attacker into the topology"),
     MetricSpec("attack_halted", "event", "attackers",
                "an attacker stopped firing (victims done or window closed)"),
-    # -- defenses (protocol hardening, DESIGN.md §12) -------------------------
-    MetricSpec("defense_snack_rate_limited", "counter", "requests",
-               "SNACKs dropped by the per-neighbor token bucket"),
-    MetricSpec("defense_quarantined_drop", "counter", "packets",
-               "control packets dropped from quarantined neighbors"),
-    MetricSpec("defense_quarantine", "event", "neighbors",
-               "a misbehaving neighbor entered quarantine"),
-    MetricSpec("defense_replay_dropped", "counter", "frames",
-               "frames dropped by the replay identity window"),
-    MetricSpec("defense_backoff_applied", "counter", "times",
-               "request re-arms stretched by exponential backoff"),
-    MetricSpec("defense_stall_rerequest", "event", "times",
-               "the stall watchdog rotated a stuck page to a new server"),
     # -- adversarial run results (RunResult counters, not trace counters) -----
     MetricSpec("adv_frames_injected", "counter", "frames",
                "frames all attackers put on the air (damage attribution)"),

@@ -208,9 +208,8 @@ class FlightRecorder(Observer):
                    state: Optional[Dict[str, Any]], requester: Optional[int],
                    index: Optional[int], via: Optional[int]) -> None:
         """``requester`` is the *claimed* identity folded into the policy;
-        ``via`` the link-layer sender that relayed it — they differ only
-        under Sybil/replay attacks, and the ``quarantine_respected``
-        invariant keys on ``via``.
+        ``via`` the link-layer sender that relayed it — they differ when a
+        SNACK claims an identity other than its sender's.
         """
         if state is None:
             return  # the policy offers no introspection

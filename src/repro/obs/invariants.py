@@ -39,13 +39,6 @@ Invariant library
     A ``node_complete`` event implies the node decoded every page: its
     tracked unit count equals the event's ``total`` detail.
 
-``quarantine_respected``
-    After a node quarantines a neighbor (``defense_quarantine`` with
-    ``offender``/``until``), no SNACK relayed by that neighbor is folded
-    into the node's TX policy (``tracker_snapshot`` with
-    ``trigger="snack"`` and ``via=offender``) before the quarantine
-    expires: quarantined neighbors are never served.
-
 ``replay_never_rebuffered``
     A node buffers any given packet identity ``(version, unit, index)`` at
     most once (``pkt_buffered``): a replayed frame may arrive again but must
@@ -60,8 +53,8 @@ Invariant library
     invariant that makes critical paths temporally monotone by
     construction.
 
-The ``auth_before_buffer``/``tracker_monotone``/``quarantine_respected``/
-``replay_never_rebuffered`` invariants need a flight-recorded trace
+The ``auth_before_buffer``/``tracker_monotone``/``replay_never_rebuffered``
+invariants need a flight-recorded trace
 (``--flight-record``); ``causal_monotone`` needs a causal trace
 (``--causal-trace``); the others also work on plain span traces.  Events
 whose prerequisites are absent are skipped, and
@@ -99,7 +92,6 @@ INVARIANTS: Tuple[str, ...] = (
     "serve_only_decoded",
     "pages_sequential",
     "complete_means_all_pages",
-    "quarantine_respected",
     "replay_never_rebuffered",
     "causal_monotone",
 )
@@ -169,8 +161,6 @@ class _Checker:
         self.authed: Dict[int, Set[Tuple[int, int, int]]] = {}
         # tracker_monotone: last per-neighbor distances per (node, unit)
         self.last_distances: Dict[Tuple[int, int], Dict[int, int]] = {}
-        # quarantine_respected: (node, offender) -> quarantine expiry ts
-        self.quarantines: Dict[Tuple[int, int], float] = {}
         # replay_never_rebuffered: buffered identities per node
         self.buffered: Dict[int, Set[Tuple[int, int, int]]] = {}
         # causal_monotone: frame -> on-air ts, (frame, node) -> delivery ts
@@ -230,29 +220,8 @@ class _Checker:
                 f"index={key[2]} without prior authentication",
             )
 
-    def _on_quarantine(self, e: TraceEvent) -> None:
-        if e.node is None or "offender" not in e.detail:
-            return
-        self.quarantines[(e.node, int(e.detail["offender"]))] = float(
-            e.detail.get("until", math.inf))
-
     def _on_tracker(self, e: TraceEvent) -> None:
-        if e.node is None:
-            return
-        if e.detail.get("trigger") == "snack" and "via" in e.detail:
-            via = int(e.detail["via"])
-            self.report.checked["quarantine_respected"] += 1
-            until = self.quarantines.get((e.node, via))
-            if until is not None:
-                if e.ts < until:
-                    self._violate(
-                        "quarantine_respected", e,
-                        f"folded a SNACK relayed by quarantined neighbor "
-                        f"{via} (quarantine active until t={until:g})",
-                    )
-                else:
-                    del self.quarantines[(e.node, via)]
-        if "distances" not in e.detail:
+        if e.node is None or "distances" not in e.detail:
             return
         d = e.detail
         unit = int(d["unit"])
@@ -426,7 +395,6 @@ class _Checker:
         "pkt_auth_ok": _on_auth_ok,
         "pkt_buffered": _on_buffered,
         "tracker_snapshot": _on_tracker,
-        "defense_quarantine": _on_quarantine,
         "frame": _on_frame,
         "unit_complete": _on_unit_complete,
         "node_complete": _on_node_complete,

@@ -2,13 +2,11 @@
 
 All protocols share the epidemic MAINTAIN / RX / TX machinery of
 :mod:`repro.protocols.common` and differ in packet construction,
-authentication, and TX-state scheduling.  :mod:`repro.protocols.defense`
-provides the flag-gated hardening layer (DESIGN.md §12); adversary nodes
-live in :mod:`repro.attacks`.
+authentication, and TX-state scheduling.  Adversary nodes live in
+:mod:`repro.attacks`.
 """
 
 from repro.protocols.common import DisseminationNode, ProtocolName
-from repro.protocols.defense import DefenseConfig
 from repro.protocols.deluge import DelugeNode, build_deluge_network
 from repro.protocols.seluge import SelugeNode, build_seluge_network
 from repro.protocols.lr_seluge import LRSelugeNode, build_lr_seluge_network
@@ -18,7 +16,6 @@ from repro.protocols.control_auth import ClusterAuthenticator, PairwiseAuthentic
 __all__ = [
     "ProtocolName",
     "DisseminationNode",
-    "DefenseConfig",
     "DelugeNode",
     "SelugeNode",
     "LRSelugeNode",

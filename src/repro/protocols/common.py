@@ -39,10 +39,9 @@ from repro.core.verify import ReceiverPipeline
 from repro.net.node import NetworkNode
 from repro.net.packet import Frame, FrameKind
 from repro.net.radio import Radio
-from repro.protocols.defense import DefenseConfig, NeighborGuard
 from repro.sim.engine import Simulator
 from repro.sim.process import Timer
-from repro.sim.rng import RngRegistry, derived_stream
+from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.trickle.timer import TrickleTimer
 
@@ -115,7 +114,6 @@ class DisseminationNode(NetworkNode):
         control_auth: Optional["ControlAuthenticator"] = None,
         pipeline_factory: Optional[Callable[[int], ReceiverPipeline]] = None,
         flash: Optional["NodeFlash"] = None,
-        defense: Optional[DefenseConfig] = None,
     ):
         super().__init__(node_id, sim, radio, rngs, trace)
         self.pipeline = pipeline
@@ -152,17 +150,6 @@ class DisseminationNode(NetworkNode):
         self._tx_deferrals = 0
         self._last_served_unit = -1
 
-        # Hardening layer (DESIGN.md §12): every defense is flag-gated so a
-        # defense=None node pays only "is not None" checks on the hot paths.
-        self.defense = defense
-        self._guard: Optional[NeighborGuard] = None
-        self._backoff_rng = None
-        if defense is not None:
-            if defense.rate_limit or defense.replay_filter:
-                self._guard = NeighborGuard(defense, sim, trace, node_id)
-            if defense.backoff:
-                self._backoff_rng = derived_stream(
-                    "defense-backoff", rngs.root_seed, node_id)
         # Causal-tracer provenance state (written only when trace.causal is
         # attached; both stay empty/None otherwise so the disabled path pays
         # nothing beyond the attribute checks in the cause-stamp helpers).
@@ -170,12 +157,6 @@ class DisseminationNode(NetworkNode):
         #   _causal_unit_snack: last SNACK rx frame folded per served unit.
         self._causal_req: Optional[Tuple[str, Optional[int], float]] = None
         self._causal_unit_snack: Dict[int, Tuple[int, float]] = {}
-
-        self._stall_timer = Timer(sim, self._stall_fire)
-        self._stall_mark: Tuple[int, int] = (0, 0)
-        self._stall_rotations = 0
-        self._page_ewma: Optional[float] = None
-        self._page_started_at = 0.0
 
         if is_base:
             if preprocessed is None:
@@ -269,8 +250,6 @@ class DisseminationNode(NetworkNode):
         self.trickle.start()
         if not self.is_base and not self.complete:
             self.trace.span_begin(self.sim.now, "span_disseminate", self.node_id)
-            self._page_started_at = self.sim.now
-            self._arm_stall()
         if self.is_base:
             if self.uses_signature and self._signature_packet is not None:
                 delay = self.rng.uniform(0.0, 0.05)
@@ -319,11 +298,6 @@ class DisseminationNode(NetworkNode):
         self._upgrade_cooldown_until = 0.0
         self._causal_req = None
         self._causal_unit_snack.clear()
-        if self._guard is not None:
-            self._guard.reset()
-        self._stall_timer.cancel()
-        self._stall_rotations = 0
-        self._page_ewma = None
         self.trace.record(self.sim.now, "fault_crash", self.node_id)
 
     def reboot(self) -> None:
@@ -346,8 +320,6 @@ class DisseminationNode(NetworkNode):
             resume_unit = self._recover_from_flash()
         self.trickle.stop()
         self.trickle.start()
-        self._page_started_at = self.sim.now
-        self._arm_stall()
         self.trace.record(self.sim.now, "fault_reboot", self.node_id,
                           resume_unit=resume_unit)
 
@@ -495,9 +467,6 @@ class DisseminationNode(NetworkNode):
         self._last_served_unit = -1
         self._causal_req = None
         self._causal_unit_snack.clear()
-        self._stall_rotations = 0
-        self._page_started_at = self.sim.now
-        self._arm_stall()
         self.trace.record(self.sim.now, "version_adopted", self.node_id,
                           version=pipeline.version)
 
@@ -663,7 +632,7 @@ class DisseminationNode(NetworkNode):
         # The next fire (if this SNACK goes unanswered) is a retry chained on
         # this very attempt, so the walk attributes the wait to retransmission.
         self._note_request_cause("retry", parent=sent.frame_id)
-        self._request_timer.start(self._request_retry_delay())
+        self._request_timer.start(self.timing.request_timeout)
 
     def _rearm_delay(self, base: float) -> float:
         """``base`` with small multiplicative jitter from the node's stream.
@@ -679,43 +648,10 @@ class DisseminationNode(NetworkNode):
         """
         return base * self.rng.uniform(0.95, 1.05)
 
-    def _request_retry_delay(self) -> float:
-        """The re-arm delay after an (as yet) unanswered SNACK.
-
-        With the ``backoff`` defense enabled, repeated unanswered tries grow
-        the delay exponentially (capped, jittered) so a neighborhood whose
-        server vanished stops hammering the channel; any buffered data packet
-        resets ``_request_tries`` and with it the delay.
-        """
-        base = self.timing.request_timeout
-        cfg = self.defense
-        if cfg is None or not cfg.backoff or self._request_tries <= 1:
-            return base
-        exponent = min(self._request_tries - 1, 6)
-        delay = min(base * cfg.backoff_factor ** exponent, cfg.backoff_cap_s)
-        self.trace.count("defense_backoff_applied")
-        spread = cfg.backoff_jitter
-        if spread > 0.0 and self._backoff_rng is not None:
-            delay *= 1.0 + spread * (2.0 * self._backoff_rng.random() - 1.0)
-        return delay
-
     def _on_data(self, pkt: DataPacket, sender: int) -> None:
         if pkt.version != (self.pipeline.version or 0):
             self.trace.count("data_version_mismatch")
             return
-        if (
-            self._guard is not None
-            and self._guard.config.replay_filter
-            and pkt.unit < self.units_complete
-        ):
-            # Stale-page data cannot be buffered, but it *can* poison the
-            # quiet-window timers (deferring our requests and transmissions
-            # forever under a replay loop).  Each identity may touch the
-            # timers once per window; repeats are dropped here.
-            if self._guard.data_replayed((pkt.version, pkt.unit, pkt.index),
-                                         sender):
-                self.trace.count("defense_replay_dropped")
-                return
         now = self.sim.now
         acceptable_index = self._acceptable_index(pkt)
         authentic = False
@@ -810,17 +746,6 @@ class DisseminationNode(NetworkNode):
         self._request_tries = 0
         self._request_timer.cancel()
         self.trickle.heard_inconsistent()  # state changed: gossip fast
-        if self.defense is not None and self.defense.stall_watchdog and not self.is_base:
-            # Page completed: fold its duration into the EWMA the watchdog
-            # scales its no-progress timeout by, and start a fresh window.
-            duration = self.sim.now - self._page_started_at
-            self._page_ewma = (
-                duration if self._page_ewma is None
-                else 0.7 * self._page_ewma + 0.3 * duration
-            )
-            self._page_started_at = self.sim.now
-            self._stall_rotations = 0
-            self._arm_stall()
         completed_unit = self.units_complete - 1
         n_packets, threshold = self.pipeline.geometry(completed_unit)
         # Counted and logged as ``unit_complete``.
@@ -840,50 +765,6 @@ class DisseminationNode(NetworkNode):
             return
         self._maybe_schedule_request()
 
-    # -- stall-recovery watchdog (defense: stall_watchdog) -------------------------
-
-    def _arm_stall(self) -> None:
-        if self.defense is None or not self.defense.stall_watchdog:
-            return
-        if self.is_base or self.complete or self.crashed:
-            self._stall_timer.cancel()
-            return
-        self._stall_mark = (self.units_complete, len(self._rx_buffer))
-        self._stall_timer.start(self._stall_period())
-
-    def _stall_period(self) -> float:
-        """Adaptive no-progress timeout: a multiple of the EWMA page time."""
-        cfg = self.defense
-        if cfg is None:
-            raise AssertionError('invariant violated: cfg is not None')
-        if self._page_ewma is None:
-            return cfg.stall_min_s
-        return min(max(self._page_ewma * cfg.stall_factor, cfg.stall_min_s),
-                   cfg.stall_max_s)
-
-    def _stall_fire(self) -> None:
-        if self.defense is None or self.complete or self.crashed:
-            return
-        if (self.units_complete, len(self._rx_buffer)) != self._stall_mark:
-            self._arm_stall()  # progress happened; just keep watching
-            return
-        # No page progress for a whole adaptive window: the server we keep
-        # asking is gone, deaf, or a greyhole.  Rotate to an alternate
-        # neighbor, clear the suppression state a replay/jam loop may have
-        # poisoned, and gossip fast so the neighborhood resyncs.
-        self._stall_rotations += 1
-        self.trace.record(self.sim.now, "defense_stall_rerequest", self.node_id,
-                          unit=self.units_complete,
-                          rotation=self._stall_rotations)
-        self._request_tries = self._stall_rotations % max(
-            1, self.timing.request_max_tries)
-        self._suppressions = 0
-        self._data_suppressions = 0
-        self.trickle.heard_inconsistent()
-        self._request_timer.cancel()
-        self._maybe_schedule_request()
-        self._arm_stall()
-
     # -- TX -------------------------------------------------------------------------
 
     def _serving_active(self) -> bool:
@@ -902,18 +783,6 @@ class DisseminationNode(NetworkNode):
             return
         if self.units_complete <= request.unit:
             return  # we do not possess the requested unit
-        if self._guard is not None:
-            cfg = self._guard.config
-            if cfg.replay_filter and self._guard.snack_replayed(
-                (request.version, request.unit, request.requester,
-                 request.server, request.needed),
-                sender,
-            ):
-                self.trace.count("defense_replay_dropped")
-                return
-            if cfg.rate_limit and not self._guard.admit_snack(sender):
-                self.trace.count("defense_snack_rate_limited")
-                return
         if self._snack_flood_exceeded(request.requester, request.unit):
             self.trace.count("snack_ignored_flood")
             return
@@ -931,9 +800,6 @@ class DisseminationNode(NetworkNode):
             # drains in the pump.
             self.trace.span_begin(self.sim.now, "span_serve", self.node_id,
                                   key=request.unit, unit=request.unit)
-        # Demand is folded per *claimed* requester identity — the honest
-        # Sybil weakness (a forger multiplies identities from one radio);
-        # the link-layer token bucket above is what bounds that radio.
         policy.on_snack(request.requester, request.needed)
         self.trace.tracker(self.sim.now, self.node_id, request.unit, "snack",
                            policy, requester=request.requester, via=sender)
@@ -943,10 +809,7 @@ class DisseminationNode(NetworkNode):
     def _snack_flood_exceeded(self, requester: int, unit: int) -> bool:
         """Denial-of-receipt mitigation (Section IV-E, optional).
 
-        Keyed on the claimed requester id, as the paper specifies — which is
-        exactly why a Sybil forger walks through it; see ``rate_limit`` in
-        :class:`~repro.protocols.defense.DefenseConfig` for the link-layer
-        counterpart.
+        Keyed on the claimed requester id, as the paper specifies.
         """
         if self.snack_flood_threshold is None:
             return False
@@ -1075,13 +938,6 @@ class DisseminationNode(NetworkNode):
             self._on_data(payload, sender)
         elif kind is _SIGNATURE:
             self._on_signature(payload, sender)
-        elif kind is not _ADV and kind is not _SNACK:
-            return  # jamming noise: no protocol handles it
-        elif (self._guard is not None and self._guard.config.rate_limit
-              and self._guard.quarantined(sender)):
-            # A quarantined neighbor's control traffic is dead to us: it can
-            # neither be served nor steer our request/suppression timers.
-            self.trace.count("defense_quarantined_drop")
         elif kind is _ADV:
             if self.control_auth is not None and not self.control_auth.check_adv(
                 payload, payload.mac, sender

@@ -17,7 +17,6 @@ from repro.core.scheduler import UnionScheduler
 from repro.core.verify import DelugeReceiver
 from repro.net.radio import Radio
 from repro.protocols.common import DisseminationNode, ProtocolName, TxPolicy
-from repro.protocols.defense import DefenseConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -71,7 +70,6 @@ def build_deluge_network(
     receiver_ids: Optional[List[int]] = None,
     base_id: int = 0,
     on_complete: Optional[Callable[[DisseminationNode], None]] = None,
-    defense: Optional[DefenseConfig] = None,
 ) -> Tuple[DelugeNode, List[DelugeNode], PreprocessedImage]:
     """Instantiate a base station plus receivers on the radio's topology."""
     image = image or CodeImage.synthetic(params.image.image_size, params.image.version)
@@ -85,14 +83,13 @@ def build_deluge_network(
         base_id, sim, radio, rngs, trace,
         pipeline=DelugeReceiver(params), timing=params.timing, wire=params.wire,
         is_base=True, preprocessed=pre, on_complete=on_complete,
-        pipeline_factory=pipeline_factory, defense=defense,
+        pipeline_factory=pipeline_factory,
     )
     nodes = [
         DelugeNode(
             node_id, sim, radio, rngs, trace,
             pipeline=DelugeReceiver(params), timing=params.timing, wire=params.wire,
             on_complete=on_complete, pipeline_factory=pipeline_factory,
-            defense=defense,
         )
         for node_id in receiver_ids
     ]

@@ -26,7 +26,6 @@ from repro.crypto.ecdsa import EcdsaKeyPair, generate_keypair
 from repro.crypto.puzzle import MessageSpecificPuzzle
 from repro.net.radio import Radio
 from repro.protocols.common import DisseminationNode, ProtocolName, TxPolicy
-from repro.protocols.defense import DefenseConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -101,7 +100,6 @@ def build_lr_seluge_network(
     on_complete: Optional[Callable[[DisseminationNode], None]] = None,
     snack_flood_threshold: Optional[int] = None,
     control_auth: Optional[str] = None,
-    defense: Optional["DefenseConfig"] = None,
 ) -> Tuple[LRSelugeNode, List[LRSelugeNode], PreprocessedImage]:
     """Instantiate a base station plus receivers on the radio's topology.
 
@@ -129,7 +127,7 @@ def build_lr_seluge_network(
         is_base=True, preprocessed=pre, on_complete=on_complete,
         snack_flood_threshold=snack_flood_threshold,
         control_auth=make_authenticator(control_auth, base_id, secret),
-        pipeline_factory=pipeline_factory, defense=defense,
+        pipeline_factory=pipeline_factory,
     )
     nodes = [
         LRSelugeNode(
@@ -138,7 +136,7 @@ def build_lr_seluge_network(
             timing=params.timing, wire=params.wire, on_complete=on_complete,
             snack_flood_threshold=snack_flood_threshold,
             control_auth=make_authenticator(control_auth, node_id, secret),
-            pipeline_factory=pipeline_factory, defense=defense,
+            pipeline_factory=pipeline_factory,
         )
         for node_id in receiver_ids
     ]

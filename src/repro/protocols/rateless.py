@@ -22,7 +22,6 @@ from repro.errors import DecodeError, ProtocolError
 from repro.net.packet import FrameKind
 from repro.net.radio import Radio
 from repro.protocols.common import DisseminationNode, ProtocolName, TxPolicy
-from repro.protocols.defense import DefenseConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -208,7 +207,6 @@ def build_rateless_network(
     base_id: int = 0,
     code_seed: int = 0,
     on_complete: Optional[Callable[[DisseminationNode], None]] = None,
-    defense: Optional[DefenseConfig] = None,
 ) -> Tuple[RatelessDelugeNode, List[RatelessDelugeNode], PreprocessedImage]:
     """Instantiate a base station plus receivers on the radio's topology."""
     image = image or CodeImage.synthetic(params.image.image_size, params.image.version)
@@ -219,13 +217,12 @@ def build_rateless_network(
         base_id, sim, radio, rngs, trace,
         pipeline=RatelessReceiver(params, code_seed), timing=params.timing,
         wire=params.wire, is_base=True, preprocessed=pre, on_complete=on_complete,
-        defense=defense,
     )
     nodes = [
         RatelessDelugeNode(
             node_id, sim, radio, rngs, trace,
             pipeline=RatelessReceiver(params, code_seed), timing=params.timing,
-            wire=params.wire, on_complete=on_complete, defense=defense,
+            wire=params.wire, on_complete=on_complete,
         )
         for node_id in receiver_ids
     ]

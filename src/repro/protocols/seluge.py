@@ -19,7 +19,6 @@ from repro.crypto.ecdsa import EcdsaKeyPair, generate_keypair
 from repro.crypto.puzzle import MessageSpecificPuzzle
 from repro.net.radio import Radio
 from repro.protocols.common import DisseminationNode, ProtocolName, TxPolicy
-from repro.protocols.defense import DefenseConfig
 from repro.protocols.deluge import UnionPolicy
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -58,7 +57,6 @@ def build_seluge_network(
     on_complete: Optional[Callable[[DisseminationNode], None]] = None,
     snack_flood_threshold: Optional[int] = None,
     control_auth: Optional[str] = None,
-    defense: Optional[DefenseConfig] = None,
 ) -> Tuple[SelugeNode, List[SelugeNode], PreprocessedImage]:
     """Instantiate a base station plus receivers on the radio's topology.
 
@@ -86,7 +84,7 @@ def build_seluge_network(
         is_base=True, preprocessed=pre, on_complete=on_complete,
         snack_flood_threshold=snack_flood_threshold,
         control_auth=make_authenticator(control_auth, base_id, secret),
-        pipeline_factory=pipeline_factory, defense=defense,
+        pipeline_factory=pipeline_factory,
     )
     nodes = [
         SelugeNode(
@@ -95,7 +93,7 @@ def build_seluge_network(
             timing=params.timing, wire=params.wire, on_complete=on_complete,
             snack_flood_threshold=snack_flood_threshold,
             control_auth=make_authenticator(control_auth, node_id, secret),
-            pipeline_factory=pipeline_factory, defense=defense,
+            pipeline_factory=pipeline_factory,
         )
         for node_id in receiver_ids
     ]

@@ -63,13 +63,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.attacks import ATTACK_KINDS, AttackSpec, load_attack_plan
 from repro.errors import ConfigError
 from repro.experiments.adversarial import run_attributed
 from repro.experiments.energy import estimate_energy
 from repro.experiments.reporting import stopwatch
 from repro.experiments.scenarios import Scenario, build_rig
 from repro.faults import FaultPlan
-from repro.protocols.defense import DefenseConfig
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -114,19 +114,14 @@ def _build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--churn-horizon", type=float, default=None,
                         help="stop generating stochastic faults after this "
                              "time (default: max-time / 2)")
-    adv = parser.add_argument_group("adversaries and hardening")
+    adv = parser.add_argument_group("adversaries")
     adv.add_argument("--attack", action="append", default=None, metavar="KIND",
-                     help="deploy an attacker: a preset name from the "
-                          "resilience scorecard (jammer, greyhole, replay, "
-                          "sybil, dor, bogus-data) or a raw attack kind "
-                          "(e.g. reactive-jammer); repeatable")
+                     help="deploy an attacker of this kind with default "
+                          f"settings ({', '.join(sorted(ATTACK_KINDS))}); "
+                          "repeatable")
     adv.add_argument("--attack-plan", default=None, metavar="PLAN.json",
-                     help="deploy a declarative AttackPlan JSON file "
+                     help="deploy the attack specs of a JSON plan file "
                           "(composes with --attack)")
-    adv.add_argument("--defense", default=None, metavar="FLAGS",
-                     help='protocol hardening flags: "all", "none", or a '
-                          'comma list of rate_limit, backoff, replay_filter, '
-                          "stall_watchdog")
     obs = parser.add_argument_group("observability")
     obs.add_argument("--trace-out", default=None, metavar="TRACE.jsonl",
                      help="write the structured event trace (JSONL)")
@@ -152,35 +147,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attack_specs(args):
-    """Resolve --attack-plan and every --attack into one AttackSpec tuple."""
-    from repro.attacks import ATTACK_KINDS, AttackPlan, AttackSpec
-    from repro.experiments.resilience import ATTACK_PRESETS
-
-    specs = []
-    if args.attack_plan:
-        specs.extend(AttackPlan.from_json_file(args.attack_plan).specs)
-    for name in args.attack or ():
-        if name in ATTACK_PRESETS:
-            specs.extend(ATTACK_PRESETS[name])
-        elif name in ATTACK_KINDS:
-            specs.append(AttackSpec(kind=name))
-        else:
-            raise SystemExit(
-                f"unknown attack {name!r}; presets: "
-                f"{sorted(k for k in ATTACK_PRESETS if k != 'none')}, "
-                f"kinds: {sorted(ATTACK_KINDS)}")
-    return tuple(specs)
-
-
-def _scenario(args, attacks, adversarial: bool, faulty: bool) -> Scenario:
+def _scenario(args, faulty: bool) -> Scenario:
     """The one scenario the command line describes.
 
-    Without ``--topology`` a run is a star of ``--receivers``, or the
-    ``grid:4x4:3`` fault grid when faults but no attackers or defenses are
-    asked for.  A plain star has no collisions (the paper's one-hop setup);
-    adversarial and faulty runs have no ambient loss.
+    ``--attack-plan`` specs come first, then one default spec per
+    ``--attack``; an unknown kind surfaces as a :class:`ConfigError` when
+    the rig deploys it.  Without ``--topology`` a run is a star of
+    ``--receivers``, or the ``grid:4x4:3`` fault grid when faults but no
+    attackers are asked for.  A plain star has no collisions (the paper's
+    one-hop setup); adversarial and faulty runs have no ambient loss.
     """
+    attacks = load_attack_plan(args.attack_plan) if args.attack_plan else ()
+    attacks += tuple(AttackSpec(kind=name) for name in args.attack or ())
+    adversarial = bool(attacks)
     if args.topology_file:
         topology = f"file:{args.topology_file}"
     elif args.topology:
@@ -199,7 +178,7 @@ def _scenario(args, attacks, adversarial: bool, faulty: bool) -> Scenario:
         kprime=args.kprime, seed=args.seed, max_time=args.max_time,
         faults=faults, mtbf=args.mtbf, mttr=args.mttr,
         link_flap=args.link_flap, churn_horizon=args.churn_horizon,
-        attacks=attacks, defense=DefenseConfig.from_flags(args.defense or "none"),
+        attacks=attacks,
     )
 
 
@@ -226,16 +205,12 @@ def _config_dict(args) -> dict:
         config["attack"] = list(args.attack)
     if args.attack_plan:
         config["attack_plan"] = args.attack_plan
-    if args.defense:
-        config["defense"] = args.defense
     return config
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    attack_specs = _attack_specs(args)
-    adversarial = bool(attack_specs or args.defense)
     faulty = bool(args.fault_plan or args.mtbf is not None or args.link_flap)
 
     sim = Simulator()
@@ -256,10 +231,10 @@ def main(argv=None) -> int:
 
     with stopwatch() as elapsed:
         try:
-            rig = build_rig(_scenario(args, attack_specs, adversarial, faulty),
-                            sim=sim, trace=trace)
+            rig = build_rig(_scenario(args, faulty), sim=sim, trace=trace)
         except ConfigError as exc:
             parser.error(str(exc))
+        adversarial = bool(rig.scenario.attacks)
         result = run_attributed(rig) if adversarial else rig.run()
     wall_s = elapsed()
 

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.attacks import AttackEngine, AttackPlan, AttackSpec
+from repro.attacks import AttackSpec, load_attack_plan
 from repro.errors import ConfigError
 from repro.experiments.adversarial import run_attributed
+from repro.faults.plan import FaultEvent, FaultKind
 
 
 def test_deploy_places_attacker_into_topology(adversarial_rig):
-    rig = adversarial_rig("reactive-jammer")
+    rig = adversarial_rig("bogus-data")
     topo = rig.radio.topology
     assert list(rig.engine.attacker_ids) == [5]  # star:4 is nodes 0..4
     assert 5 in topo.positions
@@ -18,7 +19,7 @@ def test_deploy_places_attacker_into_topology(adversarial_rig):
 
 
 def test_deploy_twice_raises(adversarial_rig):
-    rig = adversarial_rig("replay")
+    rig = adversarial_rig("bogus-data")
     with pytest.raises(ConfigError):
         rig.engine.deploy()
 
@@ -26,37 +27,37 @@ def test_deploy_twice_raises(adversarial_rig):
 def test_position_and_reach_bound_audibility(adversarial_rig):
     # Dropped on the base station with a 1 m reach: in a radius-5 star the
     # only node in range is the base itself.
-    spec = AttackSpec(kind="reactive-jammer", position=(0.0, 0.0), reach=1.0)
+    spec = AttackSpec(kind="bogus-data", position=(0.0, 0.0), reach=1.0)
     rig = adversarial_rig(attacks=(spec,))
     aid = rig.engine.attacker_ids[0]
     assert set(rig.radio.topology.neighbors[aid]) == {0}
 
 
 def test_unreachable_placement_raises(adversarial_rig):
-    spec = AttackSpec(kind="replay", position=(500.0, 500.0), reach=1.0)
+    spec = AttackSpec(kind="bogus-data", position=(500.0, 500.0), reach=1.0)
     with pytest.raises(ConfigError):
         adversarial_rig(attacks=(spec,))
 
 
 def test_attackers_halt_once_victims_complete(adversarial_rig):
     """Regression: attacker loops stop at completion — no further firings."""
-    rig = adversarial_rig("sybil-snack", period=0.3)
+    rig = adversarial_rig("bogus-data", period=0.3)
     result = rig.run()
     assert result.completed
     attacker = rig.attackers[0]
     assert attacker.halted
     assert rig.trace.counters["attack_halted"] == 1
     sent = attacker.sent
-    fired = rig.trace.counters["attack_sybil_snack"]
+    fired = rig.trace.counters["attack_bogus_data"]
     events_before = rig.sim.processed_events
     rig.sim.run(until=rig.sim.now + 120.0)
     assert rig.sim.processed_events >= events_before  # sim kept going...
     assert attacker.sent == sent                      # ...the attacker didn't
-    assert rig.trace.counters["attack_sybil_snack"] == fired
+    assert rig.trace.counters["attack_bogus_data"] == fired
 
 
 def test_stop_time_halts_attack_window(adversarial_rig):
-    spec = AttackSpec(kind="sybil-snack", start=1.0, period=0.3, stop=5.0)
+    spec = AttackSpec(kind="bogus-data", start=1.0, period=0.3, stop=5.0)
     rig = adversarial_rig(attacks=(spec,))
     rig.engine.start_all()
     rig.base.start()
@@ -67,7 +68,7 @@ def test_stop_time_halts_attack_window(adversarial_rig):
 
 
 def test_halt_all_is_safe_on_crashed_attackers(adversarial_rig):
-    rig = adversarial_rig("replay")
+    rig = adversarial_rig("bogus-data")
     attacker = rig.attackers[0]
     rig.engine.start_all()
     rig.sim.run(until=2.0)
@@ -84,17 +85,37 @@ def test_attacker_is_audible_on_per_link_grids(adversarial_rig):
     radio construction must reach the live ``PerLinkLoss`` table — a copied
     map defaults the new links to 100% loss and silently isolates the
     adversary on every grid topology."""
-    rig = adversarial_rig("sybil-snack", topology="grid:3x3:3", period=0.3,
+    rig = adversarial_rig("bogus-data", topology="grid:3x3:3", period=0.3,
                           max_time=2400.0)
     result = run_attributed(rig)
     assert result.completed
     attacker = rig.attackers[0]
-    assert attacker.sent > 0  # it overheard adverts, so it fired
+    assert attacker._progress  # it overheard adverts
     assert result.counters["adv_frames_delivered"] > 0  # and victims heard it
 
 
-def test_engine_plan_from_json(adversarial_rig):
-    plan = AttackPlan().attack("greyhole", drop_rate=0.9)
-    again = AttackPlan.from_json(plan.to_json())
-    rig = adversarial_rig(attacks=again.specs)
-    assert [a.kind for a in rig.attackers] == ["greyhole"]
+def test_engine_plan_from_json(adversarial_rig, tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text('{"attacks": [{"kind": "bogus-data", '
+                    '"params": {"payload_size": 40}}]}', encoding="utf-8")
+    rig = adversarial_rig(attacks=load_attack_plan(path))
+    assert [a.kind for a in rig.attackers] == ["bogus-data"]
+    assert rig.attackers[0].payload_size == 40
+
+
+def test_unknown_kind_rejected_at_deploy(adversarial_rig):
+    with pytest.raises(ConfigError, match="meteor-strike"):
+        adversarial_rig("meteor-strike")
+
+
+def test_attacker_crash_composes_with_fault_plan(adversarial_rig):
+    """A FaultPlan can kill an attacker mid-run; victims finish."""
+    faults = (FaultEvent(10.0, FaultKind.NODE_CRASH, node=5),)  # the attacker
+    rig = adversarial_rig("bogus-data", start=1.0, period=0.3, faults=faults)
+    result = run_attributed(rig)
+    assert result.completed and result.images_ok
+    attacker = rig.attackers[0]
+    assert attacker.crashed
+    sent_at_crash = attacker.sent
+    rig.sim.run(until=rig.sim.now + 60.0)
+    assert attacker.sent == sent_at_crash

@@ -110,13 +110,23 @@ def test_simulate_multihop_with_energy(capsys):
 def test_cli_composes_attack_with_churn(capsys):
     code = simulate_main([
         "--topology", "grid:3x3:3", "--image-kib", "2", "--k", "4",
-        "--n", "6", "--attack", "sybil", "--mtbf", "30", "--mttr", "10",
+        "--n", "6", "--attack", "bogus-data", "--mtbf", "30", "--mttr", "10",
     ])
     out = capsys.readouterr().out
     assert code == 0
     assert "completed:       True" in out
     crashes = int(out.split("crashes:", 1)[1].split()[0])
     assert crashes > 0
+
+
+@pytest.mark.parametrize("kind", ["greyhole", "meteor-strike"])
+def test_simulate_rejects_unknown_attack_as_usage_error(kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        simulate_main(["--attack", kind])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unknown attack kind {kind!r}" in err
+    assert "usage:" in err and "Traceback" not in err
 
 
 def test_simulate_topology_file(tmp_path, capsys):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.attacks import AttackSpec
 from repro.errors import ConfigError, PersistError
 from repro.experiments.checkpoint import CampaignCheckpoint
 from repro.experiments.executor import (
@@ -78,6 +79,17 @@ def test_task_key_is_stable_and_content_derived():
     assert task_key("one_hop", a) != task_key("one_hop", other_seed)
     assert task_key("one_hop", a) != task_key("multihop", a)
     assert len(task_key("one_hop", a)) == 32
+
+
+def test_task_key_covers_attack_specs():
+    def cell(**params):
+        spec = AttackSpec(kind="bogus-data", start=0.5, params=params)
+        return OneHopScenario(receivers=3, attacks=(spec,))
+
+    assert task_key("adversarial", cell(version=2)) == task_key(
+        "adversarial", cell(version=2))
+    assert task_key("adversarial", cell(version=2)) != task_key(
+        "adversarial", cell(version=3))
 
 
 def test_config_validation():

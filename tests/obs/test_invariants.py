@@ -238,41 +238,6 @@ def test_check_events_accepts_an_event_log():
 
 
 # ---------------------------------------------------------------------------
-# quarantine_respected
-# ---------------------------------------------------------------------------
-
-def test_quarantine_respected_flags_service_during_quarantine():
-    events = [
-        _ev(1.0, "defense_quarantine", 1, offender=9, until=100.0),
-        _ev(5.0, "tracker_snapshot", 1, trigger="snack", via=9, unit=0,
-            requester=9),
-    ]
-    report = check_events(events)
-    assert [v.invariant for v in report.violations] == ["quarantine_respected"]
-    assert "quarantined neighbor 9" in report.violations[0].render()
-
-
-def test_quarantine_respected_allows_service_after_expiry():
-    events = [
-        _ev(1.0, "defense_quarantine", 1, offender=9, until=10.0),
-        _ev(11.0, "tracker_snapshot", 1, trigger="snack", via=9, unit=0),
-        _ev(12.0, "tracker_snapshot", 1, trigger="snack", via=9, unit=0),
-    ]
-    report = check_events(events)
-    assert report.ok
-    assert report.checked["quarantine_respected"] == 2
-
-
-def test_quarantine_is_per_node_pair():
-    # Node 2 never quarantined 9: its service of 9 is legitimate.
-    events = [
-        _ev(1.0, "defense_quarantine", 1, offender=9, until=100.0),
-        _ev(5.0, "tracker_snapshot", 2, trigger="snack", via=9, unit=0),
-    ]
-    assert check_events(events).ok
-
-
-# ---------------------------------------------------------------------------
 # replay_never_rebuffered
 # ---------------------------------------------------------------------------
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.packets import SnackRequest
 from repro.net.packet import Frame, FrameKind
-from repro.protocols.defense import DefenseConfig, NeighborGuard
 
 
 def test_single_receiver_completes_on_perfect_channel(harness):
@@ -121,30 +120,12 @@ def _deliver(node, kind, sender):
                           payload=object()), sender)
 
 
-def test_quarantine_drops_only_control_frames(harness):
-    """A quarantined neighbour's ADV/SNACK die; its DATA/SIGNATURE do not."""
+def test_each_frame_kind_reaches_its_handler(harness):
     h, node, handled = _recording_node(harness)
-    guard = NeighborGuard(DefenseConfig(rate_limit=True), h.sim, h.trace,
-                          node.node_id)
-    node._guard = guard
-    while not guard.quarantined(7):
-        guard.admit_snack(7)
-    for kind in (FrameKind.ADV, FrameKind.SNACK, FrameKind.DATA,
-                 FrameKind.SIGNATURE):
+    for kind in FrameKind:
         _deliver(node, kind, 7)
-    assert handled == [("_on_data", 7), ("_on_signature", 7)]
-    assert h.trace.counters["defense_quarantined_drop"] == 2
-    # A neighbour in good standing is dispatched on every kind.
-    for kind in (FrameKind.ADV, FrameKind.SNACK):
-        _deliver(node, kind, 8)
-    assert handled[2:] == [("_on_adv", 8), ("_on_snack", 8)]
-    assert h.trace.counters["defense_quarantined_drop"] == 2
-
-
-def test_jam_frames_reach_no_handler(harness):
-    h, node, handled = _recording_node(harness)
-    _deliver(node, FrameKind.JAM, 0)
-    assert handled == []
+    assert handled == [("_on_data", 7), ("_on_snack", 7), ("_on_adv", 7),
+                       ("_on_signature", 7)]
 
 
 def test_crashed_node_handles_nothing(harness):
