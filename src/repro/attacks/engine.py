@@ -13,6 +13,7 @@ of inflating event counts until ``max_time``.
 
 from __future__ import annotations
 
+import inspect
 from typing import List, Optional, Sequence, Tuple
 
 from repro.attacks.model import AttackModel
@@ -29,6 +30,14 @@ __all__ = ["AttackEngine"]
 #: Synthetic links to/from attackers are clean and loud: the adversary picks
 #: its spot and transmit power, so the *channel* never saves the victims.
 _ATTACK_LINK_RX_DBM = -50.0
+
+
+def _kind_params(cls: type) -> Tuple[str, ...]:
+    """The kind-specific parameters ``cls`` takes: its keyword-only ones
+    (the engine passes the shared ones itself)."""
+    return tuple(
+        name for name, param in inspect.signature(cls).parameters.items()
+        if param.kind is param.KEYWORD_ONLY)
 
 
 class AttackEngine:
@@ -96,6 +105,12 @@ class AttackEngine:
             if cls is None:
                 raise ConfigError(f"unknown attack kind {spec.kind!r} "
                                   f"(known: {', '.join(sorted(ATTACK_KINDS))})")
+            accepted = _kind_params(cls)
+            unknown = sorted(set(spec.kwargs()) - set(accepted))
+            if unknown:
+                raise ConfigError(
+                    f"unknown parameter(s) {', '.join(unknown)} for attack "
+                    f"kind {spec.kind!r} (accepted: {', '.join(accepted)})")
             node_id = next_id
             next_id += 1
             self._place(node_id, spec.position, spec.reach)

@@ -91,6 +91,10 @@ class AttackSpec:
         if not isinstance(raw, dict) or "kind" not in raw:
             raise ConfigError(f"attack spec missing kind: {raw!r}")
         position = raw.get("position")
+        params = raw.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise ConfigError(
+                f"attack params must be a JSON object, got {params!r}")
         return cls(
             kind=str(raw["kind"]),
             start=float(raw.get("start", 0.1)),
@@ -98,18 +102,22 @@ class AttackSpec:
             stop=(float(raw["stop"]) if raw.get("stop") is not None else None),
             position=(tuple(position) if position is not None else None),
             reach=(float(raw["reach"]) if raw.get("reach") is not None else None),
-            params=_frozen_params(raw.get("params")),
+            params=_frozen_params(params),
         )
 
 
 def load_attack_plan(path: Union[str, Path]) -> Tuple[AttackSpec, ...]:
     """Read an attack plan file: ``{"attacks": [spec, ...]}`` or a bare list.
 
-    Each spec is an :meth:`AttackSpec.to_dict` object; malformed JSON or a
-    malformed spec raises :class:`ConfigError`.
+    Each spec is an :meth:`AttackSpec.to_dict` object; an unreadable file,
+    malformed JSON or a malformed spec raises :class:`ConfigError`.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read attack plan {path}: {exc.strerror}")
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"attack plan is not valid JSON: {exc}")
     specs = raw.get("attacks") if isinstance(raw, dict) else raw

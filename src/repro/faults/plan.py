@@ -223,4 +223,8 @@ class FaultPlan:
 
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "FaultPlan":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read fault plan {path}: {exc.strerror}")
+        return cls.from_json(text)

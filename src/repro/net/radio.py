@@ -297,6 +297,16 @@ class Radio:
             hearing.append(heard)
         tx.hearing = hearing
 
+    def _build_receivers(
+        self, sender: int
+    ) -> List[Tuple[int, Callable[[Frame, int], None]]]:
+        """Fill ``sender``'s receiver table; built once per sender per
+        invalidation, not per frame."""
+        nodes = self._nodes
+        receivers = self._receivers[sender] = [
+            (v, nodes[v].on_receive) for v in self.neighbors(sender)]
+        return receivers
+
     def _finish(self, tx: _Transmission) -> None:
         for heard in tx.hearing:
             heard.remove(tx)
@@ -312,9 +322,7 @@ class Radio:
             return
         receivers = self._receivers.get(sender)
         if receivers is None:
-            nodes = self._nodes
-            receivers = self._receivers[sender] = [
-                (v, nodes[v].on_receive) for v in self.neighbors(sender)]
+            receivers = self._build_receivers(sender)
         rngs, tamper = self.rngs, self.tamper
         halfduplex, collided = tx.halfduplex or (), tx.collided or ()
         should_drop, count = self.loss_model.should_drop, trace.count

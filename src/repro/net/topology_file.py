@@ -64,7 +64,10 @@ def load_topology(
     model = model or PropagationModel()
     positions: Dict[int, Tuple[float, float]] = {}
     links: List[Tuple[int, int, float]] = []
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read topology file {path}: {exc.strerror}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -515,12 +515,12 @@ class DisseminationNode(NetworkNode):
     def _maybe_schedule_request(self) -> None:
         if self.complete or self._request_timer.armed:
             return
-        if self._serving_active():
-            return  # TX pump re-schedules us once drained
         if self._request_tries >= self.timing.request_max_tries:
             return  # back to MAINTAIN; a fresh advertisement resets tries
         if max(self._neighbor_progress.values(), default=-1) <= self.units_complete:
             return  # no neighbour can serve it yet
+        if self._serving_active():
+            return  # TX pump re-schedules us once drained
         self._note_request_cause("first_request")
         self._request_timer.start(self.rng.uniform(0.0, self.timing.request_delay_max))
 
@@ -653,38 +653,52 @@ class DisseminationNode(NetworkNode):
             self.trace.count("data_version_mismatch")
             return
         now = self.sim.now
-        acceptable_index = self._acceptable_index(pkt)
+        trace = self.trace
+        observed = trace.observes_auth
+        unit, index = pkt.unit, pkt.index
+        # Reject out-of-range packet indices before buffering.  Rateless
+        # protocols accept any index (combinations are unbounded); fixed-set
+        # protocols only indices below the unit's packet count.
+        if self.protocol is _RATELESS:
+            acceptable_index = index >= 0
+        elif self.total_units is not None and not 0 <= unit < self.total_units:
+            acceptable_index = False
+        else:
+            acceptable_index = 0 <= index < self.pipeline.geometry(unit)[0]
         authentic = False
-        if not self.complete and pkt.unit == self.units_complete and acceptable_index:
-            buffered = self._rx_buffer.get(pkt.index)
+        if not self.complete and unit == self.units_complete and acceptable_index:
+            buffered = self._rx_buffer.get(index)
             if buffered is not None:
                 authentic = buffered == pkt
-                if authentic:
-                    self.trace.auth(now, self.node_id, sender, "duplicate", pkt)
+                if authentic and observed:
+                    trace.auth(now, self.node_id, sender, "duplicate", pkt)
             elif self.pipeline.authenticate(pkt):
                 authentic = True
-                self.trace.auth(now, self.node_id, sender, "ok", pkt)
+                if observed:
+                    trace.auth(now, self.node_id, sender, "ok", pkt)
                 if not self._rx_buffer:
                     # First buffered packet of this page: open its assembly
                     # span (first packet -> verified decode).
-                    self.trace.span_begin(now, "span_page", self.node_id,
-                                          key=pkt.unit, unit=pkt.unit)
-                self._rx_buffer[pkt.index] = pkt
-                self.trace.auth(now, self.node_id, sender, "buffered", pkt)
+                    trace.span_begin(now, "span_page", self.node_id,
+                                     key=unit, unit=unit)
+                self._rx_buffer[index] = pkt
+                if observed:
+                    trace.auth(now, self.node_id, sender, "buffered", pkt)
                 self._request_tries = 0
                 if self._request_timer.armed:
                     self._note_request_cause("data_progress")
                     self._request_timer.start(self._rearm_delay(self.timing.request_timeout))
                 self._try_complete_unit()
             else:
-                self.trace.count("data_rejected")
-                self.trace.auth(now, self.node_id, sender, "drop", pkt)
+                trace.count("data_rejected")
+                if observed:
+                    trace.auth(now, self.node_id, sender, "drop", pkt)
         elif acceptable_index:
             # Not the unit we are collecting: a cheap authenticity check
             # decides whether this packet may influence our timers at all.
             authentic = self.pipeline.validate_overheard(pkt)
-            if not authentic and self.pipeline.secured:
-                self.trace.auth(now, self.node_id, sender, "drop", pkt)
+            if not authentic and observed and self.pipeline.secured:
+                trace.auth(now, self.node_id, sender, "drop", pkt)
 
         if not authentic:
             if not self.complete:
@@ -692,32 +706,21 @@ class DisseminationNode(NetworkNode):
             return
 
         # The sender evidently possesses pkt.unit, i.e. >= unit+1 units.
-        known = self._neighbor_progress.get(sender, 0)
-        self._neighbor_progress[sender] = max(known, pkt.unit + 1)
-        self._last_data_heard[pkt.unit] = now
+        # (An absent entry reads as 0, like an entry of 0.)
+        progress = self._neighbor_progress
+        if progress.get(sender, 0) <= unit:
+            progress[sender] = unit + 1
+        self._last_data_heard[unit] = now
 
         # Sender-side suppression: someone else covered this packet.
-        policy = self._service.get(pkt.unit)
+        policy = self._service.get(unit)
         if policy is not None:
-            policy.mark_sent(pkt.index)
-            self.trace.count("data_suppressed")
-            self.trace.tracker(now, self.node_id, pkt.unit, "overheard", policy,
-                               index=pkt.index)
+            policy.mark_sent(index)
+            trace.count("data_suppressed")
+            trace.tracker(now, self.node_id, unit, "overheard", policy,
+                          index=index)
         if not self.complete:
             self._maybe_schedule_request()
-
-    def _acceptable_index(self, pkt: DataPacket) -> bool:
-        """Reject out-of-range packet indices before buffering.
-
-        Rateless protocols accept any index (combinations are unbounded);
-        fixed-set protocols only indices < the unit's packet count.
-        """
-        if self.protocol is _RATELESS:
-            return pkt.index >= 0
-        if self.total_units is not None and not 0 <= pkt.unit < self.total_units:
-            return False
-        n_packets, _ = self.pipeline.geometry(pkt.unit)
-        return 0 <= pkt.index < n_packets
 
     def _try_complete_unit(self) -> None:
         unit = self.units_complete
@@ -776,9 +779,9 @@ class DisseminationNode(NetworkNode):
             # protocols, the signature packet it will request) catch it up.
             return
         self._last_overheard_snack[request.unit] = self.sim.now
-        self._neighbor_progress[sender] = max(
-            self._neighbor_progress.get(sender, 0), request.unit
-        )
+        progress = self._neighbor_progress
+        if progress.get(sender, 0) < request.unit:
+            progress[sender] = request.unit
         if request.server != self.node_id:
             return
         if self.units_complete <= request.unit:

@@ -6,6 +6,15 @@ are totally ordered by ``(time, sequence)`` and simultaneous events execute
 in scheduling order, which keeps runs deterministic for a fixed seed.
 Because ``(time, key)`` is unique, tuple comparison never reaches the
 :class:`Event` and ``heapq`` orders entries entirely in C.
+
+A pending event can be moved to a later time with :meth:`Event.postpone`
+(a restarted :class:`~repro.sim.process.Timer` does this).  The move draws
+the event's new key at that moment, exactly when cancel-and-reschedule
+would draw it, so events run in the same order as they would under
+cancel-and-reschedule.  The event's heap entry stays where it was: when that
+stale entry reaches the front, :meth:`Simulator.run` re-queues it at the
+event's new ``(time, key)`` with one ``heapreplace``, calls no handler and
+counts no event.  A postponed event therefore never leaves garbage behind.
 """
 
 from __future__ import annotations
@@ -69,13 +78,15 @@ class Event:
     Instances are returned by :meth:`Simulator.schedule` and may be cancelled
     with :meth:`cancel`; cancelled events stay in the heap but are skipped
     when popped (lazy deletion).  The owning simulator keeps live/cancelled
-    counters so cancellation garbage can be compacted away.
+    counters so cancellation garbage can be compacted away.  A pending event
+    may also be moved later with :meth:`postpone`.
 
     Events are not comparable: the heap orders ``(time, key, event)``
-    entries by their unique ``(time, key)`` prefix.
+    entries by their unique ``(time, key)`` prefix.  ``key`` is the event's
+    current tie-break key; a queued entry whose key differs is stale.
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
+    __slots__ = ("time", "key", "fn", "args", "cancelled", "_sim")
 
     def __init__(
         self,
@@ -83,8 +94,10 @@ class Event:
         fn: Callable[..., Any],
         args: Tuple[Any, ...],
         sim: "Optional[Simulator]" = None,
+        key: int = 0,
     ) -> None:
         self.time = time
+        self.key = key
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -101,6 +114,26 @@ class Event:
         if self._sim is not None:
             self._sim._note_cancelled()
             self._sim = None
+
+    def postpone(self, time: float) -> None:
+        """Move this pending event to absolute ``time``, not before its own.
+
+        The event gets a new tie-break key drawn at this call, so it runs in
+        the place a cancel followed by ``schedule_at(time, ...)`` would give
+        it; unlike that pair, it leaves no cancelled entry in the heap.
+        Raises :class:`SimulationError` for an earlier or NaN ``time`` and
+        for an event that has run or been cancelled.
+        """
+        sim = self._sim
+        if sim is None:
+            raise SimulationError(
+                "cannot postpone an event that has run or been cancelled")
+        # ``not >=`` so a NaN time, which compares false both ways, is
+        # rejected too.
+        if not time >= self.time:
+            raise SimulationError(
+                f"cannot postpone event at t={self.time} to earlier t={time}")
+        sim._postpone(self, time)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -201,9 +234,15 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        # ``not >=`` so a NaN delay is rejected too.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
+        time = self._now + delay
+        key = self._sequence_key()
+        event = Event(time, fn, args, self, key)
+        heapq.heappush(self._queue, (time, key, event))
+        self._live += 1
+        return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
@@ -213,20 +252,37 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
-        event = Event(time, fn, args, self)
-        heapq.heappush(self._queue, (time, self._sequence_key(event), event))
+        key = self._sequence_key()
+        event = Event(time, fn, args, self, key)
+        heapq.heappush(self._queue, (time, key, event))
         self._live += 1
         return event
 
-    def _sequence_key(self, event: Event) -> int:
-        """The tie-break key of a newly created ``event``: the FIFO counter.
+    def _sequence_key(self) -> int:
+        """The next tie-break key: the FIFO counter.
 
-        Keys must be unique so that no two heap entries compare equal on
-        ``(time, key)``.  Subclasses may override this to permute ties.
+        Drawn once per schedule and once per postponement.  Keys must be
+        unique so that no two heap entries compare equal on ``(time, key)``.
+        Subclasses may override this to permute ties.
         """
         seq = self._seq
         self._seq = seq + 1
         return seq
+
+    def _postpone(self, event: Event, time: float) -> None:
+        key = self._sequence_key()
+        if time == event.time and key < event.key:
+            # Only a permuted tie-break draws a key below the event's own.
+            # The queued entry could then sort after the event's new place,
+            # so rewrite it now instead of re-queueing it lazily.
+            queue = self._queue
+            for index, entry in enumerate(queue):
+                if entry[2] is event:
+                    queue[index] = (time, key, event)
+                    break
+            heapq.heapify(queue)
+        event.time = time
+        event.key = key
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -241,13 +297,17 @@ class Simulator:
         executed = 0
         profiler = self._profiler
         queue = self._queue
-        heappop = heapq.heappop
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
         try:
             while queue:
-                time, _, event = queue[0]
+                time, key, event = queue[0]
                 if event.cancelled:
                     heappop(queue)
                     self._cancelled -= 1
+                    continue
+                if key != event.key:
+                    # Postponed: move the entry to the event's new place.
+                    heapreplace(queue, (event.time, event.key, event))
                     continue
                 if until is not None and time > until:
                     break
@@ -328,7 +388,7 @@ class PerturbedSimulator(Simulator):
         super().__init__()
         self.perturbation = int(perturbation)
 
-    def _sequence_key(self, event: Event) -> int:
-        counter = super()._sequence_key(event)
+    def _sequence_key(self) -> int:
+        counter = super()._sequence_key()
         priority = derive_seed(self.perturbation, f"tiebreak/{counter}")
         return (priority << 40) | counter

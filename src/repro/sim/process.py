@@ -7,7 +7,7 @@ callback at a fixed or callable-supplied interval until stopped.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 from repro.sim.engine import Event, Simulator
 
@@ -17,14 +17,19 @@ __all__ = ["Timer", "PeriodicProcess"]
 class Timer:
     """A one-shot timer that can be (re)started and cancelled.
 
-    Restarting an armed timer cancels the outstanding expiry first, so at most
-    one expiry is ever pending.
+    At most one expiry is ever pending.  Restarting an armed timer to the
+    same or a later expiry postpones the pending event
+    (:meth:`~repro.sim.engine.Event.postpone`): its tie-break key is drawn
+    at the restart, so it fires exactly where cancel-and-reschedule would
+    fire it, and the heap holds no dead entry for the old expiry.  A restart
+    to an earlier expiry cancels the pending event and schedules a new one.
     """
 
     def __init__(self, sim: Simulator, fn: Callable[..., Any]) -> None:
         self._sim = sim
         self._fn = fn
         self._event: Optional[Event] = None
+        self._args: Tuple[Any, ...] = ()
 
     @property
     def armed(self) -> bool:
@@ -40,8 +45,15 @@ class Timer:
 
     def start(self, delay: float, *args: Any) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire, args)
+        self._args = args
+        event = self._event
+        if event is not None:
+            time = self._sim.now + delay
+            if time >= event.time:
+                event.postpone(time)
+                return
+            self.cancel()
+        self._event = self._sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         """Disarm the timer; no-op when idle."""
@@ -49,9 +61,9 @@ class Timer:
             self._event.cancel()
             self._event = None
 
-    def _fire(self, args: tuple) -> None:
+    def _fire(self) -> None:
         self._event = None
-        self._fn(*args)
+        self._fn(*self._args)
 
 
 class PeriodicProcess:

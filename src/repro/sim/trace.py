@@ -176,6 +176,9 @@ class TraceRecorder:
         self._on_frame = hooks("on_frame")
         self._on_mac_drop = hooks("on_mac_drop")
         self._on_auth = hooks("on_auth")
+        #: True when a subscriber overrides ``on_auth``; the receive path
+        #: skips calling :meth:`auth` otherwise.
+        self.observes_auth = bool(self._on_auth)
         self._on_decode = hooks("on_decode")
         self._on_meta = hooks("on_meta")
         self._on_tracker = hooks("on_tracker")

@@ -53,7 +53,8 @@ def test_plan_json_accepts_bare_list(tmp_path):
     assert len(specs) == 1 and specs[0].kind == "control-forge"
 
 
-@pytest.mark.parametrize("text", ["not json", '{"attacks": 3}', '[{"start": 1}]'])
+@pytest.mark.parametrize("text", ["not json", '{"attacks": 3}', '[{"start": 1}]',
+                                  '[{"kind": "bogus-data", "params": [1, 2]}]'])
 def test_plan_json_rejects_malformed(tmp_path, text):
     with pytest.raises(ConfigError):
         load_attack_plan(_write(tmp_path, text))

@@ -129,6 +129,30 @@ def test_simulate_rejects_unknown_attack_as_usage_error(kind, capsys):
     assert "usage:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--attack-plan", '[{"kind": "bogus-data", "params": [1, 2]}]',
+     "attack params must be a JSON object"),
+    ("--attack-plan", '[{"kind": "bogus-data", "params": {"warp": 9}}]',
+     "unknown parameter(s) warp for attack kind 'bogus-data'"),
+    ("--attack-plan", None, "cannot read attack plan"),
+    ("--fault-plan", None, "cannot read fault plan"),
+    ("--topology-file", None, "cannot read topology file"),
+], ids=["attack-params-list", "attack-params-unknown", "attack-plan-missing",
+        "fault-plan-missing", "topology-file-missing"])
+def test_simulate_rejects_bad_plan_file_as_usage_error(
+        flag, text, message, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        simulate_main([flag, str(path), "--receivers", "2", "--image-kib", "1",
+                       "--k", "8", "--n", "12"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "usage:" in err and "Traceback" not in err
+
+
 def test_simulate_topology_file(tmp_path, capsys):
     from repro.net.topology import mica2_grid_tight
     from repro.net.topology_file import save_topology
