@@ -14,7 +14,8 @@ of inflating event counts until ``max_time``.
 from __future__ import annotations
 
 import inspect
-from typing import List, Optional, Sequence, Tuple
+import typing
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.model import AttackModel
 from repro.attacks.models import ATTACK_KINDS
@@ -32,12 +33,14 @@ __all__ = ["AttackEngine"]
 _ATTACK_LINK_RX_DBM = -50.0
 
 
-def _kind_params(cls: type) -> Tuple[str, ...]:
-    """The kind-specific parameters ``cls`` takes: its keyword-only ones
-    (the engine passes the shared ones itself)."""
-    return tuple(
-        name for name, param in inspect.signature(cls).parameters.items()
-        if param.kind is param.KEYWORD_ONLY)
+def _kind_params(cls: type) -> Dict[str, type]:
+    """The kind-specific parameters ``cls`` takes, with their annotated
+    types: its keyword-only ones (the engine passes the shared ones itself)."""
+    hints = typing.get_type_hints(cls.__init__)
+    return {
+        name: hints[name]
+        for name, param in inspect.signature(cls).parameters.items()
+        if param.kind is param.KEYWORD_ONLY}
 
 
 class AttackEngine:
@@ -106,18 +109,27 @@ class AttackEngine:
                 raise ConfigError(f"unknown attack kind {spec.kind!r} "
                                   f"(known: {', '.join(sorted(ATTACK_KINDS))})")
             accepted = _kind_params(cls)
-            unknown = sorted(set(spec.kwargs()) - set(accepted))
+            kwargs = spec.kwargs()
+            unknown = sorted(set(kwargs) - set(accepted))
             if unknown:
                 raise ConfigError(
                     f"unknown parameter(s) {', '.join(unknown)} for attack "
                     f"kind {spec.kind!r} (accepted: {', '.join(accepted)})")
+            for name, value in kwargs.items():
+                want = accepted[name]
+                # JSON true/false must not pass as an int, though bool is one.
+                if not isinstance(value, want) or (
+                        isinstance(value, bool) and want is not bool):
+                    raise ConfigError(
+                        f"parameter {name} of attack kind {spec.kind!r} must "
+                        f"be {want.__name__}, got {value!r}")
             node_id = next_id
             next_id += 1
             self._place(node_id, spec.position, spec.reach)
             attacker = cls(
                 node_id, self.sim, self.radio, self.rngs, self.trace,
                 period=spec.period, start_delay=spec.start,
-                stop_time=spec.stop, **spec.kwargs(),
+                stop_time=spec.stop, **kwargs,
             )
             self.trace.record(self.sim.now, "attack_deployed", node_id,
                               attack=spec.kind)

@@ -13,13 +13,19 @@ implements the paper's Section IV-E checks:
 
 Every packet is thus authenticated *upon arrival*; unauthenticated packets
 are never buffered (the DoS-resilience property).
+
+Every node is charged for its own checks: each check bumps the checking
+pipeline's ``stats``, which the energy model reads.  The host, though,
+computes each distinct check once per run: every receiver of a broadcast
+checks the same bytes against the same anchors, so the run's secure
+pipelines share one :class:`VerificationMemo` of the checks that passed.
 """
 
 from __future__ import annotations
 
 import abc
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import DelugeParams, LRSelugeParams, SelugeParams
 from repro.core.packets import DataPacket, SignaturePacket
@@ -31,7 +37,31 @@ from repro.crypto.puzzle import MessageSpecificPuzzle
 from repro.erasure.base import make_code
 from repro.errors import DecodeError, ProtocolError
 
-__all__ = ["ReceiverPipeline", "DelugeReceiver", "SelugeReceiver", "LRSelugeReceiver"]
+__all__ = [
+    "ReceiverPipeline", "DelugeReceiver", "SelugeReceiver", "LRSelugeReceiver",
+    "VerificationMemo",
+]
+
+
+class VerificationMemo:
+    """The checks that passed in one run, shared by the run's secure pipelines.
+
+    Each set holds every input of a pure check, so a hit is the answer the
+    real check would give.  Only passes are stored: forged or altered bytes
+    always miss and are verified for real, and memory grows with the honest
+    content alone.  A network builder makes one per run; a pipeline built
+    on its own makes its own.
+    """
+
+    __slots__ = ("signatures", "chained", "merkle_paths")
+
+    def __init__(self) -> None:
+        #: ``(root + metadata, raw signature, public key)`` that verified.
+        self.signatures: Set[Tuple[bytes, bytes, Tuple[int, int]]] = set()
+        #: ``(packet, hash_len, expected hash image)`` that matched.
+        self.chained: Set[Tuple[DataPacket, int, bytes]] = set()
+        #: ``(packet, root, hash_len)`` whose Merkle path verified.
+        self.merkle_paths: Set[Tuple[DataPacket, bytes, int]] = set()
 
 
 class ReceiverPipeline(abc.ABC):
@@ -155,10 +185,12 @@ class DelugeReceiver(ReceiverPipeline):
 class _SecureReceiver(ReceiverPipeline):
     """Shared signature/puzzle handling for Seluge and LR-Seluge."""
 
-    def __init__(self, public_key: Tuple[int, int], puzzle: MessageSpecificPuzzle):
+    def __init__(self, public_key: Tuple[int, int], puzzle: MessageSpecificPuzzle,
+                 memo: Optional[VerificationMemo] = None):
         super().__init__()
         self.public_key = public_key
         self.puzzle = puzzle
+        self.memo = memo if memo is not None else VerificationMemo()
         self.root: Optional[bytes] = None
         self.expected: Dict[int, Dict[int, bytes]] = {}
 
@@ -169,14 +201,18 @@ class _SecureReceiver(ReceiverPipeline):
             self.stats["puzzle_rejects"] += 1
             return False
         self.stats["signature_verifications"] += 1
-        try:
-            sig = EcdsaSignature.from_bytes(packet.signature)
-        except Exception:
-            self.stats["signature_rejects"] += 1
-            return False
-        if not verify(packet.root + packet.metadata, sig, self.public_key):
-            self.stats["signature_rejects"] += 1
-            return False
+        signed = packet.root + packet.metadata
+        key = (signed, packet.signature, self.public_key)
+        if key not in self.memo.signatures:
+            try:
+                sig = EcdsaSignature.from_bytes(packet.signature)
+            except Exception:
+                self.stats["signature_rejects"] += 1
+                return False
+            if not verify(signed, sig, self.public_key):
+                self.stats["signature_rejects"] += 1
+                return False
+            self.memo.signatures.add(key)
         version, total_units, image_size = unpack_metadata(packet.metadata)
         self.root = packet.root
         self.version = version
@@ -189,12 +225,17 @@ class _SecureReceiver(ReceiverPipeline):
             self.stats["rejected_no_root"] += 1
             return False
         self.stats["merkle_checks"] += 1
-        ok = verify_merkle_path(
+        key = (packet, self.root, hash_len)
+        passed = self.memo.merkle_paths
+        if key in passed:
+            return True
+        if verify_merkle_path(
             packet.canonical_bytes(), packet.index, packet.auth_path, self.root, hash_len
-        )
-        if not ok:
-            self.stats["rejected_packets"] += 1
-        return ok
+        ):
+            passed.add(key)
+            return True
+        self.stats["rejected_packets"] += 1
+        return False
 
     def validate_overheard(self, packet: DataPacket) -> bool:
         hash_len = self._hash_len()
@@ -221,18 +262,24 @@ class _SecureReceiver(ReceiverPipeline):
             self.stats["rejected_packets"] += 1
             return False
         self.stats["hash_checks"] += 1
-        ok = hash_image(packet.canonical_bytes(), hash_len) == expected
-        if not ok:
-            self.stats["rejected_packets"] += 1
-        return ok
+        key = (packet, hash_len, expected)
+        passed = self.memo.chained
+        if key in passed:
+            return True
+        if hash_image(packet.canonical_bytes(), hash_len) == expected:
+            passed.add(key)
+            return True
+        self.stats["rejected_packets"] += 1
+        return False
 
 
 class SelugeReceiver(_SecureReceiver):
     """Seluge: all-k pages with per-packet chained hashes."""
 
     def __init__(self, params: SelugeParams, public_key: Tuple[int, int],
-                 puzzle: Optional[MessageSpecificPuzzle] = None):
-        super().__init__(public_key, puzzle or MessageSpecificPuzzle(difficulty=10))
+                 puzzle: Optional[MessageSpecificPuzzle] = None,
+                 memo: Optional[VerificationMemo] = None):
+        super().__init__(public_key, puzzle or MessageSpecificPuzzle(difficulty=10), memo)
         self.params = params
         m0 = params.hash_page_packets()
         self._hash_page_geometry = (m0, m0)
@@ -283,8 +330,9 @@ class LRSelugeReceiver(_SecureReceiver):
     """LR-Seluge: erasure-coded pages with page-level chained hash images."""
 
     def __init__(self, params: LRSelugeParams, public_key: Tuple[int, int],
-                 puzzle: Optional[MessageSpecificPuzzle] = None):
-        super().__init__(public_key, puzzle or MessageSpecificPuzzle(difficulty=10))
+                 puzzle: Optional[MessageSpecificPuzzle] = None,
+                 memo: Optional[VerificationMemo] = None):
+        super().__init__(public_key, puzzle or MessageSpecificPuzzle(difficulty=10), memo)
         self.params = params
         self.code = make_code(
             params.code_kind, params.k, params.n, params.resolved_kprime,

@@ -3,6 +3,8 @@
 The base station signs the Merkle root once per code image; sensor nodes
 verify that single signature (Section III-A notes a Tmote Sky verifies an
 ECDSA signature in ~1.12 s, so one verification per image is affordable).
+In the simulator every node is charged for its own verification, while the
+host computes it once per run (see :class:`repro.core.verify.VerificationMemo`).
 This module implements the real algorithm — keygen, deterministic signing
 (RFC-6979-style nonce derivation via HMAC-SHA256), and verification — over
 the NIST P-192 curve.

@@ -21,7 +21,7 @@ from repro.core.config import LRSelugeParams
 from repro.core.image import CodeImage
 from repro.core.preprocess import LRSelugePreprocessor, PreprocessedImage
 from repro.core.scheduler import GreedyRoundRobinScheduler, TrackingTable
-from repro.core.verify import LRSelugeReceiver
+from repro.core.verify import LRSelugeReceiver, VerificationMemo
 from repro.crypto.ecdsa import EcdsaKeyPair, generate_keypair
 from repro.crypto.puzzle import MessageSpecificPuzzle
 from repro.net.radio import Radio
@@ -117,12 +117,15 @@ def build_lr_seluge_network(
         receiver_ids = [i for i in radio.topology.node_ids if i != base_id]
     secret = derive_seed(rngs.root_seed, "cluster-secret").to_bytes(8, "big")
 
+    # One memo per run: every receiver of a broadcast checks the same bytes.
+    memo = VerificationMemo()
+
     def pipeline_factory(version: int) -> LRSelugeReceiver:
-        return LRSelugeReceiver(params, keypair.public, puzzle)
+        return LRSelugeReceiver(params, keypair.public, puzzle, memo)
 
     base = LRSelugeNode(
         base_id, sim, radio, rngs, trace,
-        pipeline=LRSelugeReceiver(params, keypair.public, puzzle),
+        pipeline=pipeline_factory(image.version),
         timing=params.timing, wire=params.wire,
         is_base=True, preprocessed=pre, on_complete=on_complete,
         snack_flood_threshold=snack_flood_threshold,
@@ -132,7 +135,7 @@ def build_lr_seluge_network(
     nodes = [
         LRSelugeNode(
             node_id, sim, radio, rngs, trace,
-            pipeline=LRSelugeReceiver(params, keypair.public, puzzle),
+            pipeline=pipeline_factory(image.version),
             timing=params.timing, wire=params.wire, on_complete=on_complete,
             snack_flood_threshold=snack_flood_threshold,
             control_auth=make_authenticator(control_auth, node_id, secret),

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.core.config import SelugeParams
 from repro.core.image import CodeImage
 from repro.core.preprocess import PreprocessedImage, SelugePreprocessor
-from repro.core.verify import SelugeReceiver
+from repro.core.verify import SelugeReceiver, VerificationMemo
 from repro.crypto.ecdsa import EcdsaKeyPair, generate_keypair
 from repro.crypto.puzzle import MessageSpecificPuzzle
 from repro.net.radio import Radio
@@ -74,12 +74,15 @@ def build_seluge_network(
         receiver_ids = [i for i in radio.topology.node_ids if i != base_id]
     secret = derive_seed(rngs.root_seed, "cluster-secret").to_bytes(8, "big")
 
+    # One memo per run: every receiver of a broadcast checks the same bytes.
+    memo = VerificationMemo()
+
     def pipeline_factory(version: int) -> SelugeReceiver:
-        return SelugeReceiver(params, keypair.public, puzzle)
+        return SelugeReceiver(params, keypair.public, puzzle, memo)
 
     base = SelugeNode(
         base_id, sim, radio, rngs, trace,
-        pipeline=SelugeReceiver(params, keypair.public, puzzle),
+        pipeline=pipeline_factory(image.version),
         timing=params.timing, wire=params.wire,
         is_base=True, preprocessed=pre, on_complete=on_complete,
         snack_flood_threshold=snack_flood_threshold,
@@ -89,7 +92,7 @@ def build_seluge_network(
     nodes = [
         SelugeNode(
             node_id, sim, radio, rngs, trace,
-            pipeline=SelugeReceiver(params, keypair.public, puzzle),
+            pipeline=pipeline_factory(image.version),
             timing=params.timing, wire=params.wire, on_complete=on_complete,
             snack_flood_threshold=snack_flood_threshold,
             control_auth=make_authenticator(control_auth, node_id, secret),

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.attacks import AttackSpec, load_attack_plan
+from repro.attacks.engine import _kind_params
+from repro.attacks.models import ATTACK_KINDS
 from repro.errors import ConfigError
 from repro.experiments.adversarial import run_attributed
 from repro.faults.plan import FaultEvent, FaultKind
@@ -106,6 +108,20 @@ def test_engine_plan_from_json(adversarial_rig, tmp_path):
 def test_unknown_kind_rejected_at_deploy(adversarial_rig):
     with pytest.raises(ConfigError, match="meteor-strike"):
         adversarial_rig("meteor-strike")
+
+
+@pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
+def test_every_attack_parameter_has_a_checkable_type(kind):
+    params = _kind_params(ATTACK_KINDS[kind])
+    assert params and all(isinstance(t, type) for t in params.values())
+
+
+@pytest.mark.parametrize("params", [
+    {"payload_size": "big"}, {"payload_size": True}, {"version": 2.0},
+])
+def test_mistyped_param_rejected_at_deploy(adversarial_rig, params):
+    with pytest.raises(ConfigError, match="must be int"):
+        adversarial_rig("bogus-data", params=params)
 
 
 def test_attacker_crash_composes_with_fault_plan(adversarial_rig):

@@ -134,10 +134,13 @@ def test_simulate_rejects_unknown_attack_as_usage_error(kind, capsys):
      "attack params must be a JSON object"),
     ("--attack-plan", '[{"kind": "bogus-data", "params": {"warp": 9}}]',
      "unknown parameter(s) warp for attack kind 'bogus-data'"),
+    ("--attack-plan", '[{"kind": "bogus-data", "params": {"payload_size": "big"}}]',
+     "parameter payload_size of attack kind 'bogus-data' must be int, got 'big'"),
     ("--attack-plan", None, "cannot read attack plan"),
     ("--fault-plan", None, "cannot read fault plan"),
     ("--topology-file", None, "cannot read topology file"),
-], ids=["attack-params-list", "attack-params-unknown", "attack-plan-missing",
+], ids=["attack-params-list", "attack-params-unknown", "attack-params-type",
+        "attack-plan-missing",
         "fault-plan-missing", "topology-file-missing"])
 def test_simulate_rejects_bad_plan_file_as_usage_error(
         flag, text, message, tmp_path, capsys):
