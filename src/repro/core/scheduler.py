@@ -12,6 +12,11 @@ packet, deleting entries whose distance reaches zero.  Transmission stops
 when the table empties — i.e. when, as far as the sender knows, every
 neighbor can decode.
 
+The table keeps the popularity vector as it goes: a SNACK fold, a send and
+a removal each adjust the counts of the indices they touch, so a pick scans
+one list of ``n`` counts instead of recounting every requester's
+bit-vector.  The selection rule itself is unchanged.
+
 Deluge/Seluge semantics (request-all, union of bit-vectors) and the rateless
 always-send-fresh policy are provided for the baselines and the scheduler
 ablation (DESIGN.md E10).
@@ -46,7 +51,13 @@ class TrackingEntry:
 
 
 class TrackingTable:
-    """The per-page table a TX-state node maintains (paper Table I)."""
+    """The per-page table a TX-state node maintains (paper Table I).
+
+    ``_counts[i]`` is the number of entries that want packet ``i``; every
+    method that changes an entry's ``wanted`` set adjusts it, so it always
+    equals a recount over :attr:`entries`.  ``entries`` is read-only to
+    callers.
+    """
 
     def __init__(self, n_packets: int, threshold: int):
         if threshold > n_packets:
@@ -56,6 +67,7 @@ class TrackingTable:
         self.n = n_packets
         self.threshold = threshold
         self.entries: Dict[int, TrackingEntry] = {}
+        self._counts: List[int] = [0] * n_packets
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -75,23 +87,22 @@ class TrackingTable:
         rank-deficient even at ``k'`` receptions.
         """
         wanted = {i for i in needed if 0 <= i < self.n}
+        self.remove(node_id)
         if not wanted:
-            self.entries.pop(node_id, None)
             return
+        counts = self._counts
+        for i in sorted(wanted):
+            counts[i] += 1
         q = len(wanted)
         distance = max(1, q + self.threshold - self.n)
         self.entries[node_id] = TrackingEntry(node_id, wanted, distance)
 
     def popularity(self, index: int) -> int:
         """Number of tracked neighbors that want packet ``index``."""
-        return sum(1 for e in self.entries.values() if index in e.wanted)
+        return self._counts[index] if 0 <= index < self.n else 0
 
     def popularity_vector(self) -> List[int]:
-        counts = [0] * self.n
-        for entry in self.entries.values():
-            for idx in entry.wanted:
-                counts[idx] += 1
-        return counts
+        return list(self._counts)
 
     def mark_sent(self, index: int) -> None:
         """Account for a transmission (ours or an overheard one).
@@ -99,19 +110,35 @@ class TrackingTable:
         Clears column ``index``, decrements the distance of every neighbor
         that wanted it, and deletes satisfied entries.  If the packet was
         lost at some neighbor, that neighbor's next SNACK reinstates it.
+        Only an entry that wanted ``index`` can become satisfied here (no
+        satisfied entry outlives the call that satisfied it), so the scan
+        stops once the column's count is used up.
         """
+        counts = self._counts
+        wanting = counts[index] if 0 <= index < self.n else 0
+        if not wanting:
+            return
+        counts[index] = 0
         done: List[int] = []
         for node_id, entry in self.entries.items():
-            if index in entry.wanted:
-                entry.wanted.discard(index)
+            wanted = entry.wanted
+            if index in wanted:
+                wanted.discard(index)
                 entry.distance -= 1
-            if entry.satisfied():
-                done.append(node_id)
+                if entry.satisfied():
+                    done.append(node_id)
+                wanting -= 1
+                if not wanting:
+                    break
         for node_id in done:
-            del self.entries[node_id]
+            self.remove(node_id)
 
     def remove(self, node_id: int) -> None:
-        self.entries.pop(node_id, None)
+        entry = self.entries.pop(node_id, None)
+        if entry is not None:
+            counts = self._counts
+            for i in entry.wanted:
+                counts[i] -= 1
 
     def snapshot(self) -> Dict[str, object]:
         """Introspection view for the flight recorder (JSON-serialisable).
@@ -143,16 +170,18 @@ class GreedyRoundRobinScheduler:
         sent index (cyclically) afterwards.  The caller must follow up with
         ``table.mark_sent(index)`` once the packet is actually transmitted.
         """
-        counts = self.table.popularity_vector()
+        counts = self.table._counts
         best = max(counts, default=0)
         if best == 0:
             return None
-        candidates = [i for i, c in enumerate(counts) if c == best]
-        if self._last is None:
-            choice = candidates[0]
-        else:
-            n = self.table.n
-            choice = min(candidates, key=lambda i: (i - self._last - 1) % n)
+        choice = counts.index(best)
+        if self._last is not None and choice <= self._last:
+            # Round robin: the first tie right of the last pick, if any,
+            # else wrap round to the first tie overall.
+            try:
+                choice = counts.index(best, self._last + 1)
+            except ValueError:
+                pass
         self._last = choice
         return choice
 

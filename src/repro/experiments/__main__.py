@@ -18,7 +18,13 @@ Every target but ``ablations`` runs as a campaign (see
 * ``--checkpoint-dir DIR`` journals completed cells so a killed run can be
   restarted with ``--resume`` and produce byte-identical output;
 * ``--manifest FILE`` writes a campaign manifest embedding each task's
-  status, and the error of every quarantined one.
+  status and CPU seconds, and the error of every quarantined one.
+
+After each target it prints the target's wall time and, for a campaign
+target, ``[<target>: N cells, X s cell CPU]``: the summed process CPU
+seconds of the N cells it ran (cells resumed from a checkpoint were not
+run and are not counted).  Unlike a pool's wall, that sum is not inflated
+by idle workers or by other load on the host.
 """
 
 from __future__ import annotations
@@ -120,11 +126,13 @@ def _write_campaign_manifest(path, target: str, campaign: CampaignConfig) -> Non
     from repro.obs.manifest import RunManifest
 
     merged = {
-        "total": 0, "completed": 0, "resumed": 0, "quarantined": 0, "tasks": {},
+        "total": 0, "completed": 0, "resumed": 0, "quarantined": 0,
+        "measured": 0, "cpu_s": 0.0, "tasks": {},
     }
     for report in campaign.reports:
         d = report.to_dict()
-        for key in ("total", "completed", "resumed", "quarantined"):
+        for key in ("total", "completed", "resumed", "quarantined",
+                    "measured", "cpu_s"):
             merged[key] += d[key]
         merged["tasks"].update(d["tasks"])
     manifest = RunManifest(
@@ -168,6 +176,7 @@ def main(argv=None) -> int:
     campaign = _campaign_from_args(args)
     names = sorted(_TARGETS) if args.target == "all" else [args.target]
     for name in names:
+        first_report = len(campaign.reports)
         with stopwatch() as elapsed:
             result = _TARGETS[name](args.quick, campaign)
         results = result if isinstance(result, list) else [result]
@@ -181,8 +190,12 @@ def main(argv=None) -> int:
                 directory.mkdir(parents=True, exist_ok=True)
                 suffix = f"_{i}" if len(results) > 1 else ""
                 r.save(directory / f"{name}{suffix}.csv")
-        if campaign.reports:
-            print(f"[campaign: {campaign.reports[-1].summary()}]")
+        reports = campaign.reports[first_report:]
+        if reports:
+            print(f"[campaign: {reports[-1].summary()}]")
+            cells = sum(r.measured for r in reports)
+            cpu_s = sum(r.cpu_s for r in reports)
+            print(f"[{name}: {cells} cells, {cpu_s:.1f} s cell CPU]")
         print(f"[{name} regenerated in {elapsed():.1f}s]")
         print()
     if args.manifest:

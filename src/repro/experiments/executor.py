@@ -20,6 +20,11 @@ runs them:
   ``BrokenProcessPool``, the cells journalled so far stay, and a resume
   runs the rest.
 
+:func:`_run_task` also times each cell's process CPU seconds, which the
+campaign report carries per task (``cpu_s``) and in total; a cell replayed
+from the journal was not run, so it has no CPU time.  The journal itself
+holds results only.
+
 Every result — fresh or replayed from the journal — passes through the same
 JSON encode/decode pair, so the resumed and uninterrupted paths are
 transformations of identical data by construction.
@@ -38,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ConfigError
 from repro.experiments.checkpoint import CampaignCheckpoint
 from repro.experiments.metrics import RunResult
+from repro.experiments.reporting import cpu_stopwatch
 from repro.sim import engine
 
 __all__ = [
@@ -142,12 +148,20 @@ class CampaignReport:
     completed: int = 0
     resumed: int = 0             # completed cells replayed from the checkpoint
     quarantined: int = 0
+    measured: int = 0            # cells run here, with their CPU time
+    cpu_s: float = 0.0           # summed process CPU seconds of those cells
     tasks: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def note(self, task: Task, status: str,
-             error: Optional[Dict[str, str]] = None) -> None:
-        self.tasks[task.key] = {"label": task.label, "status": status,
-                                **(error or {})}
+             error: Optional[Dict[str, str]] = None,
+             cpu_s: Optional[float] = None) -> None:
+        entry: Dict[str, Any] = {"label": task.label, "status": status,
+                                 **(error or {})}
+        if cpu_s is not None:
+            entry["cpu_s"] = cpu_s
+            self.measured += 1
+            self.cpu_s += cpu_s
+        self.tasks[task.key] = entry
 
     def to_dict(self) -> Dict[str, Any]:
         """Manifest-embeddable summary: counts plus per-task status."""
@@ -156,6 +170,8 @@ class CampaignReport:
             "completed": self.completed,
             "resumed": self.resumed,
             "quarantined": self.quarantined,
+            "measured": self.measured,
+            "cpu_s": self.cpu_s,
             "tasks": {k: self.tasks[k] for k in sorted(self.tasks)},
         }
 
@@ -182,18 +198,21 @@ def _identity_codec(value: Any) -> Any:
 
 def _run_task(
     encode: Callable[[Any], Any], task: Task
-) -> Tuple[str, bool, Any]:
-    """Run one cell: ``(key, True, encoded result)`` or ``(key, False,
-    error)`` where the error holds the exception's type, message and
-    traceback.  The inline and pool paths both call exactly this."""
-    try:
-        return task.key, True, encode(task.runner(task.payload))
-    except Exception as exc:
-        return task.key, False, {
-            "error_type": type(exc).__name__,
-            "error": str(exc),
-            "traceback": traceback.format_exc(),
-        }
+) -> Tuple[str, bool, Any, float]:
+    """Run one cell: ``(key, True, encoded result, cpu_s)`` or ``(key,
+    False, error, cpu_s)`` where the error holds the exception's type,
+    message and traceback and ``cpu_s`` is the process CPU seconds the
+    cell took.  The inline and pool paths both call exactly this."""
+    with cpu_stopwatch() as cpu:
+        try:
+            ok, body = True, encode(task.runner(task.payload))
+        except Exception as exc:
+            ok, body = False, {
+                "error_type": type(exc).__name__,
+                "error": str(exc),
+                "traceback": traceback.format_exc(),
+            }
+    return task.key, ok, body, cpu()
 
 
 def run_campaign(
@@ -233,17 +252,17 @@ def run_campaign(
         else:
             pending.append(task)
 
-    def finish(key: str, ok: bool, body: Any) -> None:
+    def finish(key: str, ok: bool, body: Any, cpu_s: float) -> None:
         task = unique[key]
         if ok:
             outcome.results[key] = decode(body)
             report.completed += 1
-            report.note(task, "completed")
+            report.note(task, "completed", cpu_s=cpu_s)
             if journal is not None:
                 journal.record_completed(key, task.label, body)
         else:
             report.quarantined += 1
-            report.note(task, "quarantined", body)
+            report.note(task, "quarantined", body, cpu_s=cpu_s)
             outcome.quarantined[key] = body
             if journal is not None:
                 journal.record_quarantined(key, task.label, body)

@@ -1,9 +1,10 @@
 """Plain-text report tables for regenerated figures and tables.
 
-This module is also the repository's *only* sanctioned wall-clock call site
-(replint REP002): CLI progress timing goes through :func:`stopwatch` and
-manifest/status timestamps through :func:`utc_now_iso`, so simulation logic
-everywhere else stays a pure function of (config, seed).
+This module is also the repository's *only* sanctioned clock call site
+(replint REP002): CLI progress timing goes through :func:`stopwatch`, a
+campaign cell's CPU time through :func:`cpu_stopwatch` and manifest/status
+timestamps through :func:`utc_now_iso`, so simulation logic everywhere else
+stays a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Sequence
 
-__all__ = ["format_table", "format_comparison", "stopwatch", "utc_now_iso"]
+__all__ = ["format_table", "format_comparison", "stopwatch", "cpu_stopwatch",
+           "utc_now_iso"]
 
 
 @contextmanager
@@ -31,6 +33,18 @@ def stopwatch() -> Iterator[Callable[[], float]]:
     """
     start = time.perf_counter()
     yield lambda: time.perf_counter() - start
+
+
+@contextmanager
+def cpu_stopwatch() -> Iterator[Callable[[], float]]:
+    """Measure this process's CPU seconds (user + system) for reporting.
+
+    Like :func:`stopwatch`, but read from :func:`time.process_time`: a
+    campaign cell's own cost, which other processes on the host do not
+    inflate the way they inflate a pool's wall time.
+    """
+    start = time.process_time()
+    yield lambda: time.process_time() - start
 
 
 def utc_now_iso() -> str:

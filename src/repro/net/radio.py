@@ -214,19 +214,6 @@ class Radio:
     def queue_length(self, node_id: int) -> int:
         return len(self._queues[node_id])
 
-    def cancel_queued(self, node_id: int, predicate: Callable[[Frame], bool]) -> int:
-        """Drop queued (not yet on-air) frames matching ``predicate``.
-
-        Supports data-packet suppression: a sender that overhears the packet
-        it was about to transmit removes it from its queue.
-        """
-        queue = self._queues[node_id]
-        kept = [f for f in queue if not predicate(f)]
-        removed = len(queue) - len(kept)
-        queue.clear()
-        queue.extend(kept)
-        return removed
-
     def _channel_busy(self, node_id: int) -> bool:
         """Carrier sense: any audible transmission in progress?"""
         if not self.config.collisions:

@@ -136,6 +136,8 @@ class DisseminationNode(NetworkNode):
         self.completion_time: Optional[float] = None
         self._rx_buffer: Dict[int, DataPacket] = {}
         self._neighbor_progress: Dict[int, int] = {}
+        # max(_neighbor_progress.values(), default=-1), kept by _set_progress.
+        self._best_progress = -1
         self._request_tries = 0
         self._suppressions = 0
         self._data_suppressions = 0
@@ -284,6 +286,7 @@ class DisseminationNode(NetworkNode):
         self._request_timer.cancel()
         self._rx_buffer.clear()
         self._neighbor_progress.clear()
+        self._best_progress = -1
         self._service.clear()
         self._last_data_heard.clear()
         self._last_overheard_snack.clear()
@@ -402,7 +405,7 @@ class DisseminationNode(NetworkNode):
             # it hears about the new image.
             self.trickle.heard_inconsistent()
             return
-        self._neighbor_progress[sender] = adv.units_complete
+        self._set_progress(sender, adv.units_complete)
         if adv.total_units:
             self._advertised_total = max(self._advertised_total, adv.total_units)
             self._learn_total_units(adv.total_units)
@@ -430,7 +433,7 @@ class DisseminationNode(NetworkNode):
         if not self.pipeline.secured:
             self._adopt_pipeline(self.pipeline_factory(adv.version))
             self._learn_total_units(adv.total_units)
-            self._neighbor_progress[sender] = adv.units_complete
+            self._set_progress(sender, adv.units_complete)
             self._maybe_schedule_request()
             return
         if self.sim.now < self._upgrade_cooldown_until:
@@ -451,6 +454,7 @@ class DisseminationNode(NetworkNode):
         self.completion_time = None
         self._rx_buffer.clear()
         self._neighbor_progress.clear()
+        self._best_progress = -1
         self._request_tries = 0
         self._suppressions = 0
         self._data_suppressions = 0
@@ -495,6 +499,18 @@ class DisseminationNode(NetworkNode):
 
     # -- RX -------------------------------------------------------------------------
 
+    def _set_progress(self, sender: int, units: int) -> None:
+        """Record that ``sender`` holds ``units`` units; the one writer of
+        :attr:`_neighbor_progress`, so :attr:`_best_progress` stays its max."""
+        progress = self._neighbor_progress
+        previous = progress.get(sender)
+        progress[sender] = units
+        if units >= self._best_progress:
+            self._best_progress = units
+        elif previous == self._best_progress:
+            # The (possibly shared) best was lowered: recount.
+            self._best_progress = max(progress.values())
+
     def _servers_for(self, unit: int) -> List[int]:
         """Neighbors able to serve ``unit``, best-progressed first.
 
@@ -517,7 +533,7 @@ class DisseminationNode(NetworkNode):
             return
         if self._request_tries >= self.timing.request_max_tries:
             return  # back to MAINTAIN; a fresh advertisement resets tries
-        if max(self._neighbor_progress.values(), default=-1) <= self.units_complete:
+        if self._best_progress <= self.units_complete:
             return  # no neighbour can serve it yet
         if self._serving_active():
             return  # TX pump re-schedules us once drained
@@ -564,7 +580,7 @@ class DisseminationNode(NetworkNode):
             self._request_timer.start(self._rearm_delay(self.timing.request_timeout))
             return
         unit = self.units_complete
-        if max(self._neighbor_progress.values(), default=-1) <= unit:
+        if self._best_progress <= unit:
             return  # no neighbour can serve it
         if self._request_tries >= self.timing.request_max_tries:
             return
@@ -583,9 +599,10 @@ class DisseminationNode(NetworkNode):
                 self._note_request_cause("data_burst")
                 self._request_timer.start(self.timing.burst_active_gap * self.rng.uniform(1.0, 2.0))
                 return
-            last_lower = max(
-                (t for u, t in self._last_data_heard.items() if u < unit), default=None
-            )
+            last_lower: Optional[float] = None
+            for u, t in self._last_data_heard.items():
+                if u < unit and (last_lower is None or t > last_lower):
+                    last_lower = t
             if (
                 last_lower is not None
                 and now - last_lower < self.timing.data_quiet_window
@@ -649,7 +666,8 @@ class DisseminationNode(NetworkNode):
         return base * self.rng.uniform(0.95, 1.05)
 
     def _on_data(self, pkt: DataPacket, sender: int) -> None:
-        if pkt.version != (self.pipeline.version or 0):
+        pipeline = self.pipeline
+        if pkt.version != (pipeline.version or 0):
             self.trace.count("data_version_mismatch")
             return
         now = self.sim.now
@@ -659,36 +677,44 @@ class DisseminationNode(NetworkNode):
         # Reject out-of-range packet indices before buffering.  Rateless
         # protocols accept any index (combinations are unbounded); fixed-set
         # protocols only indices below the unit's packet count.
+        total = pipeline.total_units
+        geometry: Optional[Tuple[int, int]] = None
         if self.protocol is _RATELESS:
             acceptable_index = index >= 0
-        elif self.total_units is not None and not 0 <= unit < self.total_units:
+        elif total is not None and not 0 <= unit < total:
             acceptable_index = False
         else:
-            acceptable_index = 0 <= index < self.pipeline.geometry(unit)[0]
+            geometry = pipeline.geometry(unit)
+            acceptable_index = 0 <= index < geometry[0]
         authentic = False
         if not self.complete and unit == self.units_complete and acceptable_index:
-            buffered = self._rx_buffer.get(index)
+            rx_buffer = self._rx_buffer
+            buffered = rx_buffer.get(index)
             if buffered is not None:
                 authentic = buffered == pkt
                 if authentic and observed:
                     trace.auth(now, self.node_id, sender, "duplicate", pkt)
-            elif self.pipeline.authenticate(pkt):
+            elif pipeline.authenticate(pkt):
                 authentic = True
                 if observed:
                     trace.auth(now, self.node_id, sender, "ok", pkt)
-                if not self._rx_buffer:
+                if not rx_buffer:
                     # First buffered packet of this page: open its assembly
                     # span (first packet -> verified decode).
                     trace.span_begin(now, "span_page", self.node_id,
                                      key=unit, unit=unit)
-                self._rx_buffer[index] = pkt
+                rx_buffer[index] = pkt
                 if observed:
                     trace.auth(now, self.node_id, sender, "buffered", pkt)
                 self._request_tries = 0
                 if self._request_timer.armed:
-                    self._note_request_cause("data_progress")
+                    if trace.causal is not None:
+                        self._note_request_cause("data_progress")
                     self._request_timer.start(self._rearm_delay(self.timing.request_timeout))
-                self._try_complete_unit()
+                if geometry is None:
+                    geometry = pipeline.geometry(unit)
+                if len(rx_buffer) >= geometry[1]:
+                    self._try_complete_unit()
             else:
                 trace.count("data_rejected")
                 if observed:
@@ -696,20 +722,19 @@ class DisseminationNode(NetworkNode):
         elif acceptable_index:
             # Not the unit we are collecting: a cheap authenticity check
             # decides whether this packet may influence our timers at all.
-            authentic = self.pipeline.validate_overheard(pkt)
-            if not authentic and observed and self.pipeline.secured:
+            authentic = pipeline.validate_overheard(pkt)
+            if not authentic and observed and pipeline.secured:
                 trace.auth(now, self.node_id, sender, "drop", pkt)
 
         if not authentic:
-            if not self.complete:
+            if not self.complete and not self._request_timer.armed:
                 self._maybe_schedule_request()
             return
 
         # The sender evidently possesses pkt.unit, i.e. >= unit+1 units.
         # (An absent entry reads as 0, like an entry of 0.)
-        progress = self._neighbor_progress
-        if progress.get(sender, 0) <= unit:
-            progress[sender] = unit + 1
+        if self._neighbor_progress.get(sender, 0) <= unit:
+            self._set_progress(sender, unit + 1)
         self._last_data_heard[unit] = now
 
         # Sender-side suppression: someone else covered this packet.
@@ -719,17 +744,14 @@ class DisseminationNode(NetworkNode):
             trace.count("data_suppressed")
             trace.tracker(now, self.node_id, unit, "overheard", policy,
                           index=index)
-        if not self.complete:
+        if not self.complete and not self._request_timer.armed:
             self._maybe_schedule_request()
 
     def _try_complete_unit(self) -> None:
-        unit = self.units_complete
-        _, threshold = self.pipeline.geometry(unit)
-        if len(self._rx_buffer) < threshold:
-            return
-        if not self.pipeline.complete_unit(unit, dict(self._rx_buffer)):
-            return
-        self._advance_unit()
+        """Decode the unit being collected; ``_on_data`` calls this once its
+        buffer holds the unit's threshold of packets."""
+        if self.pipeline.complete_unit(self.units_complete, dict(self._rx_buffer)):
+            self._advance_unit()
 
     def _advance_unit(self) -> None:
         if self.flash is not None and not self.is_base:
@@ -779,9 +801,8 @@ class DisseminationNode(NetworkNode):
             # protocols, the signature packet it will request) catch it up.
             return
         self._last_overheard_snack[request.unit] = self.sim.now
-        progress = self._neighbor_progress
-        if progress.get(sender, 0) < request.unit:
-            progress[sender] = request.unit
+        if self._neighbor_progress.get(sender, 0) < request.unit:
+            self._set_progress(sender, request.unit)
         if request.server != self.node_id:
             return
         if self.units_complete <= request.unit:
@@ -842,11 +863,13 @@ class DisseminationNode(NetworkNode):
         # deferred; the deferral cap breaks livelock when lower-page traffic
         # never quiesces (e.g. a denial-of-receipt SNACK flood).
         horizon = self.sim.now - self.timing.data_quiet_window
+        # A unit is deferred when a lower one was heard (or sent) since
+        # ``horizon``: that is, when the lowest such unit is below it.
+        lowest = min((u for u, t in self._last_data_heard.items() if t >= horizon),
+                     default=None)
 
         def deferred(u: int) -> bool:
-            return any(
-                t >= horizon for uu, t in self._last_data_heard.items() if uu < u
-            )
+            return lowest is not None and lowest < u
 
         order = [u for u in pending if u > self._last_served_unit]
         order += [u for u in pending if u <= self._last_served_unit]
@@ -915,13 +938,13 @@ class DisseminationNode(NetworkNode):
                 self._adopt_pipeline(fresh)
                 self._last_data_heard[0] = self.sim.now
                 self._signature_packet = packet
-                self._neighbor_progress[sender] = 1
+                self._set_progress(sender, 1)
                 self._advance_unit()
             else:
                 # Keep the (cheap) verification work visible in our stats.
                 self.pipeline.stats.update(fresh.stats)
             return
-        self._neighbor_progress[sender] = max(self._neighbor_progress.get(sender, 0), 1)
+        self._set_progress(sender, max(self._neighbor_progress.get(sender, 0), 1))
         if self.complete or self.units_complete > 0:
             return
         if self.pipeline.handle_signature(packet):

@@ -42,7 +42,7 @@ class TrackingPolicy(TxPolicy):
 
     @property
     def empty(self) -> bool:
-        return self.table.empty
+        return not self.table.entries
 
     def on_snack(self, requester: int, needed: Tuple[int, ...]) -> None:
         self.table.update_from_snack(requester, needed)

@@ -14,7 +14,8 @@ would draw it, so events run in the same order as they would under
 cancel-and-reschedule.  The event's heap entry stays where it was: when that
 stale entry reaches the front, :meth:`Simulator.run` re-queues it at the
 event's new ``(time, key)`` with one ``heapreplace``, calls no handler and
-counts no event.  A postponed event therefore never leaves garbage behind.
+counts no event.  A postponed event therefore never leaves garbage behind,
+and one cancelled after its postponement is dropped from its new place.
 """
 
 from __future__ import annotations
@@ -301,13 +302,15 @@ class Simulator:
         try:
             while queue:
                 time, key, event = queue[0]
+                if key != event.key:
+                    # Postponed: move the entry to the event's new place,
+                    # also when the event was cancelled since, so that its
+                    # garbage is dropped there and not ahead of its turn.
+                    heapreplace(queue, (event.time, event.key, event))
+                    continue
                 if event.cancelled:
                     heappop(queue)
                     self._cancelled -= 1
-                    continue
-                if key != event.key:
-                    # Postponed: move the entry to the event's new place.
-                    heapreplace(queue, (event.time, event.key, event))
                     continue
                 if until is not None and time > until:
                     break

@@ -154,6 +154,9 @@ class TraceRecorder:
         self.causal = causal
         self._rx_node: Optional[int] = None
         self._rx_frame: Any = None
+        # Per frame kind: its tx counter name, its bytes counter name and
+        # its per-unit counter names by unit, built on the kind's first tx.
+        self._tx_names: Dict[Any, Tuple[str, str, Dict[int, str]]] = {}
         self._observers: List[Observer] = [
             o for o in (flight, causal) if o is not None]
         self._bind()
@@ -206,15 +209,23 @@ class TraceRecorder:
     def tx(self, ts: float, frame: Any) -> None:
         """``frame`` went on the air: per-kind, total and per-unit counts."""
         counters = self.counters
-        name = frame.kind.metric_name
+        kind = frame.kind
+        names = self._tx_names.get(kind)
+        if names is None:
+            name = kind.metric_name
+            names = self._tx_names[kind] = (name, f"{name}_bytes", {})
+        name, bytes_name, unit_names = names
         size = frame.size_bytes
         counters[name] += 1
-        counters[f"{name}_bytes"] += size
+        counters[bytes_name] += size
         counters["tx_total"] += 1
         counters["tx_total_bytes"] += size
         unit = getattr(frame.payload, "unit", None)
         if unit is not None:
-            counters[f"{name}_unit_{unit}"] += 1
+            unit_name = unit_names.get(unit)
+            if unit_name is None:
+                unit_name = unit_names[unit] = f"{name}_unit_{unit}"
+            counters[unit_name] += 1
         for hook in self._on_tx:
             hook(ts, frame, unit)
 

@@ -227,3 +227,67 @@ def test_fresh_scheduler_zero_deficit_removes():
     fresh.update_request(1, 2)
     fresh.update_request(1, 0)
     assert fresh.empty
+
+
+def _recount(table):
+    """Naive popularity vector: one pass over every entry's wanted set."""
+    counts = [0] * table.n
+    for entry in table.entries.values():
+        for idx in entry.wanted:
+            counts[idx] += 1
+    return counts
+
+
+def _round_robin_pick(counts, last):
+    """The selection rule stated over a full recount (the reference)."""
+    best = max(counts, default=0)
+    if best == 0:
+        return None
+    candidates = [i for i, c in enumerate(counts) if c == best]
+    if last is None:
+        return candidates[0]
+    return min(candidates, key=lambda i: (i - last - 1) % len(counts))
+
+
+_TABLE_OPS = st.one_of(
+    st.tuples(st.just("snack"), st.integers(0, 4),
+              st.sets(st.integers(-1, 9), max_size=10)),
+    st.tuples(st.just("sent"), st.integers(0, 7)),
+    st.tuples(st.just("remove"), st.integers(0, 4)),
+    st.tuples(st.just("next"), st.booleans()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.lists(_TABLE_OPS, max_size=40))
+def test_property_kept_popularity_matches_a_recount(threshold, ops):
+    """The table's kept counts equal a recount over ``entries`` after any
+    sequence of SNACK folds, sends and removals, and the scheduler picks
+    what the full-recount rule picks."""
+    table = TrackingTable(8, threshold)
+    sched = GreedyRoundRobinScheduler(table)
+    for op in ops:
+        if op[0] == "snack":
+            table.update_from_snack(op[1], op[2])
+        elif op[0] == "sent":
+            table.mark_sent(op[1])
+        elif op[0] == "remove":
+            table.remove(op[1])
+        else:
+            expected = _round_robin_pick(_recount(table), sched._last)
+            assert sched.next_packet() == expected
+            if expected is not None and op[1]:
+                table.mark_sent(expected)
+        counts = _recount(table)
+        assert table.popularity_vector() == counts
+        assert [table.popularity(i) for i in range(table.n)] == counts
+        assert table.empty == (not table.entries)
+        assert not any(e.satisfied() for e in table.entries.values())
+
+
+def test_popularity_vector_is_a_copy():
+    table = TrackingTable(4, 3)
+    table.update_from_snack(1, {0, 1})
+    table.popularity_vector()[0] = 99
+    assert table.popularity(0) == 1
+    assert table.snapshot()["popularity"] == [1, 1, 0, 0]

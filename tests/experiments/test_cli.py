@@ -202,6 +202,15 @@ def test_experiments_cli_campaign_flags_and_manifest(tmp_path, capsys):
     assert manifest.campaign["completed"] == manifest.campaign["total"] > 0
     assert all(t["status"] == "completed"
                for t in manifest.campaign["tasks"].values())
+    # Every cell ran here, so every cell carries its CPU seconds, and the
+    # CLI prints their sum next to the target's wall.
+    cells = manifest.campaign["total"]
+    assert manifest.campaign["measured"] == cells
+    cpu = [t["cpu_s"] for t in manifest.campaign["tasks"].values()]
+    assert sum(cpu) > 0
+    assert manifest.campaign["cpu_s"] == pytest.approx(sum(cpu))
+    total_cpu = manifest.campaign["cpu_s"]
+    assert f"[fig3a: {cells} cells, {total_cpu:.1f} s cell CPU]" in first_out
 
     # Resume: every cell replays from the journal, output is identical.
     assert experiments_main(args + ["--resume"]) == 0
@@ -209,6 +218,7 @@ def test_experiments_cli_campaign_flags_and_manifest(tmp_path, capsys):
     table = lambda text: [l for l in text.splitlines() if l.startswith("0.")]
     assert table(resumed_out) == table(first_out)
     assert "resumed" in resumed_out
+    assert "[fig3a: 0 cells, 0.0 s cell CPU]" in resumed_out
 
 
 def test_experiments_cli_resume_requires_checkpoint_dir():

@@ -5,6 +5,7 @@ Cross-process state (the dying runner's "die once" memory) goes through
 marker files, never globals.
 """
 
+import json
 import os
 import signal
 import time
@@ -248,6 +249,38 @@ def test_resume_runs_only_missing_cells(tmp_path):
     )
     assert resumed.results == {"t0": 0, "t1": 2, "t9": 18}
     assert resumed.report.resumed == 2
+
+
+def spins(payload):
+    """Burn a little CPU so the cell's process time is measurably > 0."""
+    return sum(i * i for i in range(payload["x"]))
+
+
+@pytest.mark.parametrize("processes", [None, 1])
+def test_each_run_cell_carries_its_cpu_seconds(tmp_path, processes):
+    tasks = [task("spin", spins, x=300_000), task("bad", always_raises, x=1)]
+    config = CampaignConfig(processes=processes, checkpoint_dir=tmp_path)
+    report = run_campaign(tasks, config).report
+    assert report.measured == 2
+    assert report.tasks["spin"]["cpu_s"] > 0
+    assert report.tasks["bad"]["cpu_s"] >= 0
+    assert report.cpu_s == pytest.approx(
+        report.tasks["spin"]["cpu_s"] + report.tasks["bad"]["cpu_s"])
+    assert report.to_dict()["cpu_s"] == report.cpu_s
+    # The journal holds results only, never a host measurement.
+    assert all("cpu_s" not in json.dumps(record)
+               for record in read_jsonl(tmp_path / "checkpoint.jsonl"))
+
+
+def test_resumed_cells_are_not_measured(tmp_path):
+    run_campaign([task("t0", double, x=1)], CampaignConfig(checkpoint_dir=tmp_path))
+    resumed = run_campaign(
+        [task("t0", double, x=1), task("t1", double, x=2)],
+        CampaignConfig(checkpoint_dir=tmp_path, resume=True),
+    ).report
+    assert resumed.measured == 1
+    assert "cpu_s" not in resumed.tasks["t0"]
+    assert resumed.cpu_s == resumed.tasks["t1"]["cpu_s"]
 
 
 def test_reports_accumulate_on_shared_config(tmp_path):

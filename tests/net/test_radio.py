@@ -190,18 +190,6 @@ def test_carrier_sense_defers_second_sender():
     assert len(nodes[3].received) == 2
 
 
-def test_cancel_queued_frames():
-    sim, radio, nodes, trace = _network()
-    nodes[0].broadcast(FrameKind.DATA, 50, "a")
-    nodes[0].broadcast(FrameKind.DATA, 50, "b")
-    nodes[0].broadcast(FrameKind.DATA, 50, "c")
-    removed = radio.cancel_queued(0, lambda f: f.payload == "b")
-    assert removed == 1
-    sim.run()
-    payloads = [f.payload for f, _, _ in nodes[1].received]
-    assert payloads == ["a", "c"]
-
-
 def test_duplicate_registration_rejected():
     sim, radio, nodes, trace = _network()
     with pytest.raises(SimulationError):

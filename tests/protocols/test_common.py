@@ -134,3 +134,101 @@ def test_crashed_node_handles_nothing(harness):
     for kind in FrameKind:
         _deliver(node, kind, 0)
     assert handled == []
+
+
+def _best_progress_holds(node):
+    return node._best_progress == max(node._neighbor_progress.values(),
+                                      default=-1)
+
+
+def test_best_progress_tracks_every_progress_write(harness):
+    """The kept best neighbour progress equals a recount after each write:
+    adv (raising and lowering), SNACK, signature, data, crash, reboot,
+    adoption, and the newer-version signature that adopts."""
+    import dataclasses
+
+    from repro.core.config import ImageConfig
+    from repro.core.image import CodeImage
+    from repro.core.packets import Advertisement
+    from repro.core.preprocess import LRSelugePreprocessor
+    from repro.crypto.ecdsa import generate_keypair
+    from repro.crypto.puzzle import MessageSpecificPuzzle
+
+    h = harness("lr-seluge", receivers=2)
+    node = h.nodes[0]
+    total = h.pre.total_units
+
+    def adv(sender, units):
+        node._on_adv(Advertisement(2, units, total), sender)
+
+    def snack(sender, unit):
+        node._on_snack(SnackRequest(2, unit, sender, 0, (0,)), sender)
+
+    # (step, best progress after it)
+    steps = [
+        (lambda: node._on_signature(h.pre.signature_packet, 0), 1),
+        (lambda: adv(0, 3), 3),
+        (lambda: node._on_signature(h.pre.signature_packet, 2), 3),
+        (lambda: adv(2, 5), 5),
+        (lambda: adv(2, 1), 3),        # lowers the best: recounted
+        (lambda: snack(2, 4), 4),
+        (lambda: node._on_data(h.base.pipeline.serving_packets(1)[0], 9), 4),
+        (lambda: adv(2, 0), 3),        # lowers the best again
+        (lambda: adv(0, 1), 2),        # node 9's data progress is the best
+        (lambda: adv(2, 2), 2),        # a tie
+        (lambda: adv(9, 0), 2),        # the tie holds the best
+        (lambda: adv(2, 0), 1),
+        (node.crash, -1),
+        (node.reboot, -1),
+        (lambda: adv(0, total), -1),   # a fresh pipeline: a newer version
+        (lambda: node._adopt_pipeline(node.pipeline_factory(2)), -1),
+    ]
+    for step, best in steps:
+        step()
+        assert _best_progress_holds(node)
+        assert node._best_progress == best
+    assert node._neighbor_progress == {}
+
+    # A verified newer-version signature adopts a fresh pipeline and
+    # records its sender at progress 1.
+    image_v3 = CodeImage.synthetic(3000, version=3, seed=105)
+    params_v3 = dataclasses.replace(
+        h.params, image=ImageConfig(image_size=3000, version=3))
+    pre_v3 = LRSelugePreprocessor(
+        params_v3, generate_keypair(h.rngs.root_seed),
+        MessageSpecificPuzzle(difficulty=10)).build(image_v3)
+    node._on_signature(pre_v3.signature_packet, 7)
+    assert node.pipeline.version == 3
+    assert node._neighbor_progress == {7: 1}
+    assert _best_progress_holds(node)
+
+
+def test_best_progress_follows_an_insecure_version_adoption(harness):
+    from repro.core.packets import Advertisement
+
+    h = harness("deluge", receivers=2)
+    node = h.nodes[0]
+    node._on_adv(Advertisement(2, 4, h.pre.total_units), 2)
+    node._on_adv(Advertisement(3, 1, h.pre.total_units), 0)
+    assert node.pipeline.version == 3
+    assert node._neighbor_progress == {0: 1}
+    assert _best_progress_holds(node)
+
+
+@pytest.mark.parametrize("protocol", ["lr-seluge", "deluge"])
+def test_best_progress_holds_after_every_delivery_of_a_lossy_run(
+        harness, monkeypatch, protocol):
+    from repro.protocols.common import DisseminationNode
+
+    checked = []
+    on_receive = DisseminationNode.on_receive
+
+    def checked_receive(self, frame, sender):
+        on_receive(self, frame, sender)
+        assert _best_progress_holds(self)
+        checked.append(self.node_id)
+
+    monkeypatch.setattr(DisseminationNode, "on_receive", checked_receive)
+    h = harness(protocol, receivers=4, loss=0.3)
+    assert h.run().completed
+    assert len(checked) > 100

@@ -190,3 +190,24 @@ def test_tracker_snapshots_the_policy_only_when_observed():
                                             index=3)
     assert policy.snapshots == 1
     assert seen == [("sent", {"pending": 1}, None, 3, None)]
+
+
+def test_tx_counts_per_kind_bytes_and_unit():
+    """The per-kind names are built once per recorder; the counters they
+    key are the catalogue's ``tx_<kind>``, ``tx_<kind>_bytes`` and
+    ``tx_<kind>_unit_<n>`` names."""
+    from repro.net.packet import Frame, FrameKind
+
+    t = TraceRecorder()
+    unit2 = SimpleNamespace(unit=2)
+    for kind, size, payload in [(FrameKind.DATA, 40, unit2),
+                                (FrameKind.DATA, 30, unit2),
+                                (FrameKind.DATA, 20, SimpleNamespace(unit=3)),
+                                (FrameKind.ADV, 10, None)]:
+        t.tx(0.0, Frame(kind=kind, sender=1, size_bytes=size,
+                        payload=payload))
+    assert t.snapshot() == {
+        "tx_data": 3, "tx_data_bytes": 90, "tx_data_unit_2": 2,
+        "tx_data_unit_3": 1, "tx_adv": 1, "tx_adv_bytes": 10,
+        "tx_total": 4, "tx_total_bytes": 100,
+    }

@@ -91,8 +91,9 @@ RULES: Tuple[Rule, ...] = (
             "time.time()/datetime.now()/time.monotonic() leak host time into "
             "simulation logic, which must be a pure function of (config, "
             "seed). Wall-clock reads are allowed only in "
-            "experiments/reporting.py — stopwatch() for CLI progress timing "
-            "and utc_now_iso() for manifest stamps. Host cost is measured "
+            "experiments/reporting.py — stopwatch() for CLI progress timing, "
+            "cpu_stopwatch() for campaign-cell CPU time and utc_now_iso() "
+            "for manifest stamps. Host cost is measured "
             "from outside the program by perfbench/run.py."
         ),
     ),
