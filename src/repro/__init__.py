@@ -2,7 +2,7 @@
 
 A complete reproduction of Zhang & Zhang, "LR-Seluge: Loss-Resilient and
 Secure Code Dissemination in Wireless Sensor Networks" (ICDCS 2011) —
-protocol, baselines (Deluge, Seluge, Rateless Deluge), every substrate
+protocol, baselines (Deluge, Seluge), every substrate
 (discrete-event simulation, CSMA broadcast radio, Trickle, erasure codes,
 cryptography), adversary models, analytical models, and an experiment
 harness that regenerates every figure and table of the paper's evaluation.
@@ -30,7 +30,14 @@ Subpackages
 ``repro.core``
     The paper's machinery: preprocessing, verification, TX scheduling.
 ``repro.protocols``
-    Deluge / Seluge / LR-Seluge / Rateless Deluge, attacks, control auth.
+    Deluge / Seluge / LR-Seluge and control auth.
+``repro.attacks``
+    The paper's adversaries (bogus data, signature flood, denial of
+    receipt, control forgery) and the engine that deploys them.
+``repro.faults``
+    Deterministic crashes, churn, link flaps and flash persistence.
+``repro.obs``
+    Counters, flight and causal recorders, invariants, run manifests.
 ``repro.analysis``
     Section-V transmission models plus an analytical latency model.
 ``repro.experiments``

@@ -17,9 +17,8 @@ a removal each adjust the counts of the indices they touch, so a pick scans
 one list of ``n`` counts instead of recounting every requester's
 bit-vector.  The selection rule itself is unchanged.
 
-Deluge/Seluge semantics (request-all, union of bit-vectors) and the rateless
-always-send-fresh policy are provided for the baselines and the scheduler
-ablation (DESIGN.md E10).
+Deluge/Seluge semantics (request-all, union of bit-vectors) are provided
+for the baselines and the scheduler ablation (DESIGN.md E10).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "TrackingTable",
     "GreedyRoundRobinScheduler",
     "UnionScheduler",
-    "FreshPacketScheduler",
 ]
 
 
@@ -230,60 +228,22 @@ class UnionScheduler:
         self.pending.discard(index)
 
     def next_packet(self) -> Optional[int]:
-        if not self.pending:
+        pending = self.pending
+        if not pending:
             return None
-        if self._last is None:
-            choice = min(self.pending)
-        else:
-            choice = min(self.pending, key=lambda i: (i - self._last - 1) % self.n)
+        choice = min(pending)
+        last = self._last
+        if last is not None and choice <= last:
+            # Round robin: the first pending index right of the last pick,
+            # else wrap round to the smallest.  ``pending`` only holds
+            # indices in ``[0, n)``, so this is the cyclic order after it.
+            for i in range(last + 1, self.n):
+                if i in pending:
+                    choice = i
+                    break
         self._last = choice
         return choice
 
     def snapshot(self) -> Dict[str, object]:
         """Introspection view for the flight recorder (JSON-serialisable)."""
         return {"pending": sorted(self.pending)}
-
-
-class FreshPacketScheduler:
-    """Rateless policy: always transmit a never-sent-before encoded packet.
-
-    Tracks only how many packets each requester still needs; every
-    transmission is a fresh index (unbounded, as with rateless codes).
-    """
-
-    def __init__(self, start_index: int = 0):
-        self.next_index = start_index
-        self.deficits: Dict[int, int] = {}
-
-    @property
-    def empty(self) -> bool:
-        return not self.deficits
-
-    def update_request(self, node_id: int, deficit: int) -> None:
-        if deficit <= 0:
-            self.deficits.pop(node_id, None)
-        else:
-            self.deficits[node_id] = deficit
-
-    def next_packet(self) -> Optional[int]:
-        if not self.deficits:
-            return None
-        index = self.next_index
-        self.next_index += 1
-        return index
-
-    def mark_sent(self, index: int) -> None:
-        done = []
-        for node_id in self.deficits:
-            self.deficits[node_id] -= 1
-            if self.deficits[node_id] <= 0:
-                done.append(node_id)
-        for node_id in done:
-            del self.deficits[node_id]
-
-    def snapshot(self) -> Dict[str, object]:
-        """Introspection view for the flight recorder (JSON-serialisable)."""
-        return {
-            "next_index": self.next_index,
-            "deficits": {n: self.deficits[n] for n in sorted(self.deficits)},
-        }

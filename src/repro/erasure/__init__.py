@@ -7,8 +7,8 @@ of them recover the page.  This package provides real codes, not stand-ins:
 * :class:`ReedSolomonCode` — systematic MDS code built from a Cauchy matrix
   over GF(256); ``k' = k`` plus an optional declared reception overhead to
   emulate the non-MDS (Tornado-style) codes the paper assumes (``k' > k``).
-* :class:`RandomLinearCode` — fixed-rate random linear code over GF(256),
-  also usable ratelessly (the Rateless-Deluge baseline).
+* :class:`RandomLinearCode` — fixed-rate random linear code over GF(256)
+  (``code_kind="rlc"``).
 """
 
 from repro.erasure.base import ErasureCode, make_code

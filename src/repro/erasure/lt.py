@@ -1,11 +1,11 @@
 """LT code (Luby, FOCS'02) used at a fixed rate.
 
 Each encoded symbol draws a degree from the Robust Soliton distribution and
-XORs that many uniformly chosen source blocks.  LT codes are rateless by
-nature; LR-Seluge's trick is to *predetermine* the first ``n`` symbols (the
-symbol derivation is seeded by ``(seed, generation, index)``, so every node
-generates identical symbols), which is exactly what makes hash-chaining —
-and therefore immediate authentication — possible.
+XORs that many uniformly chosen source blocks.  An LT encoder can emit
+symbols without end; LR-Seluge's trick is to *predetermine* the first ``n``
+symbols (the symbol derivation is seeded by ``(seed, generation, index)``,
+so every node generates identical symbols), which is exactly what makes
+hash-chaining — and therefore immediate authentication — possible.
 
 The price is reception overhead: peeling/Gaussian decoding needs somewhat
 more than ``k`` symbols.  The default declared threshold uses the classic

@@ -1,14 +1,11 @@
 """Random linear codes over GF(256).
 
-Two uses:
-
-* **Fixed-rate** (``n`` predetermined rows): an alternative LR-Seluge code
-  whose packets are random combinations of the source.  Any ``k`` received
-  rows decode iff they are linearly independent — true with probability
-  > 0.996 over GF(256) — so the declared threshold ``k' = k + 2`` makes
-  decode failures negligible, matching the paper's ``k' > k`` assumption.
-* **Rateless** (unbounded indices): the Rateless-Deluge baseline; every new
-  index yields a fresh random combination.
+A fixed-rate code with ``n`` predetermined rows: an alternative LR-Seluge
+code (``code_kind="rlc"``) whose packets are random combinations of the
+source.  Any ``k`` received rows decode iff they are linearly independent —
+true with probability > 0.996 over GF(256) — so the declared threshold
+``k' = k + 2`` makes decode failures negligible, matching the paper's
+``k' > k`` assumption.
 
 Rows are derived deterministically from ``(seed, generation, index)`` so
 every node in a simulation generates identical packets — exactly the paper's
@@ -53,8 +50,8 @@ class RandomLinearCode(ErasureCode):
 
     The first ``k`` encoded blocks are the source blocks themselves (this
     mirrors practical RLC deployments and keeps the loss-free path cheap);
-    indices ``k..n-1`` are dense random combinations.  Indices ``>= n`` are
-    still well-defined, which provides the rateless mode.
+    indices ``k..n-1`` are dense random combinations.  Rows are derived per
+    index, so indices ``>= n`` are well-defined too.
     """
 
     def __init__(self, k: int, n: int, kprime: int = 0, seed: int = 0, generation: int = 0) -> None:
@@ -83,7 +80,7 @@ class RandomLinearCode(ErasureCode):
         return self.encode_indices(blocks, range(self.n))
 
     def encode_indices(self, blocks: Sequence[bytes], indices: Iterable[int]) -> List[bytes]:
-        """Encode only the requested indices (supports rateless operation)."""
+        """Encode only the requested indices."""
         data = blocks_to_array(blocks)
         wanted = list(indices)
         out = {i: bytes(blocks[i]) for i in wanted if 0 <= i < self.k}

@@ -49,7 +49,6 @@ from repro.net.topology_file import load_topology
 from repro.protocols.common import DisseminationNode
 from repro.protocols.deluge import build_deluge_network
 from repro.protocols.lr_seluge import build_lr_seluge_network
-from repro.protocols.rateless import build_rateless_network
 from repro.protocols.seluge import build_seluge_network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -73,7 +72,6 @@ _BUILDERS = {
     "deluge": build_deluge_network,
     "seluge": build_seluge_network,
     "lr-seluge": build_lr_seluge_network,
-    "rateless": build_rateless_network,
 }
 
 #: Seconds between link-flap checks, and seconds a flapped link stays down.
@@ -93,7 +91,7 @@ def make_params(
     """Protocol parameter object with a shared image/timing configuration."""
     image = ImageConfig(image_size=image_size, version=version)
     timing = timing or ProtocolTiming()
-    if protocol == "deluge" or protocol == "rateless":
+    if protocol == "deluge":
         return DelugeParams(k=k, image=image, timing=timing)
     if protocol == "seluge":
         return SelugeParams(k=k, image=image, timing=timing)

@@ -1,16 +1,19 @@
-"""Dissemination protocols: Deluge, Seluge, LR-Seluge, Rateless Deluge.
+"""Dissemination protocols: Deluge, Seluge, LR-Seluge.
 
 All protocols share the epidemic MAINTAIN / RX / TX machinery of
 :mod:`repro.protocols.common` and differ in packet construction,
 authentication, and TX-state scheduling.  Adversary nodes live in
 :mod:`repro.attacks`.
+
+The paper cites rateless schemes (Rateless Deluge) only as the
+loss-resilient but insecure alternative to LR-Seluge; no table, figure or
+claim measures one, so none is simulated here.
 """
 
 from repro.protocols.common import DisseminationNode, ProtocolName
 from repro.protocols.deluge import DelugeNode, build_deluge_network
 from repro.protocols.seluge import SelugeNode, build_seluge_network
 from repro.protocols.lr_seluge import LRSelugeNode, build_lr_seluge_network
-from repro.protocols.rateless import RatelessDelugeNode, build_rateless_network
 from repro.protocols.control_auth import ClusterAuthenticator, PairwiseAuthenticator
 
 __all__ = [
@@ -19,11 +22,9 @@ __all__ = [
     "DelugeNode",
     "SelugeNode",
     "LRSelugeNode",
-    "RatelessDelugeNode",
     "build_deluge_network",
     "build_seluge_network",
     "build_lr_seluge_network",
-    "build_rateless_network",
     "ClusterAuthenticator",
     "PairwiseAuthenticator",
 ]

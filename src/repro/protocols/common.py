@@ -8,9 +8,9 @@ Every protocol node runs the same three activities:
 * **RX** — the node SNACK-requests the packets it still needs for its next
   unit from a neighbor that has it, retrying after ``request_timeout`` and
   giving up after ``request_max_tries`` until a fresh advertisement arrives.
-  Deluge and Seluge suppress a pending request when an equivalent request is
-  overheard; LR-Seluge does not (its tracking table wants every requester's
-  bit-vector) — its savings come from the scheduler instead.
+  Every protocol suppresses a pending request when an equivalent request is
+  overheard (LR-Seluge inherits this from Deluge, paper Section IV-E); its
+  savings come from the scheduler instead.
 * **TX** — a node addressed by a SNACK for a unit it possesses serves
   packets, pacing one transmission per airtime + gap, until its TX policy
   (union set for Deluge/Seluge, tracking table for LR-Seluge) drains.
@@ -52,14 +52,12 @@ class ProtocolName(str, enum.Enum):
     DELUGE = "deluge"
     SELUGE = "seluge"
     LR_SELUGE = "lr-seluge"
-    RATELESS = "rateless-deluge"
 
 
 # Module-level aliases for the receive path: reading a member off an enum
 # class costs ~100 ns on CPython 3.11, a module global ~7 ns.
 _DATA, _SIGNATURE, _ADV, _SNACK = (FrameKind.DATA, FrameKind.SIGNATURE,
                                    FrameKind.ADV, FrameKind.SNACK)
-_RATELESS = ProtocolName.RATELESS
 
 
 class TxPolicy(abc.ABC):
@@ -184,11 +182,6 @@ class DisseminationNode(NetworkNode):
     def uses_signature(self) -> bool:
         """Secure protocols treat unit 0 as the signature packet."""
         return self.pipeline.secured
-
-    @property
-    def snack_suppression(self) -> bool:
-        """Deluge/Seluge suppress overheard-equivalent requests."""
-        return True
 
     @abc.abstractmethod
     def make_tx_policy(self, unit: int) -> TxPolicy:
@@ -614,7 +607,7 @@ class DisseminationNode(NetworkNode):
                 self._request_timer.start(self.rng.uniform(0.5, 1.0) * self.timing.data_quiet_window)
                 return
         self._data_suppressions = 0
-        if self.snack_suppression and self._suppressions < self.timing.suppression_cap:
+        if self._suppressions < self.timing.suppression_cap:
             overheard = self._last_overheard_snack.get(unit)
             if overheard is not None and self.sim.now - overheard < self.timing.suppression_window:
                 self._suppressions += 1
@@ -674,18 +667,14 @@ class DisseminationNode(NetworkNode):
         trace = self.trace
         observed = trace.observes_auth
         unit, index = pkt.unit, pkt.index
-        # Reject out-of-range packet indices before buffering.  Rateless
-        # protocols accept any index (combinations are unbounded); fixed-set
-        # protocols only indices below the unit's packet count.
+        # Only the unit's fixed packet set exists: reject out-of-range units
+        # and indices before buffering.
         total = pipeline.total_units
-        geometry: Optional[Tuple[int, int]] = None
-        if self.protocol is _RATELESS:
-            acceptable_index = index >= 0
-        elif total is not None and not 0 <= unit < total:
-            acceptable_index = False
+        if total is not None and not 0 <= unit < total:
+            n_packets = threshold = 0
         else:
-            geometry = pipeline.geometry(unit)
-            acceptable_index = 0 <= index < geometry[0]
+            n_packets, threshold = pipeline.geometry(unit)
+        acceptable_index = 0 <= index < n_packets
         authentic = False
         if not self.complete and unit == self.units_complete and acceptable_index:
             rx_buffer = self._rx_buffer
@@ -711,9 +700,7 @@ class DisseminationNode(NetworkNode):
                     if trace.causal is not None:
                         self._note_request_cause("data_progress")
                     self._request_timer.start(self._rearm_delay(self.timing.request_timeout))
-                if geometry is None:
-                    geometry = pipeline.geometry(unit)
-                if len(rx_buffer) >= geometry[1]:
+                if len(rx_buffer) >= threshold:
                     self._try_complete_unit()
             else:
                 trace.count("data_rejected")

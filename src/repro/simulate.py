@@ -68,7 +68,7 @@ from repro.errors import ConfigError
 from repro.experiments.adversarial import run_attributed
 from repro.experiments.energy import estimate_energy
 from repro.experiments.reporting import stopwatch
-from repro.experiments.scenarios import Scenario, build_rig
+from repro.experiments.scenarios import _BUILDERS, Scenario, build_rig
 from repro.faults import FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run one code-dissemination simulation.",
     )
     parser.add_argument("--protocol", default="lr-seluge",
-                        choices=["deluge", "seluge", "lr-seluge", "rateless"])
+                        choices=list(_BUILDERS))
     parser.add_argument("--loss", type=float, default=0.1,
                         help="one-hop app-layer loss rate (star topology only)")
     parser.add_argument("--receivers", type=int, default=20,

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.scheduler import (
-    FreshPacketScheduler,
     GreedyRoundRobinScheduler,
     TrackingTable,
     UnionScheduler,
@@ -199,34 +198,28 @@ def test_union_ignores_out_of_range():
     assert union.pending == {2}
 
 
-def test_fresh_scheduler_monotone_indices():
-    fresh = FreshPacketScheduler(start_index=100)
-    fresh.update_request(1, 3)
-    sent = []
-    while not fresh.empty:
-        idx = fresh.next_packet()
-        sent.append(idx)
-        fresh.mark_sent(idx)
-    assert sent == [100, 101, 102]
-
-
-def test_fresh_scheduler_shared_transmissions_count_for_all():
-    fresh = FreshPacketScheduler()
-    fresh.update_request(1, 2)
-    fresh.update_request(2, 3)
-    sent = []
-    while not fresh.empty:
-        idx = fresh.next_packet()
-        sent.append(idx)
-        fresh.mark_sent(idx)
-    assert len(sent) == 3  # max deficit, not sum
-
-
-def test_fresh_scheduler_zero_deficit_removes():
-    fresh = FreshPacketScheduler()
-    fresh.update_request(1, 2)
-    fresh.update_request(1, 0)
-    assert fresh.empty
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_union_pick_matches_the_modulo_rule(data):
+    """The wrap-around pick equals the cyclic-distance rule
+    ``min(pending, key=lambda i: (i - last - 1) % n)`` for any pending set
+    and last pick, over SNACK folds that also carry out-of-range indices."""
+    n = data.draw(st.integers(1, 64), label="n")
+    union = UnionScheduler(n)
+    union.update_from_snack(data.draw(
+        st.sets(st.integers(-2, n + 2), max_size=n + 4), label="needed"))
+    union._last = data.draw(st.none() | st.integers(0, n - 1), label="last")
+    pending, last = set(union.pending), union._last
+    if not pending:
+        expected = None
+    elif last is None:
+        expected = min(pending)
+    else:
+        expected = min(pending, key=lambda i: (i - last - 1) % n)
+    assert union.next_packet() == expected
+    assert union.pending == pending
+    if expected is not None:
+        assert union._last == expected
 
 
 def _recount(table):

@@ -1,4 +1,4 @@
-"""Unit tests for random linear codes (fixed-rate and rateless)."""
+"""Unit tests for random linear codes."""
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ def test_decode_from_parity_combinations():
     assert got == blocks
 
 
-def test_rateless_indices_beyond_n():
+def test_indices_beyond_n_decode():
     code = RandomLinearCode(4, 6, seed=3)
     blocks = _blocks(4)
     fresh = code.encode_indices(blocks, [100, 101, 102, 103, 104])

@@ -119,6 +119,18 @@ def test_cli_composes_attack_with_churn(capsys):
     assert crashes > 0
 
 
+@pytest.mark.parametrize("protocol", ["rateless", "gossip"])
+def test_simulate_rejects_unknown_protocol_as_usage_error(protocol, capsys):
+    """``--protocol`` offers exactly the scenario registry's protocols."""
+    with pytest.raises(SystemExit) as exc:
+        simulate_main(["--protocol", protocol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and protocol in err
+    assert "deluge" in err and "lr-seluge" in err
+    assert "usage:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["greyhole", "meteor-strike"])
 def test_simulate_rejects_unknown_attack_as_usage_error(kind, capsys):
     with pytest.raises(SystemExit) as exc:

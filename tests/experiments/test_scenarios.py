@@ -12,7 +12,7 @@ from repro.experiments.scenarios import (
 )
 
 
-@pytest.mark.parametrize("protocol", ["deluge", "seluge", "lr-seluge", "rateless"])
+@pytest.mark.parametrize("protocol", ["deluge", "seluge", "lr-seluge"])
 def test_one_hop_all_protocols_complete(protocol):
     scenario = OneHopScenario(protocol=protocol, loss_rate=0.15, receivers=3,
                               image_size=2500, k=8, n=12, seed=5, max_time=2400)
@@ -63,11 +63,12 @@ def test_multihop_unknown_topology():
 
 def test_make_params_dispatch():
     assert isinstance(make_params("deluge"), DelugeParams)
-    assert isinstance(make_params("rateless"), DelugeParams)
     assert isinstance(make_params("seluge"), SelugeParams)
     assert isinstance(make_params("lr-seluge"), LRSelugeParams)
     with pytest.raises(ConfigError):
         make_params("gossip")
+    with pytest.raises(ConfigError):
+        make_params("rateless")
 
 
 def test_run_result_metrics_consistent():

@@ -46,8 +46,7 @@ def _frame(ts, node, seq, fkind, enq, end, rx=(), **rest):
 # Live traces: every protocol's causal stream is well-formed end to end
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("protocol", ["deluge", "seluge", "lr-seluge",
-                                      "rateless"])
+@pytest.mark.parametrize("protocol", ["deluge", "seluge", "lr-seluge"])
 def test_causal_run_satisfies_causal_invariants(causal_run, protocol):
     run = causal_run(protocol=protocol, receivers=3, loss=0.15)
     assert run.result.completed

@@ -232,3 +232,40 @@ def test_best_progress_holds_after_every_delivery_of_a_lossy_run(
     h = harness(protocol, receivers=4, loss=0.3)
     assert h.run().completed
     assert len(checked) > 100
+
+
+@pytest.mark.parametrize("protocol", ["deluge", "seluge", "lr-seluge"])
+def test_out_of_range_data_is_dropped_before_it_counts(harness, protocol):
+    """A data packet outside the image's fixed packet set (index past the
+    unit's packet count, or unit past the unit count) is not buffered, does
+    not raise its sender's progress and does not count as data heard."""
+    import dataclasses
+
+    from repro.core.packets import Advertisement
+
+    h = harness(protocol, receivers=2)
+    node = h.nodes[0]
+    total = h.pre.total_units
+    if node.uses_signature:
+        node._on_signature(h.pre.signature_packet, 0)
+    node._on_adv(Advertisement(2, total, total), 0)
+    assert node.pipeline.total_units == total
+    unit = node.units_complete
+    n_packets, _ = node.pipeline.geometry(unit)
+    good = h.base.pipeline.serving_packets(unit)[0]
+    last_heard = dict(node._last_data_heard)
+    for bad in (dataclasses.replace(good, index=n_packets),
+                dataclasses.replace(good, index=n_packets + 7),
+                dataclasses.replace(good, unit=total),
+                dataclasses.replace(good, unit=total + 3)):
+        node._on_data(bad, 9)
+        assert node._rx_buffer == {}
+        assert 9 not in node._neighbor_progress
+        assert node._last_data_heard == last_heard
+    # The in-range packet it was forged from is taken, by the same path
+    # (Seluge's one-packet hash page decodes on the spot).
+    node._on_data(good, 9)
+    assert (node._rx_buffer == {good.index: good}
+            or node.units_complete == unit + 1)
+    assert node._neighbor_progress[9] == unit + 1
+    assert node._last_data_heard[unit] == h.sim.now
