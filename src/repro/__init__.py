@@ -37,7 +37,7 @@ Subpackages
 ``repro.faults``
     Deterministic crashes, churn, link flaps and flash persistence.
 ``repro.obs``
-    Counters, flight and causal recorders, invariants, run manifests.
+    Counters, flight and causal recorders, trace analysis, run manifests.
 ``repro.analysis``
     Section-V transmission models plus an analytical latency model.
 ``repro.experiments``

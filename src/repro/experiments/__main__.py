@@ -123,7 +123,7 @@ def _campaign_from_args(args) -> CampaignConfig:
 
 
 def _write_campaign_manifest(path, target: str, campaign: CampaignConfig) -> None:
-    from repro.obs.manifest import RunManifest
+    from repro.obs.manifest import RunManifest, collect_git_rev
 
     merged = {
         "total": 0, "completed": 0, "resumed": 0, "quarantined": 0,
@@ -146,6 +146,7 @@ def _write_campaign_manifest(path, target: str, campaign: CampaignConfig) -> Non
             "resume": campaign.resume,
         },
         campaign=merged,
+        git_rev=collect_git_rev(),
     )
     manifest.write(path)
 

@@ -1,4 +1,4 @@
-"""Adversarial runs: attacker attribution and trace invariants.
+"""Adversarial runs: per-attacker damage attribution.
 
 An adversarial run is an ordinary :class:`~repro.experiments.scenarios.
 Scenario` with ``attacks`` (deployed through the :class:`~repro.attacks.
@@ -6,12 +6,10 @@ engine.AttackEngine`) and optional ``faults`` (attackers are radio
 participants like any node, so they can crash and reboot mid-run too).
 
 :func:`run_attributed` runs a rig and folds per-attacker damage attribution
-(read from the flight recorder's per-link matrix) and the invariant verdict
-(every trace invariant, ``replay_never_rebuffered`` among them, replayed
-from the event log) into the returned :class:`~repro.experiments.metrics.
-RunResult` ``counters`` as plain ints (``adv_attacker_<id>_injected`` …,
-``invariant_violations``).  :func:`recording_trace` builds the trace that
-carries both recorders.
+(read from the flight recorder's per-link matrix) into the returned
+:class:`~repro.experiments.metrics.RunResult` ``counters`` as plain ints
+(``adv_attacker_<id>_injected`` …).  :func:`recording_trace` builds a trace
+with an event log and a flight recorder.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from repro.experiments.metrics import RunResult
 from repro.experiments.scenarios import Rig
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
-from repro.obs.invariants import check_events
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["recording_trace", "run_attributed"]
@@ -65,15 +62,12 @@ def _attribution(flight: FlightRecorder, attacker_ids: Iterable[int]) -> Dict[st
 
 
 def run_attributed(rig: Rig) -> RunResult:
-    """Run ``rig``; fold attribution (with a flight recorder) and the
-    invariant verdict (with an :class:`EventLog` sink) into the counters."""
+    """Run ``rig``; with a flight recorder, fold attribution into the
+    counters."""
     result = rig.run()
     flight = rig.trace.flight
     if flight is not None:
         flight.finalize(rig.sim.now)
         result.counters.update(_attribution(flight, rig.engine.attacker_ids))
-    if isinstance(rig.trace.sink, EventLog):
-        report = check_events(rig.trace.sink)
-        result.counters["invariant_violations"] = len(report.violations)
     return result
 

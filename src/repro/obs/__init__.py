@@ -12,14 +12,16 @@ first-class subsystem here rather than an ad-hoc ``Counter``:
 * :mod:`repro.obs.flight` — the flight and causal recorders, subscribers
   to the recorder's observation seam.
 * :mod:`repro.obs.events` — schema-versioned structured trace events with
-  span support, JSONL persistence, and a Chrome ``trace_event`` / Perfetto
-  exporter.
+  span support and JSONL persistence.
+* :mod:`repro.obs.analyze` / :mod:`repro.obs.causal` — offline reductions
+  of a flight trace (wavefront, stalls, link matrix) and of a causal trace
+  (critical paths and their wait attribution).
 * :mod:`repro.obs.manifest` — run manifests (seed, config, git rev,
-  counters, timings) and manifest diffing.
-* :mod:`repro.obs.report` / ``python -m repro.obs`` — summarise or diff
-  manifests and traces, and ``bench-compare``, the CI perf gate over
-  ``perfbench/run.py`` outputs (how long a run takes, end to end and per
-  layer, is measured by ``perfbench/``, outside the package).
+  counters, timings).
+* :mod:`repro.obs.report` / ``python -m repro.obs`` — summarise a
+  manifest, run the trace reductions, and ``bench-compare``, the CI perf
+  gate over ``perfbench/run.py`` outputs (how long a run takes, end to end
+  and per layer, is measured by ``perfbench/``, outside the package).
 
 This ``__init__`` deliberately imports nothing, so importing one submodule
 (the event log, say) loads only that submodule and what it imports.

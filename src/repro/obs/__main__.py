@@ -1,13 +1,10 @@
-"""Observability CLI: summarise/diff run manifests, inspect traces, gate perf.
+"""Observability CLI: summarise a run manifest, inspect traces, gate perf.
 
 ::
 
     python -m repro.obs report run.manifest.json
-    python -m repro.obs report --diff before.json after.json
-    python -m repro.obs trace run.trace.jsonl
-    python -m repro.obs check-invariants run.trace.jsonl
     python -m repro.obs analyze run.trace.jsonl --out analysis.json --json
-    python -m repro.obs critical-path run.trace.jsonl --min-attribution 0.95
+    python -m repro.obs critical-path run.trace.jsonl
     python -m repro.obs critical-path deluge.jsonl lr.jsonl --out causal.json
     python -m repro.obs why run.trace.jsonl --node 7
     python -m repro.obs bench-compare BENCH_perf.json *.perf.out
@@ -17,8 +14,9 @@ The ``critical-path``/``why`` commands need a ``--causal-trace`` run (see
 ``bench-compare`` reads the output of ``perfbench/run.py --trace 0`` (see
 ``perfbench/README.md``), one file per workload.
 
-Exit codes: 0 success, 1 a gate failed (regression, violated invariant),
-2 unusable input (missing file, malformed JSON, wrong arguments).
+Exit codes: 0 success, 1 a gate failed (perf regression, no receiver
+completed), 2 unusable input (missing file, malformed JSON, wrong arguments,
+a trace without the recorder a command needs).
 """
 
 from __future__ import annotations
@@ -31,11 +29,9 @@ from repro.obs.manifest import RunManifest
 from repro.obs.report import (
     TOLERANCE,
     bench_compare,
-    diff_report,
     load_perf_baseline,
     manifest_summary,
     read_perf_output,
-    trace_summary,
 )
 
 __all__ = ["main"]
@@ -49,25 +45,12 @@ def _error(message: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Summarise, diff, and generate observability artifacts.",
+        description="Summarise and analyse observability artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    report = sub.add_parser("report", help="summarise one manifest or diff two")
-    report.add_argument("manifest", nargs="*",
-                        help="manifest JSON file(s); one to summarise")
-    report.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
-                        help="diff two manifest files")
-    report.add_argument("--top", type=int, default=25,
-                        help="counters to show in the summary table")
-
-    trace = sub.add_parser("trace", help="summarise a JSONL trace file")
-    trace.add_argument("trace_file")
-
-    check = sub.add_parser("check-invariants",
-                           help="replay a JSONL trace against the protocol "
-                                "invariant library (exit 1 on violations)")
-    check.add_argument("trace_file")
+    report = sub.add_parser("report", help="summarise one run manifest")
+    report.add_argument("manifest", help="manifest JSON file")
 
     analyze = sub.add_parser("analyze",
                              help="reduce a flight trace into wavefront/"
@@ -75,9 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("trace_file")
     analyze.add_argument("--out", default=None,
                          help="also write the analysis JSON here")
-    analyze.add_argument("--stall-factor", type=float, default=5.0,
-                         help="flag page gaps above this multiple of the "
-                              "median gap")
     analyze.add_argument("--json", action="store_true",
                          help="print the analysis as JSON on stdout instead "
                               "of the rendered tables")
@@ -85,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cpath = sub.add_parser(
         "critical-path",
         help="attribute completion latency to wait categories from a "
-             "causal trace (exit 1 below --min-attribution)")
+             "causal trace (exit 1 when no receiver completed)")
     cpath.add_argument("trace_file", nargs="+",
                        help="causal-traced JSONL file(s); several renders a "
                             "protocol comparison table")
@@ -94,9 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "when several traces are given)")
     cpath.add_argument("--json", action="store_true",
                        help="print the attribution as JSON on stdout")
-    cpath.add_argument("--min-attribution", type=float, default=None,
-                       help="fail (exit 1) when any completed node's "
-                            "attributed fraction is below this")
 
     why = sub.add_parser(
         "why",
@@ -105,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     why.add_argument("trace_file")
     why.add_argument("--node", type=int, required=True,
                      help="the receiver to explain")
-    why.add_argument("--top", type=int, default=12,
-                     help="longest critical-path waits to list")
 
     compare = sub.add_parser(
         "bench-compare",
@@ -123,46 +98,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "report":
         try:
-            if args.diff:
-                a = RunManifest.load(args.diff[0])
-                b = RunManifest.load(args.diff[1])
-                print(diff_report(a, b, a_name=args.diff[0],
-                                  b_name=args.diff[1]))
-                return 0
-            if len(args.manifest) != 1:
-                return _error("report takes one manifest file, or --diff A B")
-            print(manifest_summary(RunManifest.load(args.manifest[0]),
-                                   top=args.top))
+            print(manifest_summary(RunManifest.load(args.manifest)))
         except FileNotFoundError as exc:
             return _error(f"manifest file not found: {exc.filename or exc}")
         except (ValueError, KeyError) as exc:
             return _error(f"malformed manifest: {exc}")
         return 0
-    if args.command == "trace":
-        try:
-            print(trace_summary(args.trace_file))
-        except FileNotFoundError:
-            return _error(f"trace file not found: {args.trace_file}")
-        except ValueError as exc:
-            return _error(str(exc))
-        return 0
-    if args.command == "check-invariants":
-        from repro.obs.invariants import check_jsonl
-
-        try:
-            report = check_jsonl(args.trace_file)
-        except FileNotFoundError:
-            return _error(f"trace file not found: {args.trace_file}")
-        except ValueError as exc:
-            return _error(str(exc))
-        print(report.summary())
-        return 0 if report.ok else 1
     if args.command == "analyze":
         from repro.obs.analyze import analyze_jsonl, render_analysis
 
         try:
-            analysis = analyze_jsonl(args.trace_file, out=args.out,
-                                     stall_factor=args.stall_factor)
+            analysis = analyze_jsonl(args.trace_file, out=args.out)
         except FileNotFoundError:
             return _error(f"trace file not found: {args.trace_file}")
         except ValueError as exc:
@@ -215,28 +161,16 @@ def main(argv=None) -> int:
                 print(f"gate: no completed receivers in "
                       f"{analysis['trace_file']}", file=sys.stderr)
                 failed = True
-            elif (args.min_attribution is not None
-                  and analysis["min_attribution"] < args.min_attribution):
-                print(f"gate: min attribution "
-                      f"{analysis['min_attribution']:.1%} < "
-                      f"{args.min_attribution:.1%} in "
-                      f"{analysis['trace_file']}", file=sys.stderr)
-                failed = True
         return 1 if failed else 0
     if args.command == "why":
-        from repro.obs.causal import build_dag, critical_path, render_why
-        from repro.obs.events import load_jsonl
+        from repro.obs.causal import critical_path, load_causal_dag, render_why
 
         try:
-            _header, events = load_jsonl(args.trace_file)
+            dag = load_causal_dag(args.trace_file)
         except FileNotFoundError:
             return _error(f"trace file not found: {args.trace_file}")
         except ValueError as exc:
             return _error(str(exc))
-        dag = build_dag(events)
-        if not any(rec.cause is not None for rec in dag.tx.values()):
-            return _error(f"{args.trace_file} holds no cause stamps — "
-                          "re-run the simulation with --causal-trace")
         known = set(dag.meta) | set(dag.complete)
         if args.node not in known:
             return _error(f"node {args.node} does not appear in the trace")
@@ -244,7 +178,7 @@ def main(argv=None) -> int:
         if path is None:
             print(f"node {args.node} never completed in this trace")
             return 1
-        print(render_why(dag, path, top=args.top))
+        print(render_why(dag, path))
         return 0
     if args.command == "bench-compare":
         try:

@@ -26,6 +26,9 @@ from repro.obs.events import EventLog, TraceEvent, load_jsonl
 
 __all__ = ["analyze_events", "analyze_jsonl", "render_analysis"]
 
+# A page gap above this multiple of the run's median gap is a stall.
+_STALL_FACTOR = 5.0
+
 
 def _median(values: List[float]) -> float:
     if not values:
@@ -39,7 +42,6 @@ def _median(values: List[float]) -> float:
 
 def analyze_events(
     events: Union[EventLog, Iterable[TraceEvent]],
-    stall_factor: float = 5.0,
 ) -> Dict[str, Any]:
     """Reduce a trace into wavefront / stall / link-matrix reports."""
     if isinstance(events, EventLog):
@@ -103,7 +105,7 @@ def analyze_events(
         for prev, cur in zip(entries, entries[1:]):
             gaps.append(cur["ts"] - prev["ts"])
     median_gap = _median(gaps)
-    threshold = stall_factor * median_gap if median_gap > 0 else None
+    threshold = _STALL_FACTOR * median_gap if median_gap > 0 else None
     stall_events: List[Dict[str, Any]] = []
     if threshold is not None:
         for node in sorted(unit_times):
@@ -159,11 +161,10 @@ def analyze_events(
 def analyze_jsonl(
     path: Union[str, Path],
     out: Optional[Union[str, Path]] = None,
-    stall_factor: float = 5.0,
 ) -> Dict[str, Any]:
     """Analyze an archived trace; optionally persist the reduction as JSON."""
     _header, events = load_jsonl(path)
-    analysis = analyze_events(events, stall_factor=stall_factor)
+    analysis = analyze_events(events)
     analysis["trace_file"] = str(path)
     if out is not None:
         from repro.persist import atomic_write_text

@@ -134,8 +134,6 @@ METRICS: Tuple[MetricSpec, ...] = (
                "injected frames that reached a victim's radio"),
     MetricSpec("adv_auth_drops", "counter", "packets",
                "injected data packets rejected by victim authentication"),
-    MetricSpec("invariant_violations", "counter", "violations",
-               "trace invariant violations detected after an adversarial run"),
     # -- observability itself -------------------------------------------------
     MetricSpec("obs_unregistered_metric", "counter", "names",
                "distinct counter names used without a catalogue entry"),

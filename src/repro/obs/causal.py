@@ -16,7 +16,8 @@ transmission → the SNACK that requested it → the timer that armed the SNACK
 station's initial advertisement.  The walk telescopes: consecutive edges
 share endpoints, so the per-edge spans partition ``[t_root, t_end]`` exactly
 and the **attributed fraction** ``1 - t_root / t_end`` measures how much of
-the node's completion latency the chain explains (CI gates this at ≥ 95%).
+the node's completion latency the chain explains (tier-1 holds it at ≥ 95%
+on a lossy grid).
 
 Every edge lands in one of nine **wait categories**:
 
@@ -54,7 +55,6 @@ through :mod:`repro.persist` atomic writes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -70,6 +70,7 @@ __all__ = [
     "build_dag",
     "critical_path",
     "attribute_run",
+    "load_causal_dag",
     "analyze_causal_jsonl",
     "render_attribution",
     "render_why",
@@ -484,13 +485,27 @@ def attribute_run(
     }
 
 
+def load_causal_dag(path: Union[str, Path]) -> CausalDag:
+    """The provenance DAG of an archived causal trace.
+
+    Raises ``ValueError`` when no frame carries a cause stamp: a trace
+    recorded without ``--causal-trace`` cannot be walked, and walking it
+    would report every receiver as never completed.
+    """
+    _header, events = load_jsonl(path)
+    dag = build_dag(events)
+    if not any(rec.cause is not None for rec in dag.tx.values()):
+        raise ValueError(f"{path} holds no cause stamps — re-run the "
+                         "simulation with --causal-trace")
+    return dag
+
+
 def analyze_causal_jsonl(
     path: Union[str, Path],
     out: Optional[Union[str, Path]] = None,
 ) -> Dict[str, Any]:
     """Attribute an archived causal trace; optionally persist the JSON."""
-    _header, events = load_jsonl(path)
-    analysis = attribute_run(events)
+    analysis = attribute_run(load_causal_dag(path))
     analysis["trace_file"] = str(path)
     if out is not None:
         from repro.persist import atomic_write_json
@@ -562,7 +577,11 @@ def render_attribution(analysis: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def render_why(dag: CausalDag, path: CriticalPath, top: int = 12) -> str:
+# Longest critical-path waits the "why" report lists.
+_WHY_TOP = 12
+
+
+def render_why(dag: CausalDag, path: CriticalPath) -> str:
     """The per-node "why was completion at t?" report."""
     from repro.experiments.reporting import format_table
 
@@ -585,7 +604,7 @@ def render_why(dag: CausalDag, path: CriticalPath, top: int = 12) -> str:
             ["category", "wait_s", "share"], rows,
             title=f"where node {path.node}'s completion latency went",
         ))
-    longest = sorted(path.edges, key=lambda e: -e.span)[:top]
+    longest = sorted(path.edges, key=lambda e: -e.span)[:_WHY_TOP]
     keep = {id(e) for e in longest}
     rows = [
         [f"{e.t_from:.3f}", f"{e.t_to:.3f}", _fmt_s(e.span), e.category,

@@ -2,16 +2,10 @@
 
 An :class:`EventLog` collects :class:`TraceEvent` instances — instants
 (``ph="i"``) and completed spans (``ph="X"``, with a duration) — in
-*simulated* time.  Two persistent forms are supported:
-
-* **JSONL** (:meth:`EventLog.write_jsonl` / :func:`load_jsonl`): one JSON
-  object per line, first line a schema header.  This is the archival form
-  the run manifest points at.
-* **Chrome ``trace_event`` JSON** (:meth:`EventLog.to_chrome_trace` /
-  :meth:`EventLog.write_chrome_trace`): loads directly in Perfetto
-  (https://ui.perfetto.dev) or ``chrome://tracing`` for timeline viewing.
-  Each simulated node renders as one track (``tid``), with network-wide
-  events (no node) on track 0.
+*simulated* time.  Its persistent form is JSONL
+(:meth:`EventLog.write_jsonl` / :func:`load_jsonl`): one JSON object per
+line, first line a schema header.  This is the archival form the run
+manifest points at.
 
 Span pairing is keyed by ``(kind, node, key)``: ``begin`` remembers the
 start time, ``end`` emits one complete event covering the interval.  A
@@ -29,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
@@ -51,7 +45,7 @@ TRACE_SCHEMA_VERSION = 3
 #: are gone, so older archives are rejected rather than misread.
 SUPPORTED_SCHEMA_VERSIONS = frozenset({3})
 
-# Chrome trace_event phase codes used here: instant, complete (with dur).
+# Phase codes: instant, complete (with dur).
 _PH_INSTANT = "i"
 _PH_COMPLETE = "X"
 
@@ -179,59 +173,6 @@ class EventLog:
 
         target = Path(path)
         atomic_write_text(target, self.to_jsonl())
-        return target
-
-    # -- Chrome trace_event / Perfetto ----------------------------------------
-
-    def to_chrome_trace(self, process_name: str = "repro-sim") -> Dict[str, Any]:
-        """The log as a Chrome ``trace_event`` document (JSON object form).
-
-        Timestamps are microseconds (Chrome's unit); one thread per node so
-        Perfetto renders a per-node timeline, with span kinds as categories.
-        """
-        trace_events: List[Dict[str, Any]] = [
-            {"ph": "M", "pid": 1, "tid": 0, "name": "process_name",
-             "args": {"name": process_name}},
-            {"ph": "M", "pid": 1, "tid": 0, "name": "thread_name",
-             "args": {"name": "network"}},
-        ]
-        named_nodes = sorted(
-            {e.node for e in self.events if e.node is not None}
-        )
-        for node in named_nodes:
-            trace_events.append(
-                {"ph": "M", "pid": 1, "tid": node + 1, "name": "thread_name",
-                 "args": {"name": f"node {node}"}}
-            )
-        for event in self.events:
-            tid = 0 if event.node is None else event.node + 1
-            entry: Dict[str, Any] = {
-                "name": event.kind,
-                "cat": event.kind.split("_", 1)[0],
-                "ph": event.ph,
-                "pid": 1,
-                "tid": tid,
-                "ts": event.ts * 1e6,
-                "args": dict(event.detail),
-            }
-            if event.ph == _PH_INSTANT:
-                entry["s"] = "t"  # thread-scoped instant
-            if event.dur is not None:
-                entry["dur"] = event.dur * 1e6
-            trace_events.append(entry)
-        return {
-            "traceEvents": trace_events,
-            "displayTimeUnit": "ms",
-            "otherData": {"schema_version": TRACE_SCHEMA_VERSION},
-        }
-
-    def write_chrome_trace(
-        self, path: Union[str, Path], process_name: str = "repro-sim"
-    ) -> Path:
-        from repro.persist import atomic_write_text
-
-        target = Path(path)
-        atomic_write_text(target, json.dumps(self.to_chrome_trace(process_name)))
         return target
 
     # -- queries ---------------------------------------------------------------

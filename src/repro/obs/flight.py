@@ -18,9 +18,8 @@ snapshots, completion times, and RNG draws with and without them.
 ``flight_link_stats``.  These kinds are declared in :mod:`repro.obs.catalog`
 like every other event kind, so the schema-versioned
 :class:`~repro.obs.events.EventLog` JSONL form carries them unchanged and the
-invariant checker (:mod:`repro.obs.invariants`), analyzer
-(:mod:`repro.obs.analyze`) and critical-path walk (:mod:`repro.obs.causal`)
-replay them offline.
+analyzer (:mod:`repro.obs.analyze`) and critical-path walk
+(:mod:`repro.obs.causal`) replay them offline.
 
 Each aired frame is one ``frame`` record, written when the frame leaves the
 air and stamped with its air start (``ts``) and sender (``node``).  Its

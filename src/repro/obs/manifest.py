@@ -5,7 +5,7 @@ what happened (counters, the paper's five metrics), and what it cost
 (wall time, simulated time, events, events/sec).  Manifests are small JSON
 files written next to results by ``python -m repro.simulate`` and
 ``python -m repro.experiments``; ``python -m repro.obs report`` summarises
-one or diffs two.
+one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.experiments.reporting import utc_now_iso
 
@@ -22,18 +22,23 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "RunManifest",
     "collect_git_rev",
-    "diff_manifests",
 ]
 
 MANIFEST_SCHEMA_VERSION = 1
 
 
 def collect_git_rev(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
-    """The current git commit (short hash, ``+dirty`` suffixed), or None.
+    """The git commit (short hash, ``+dirty`` suffixed) of ``cwd``, by
+    default of the source tree this package was imported from; or None.
 
-    Failure is normal — an installed package has no repository — so every
-    error path degrades to None rather than failing the run being recorded.
+    The default is not the process's working directory: a run started from
+    inside another repository must still record the revision of the code
+    that ran.  Failure is normal — an installed package has no repository —
+    so every error path degrades to None rather than failing the run being
+    recorded.
     """
+    if cwd is None:
+        cwd = Path(__file__).resolve().parent
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -187,29 +192,3 @@ class RunManifest:
     def load(cls, path: Union[str, Path]) -> "RunManifest":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
-
-def diff_manifests(
-    a: RunManifest, b: RunManifest
-) -> List[Tuple[str, float, float, float, Optional[float]]]:
-    """Row-wise diff: ``(name, a, b, delta, pct)`` over metrics/timings/counters.
-
-    ``pct`` is None when ``a`` is zero (no meaningful relative change).
-    Only rows that differ are returned, metrics first, then timings, then
-    counters, each alphabetical — the format the report CLI renders.
-    """
-    rows: List[Tuple[str, float, float, float, Optional[float]]] = []
-    for prefix, left, right in (
-        ("metrics", a.metrics, b.metrics),
-        ("timings", a.timings, b.timings),
-        ("counters", a.counters, b.counters),
-    ):
-        names = sorted(set(left) | set(right))
-        for name in names:
-            va = float(left.get(name, 0))
-            vb = float(right.get(name, 0))
-            if va == vb:
-                continue
-            delta = vb - va
-            pct = (delta / va * 100.0) if va else None
-            rows.append((f"{prefix}.{name}", va, vb, delta, pct))
-    return rows

@@ -1,4 +1,4 @@
-"""Human-readable views over manifests and traces, plus the perfbench gate.
+"""Human-readable view of a run manifest, plus the perfbench gate.
 
 Everything here *returns strings* — printing is the job of the CLI shim in
 ``repro.obs.__main__`` — so the same renderings are usable from tests and
@@ -12,13 +12,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
 from repro.obs.catalog import spec_for
-from repro.obs.manifest import RunManifest, diff_manifests
+from repro.obs.manifest import RunManifest
 
 __all__ = [
     "TOLERANCE",
     "manifest_summary",
-    "diff_report",
-    "trace_summary",
     "load_perf_baseline",
     "read_perf_output",
     "bench_compare",
@@ -28,6 +26,9 @@ __all__ = [
 # ``events_per_s`` bounds in BENCHMARK.json.
 TOLERANCE = 0.25
 
+# Counters the manifest summary lists, largest first.
+_SUMMARY_TOP = 25
+
 
 def _fmt_value(value: float) -> str:
     if value == int(value):
@@ -35,7 +36,7 @@ def _fmt_value(value: float) -> str:
     return f"{value:.4g}"
 
 
-def manifest_summary(manifest: RunManifest, top: int = 25) -> str:
+def manifest_summary(manifest: RunManifest) -> str:
     """One manifest as header lines plus an annotated counter table."""
     from repro.experiments.reporting import format_table
 
@@ -69,71 +70,19 @@ def manifest_summary(manifest: RunManifest, top: int = 25) -> str:
     if manifest.counters:
         ranked = sorted(manifest.counters.items(), key=lambda kv: (-kv[1], kv[0]))
         rows: List[List[object]] = []
-        for name, value in ranked[:top]:
+        for name, value in ranked[:_SUMMARY_TOP]:
             spec = spec_for(name)
             rows.append([
                 name, value,
                 spec.unit if spec else "?",
                 spec.help if spec else "(not in catalogue)",
             ])
-        title = f"top {min(top, len(ranked))} of {len(ranked)} counters"
+        shown = min(_SUMMARY_TOP, len(ranked))
+        title = f"top {shown} of {len(ranked)} counters"
         lines.append("")
         lines.append(format_table(["counter", "value", "unit", "help"], rows,
                                   title=title))
     return "\n".join(lines)
-
-
-def diff_report(a: RunManifest, b: RunManifest,
-                a_name: str = "a", b_name: str = "b") -> str:
-    """Counter/metric/timing deltas between two manifests as a table."""
-    from repro.experiments.reporting import format_table
-
-    rows = diff_manifests(a, b)
-    header = (
-        f"{a_name}: {a.tool} seed={a.seed} rev={a.git_rev or '?'} "
-        f"({a.created_utc})\n"
-        f"{b_name}: {b.tool} seed={b.seed} rev={b.git_rev or '?'} "
-        f"({b.created_utc})"
-    )
-    if not rows:
-        return header + "\nno differences"
-    table_rows: List[List[object]] = [
-        [name, _fmt_value(va), _fmt_value(vb), f"{delta:+g}",
-         "n/a" if pct is None else f"{pct:+.1f}%"]
-        for name, va, vb, delta, pct in rows
-    ]
-    return header + "\n\n" + format_table(
-        ["quantity", a_name, b_name, "delta", "pct"], table_rows,
-        title=f"{len(rows)} differing quantities",
-    )
-
-
-def trace_summary(path: Union[str, Path]) -> str:
-    """Quick shape of a JSONL trace: per-kind counts and span durations."""
-    from repro.experiments.reporting import format_table
-    from repro.obs.events import load_jsonl
-
-    header, events = load_jsonl(path)
-    kinds: Dict[str, int] = {}
-    span_total: Dict[str, float] = {}
-    span_count: Dict[str, int] = {}
-    for event in events:
-        kinds[event.kind] = kinds.get(event.kind, 0) + 1
-        if event.dur is not None:
-            span_total[event.kind] = span_total.get(event.kind, 0.0) + event.dur
-            span_count[event.kind] = span_count.get(event.kind, 0) + 1
-    rows: List[List[object]] = []
-    for kind, count in sorted(kinds.items(), key=lambda kv: (-kv[1], kv[0])):
-        n_spans = span_count.get(kind, 0)
-        mean = span_total[kind] / n_spans if n_spans else 0.0
-        rows.append([kind, count, n_spans, round(mean, 3)])
-    title = (
-        f"{header.get('events', len(events))} events "
-        f"({header.get('open_spans_flushed', 0)} open spans flushed), "
-        f"schema v{header.get('schema_version')}"
-    )
-    return format_table(["kind", "events", "spans", "mean_span_s"], rows,
-                        title=title)
 
 
 def _positive(value: Any) -> bool:

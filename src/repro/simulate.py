@@ -23,12 +23,10 @@ from their last completed page after reboot::
     python -m repro.simulate --protocol seluge --image-kib 4 --k 8 --n 12 \\
         --fault-plan plan.json
 
-Observability (``--trace-out``, ``--chrome-trace``, ``--manifest``)
-attaches a structured event log to the same run — packet/page lifecycle
-spans land in a JSONL trace (and, with ``--chrome-trace``, a
-Perfetto/chrome://tracing timeline), and the run manifest records seed,
-config, git revision, counters, and wall timings for later diffing with
-``python -m repro.obs report --diff``::
+Observability (``--trace-out``, ``--manifest``) attaches a structured event
+log to the same run — packet/page lifecycle spans land in a JSONL trace —
+and the run manifest records seed, config, git revision, counters, and wall
+timings for ``python -m repro.obs report``::
 
     python -m repro.simulate --protocol lr-seluge --image-kib 4 --k 8 --n 12 \\
         --trace-out run.trace.jsonl --manifest run.manifest.json
@@ -37,13 +35,11 @@ config, git revision, counters, and wall timings for later diffing with
 (every aired frame with its receivers and losses, per-packet
 authentication outcomes, tracking-table
 snapshots, and — at the end of the run — per-link delivery/loss totals and
-the hop topology) so the archived trace can be replayed through
-``python -m repro.obs check-invariants`` and reduced with
+the hop topology) so the archived trace can be reduced with
 ``python -m repro.obs analyze``::
 
     python -m repro.simulate --protocol lr-seluge --image-kib 4 --k 8 --n 12 \\
         --flight-record --trace-out run.trace.jsonl
-    python -m repro.obs check-invariants run.trace.jsonl
     python -m repro.obs analyze run.trace.jsonl --out analysis.json
 
 ``--causal-trace`` attaches the causal provenance recorder and, since its
@@ -54,7 +50,7 @@ timer arm that triggered the transmission), and the archived trace answers
 
     python -m repro.simulate --protocol lr-seluge --image-kib 4 --k 8 --n 12 \\
         --loss 0.15 --causal-trace --trace-out run.trace.jsonl
-    python -m repro.obs critical-path run.trace.jsonl --min-attribution 0.95
+    python -m repro.obs critical-path run.trace.jsonl
     python -m repro.obs why run.trace.jsonl --node 7
 """
 
@@ -125,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs = parser.add_argument_group("observability")
     obs.add_argument("--trace-out", default=None, metavar="TRACE.jsonl",
                      help="write the structured event trace (JSONL)")
-    obs.add_argument("--chrome-trace", default=None, metavar="TRACE.json",
-                     help="write a Chrome trace_event/Perfetto timeline")
     obs.add_argument("--manifest", default=None, metavar="MANIFEST.json",
                      help="write a run manifest (seed, config, git rev, "
                           "counters, timings)")
@@ -136,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "auth and tracker events; per-link delivery/loss "
                           "totals and hop topology at the end) to the "
                           "trace; implies structured tracing and feeds "
-                          "`python -m repro.obs check-invariants/analyze`")
+                          "`python -m repro.obs analyze`")
     obs.add_argument("--causal-trace", action="store_true",
                      help="attach the causal provenance recorder (per-frame "
                           "cause stamps, page decodes) and the flight "
@@ -215,8 +209,7 @@ def main(argv=None) -> int:
 
     sim = Simulator()
     log = None
-    if (args.trace_out or args.chrome_trace or args.flight_record
-            or args.causal_trace):
+    if args.trace_out or args.flight_record or args.causal_trace:
         from repro.obs.events import EventLog
         log = EventLog()
     flight = None
@@ -252,9 +245,6 @@ def main(argv=None) -> int:
             delivered = result.counters.get("adv_frames_delivered", 0)
             print(f"attacker frames: {injected} injected, "
                   f"{delivered} delivered")
-        violations = result.counters.get("invariant_violations")
-        if violations is not None:
-            print(f"invariants:      {violations} violation(s)")
     if faulty:
         rate = result.completion_rate
         print(f"completion rate: {rate:.2%}" if rate is not None
@@ -277,9 +267,6 @@ def main(argv=None) -> int:
         if args.trace_out:
             log.write_jsonl(args.trace_out)
             print(f"wrote trace:     {args.trace_out} ({len(log)} events)")
-        if args.chrome_trace:
-            log.write_chrome_trace(args.chrome_trace)
-            print(f"wrote timeline:  {args.chrome_trace}")
     if args.manifest:
         from repro.obs.catalog import unregistered_names
         from repro.obs.manifest import RunManifest

@@ -63,16 +63,3 @@ def rngs():
 @pytest.fixture
 def trace():
     return TraceRecorder()
-
-
-@pytest.fixture
-def assert_invariants():
-    """Replay a trace through the invariant library; fail on any violation."""
-    from repro.obs.invariants import check_events
-
-    def _check(events):
-        report = check_events(events)
-        assert report.ok, report.summary()
-        return report
-
-    return _check

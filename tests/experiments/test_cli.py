@@ -67,20 +67,17 @@ def test_simulate_writes_trace_timeline_and_manifest(tmp_path, capsys):
     from repro.obs.events import load_jsonl
 
     trace_path = tmp_path / "run.trace.jsonl"
-    chrome_path = tmp_path / "run.chrome.json"
     manifest_path = tmp_path / "run.manifest.json"
     code = simulate_main([
         "--protocol", "lr-seluge", "--loss", "0.1", "--receivers", "2",
         "--image-kib", "2", "--k", "8", "--n", "12", "--seed", "1",
-        "--trace-out", str(trace_path), "--chrome-trace", str(chrome_path),
-        "--manifest", str(manifest_path),
+        "--trace-out", str(trace_path), "--manifest", str(manifest_path),
     ])
     assert code == 0
 
     header, events = load_jsonl(trace_path)
     assert header["events"] == len(events) > 0
-    chrome = json.loads(chrome_path.read_text())
-    assert any(e["ph"] == "X" for e in chrome["traceEvents"])
+    assert any(e.ph == "X" for e in events)
     manifest = json.loads(manifest_path.read_text())
     assert manifest["trace_file"] == str(trace_path)
     capsys.readouterr()
@@ -197,7 +194,7 @@ def test_experiments_cli_quick_with_export(tmp_path, capsys):
 
 def test_experiments_cli_campaign_flags_and_manifest(tmp_path, capsys):
     from repro.experiments.__main__ import main as experiments_main
-    from repro.obs.manifest import RunManifest
+    from repro.obs.manifest import RunManifest, collect_git_rev
 
     ckpt = tmp_path / "ckpt"
     manifest_path = tmp_path / "campaign.manifest.json"
@@ -210,6 +207,7 @@ def test_experiments_cli_campaign_flags_and_manifest(tmp_path, capsys):
     assert (ckpt / "checkpoint.jsonl").exists()
 
     manifest = RunManifest.load(manifest_path)
+    assert manifest.git_rev == collect_git_rev()
     assert manifest.campaign["quarantined"] == 0
     assert manifest.campaign["completed"] == manifest.campaign["total"] > 0
     assert all(t["status"] == "completed"

@@ -41,7 +41,7 @@ def test_stall_detection_and_stuck_nodes():
         # node 2 never completes and stops making progress at t=2.
         _ev(2.0, "unit_complete", 2, unit=0),
     ]
-    analysis = analyze_events(events, stall_factor=5.0)
+    analysis = analyze_events(events)
     (stall,) = analysis["stalls"]["events"]
     assert stall["node"] == 1 and stall["before_unit"] == 3
     assert stall["gap_s"] == 97.0

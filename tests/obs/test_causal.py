@@ -18,7 +18,6 @@ from repro.obs.causal import (
     render_why,
 )
 from repro.obs.events import EventLog, TraceEvent
-from repro.obs.invariants import check_events
 
 from tests.obs.test_flight import FLIGHT_KINDS
 
@@ -43,17 +42,8 @@ def _frame(ts, node, seq, fkind, enq, end, rx=(), **rest):
 
 
 # ---------------------------------------------------------------------------
-# Live traces: every protocol's causal stream is well-formed end to end
+# Live traces: every protocol's critical paths reach the base root
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("protocol", ["deluge", "seluge", "lr-seluge"])
-def test_causal_run_satisfies_causal_invariants(causal_run, protocol):
-    run = causal_run(protocol=protocol, receivers=3, loss=0.15)
-    assert run.result.completed
-    report = check_events(run.log)
-    assert report.ok, report.summary()
-    assert report.checked["causal_monotone"] > 0
-
 
 @pytest.mark.parametrize("protocol", ["deluge", "seluge", "lr-seluge"])
 def test_full_attribution_on_lossy_one_hop(causal_run, protocol):
@@ -134,7 +124,7 @@ def test_grid_smoke_direction_matches_paper(causal_run):
 
 
 # ---------------------------------------------------------------------------
-# Synthetic DAGs: the walk and the invariants, exactly
+# Synthetic DAGs: the walk, exactly
 # ---------------------------------------------------------------------------
 
 def _tiny_trace():
@@ -189,40 +179,6 @@ def test_frame_ids_round_trip_through_jsonl(tmp_path):
     assert reread.rx == fresh.rx
     assert reread.decodes == fresh.decodes
     assert critical_path(reread, 1) == critical_path(fresh, 1)
-
-
-def test_synthetic_trace_passes_causal_invariants():
-    report = check_events(_tiny_trace())
-    assert report.ok, report.summary()
-    # three caused frames, their three deliveries, one parented decode
-    assert report.checked["causal_monotone"] == 7
-
-
-def test_delivery_before_air_violates_monotonicity():
-    events = _tiny_trace()
-    # frame (0, 1) airs at 3.1 but its record claims delivery at 3.0
-    events[4].detail["end"] = 3.0
-    report = check_events(events)
-    assert any(v.invariant == "causal_monotone" for v in report.violations)
-
-
-def test_decode_parented_on_undelivered_frame_violates_monotonicity():
-    events = _tiny_trace()
-    events[4].detail["rx"] = []
-    report = check_events(events)
-    kinds = {v.invariant for v in report.violations}
-    assert "causal_monotone" in kinds
-
-
-def test_cause_parent_after_tx_violates_monotonicity():
-    events = _tiny_trace()
-    # SNACK claims frame (0, 1) (airs at 3.1, *after* this tx) caused it
-    events[3] = _frame(2.4, 1, 0, "snack", 2.3, 2.5, rx=[0],
-                       cause={"trigger": "request",
-                              "reason": "first_request", "armed": 1.3,
-                              "parent": (0, 1)})
-    report = check_events(events)
-    assert any(v.invariant == "causal_monotone" for v in report.violations)
 
 
 def test_walk_truncates_on_mac_dropped_parent():
@@ -295,21 +251,6 @@ def test_comparison_report_has_one_column_per_run(causal_run):
     assert "retransmission" in table or "request_backoff" in table
 
 
-def test_chrome_trace_exports_causal_kinds(causal_run):
-    """Frame records and decodes land on the Perfetto timeline, under the
-    'frame' and 'causal' categories."""
-    run = causal_run(protocol="deluge", receivers=2)
-    doc = run.log.to_chrome_trace()
-    by_cat = {}
-    for e in doc["traceEvents"]:
-        by_cat.setdefault(e.get("cat"), set()).add(e["name"])
-    assert by_cat["causal"] == {"causal_decode"}
-    assert by_cat["frame"] == {"frame"}
-    frame = next(e for e in doc["traceEvents"] if e["name"] == "frame")
-    assert {"frame", "rx", "lost", "cause"} <= set(frame["args"])
-    json.dumps(doc)  # frame ids and loss pairs serialise
-
-
 # ---------------------------------------------------------------------------
 # CLI exit-code contract
 # ---------------------------------------------------------------------------
@@ -325,8 +266,7 @@ def _write_trace(tmp_path, events, name="run.trace.jsonl"):
 def test_cli_critical_path_passes_gate(tmp_path, capsys):
     trace = _write_trace(tmp_path, _tiny_trace())
     out = tmp_path / "causal.json"
-    assert main(["critical-path", trace, "--min-attribution", "0.95",
-                 "--out", str(out)]) == 0
+    assert main(["critical-path", trace, "--out", str(out)]) == 0
     assert "attribution" in capsys.readouterr().out
     assert json.loads(out.read_text(encoding="utf-8"))["completed"] == 1
 
@@ -341,9 +281,8 @@ def test_cli_critical_path_json_output(tmp_path, capsys):
 def test_cli_critical_path_gates_on_attribution_and_completion(tmp_path,
                                                                capsys):
     # no completed receivers -> exit 1
-    empty = _write_trace(tmp_path, [_meta(0, base=True), _meta(1)],
-                         name="empty.jsonl")
-    assert main(["critical-path", empty]) == 1
+    stuck = _write_trace(tmp_path, _tiny_trace()[:5], name="stuck.jsonl")
+    assert main(["critical-path", stuck]) == 1
     assert "no completed receivers" in capsys.readouterr().err
     # missing file -> exit 2
     assert main(["critical-path", str(tmp_path / "absent.jsonl")]) == 2
@@ -371,16 +310,19 @@ def test_cli_why_rejects_unknown_node_and_non_causal_trace(tmp_path, capsys):
     plain = _write_trace(tmp_path, [
         _ev(1.0, "node_complete", node=1, total=1),
     ], name="plain.jsonl")
-    assert main(["why", plain, "--node", "1"]) == 2
-    assert "--causal-trace" in capsys.readouterr().err
     # a flight-only trace has frame records but no cause stamps
     flight_only = _write_trace(tmp_path, [
         _meta(0, base=True), _meta(1),
         _frame(1.2, 0, 0, "adv", 1.0, 1.3, rx=[1]),
         _ev(1.3, "node_complete", node=1, total=1),
     ], name="flight.jsonl")
-    assert main(["why", flight_only, "--node", "1"]) == 2
-    assert "--causal-trace" in capsys.readouterr().err
+    # Both commands reject them as unusable input, not as incomplete runs.
+    for non_causal in (plain, flight_only):
+        for argv in (["why", non_causal, "--node", "1"],
+                     ["critical-path", non_causal],
+                     ["critical-path", trace, non_causal]):
+            assert main(argv) == 2
+            assert "--causal-trace" in capsys.readouterr().err
 
 
 def test_cli_why_incomplete_node_exits_one(tmp_path, capsys):

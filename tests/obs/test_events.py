@@ -137,31 +137,6 @@ def test_trace_event_dict_round_trip():
     assert TraceEvent.from_dict(data) == sparse
 
 
-def test_chrome_trace_structure():
-    log = EventLog()
-    log.instant(1.0, "tx_data", node=0)
-    log.begin(2.0, "span_page", node=2, key=0)
-    log.end(3.0, "span_page", node=2, key=0)
-    log.instant(4.0, "fault_partition")  # network-wide, no node
-    doc = log.to_chrome_trace(process_name="test-sim")
-    events = doc["traceEvents"]
-    meta = [e for e in events if e["ph"] == "M"]
-    # process name + network thread + one thread per named node (0 and 2).
-    names = {e["args"]["name"] for e in meta}
-    assert {"test-sim", "network", "node 0", "node 2"} <= names
-    instants = [e for e in events if e["ph"] == "i"]
-    assert all(e["s"] == "t" for e in instants)
-    span = next(e for e in events if e["ph"] == "X")
-    assert span["tid"] == 3            # node 2 -> track 3 (0 is the network)
-    assert span["ts"] == 2.0 * 1e6     # microseconds
-    assert span["dur"] == 1.0 * 1e6
-    assert span["cat"] == "span"
-    network = next(e for e in events if e["ph"] == "i"
-                   and e["name"] == "fault_partition")
-    assert network["tid"] == 0
-    assert doc["otherData"]["schema_version"] == TRACE_SCHEMA_VERSION
-
-
 def test_of_kind_and_spans_queries():
     log = EventLog()
     log.instant(1.0, "tx_data")

@@ -1,13 +1,13 @@
 """Auth-before-buffer under active attack, with per-link forgery accounting.
 
 Runs the DESIGN.md E8 forgery scenario (a :class:`BogusDataInjector` flooding
-forged data packets into a one-hop network) with the flight recorder attached,
-then replays the archived trace through the invariant checker:
+forged data packets into a one-hop network) with the flight recorder attached:
 
-* Seluge and LR-Seluge authenticate before buffering even under flood, and
-  the per-link matrix pins the rejected forgeries on the attacker's links.
-* Deluge has no packet authentication: the checker must *exempt* it (checked
-  count 0), not flag the pollution as an invariant violation.
+* Seluge and LR-Seluge buffer only authenticated packets even under flood,
+  and the per-link matrix pins the rejected forgeries on the attacker's
+  links.
+* Deluge has no packet authentication: its receivers buffer forgeries, and
+  the flight data shows it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import star_topology
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
-from repro.obs.invariants import check_events
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -65,9 +64,18 @@ def test_secured_protocols_hold_auth_before_buffer_under_attack(protocol):
     assert result.completed and result.images_ok
     assert attacker.sent > 0
 
-    report = check_events(log)
-    assert report.ok, report.summary()
-    assert report.checked["auth_before_buffer"] > 0
+    # Every buffered packet was authenticated first, at the same node.
+    authed = set()
+    buffered = 0
+    for e in log.events:
+        key = (e.node, e.detail.get("version"), e.detail.get("unit"),
+               e.detail.get("index"))
+        if e.kind == "pkt_auth_ok":
+            authed.add(key)
+        elif e.kind == "pkt_buffered":
+            assert key in authed, e
+            buffered += 1
+    assert buffered > 0
 
     # Every forgery that reached a receiver shows up as an auth-drop on the
     # attacker's outbound links, and nowhere else.
@@ -83,16 +91,11 @@ def test_secured_protocols_hold_auth_before_buffer_under_attack(protocol):
     assert all(e.detail["src"] == attacker_id for e in drop_events)
 
 
-def test_deluge_is_exempt_not_falsely_flagged():
+def test_deluge_buffers_forgeries_visibly():
     result, log, flight, attacker, attacker_id = _attacked_flight_run(
         "deluge", period=0.05)
     assert attacker.sent > 0
-    report = check_events(log)
-    # No packet authentication exists to violate: the checker must report the
-    # invariant as unexercised rather than blaming buffered forgeries on it.
-    assert report.checked["auth_before_buffer"] == 0
-    assert not report.of_invariant("auth_before_buffer")
-    # The pollution is still visible in the flight data itself.
+    # No packet authentication: the pollution shows in the flight data.
     polluted = [e for e in log.of_kind("pkt_buffered")
                 if e.detail["src"] == attacker_id]
     assert polluted

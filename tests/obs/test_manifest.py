@@ -1,14 +1,17 @@
-"""Run manifests: construction, (de)serialisation, and diffing."""
+"""Run manifests: construction, (de)serialisation, and the git revision."""
 
 import json
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
+from repro.obs import manifest as manifest_module
 from repro.obs.manifest import (
     MANIFEST_SCHEMA_VERSION,
     RunManifest,
     collect_git_rev,
-    diff_manifests,
 )
 
 
@@ -85,32 +88,6 @@ def test_load_rejects_unknown_schema(tmp_path):
         RunManifest.load(path)
 
 
-def test_diff_manifests_rows():
-    a = RunManifest("t", metrics={"latency_s": 10.0, "same": 1.0},
-                    timings={"wall_s": 1.0},
-                    counters={"tx_data": 100, "only_a": 5})
-    b = RunManifest("t", metrics={"latency_s": 12.0, "same": 1.0},
-                    timings={"wall_s": 2.0},
-                    counters={"tx_data": 80, "only_b": 3})
-    rows = diff_manifests(a, b)
-    names = [row[0] for row in rows]
-    # metrics first, then timings, then counters; unchanged rows omitted.
-    assert names == ["metrics.latency_s", "timings.wall_s",
-                     "counters.only_a", "counters.only_b", "counters.tx_data"]
-    latency = rows[0]
-    assert latency[1:4] == (10.0, 12.0, 2.0)
-    assert latency[4] == pytest.approx(20.0)        # +20%
-    only_b = next(r for r in rows if r[0] == "counters.only_b")
-    assert only_b[1:4] == (0.0, 3.0, 3.0)
-    assert only_b[4] is None                        # no baseline -> no pct
-
-
-def test_diff_of_identical_manifests_is_empty():
-    a = RunManifest("t", metrics={"x": 1.0}, counters={"c": 2})
-    b = RunManifest("t", metrics={"x": 1.0}, counters={"c": 2})
-    assert diff_manifests(a, b) == []
-
-
 def test_collect_git_rev_inside_and_outside_a_repo(tmp_path):
     import pathlib
 
@@ -121,6 +98,28 @@ def test_collect_git_rev_inside_and_outside_a_repo(tmp_path):
         assert len(rev.replace("+dirty", "")) >= 7
     # A directory with no repository degrades to None, never raises.
     assert collect_git_rev(cwd=tmp_path) is None
+
+
+def test_from_run_records_the_source_tree_not_the_working_directory(
+        tmp_path, monkeypatch):
+    """A run launched from inside another repository records the revision
+    of the code that ran, not that repository's."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    other = tmp_path / "other"
+    other.mkdir()
+    git = ["git", "-C", str(other),
+           "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"],
+                   check=True)
+    other_rev = collect_git_rev(cwd=other)
+    assert other_rev is not None
+    source = Path(manifest_module.__file__).resolve().parent
+    monkeypatch.chdir(other)
+    manifest = RunManifest.from_run("t", FakeResult())
+    assert manifest.git_rev != other_rev
+    assert manifest.git_rev == collect_git_rev(cwd=source)
 
 
 def test_campaign_field_round_trips_and_stays_optional(tmp_path):

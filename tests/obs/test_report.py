@@ -1,20 +1,17 @@
-"""Report renderings and the perfbench gate."""
+"""The manifest summary and the perfbench gate."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.obs.events import EventLog
 from repro.obs.manifest import RunManifest
 from repro.obs.report import (
     TOLERANCE,
     bench_compare,
-    diff_report,
     load_perf_baseline,
     manifest_summary,
     read_perf_output,
-    trace_summary,
 )
 
 REPO = Path(__file__).resolve().parents[2]
@@ -41,46 +38,6 @@ def test_manifest_summary_annotates_counters_from_the_catalogue():
     # Known counters carry unit + help; orphans are called out.
     assert "data packets transmitted" in text
     assert "(not in catalogue)" in text
-
-
-def test_diff_report_no_differences():
-    text = diff_report(_manifest(), _manifest(), "base", "cand")
-    assert "no differences" in text
-    assert "base: test.tool" in text
-
-
-def test_diff_report_renders_deltas():
-    a = _manifest()
-    b = _manifest(counters={"tx_data": 100, "mystery_counter": 2})
-    text = diff_report(a, b)
-    assert "1 differing quantities" in text
-    assert "counters.tx_data" in text
-    assert "-20" in text
-
-
-def test_trace_summary_counts_kinds_and_spans(tmp_path):
-    log = EventLog()
-    log.instant(1.0, "tx_data", node=1)
-    log.instant(2.0, "tx_data", node=2)
-    log.begin(0.0, "span_page", node=1, key=0)
-    log.end(4.0, "span_page", node=1, key=0)
-    path = tmp_path / "run.trace.jsonl"
-    log.write_jsonl(path)
-    text = trace_summary(path)
-    assert "3 events" in text
-    assert "tx_data" in text
-    assert "span_page" in text
-    assert "4.0" in text  # the span's mean duration
-
-
-def test_trace_summary_reports_flushed_open_spans(tmp_path):
-    log = EventLog()
-    log.begin(1.0, "span_page", node=1, key=0)
-    log.flush_open_spans(5.0)
-    path = tmp_path / "run.trace.jsonl"
-    log.write_jsonl(path)
-    text = trace_summary(path)
-    assert "1 open spans flushed" in text
 
 
 BASELINE = {

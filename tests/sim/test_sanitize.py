@@ -221,6 +221,6 @@ def test_pinned_baseline_digests():
     result = run_attributed(rig)
     assert result.completed
     assert metrics_digest(result) == (
-        "03aea5b8e769ffb44afbc226d2d9042ceb6f615ce9cf1df72429dbdb9d737e45")
+        "45b2236412827668ff82a37853c17af40a5296254a82cf5413e6a22faed309d5")
     assert event_digest(rig.trace.sink) == (
         "f14038caf54d49bcca1f94255586aaefc8c69bf424e0bcc6e48df66ebc9b7e6d")

@@ -237,7 +237,7 @@ RULES: Tuple[Rule, ...] = (
             "Structured-event call sites and plain counters share one "
             "namespace, but only kinds declared as events in src/repro/obs/"
             "catalog.py are meant to appear in the schema-versioned trace: "
-            "the invariant checker and flight-trace analyzer dispatch on "
+            "the flight-trace analyzer and critical-path walk dispatch on "
             "event kinds, and a counter-kind name smuggled through "
             "trace.record() would produce trace entries no offline tool "
             "recognises. Counters belong in trace.count(); events must be "

@@ -797,7 +797,7 @@ def check_rep013(tree: ast.AST, ctx: FileContext) -> List[Finding]:
     but instead of unknown names it flags *known* names whose catalogued
     metric kind is not ``"event"``: a counter name passed to
     ``trace.record``/``span_begin``/``span_end`` produces trace entries the
-    offline tooling (invariant checker, flight analyzer) never dispatches
+    offline tooling (flight analyzer, critical-path walk) never dispatches
     on.  Unknown names stay REP011's finding — one problem, one code.
     Names whose declared kind is syntactically undecidable are skipped.
     """
