@@ -145,7 +145,7 @@ class TrackingTable:
         per-index demand vector so a trace can replay scheduler decisions.
         """
         return {
-            "popularity": self.popularity_vector(),
+            "popularity": tuple(self._counts),
             "distances": {
                 node_id: self.entries[node_id].distance
                 for node_id in sorted(self.entries)
@@ -246,4 +246,4 @@ class UnionScheduler:
 
     def snapshot(self) -> Dict[str, object]:
         """Introspection view for the flight recorder (JSON-serialisable)."""
-        return {"pending": sorted(self.pending)}
+        return {"pending": tuple(sorted(self.pending))}

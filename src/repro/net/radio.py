@@ -17,9 +17,11 @@ now``) marks both as collided there.
 
 Each outcome — a frame queued, aired, delivered, lost (with its cause) or
 dropped by the MAC — is reported once, to the run's
-:class:`~repro.sim.trace.TraceRecorder`; at frame end the radio also hands
-it the frame's receivers and losses in one report, so observers see each
-aired frame once.
+:class:`~repro.sim.trace.TraceRecorder`.  Deliveries and losses are the
+per-receiver outcomes, so the delivery loop bumps their counters and the
+current-frame mark inline instead of calling the recorder; at frame end the
+radio hands it the frame's receivers and losses in one report, so observers
+see each aired frame once.
 
 The one-hop experiments can disable collision modelling (the paper places
 nodes "close enough to eliminate packet transmission errors caused by channel
@@ -312,7 +314,12 @@ class Radio:
             receivers = self._build_receivers(sender)
         rngs, tamper = self.rngs, self.tamper
         halfduplex, collided = tx.halfduplex or (), tx.collided or ()
-        should_drop, count = self.loss_model.should_drop, trace.count
+        should_drop, counters = self.loss_model.should_drop, trace.counters
+        size = frame.size_bytes
+        # The current-frame mark (``TraceRecorder.current_frame``): the
+        # receiver half lasts until the next delivery or ``frame_end``, so
+        # should_drop and tamper must not read it.
+        trace.rx_frame = frame.frame_id
         for receiver, on_receive in receivers:
             if receiver in halfduplex:
                 cause = "halfduplex"
@@ -323,16 +330,16 @@ class Radio:
             else:
                 received = frame if tamper is None else tamper(frame, sender, receiver)
                 if received is not None:
-                    # The mark lasts until the next ``rx`` or the
-                    # ``rx_done`` below, so should_drop and tamper must not
-                    # call ``trace.current_frame``.
-                    trace.rx(receiver, frame)
+                    # Counted before the handler runs: a run that completes
+                    # inside it freezes its counters there.
+                    counters["rx_delivered"] += 1
+                    counters["rx_delivered_bytes"] += size
+                    trace.rx_node = receiver
                     on_receive(received, sender)
                     delivered.append(receiver)
                     continue
                 cause = "tamper"
-            count(LOSS_COUNTERS[cause])
+            counters[LOSS_COUNTERS[cause]] += 1
             lost.append((receiver, cause))
-        trace.rx_done()
         trace.frame_end(now, frame, tx.start, delivered, lost)
         self._pump(sender)

@@ -21,7 +21,6 @@ call sites (``span_begin``/``span_end``) become complete events.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -52,16 +51,44 @@ _PH_COMPLETE = "X"
 SpanKey = Tuple[str, Optional[int], Any]
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One structured event in simulated seconds."""
+    """One structured event in simulated seconds.
 
-    ts: float                      # event (or span start) time, sim seconds
-    kind: str                      # catalogue event kind
-    ph: str = _PH_INSTANT          # "i" instant | "X" complete span
-    node: Optional[int] = None     # owning node, None = network-wide
-    dur: Optional[float] = None    # span duration, sim seconds ("X" only)
-    detail: Dict[str, Any] = field(default_factory=dict)
+    A slotted record compared by value: ``ts`` is the event (or span
+    start) time, ``kind`` its catalogue kind, ``ph`` ``"i"`` (instant) or
+    ``"X"`` (complete span), ``node`` the owning node (None =
+    network-wide), ``dur`` the span duration ("X" only) and ``detail`` its
+    payload.  A run logs hundreds of thousands of these, so the record has
+    no per-instance ``__dict__``.
+    """
+
+    __slots__ = ("ts", "kind", "ph", "node", "dur", "detail")
+
+    def __init__(self, ts: float, kind: str, ph: str = _PH_INSTANT,
+                 node: Optional[int] = None, dur: Optional[float] = None,
+                 detail: Optional[Dict[str, Any]] = None) -> None:
+        self.ts = ts
+        self.kind = kind
+        self.ph = ph
+        self.node = node
+        self.dur = dur
+        self.detail: Dict[str, Any] = {} if detail is None else detail
+
+    def _fields(self) -> Tuple[float, str, str, Optional[int],
+                               Optional[float], Dict[str, Any]]:
+        return (self.ts, self.kind, self.ph, self.node, self.dur, self.detail)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    # ``detail`` is a dict, so an event was never hashable.
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return ("TraceEvent(ts={!r}, kind={!r}, ph={!r}, node={!r}, dur={!r}, "
+                "detail={!r})".format(*self._fields()))
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"ts": self.ts, "kind": self.kind, "ph": self.ph}
@@ -91,18 +118,22 @@ class EventLog:
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
         self.open_spans_flushed = 0
-        self._open_spans: Dict[SpanKey, Tuple[float, Dict[str, Any]]] = {}
+        self._open_spans: Dict[SpanKey,
+                               Tuple[float, Optional[Dict[str, Any]]]] = {}
 
     def __len__(self) -> int:
         return len(self.events)
 
     # -- sink protocol (used by TraceRecorder) -------------------------------
+    #
+    # The log takes ownership of each ``detail`` it is handed: a span's
+    # begin detail becomes its record's detail, with the end's merged in.
 
     def instant(self, ts: float, kind: str, node: Optional[int] = None,
                 detail: Optional[Dict[str, Any]] = None) -> None:
         """Record one instantaneous event."""
-        self.events.append(TraceEvent(ts=ts, kind=kind, ph=_PH_INSTANT,
-                                      node=node, detail=detail or {}))
+        self.events.append(TraceEvent(ts, kind, _PH_INSTANT, node, None,
+                                      detail))
 
     def begin(self, ts: float, kind: str, node: Optional[int] = None,
               key: Any = None, detail: Optional[Dict[str, Any]] = None) -> None:
@@ -112,7 +143,7 @@ class EventLog:
         would hide re-entry bugs; the *latest* attempt is the interesting
         interval for e.g. a page whose assembly restarted after a crash).
         """
-        self._open_spans[(kind, node, key)] = (ts, dict(detail or {}))
+        self._open_spans[(kind, node, key)] = (ts, detail)
 
     def end(self, ts: float, kind: str, node: Optional[int] = None,
             key: Any = None, detail: Optional[Dict[str, Any]] = None) -> None:
@@ -121,13 +152,14 @@ class EventLog:
         if opened is None:
             self.instant(ts, kind, node, detail)
             return
-        start, start_detail = opened
-        merged = dict(start_detail)
+        start, merged = opened
         if detail:
-            merged.update(detail)
-        self.events.append(TraceEvent(ts=start, kind=kind, ph=_PH_COMPLETE,
-                                      node=node, dur=max(0.0, ts - start),
-                                      detail=merged))
+            if merged:
+                merged.update(detail)
+            else:
+                merged = detail
+        self.events.append(TraceEvent(start, kind, _PH_COMPLETE, node,
+                                      max(0.0, ts - start), merged))
 
     def flush_open_spans(self, ts: float) -> int:
         """Emit every still-open span as an open-ended complete event.
@@ -140,12 +172,11 @@ class EventLog:
         for (kind, node, _key), (start, detail) in sorted(
             self._open_spans.items(), key=lambda item: item[1][0]
         ):
-            merged = dict(detail)
-            merged["open"] = True
-            self.events.append(TraceEvent(ts=start, kind=kind,
-                                          ph=_PH_COMPLETE, node=node,
-                                          dur=max(0.0, ts - start),
-                                          detail=merged))
+            if detail is None:
+                detail = {}
+            detail["open"] = True
+            self.events.append(TraceEvent(start, kind, _PH_COMPLETE, node,
+                                          max(0.0, ts - start), detail))
             flushed += 1
         self._open_spans.clear()
         self.open_spans_flushed += flushed

@@ -32,11 +32,14 @@ receiver: ``rx`` lists the receivers it reached and ``lost`` each
 ``[receiver, cause]`` it missed (:data:`LOSS_CAUSES`).  An aborted frame
 (its sender crashed mid-air) reaches nobody; a frame still on the air when
 the run ends is written by :meth:`FlightRecorder.finalize` with ``open:
-true``.  The same outcomes feed the in-memory per-link accounting matrix,
-flushed at :meth:`FlightRecorder.finalize` as one ``flight_link_stats``
-event per observed ``(src, dst)`` link, plus a ``flight_topology`` event
-with every node's hop distance from the base station (BFS over the observed
-radio's topology).
+true``.  The recorder keeps a reference to each ``frame`` record's detail
+it writes, by sender, and counts the ``link_auth_drop``/``link_duplicate``
+outcomes per link; the per-link accounting matrix
+(:meth:`FlightRecorder.link_matrix`) is folded from those when asked for,
+so a delivery costs the recorder nothing.  :meth:`FlightRecorder.finalize`
+writes it as one ``flight_link_stats`` event per observed ``(src, dst)``
+link, plus a ``flight_topology`` event with every node's hop distance from
+the base station (BFS over the observed radio's topology).
 
 :class:`CausalRecorder` (``--causal-trace``) emits ``causal_decode``.  Its
 presence also tells the protocols to stamp each frame with its ``cause``;
@@ -46,8 +49,10 @@ trace attaches both.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from collections import Counter, deque
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.sim.trace import LOSS_CAUSES, Observer
 
@@ -68,40 +73,17 @@ _AUTH_KINDS: Dict[str, str] = {
 }
 
 
-class _LinkStats:
-    """Mutable per-``(src, dst)`` accounting row."""
-
-    __slots__ = ("rx", "auth_drop", "duplicate", "causes")
-
-    def __init__(self) -> None:
-        self.rx = 0
-        self.auth_drop = 0
-        self.duplicate = 0
-        self.causes: Dict[str, int] = {}
-
-    @property
-    def lost(self) -> int:
-        return sum(self.causes.values())
-
-    def to_detail(self, src: int, dst: int) -> Dict[str, Any]:
-        return {
-            "src": src,
-            "dst": dst,
-            "rx": self.rx,
-            "lost": self.lost,
-            "auth_drop": self.auth_drop,
-            "duplicate": self.duplicate,
-            "causes": dict(sorted(self.causes.items())),
-        }
-
-
 class FlightRecorder(Observer):
     """Collects per-link, per-packet, and tracker events into a trace sink."""
 
     def __init__(self, sink: "TraceSink") -> None:
         self.sink = sink
-        self._links: Dict[Tuple[int, int], _LinkStats] = {}
-        self._tx_frames: Dict[int, int] = {}
+        #: The detail of every ``frame`` record written, by sender: the
+        #: link matrix and the per-node frame counts are folded from these.
+        self._written: Dict[int, List[Dict[str, Any]]] = {}
+        #: ``(src, dst, outcome)`` -> count, for the ``drop`` and
+        #: ``duplicate`` authentication outcomes.
+        self._auth_counts: Dict[Tuple[int, int, str], int] = {}
         #: MAC enqueue time of each queued frame, moved to ``_airing`` when
         #: the frame goes on the air; ``_airing`` holds (frame, enq, start)
         #: until the frame's record is written.
@@ -117,13 +99,6 @@ class FlightRecorder(Observer):
         """Remember the radio whose topology :meth:`finalize` maps."""
         self._radio = radio
 
-    def _link(self, src: int, dst: int) -> _LinkStats:
-        stats = self._links.get((src, dst))
-        if stats is None:
-            stats = _LinkStats()
-            self._links[(src, dst)] = stats
-        return stats
-
     # -- radio outcomes -------------------------------------------------------
 
     def on_enqueue(self, ts: float, frame: "Frame") -> None:
@@ -134,8 +109,6 @@ class FlightRecorder(Observer):
         self._queued.pop(frame.frame_id, None)
 
     def on_tx(self, ts: float, frame: "Frame", unit: Optional[int]) -> None:
-        sender = frame.sender
-        self._tx_frames[sender] = self._tx_frames.get(sender, 0) + 1
         fid = frame.frame_id
         self._airing[fid] = (frame, self._queued.pop(fid, ts), ts)
 
@@ -143,19 +116,13 @@ class FlightRecorder(Observer):
                  delivered: List[int], lost: List[Tuple[int, str]]) -> None:
         enq = self._airing.pop(frame.frame_id)[1]
         self._write(frame, start, enq, ts, delivered, lost)
-        sender = frame.sender
-        for dst in delivered:
-            self._link(sender, dst).rx += 1
-        for dst, cause in lost:
-            causes = self._link(sender, dst).causes
-            causes[cause] = causes.get(cause, 0) + 1
 
     def _write(self, frame: "Frame", start: float, enq: float, end: float,
-               delivered: List[int], lost: List[Tuple[int, str]],
+               delivered: Sequence[int], lost: Sequence[Tuple[int, str]],
                still_open: bool = False) -> None:
         detail: Dict[str, Any] = {
             "frame": frame.frame_id,
-            "kind": frame.kind.value,
+            "kind": frame.kind._value_,
             "size": frame.size_bytes,
             "enq": enq,
             "end": end,
@@ -171,11 +138,19 @@ class FlightRecorder(Observer):
             detail["dest"] = frame.dest
         if frame.cause is not None:
             detail["cause"] = frame.cause
-        detail["rx"] = delivered
-        detail["lost"] = lost
+        # Tuples, not the radio's lists: the collector stops tracking a
+        # tuple of atoms once it has seen it, and the log keeps one record
+        # per aired frame for the whole run.
+        detail["rx"] = tuple(delivered)
+        detail["lost"] = tuple(lost)
         if still_open:
             detail["open"] = True
-        self.sink.instant(start, "frame", frame.sender, detail)
+        sender = frame.sender
+        written = self._written.get(sender)
+        if written is None:
+            written = self._written[sender] = []
+        written.append(detail)
+        self.sink.instant(start, "frame", sender, detail)
 
     # -- protocol outcomes ----------------------------------------------------
 
@@ -194,10 +169,10 @@ class FlightRecorder(Observer):
 
     def on_auth(self, ts: float, node: int, src: int, outcome: str,
                 pkt: "DataPacket") -> None:
-        if outcome == "drop":
-            self._link(src, node).auth_drop += 1
-        elif outcome == "duplicate":
-            self._link(src, node).duplicate += 1
+        if outcome == "drop" or outcome == "duplicate":
+            key = (src, node, outcome)
+            counts = self._auth_counts
+            counts[key] = counts.get(key, 0) + 1
         self.sink.instant(ts, _AUTH_KINDS[outcome], node, {
             "src": src, "version": pkt.version, "unit": pkt.unit,
             "index": pkt.index,
@@ -212,15 +187,16 @@ class FlightRecorder(Observer):
         """
         if state is None:
             return  # the policy offers no introspection
-        detail: Dict[str, Any] = {"unit": unit, "trigger": trigger}
+        # The snapshot was taken for this hook: it becomes the detail.
+        state["unit"] = unit
+        state["trigger"] = trigger
         if requester is not None:
-            detail["requester"] = requester
+            state["requester"] = requester
         if index is not None:
-            detail["index"] = index
+            state["index"] = index
         if via is not None:
-            detail["via"] = via
-        detail.update(state)
-        self.sink.instant(ts, "tracker_snapshot", node, detail)
+            state["via"] = via
+        self.sink.instant(ts, "tracker_snapshot", node, state)
 
     # -- end of run -----------------------------------------------------------
 
@@ -250,32 +226,61 @@ class FlightRecorder(Observer):
             return
         self._finalized = True
         for frame, enq, start in self._airing.values():
-            self._write(frame, start, enq, ts, [], [], still_open=True)
+            self._write(frame, start, enq, ts, (), (), still_open=True)
         self._airing.clear()
         hops = self.hop_distances()
-        if hops or self._tx_frames:
+        if hops or self._written:
             self.sink.instant(ts, "flight_topology", None, {
                 "base": self._base,
                 "hops": {str(n): h for n, h in sorted(hops.items())},
                 "tx_frames": {
-                    str(n): c for n, c in sorted(self._tx_frames.items())
+                    str(n): c
+                    for n, c in sorted(self.tx_frame_counts().items())
                 },
             })
-        for (src, dst) in sorted(self._links):
-            self.sink.instant(ts, "flight_link_stats", None,
-                              self._links[(src, dst)].to_detail(src, dst))
+        for row in self.link_matrix().values():
+            self.sink.instant(ts, "flight_link_stats", None, row)
 
     def link_matrix(self) -> Dict[Tuple[int, int], Dict[str, Any]]:
-        """The in-memory accounting matrix (for tests and the analyzer)."""
-        return {
-            (src, dst): self._links[(src, dst)].to_detail(src, dst)
-            for (src, dst) in sorted(self._links)
-        }
+        """The per-link accounting matrix, sorted by ``(src, dst)``: frames
+        delivered and lost (by cause) folded from the ``frame`` records
+        written so far, plus the authentication drops and duplicates."""
+        delivered: "Counter[Tuple[int, int]]" = Counter()
+        lost: "Counter[Tuple[int, Tuple[int, str]]]" = Counter()
+        rx_of, lost_of = itemgetter("rx"), itemgetter("lost")
+        for sender, details in self._written.items():
+            delivered.update(zip(repeat(sender),
+                                 chain.from_iterable(map(rx_of, details))))
+            lost.update(zip(repeat(sender),
+                            chain.from_iterable(map(lost_of, details))))
+        rows: Dict[Tuple[int, int], Dict[str, Any]] = {}
+
+        def row(src: int, dst: int) -> Dict[str, Any]:
+            found = rows.get((src, dst))
+            if found is None:
+                found = rows[(src, dst)] = {
+                    "src": src, "dst": dst, "rx": 0, "lost": 0,
+                    "auth_drop": 0, "duplicate": 0, "causes": {}}
+            return found
+
+        for (src, dst), count in delivered.items():
+            row(src, dst)["rx"] = count
+        for (src, (dst, cause)), count in sorted(lost.items()):
+            found = row(src, dst)
+            found["lost"] += count
+            found["causes"][cause] = count
+        for (src, dst, outcome), count in self._auth_counts.items():
+            row(src, dst)["auth_drop" if outcome == "drop" else "duplicate"] = count
+        return {link: rows[link] for link in sorted(rows)}
 
     def tx_frame_counts(self) -> Dict[int, int]:
         """Frames each node put on the air (per-attacker damage attribution
         reads an adversary's injected-frame count from here)."""
-        return dict(self._tx_frames)
+        counts = {sender: len(details)
+                  for sender, details in self._written.items()}
+        for frame, _enq, _start in self._airing.values():
+            counts[frame.sender] = counts.get(frame.sender, 0) + 1
+        return counts
 
 
 class CausalRecorder(Observer):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import enum
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,7 +82,8 @@ class TxPolicy(abc.ABC):
         """Account for a transmission of ``index`` (ours or overheard)."""
 
     def snapshot(self) -> Optional[Dict[str, object]]:
-        """Introspection view for the flight recorder; None = opaque policy."""
+        """Introspection view for the flight recorder, a new dict per call
+        (the recorder keeps it as its event detail); None = opaque policy."""
         return None
 
 
@@ -617,7 +619,8 @@ class DisseminationNode(NetworkNode):
                 return
         self._suppressions = 0
         n_packets, _ = self.pipeline.geometry(unit)
-        needed = tuple(j for j in range(n_packets) if j not in self._rx_buffer)
+        needed = tuple(filterfalse(self._rx_buffer.__contains__,
+                                   range(n_packets)))
         if not needed:
             return
         # Stick with the best server while making progress; rotate through

@@ -22,27 +22,29 @@ sink, never to the counter store, so counters, RNG draws and the counted
 event stream are the same whichever recorders are attached.
 
 Deliveries and losses are counted one by one, as the radio reaches each
-receiver: a delivery by ``rx`` (with :meth:`~TraceRecorder.rx_done`), a
-loss by ``count`` of its cause's :data:`LOSS_COUNTERS` entry.  A run that
-completes inside a receive handler freezes its counters there, mid-frame,
-so each must land when it happens.  Observers hear of both once per aired
-frame: every receiver of a broadcast hears it at the same instant, so
-``frame_end`` hands the hooks the frame's whole receiver set and each lost
-receiver's cause.
+receiver: the radio bumps ``rx_delivered``/``rx_delivered_bytes`` or the
+loss cause's :data:`LOSS_COUNTERS` entry in :attr:`TraceRecorder.counters`
+itself, inline in its delivery loop.  A run that completes inside a receive
+handler freezes its counters there, mid-frame, so each must land before the
+handler runs.  Observers hear of both once per aired frame: every receiver
+of a broadcast hears it at the same instant, so ``frame_end`` hands the
+hooks the frame's whole receiver set and each lost receiver's cause.
 
 ``sink`` is the structured event log (:class:`repro.obs.events.EventLog`
 shaped): :meth:`TraceRecorder.record` mirrors counted instants into it and
 :meth:`~TraceRecorder.span_begin`/:meth:`~TraceRecorder.span_end` open and
 close packet/page lifecycle spans there.  Span completions are counted
-whether or not a sink is attached.
+whether or not a sink is attached.  The sink takes ownership of each
+detail dict it is handed.
 
-:meth:`~TraceRecorder.rx` marks the receiver a delivered frame is being
-handed to, and :meth:`~TraceRecorder.current_frame` names that frame, so the
-receiver's ``on_receive`` can parent what it triggers (a SNACK arm, a
-decode) on it.  The mark stays until the next ``rx`` or until the radio
-calls :meth:`~TraceRecorder.rx_done` at the end of the frame's delivery
-loop, so it also covers the loss and tamper decisions for later receivers
-of the same frame; those must not ask for it.
+The radio marks the frame it is delivering (:attr:`TraceRecorder.rx_frame`,
+once per frame) and the receiver it is handing it to
+(:attr:`TraceRecorder.rx_node`, once per delivery), and
+:meth:`~TraceRecorder.current_frame` names that frame, so the receiver's
+``on_receive`` can parent what it triggers (a SNACK arm, a decode) on it.
+The mark stays until the next delivery or until ``frame_end``, so it also
+covers the loss and tamper decisions for later receivers of the same frame;
+those must not ask for it.
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ class Observer:
                    state: Optional[Dict[str, Any]], requester: Optional[int],
                    index: Optional[int], via: Optional[int]) -> None:
         """A TX policy's state after a SNACK fold, a send or an overheard
-        packet (``trigger``); ``state`` is None for an opaque policy."""
+        packet (``trigger``); ``state`` is None for an opaque policy, else
+        a snapshot taken for this hook alone, which it may keep."""
 
 
 class TraceRecorder:
@@ -152,8 +155,11 @@ class TraceRecorder:
         # provenance stamps only when a causal recorder is attached.
         self.flight = flight
         self.causal = causal
-        self._rx_node: Optional[int] = None
-        self._rx_frame: Any = None
+        #: The current-frame mark, written by the radio: the id of the
+        #: frame it is delivering and the receiver it is handing it to
+        #: (None outside a delivery loop).
+        self.rx_frame: Any = None
+        self.rx_node: Optional[int] = None
         # Per frame kind: its tx counter name, its bytes counter name and
         # its per-unit counter names by unit, built on the kind's first tx.
         self._tx_names: Dict[Any, Tuple[str, str, Dict[int, str]]] = {}
@@ -194,7 +200,7 @@ class TraceRecorder:
         """Count ``kind`` and mirror it into the sink as an instant event."""
         self.counters[kind] += 1
         if self.sink is not None:
-            self.sink.instant(time, kind, node, dict(detail) if detail else None)
+            self.sink.instant(time, kind, node, detail or None)
 
     # -- outcomes ---------------------------------------------------------------
 
@@ -229,28 +235,17 @@ class TraceRecorder:
         for hook in self._on_tx:
             hook(ts, frame, unit)
 
-    def rx(self, dst: int, frame: Any) -> None:
-        """``frame`` reached ``dst``; it is ``dst``'s current frame until
-        the next ``rx`` or :meth:`rx_done`."""
-        counters = self.counters
-        counters["rx_delivered"] += 1
-        counters["rx_delivered_bytes"] += frame.size_bytes
-        self._rx_node = dst
-        self._rx_frame = frame.frame_id
-
-    def rx_done(self) -> None:
-        """The frame's delivery loop ended: no frame is being handled."""
-        self._rx_node = None
-
     def current_frame(self, node: int) -> Any:
         """The id of the frame ``node`` is handling right now, or None (a
         timer fire)."""
-        return self._rx_frame if node == self._rx_node else None
+        return self.rx_frame if node == self.rx_node else None
 
     def frame_end(self, ts: float, frame: Any, start: float,
                   delivered: List[int], lost: List[Tuple[int, str]]) -> None:
-        """``frame`` left the air; its receivers were already counted, one
-        by one, as the radio reached them."""
+        """``frame`` left the air and its delivery loop ended, so no frame
+        is being handled; its receivers were already counted, one by one,
+        as the radio reached them."""
+        self.rx_node = None
         for hook in self._on_frame:
             hook(ts, frame, start, delivered, lost)
 
@@ -285,12 +280,11 @@ class TraceRecorder:
                 policy: Any, requester: Optional[int] = None,
                 index: Optional[int] = None,
                 via: Optional[int] = None) -> None:
-        """A TX policy changed; its ``snapshot()`` is taken only if observed."""
-        hooks = self._on_tracker
-        if hooks:
-            state = policy.snapshot()
-            for hook in hooks:
-                hook(ts, node, unit, trigger, state, requester, index, via)
+        """A TX policy changed; each observing hook gets its own
+        ``snapshot()``, so none is taken unless observed."""
+        for hook in self._on_tracker:
+            hook(ts, node, unit, trigger, policy.snapshot(), requester, index,
+                 via)
 
     # -- lifecycle spans ----------------------------------------------------------
 
@@ -298,14 +292,14 @@ class TraceRecorder:
                    key: Any = None, **detail: Any) -> None:
         """Open a lifecycle span in the structured sink (no-op without one)."""
         if self.sink is not None:
-            self.sink.begin(time, kind, node, key, dict(detail) if detail else None)
+            self.sink.begin(time, kind, node, key, detail or None)
 
     def span_end(self, time: float, kind: str, node: Optional[int] = None,
                  key: Any = None, **detail: Any) -> None:
         """Count one completion of ``kind``; close its span in the sink."""
         self.counters[kind] += 1
         if self.sink is not None:
-            self.sink.end(time, kind, node, key, dict(detail) if detail else None)
+            self.sink.end(time, kind, node, key, detail or None)
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy of all counters."""

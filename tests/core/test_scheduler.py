@@ -283,4 +283,4 @@ def test_popularity_vector_is_a_copy():
     table.update_from_snack(1, {0, 1})
     table.popularity_vector()[0] = 99
     assert table.popularity(0) == 1
-    assert table.snapshot()["popularity"] == [1, 1, 0, 0]
+    assert table.snapshot()["popularity"] == (1, 1, 0, 0)

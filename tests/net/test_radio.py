@@ -67,6 +67,31 @@ def test_counters_by_kind_and_bytes():
     assert trace.counters["rx_delivered"] == 2 * 3  # two frames, three listeners each
 
 
+def test_each_delivery_is_counted_and_marked_before_its_handler_runs():
+    """A run that completes inside a receive handler freezes its counters
+    there, so the radio counts each delivery before handing the frame on;
+    the handler sees its frame as the current one, other nodes see none."""
+    sim, radio, nodes, trace = _network(n_receivers=3)
+    seen = []
+
+    def watch(node):
+        def on_receive(frame, sender):
+            seen.append((node.node_id, trace.counters["rx_delivered"],
+                         trace.counters["rx_delivered_bytes"],
+                         trace.current_frame(node.node_id),
+                         trace.current_frame(0)))
+        node.on_receive = on_receive
+
+    for node in nodes[1:]:
+        watch(node)
+    sent = nodes[0].broadcast(FrameKind.DATA, 50, "d")
+    sim.run()
+    assert seen == [(1, 1, 50, sent.frame_id, None),
+                    (2, 2, 100, sent.frame_id, None),
+                    (3, 3, 150, sent.frame_id, None)]
+    assert trace.current_frame(3) is None  # frame_end cleared the mark
+
+
 def test_sender_queue_serialises_frames():
     sim, radio, nodes, trace = _network()
     nodes[0].broadcast(FrameKind.DATA, 50, "a")

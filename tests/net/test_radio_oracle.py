@@ -338,9 +338,9 @@ def test_aborted_and_open_frames_get_one_record_each():
     aborted, still_on_air = log.of_kind("frame")
     assert (aborted.node, aborted.ts, aborted.detail["end"]) == (
         1, 0.0, pytest.approx(net.radio.config.airtime(200)))
-    assert aborted.detail["rx"] == aborted.detail["lost"] == []
+    assert aborted.detail["rx"] == aborted.detail["lost"] == ()
     assert "open" not in aborted.detail
     assert (still_on_air.node, still_on_air.ts) == (2, 0.5)
     assert still_on_air.detail["open"] is True
     assert still_on_air.detail["end"] == 1.0
-    assert still_on_air.detail["rx"] == still_on_air.detail["lost"] == []
+    assert still_on_air.detail["rx"] == still_on_air.detail["lost"] == ()

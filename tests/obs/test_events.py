@@ -137,6 +137,29 @@ def test_trace_event_dict_round_trip():
     assert TraceEvent.from_dict(data) == sparse
 
 
+def test_trace_event_compares_by_value_and_reprs_its_fields():
+    event = TraceEvent(1.5, "span_page", "X", 3, 2.0, {"unit": 1})
+    same = TraceEvent(ts=1.5, kind="span_page", ph="X", node=3, dur=2.0,
+                      detail={"unit": 1})
+    assert event == same and not event != same
+    for other in (TraceEvent(1.5, "span_page", "X", 3, 2.0, {"unit": 2}),
+                  TraceEvent(1.5, "span_page", "X", 4, 2.0, {"unit": 1}),
+                  TraceEvent(1.5, "span_page", "i", 3, None, {"unit": 1}),
+                  TraceEvent(2.5, "span_page", "X", 3, 2.0, {"unit": 1})):
+        assert event != other and not event == other
+    # A record equals only records, never a tuple of its fields.
+    assert event != (1.5, "span_page", "X", 3, 2.0, {"unit": 1})
+    assert repr(event) == ("TraceEvent(ts=1.5, kind='span_page', ph='X', "
+                           "node=3, dur=2.0, detail={'unit': 1})")
+    assert repr(TraceEvent(0.0, "tx_adv")) == (
+        "TraceEvent(ts=0.0, kind='tx_adv', ph='i', node=None, dur=None, "
+        "detail={})")
+    with pytest.raises(TypeError):
+        hash(event)
+    with pytest.raises(AttributeError):
+        event.extra = 1  # slotted: no per-record __dict__
+
+
 def test_of_kind_and_spans_queries():
     log = EventLog()
     log.instant(1.0, "tx_data")

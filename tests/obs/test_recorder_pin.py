@@ -120,3 +120,52 @@ def test_forgery_stream_and_counters_are_pinned():
         "78a7e7698958385d27bbad4e6c11c5e228e4fc30afbfc5bc49786c3b1aa34ae0")
     assert counters == (
         "2e725446deb2fa313b4df2a4de37a6f068f7cc4fb23f06c5b5ca642dfcab8ea7")
+
+
+def _naive_link_matrix(log):
+    """The per-link accounting, recounted from the log record by record."""
+    rows = {}
+
+    def row(src, dst):
+        return rows.setdefault((src, dst), {
+            "src": src, "dst": dst, "rx": 0, "lost": 0, "auth_drop": 0,
+            "duplicate": 0, "causes": {}})
+
+    for event in log.events:
+        if event.kind == "frame":
+            for dst in event.detail["rx"]:
+                row(event.node, dst)["rx"] += 1
+            for dst, cause in event.detail["lost"]:
+                found = row(event.node, dst)
+                found["lost"] += 1
+                found["causes"][cause] = found["causes"].get(cause, 0) + 1
+        elif event.kind == "link_auth_drop":
+            row(event.detail["src"], event.node)["auth_drop"] += 1
+        elif event.kind == "link_duplicate":
+            row(event.detail["src"], event.node)["duplicate"] += 1
+    for found in rows.values():
+        found["causes"] = dict(sorted(found["causes"].items()))
+    return {link: rows[link] for link in sorted(rows)}
+
+
+@pytest.mark.parametrize("run", [_grid_run, _forgery_run],
+                         ids=["grid", "forgery"])
+def test_link_matrix_matches_a_naive_fold_of_the_log(run):
+    """The matrix the flight recorder folds from its written frame records
+    and auth counts equals a recount of the JSONL-bound records, and its
+    ``flight_link_stats`` summary is that matrix in ``(src, dst)`` order."""
+    log, trace = run()
+    naive = _naive_link_matrix(log)
+    matrix = trace.flight.link_matrix()
+    assert matrix == naive
+    assert list(matrix) == list(naive)
+    assert [list(row["causes"]) for row in matrix.values()] == [
+        list(row["causes"]) for row in naive.values()]
+    assert [e.detail for e in log.of_kind("flight_link_stats")] == list(
+        naive.values())
+    # The lossy grid fills every column; the lossless star under a forged
+    # flood fills the auth drops.
+    filled = {name for row in naive.values()
+              for name in ("lost", "auth_drop", "duplicate") if row[name]}
+    assert filled == ({"lost", "auth_drop", "duplicate"} if run is _grid_run
+                      else {"auth_drop"})

@@ -269,3 +269,70 @@ def test_out_of_range_data_is_dropped_before_it_counts(harness, protocol):
             or node.units_complete == unit + 1)
     assert node._neighbor_progress[9] == unit + 1
     assert node._last_data_heard[unit] == h.sim.now
+
+
+def _collecting_node(harness, protocol):
+    """A receiver that knows the image (signature verified, unit count
+    learnt) and is collecting its first unit after the signature."""
+    from repro.core.packets import Advertisement
+
+    h = harness(protocol, receivers=2)
+    node = h.nodes[0]
+    total = h.pre.total_units
+    if node.uses_signature:
+        node._on_signature(h.pre.signature_packet, 0)
+    node._on_adv(Advertisement(2, total, total), 0)
+    assert not node.complete and node._rx_buffer == {}
+    return h, node
+
+
+@pytest.mark.parametrize("protocol", ["seluge", "lr-seluge"])
+def test_forged_data_is_rejected_before_it_is_buffered(harness, protocol):
+    """The paper's DoS claim: a forged packet of the unit being collected
+    (one payload byte flipped) is authenticated and dropped before it is
+    buffered, and it moves neither its sender's progress nor the data
+    timers; the flight recorder logs it as one auth drop on that link."""
+    import dataclasses
+
+    from repro.obs.events import EventLog
+    from repro.obs.flight import FlightRecorder
+
+    h, node = _collecting_node(harness, protocol)
+    log = EventLog()
+    flight = FlightRecorder(log)
+    h.trace.subscribe(flight)
+    good = h.base.pipeline.serving_packets(node.units_complete)[0]
+    flipped = bytes([good.payload[0] ^ 0x01]) + good.payload[1:]
+    forged = dataclasses.replace(good, payload=flipped)
+    rejected = h.trace.counters["data_rejected"]
+    last_heard = dict(node._last_data_heard)
+
+    node._on_data(forged, 9)
+
+    assert h.trace.counters["data_rejected"] == rejected + 1
+    assert node._rx_buffer == {}
+    assert 9 not in node._neighbor_progress
+    assert node._last_data_heard == last_heard
+    drops = log.of_kind("link_auth_drop")
+    assert [(e.node, e.detail["src"]) for e in drops] == [(node.node_id, 9)]
+    assert log.of_kind("pkt_buffered") == []
+    assert flight.link_matrix()[(9, node.node_id)]["auth_drop"] == 1
+
+
+@pytest.mark.parametrize("protocol", ["seluge", "lr-seluge"])
+def test_snack_for_the_unit_being_collected_is_not_served(harness, protocol):
+    """A node serves only units it holds: a SNACK naming it as server for
+    the unit it is still collecting opens no TX policy and no serve span."""
+    from repro.obs.events import EventLog
+
+    h, node = _collecting_node(harness, protocol)
+    log = h.trace.sink = EventLog()
+    unit = node.units_complete
+    node._on_snack(SnackRequest(2, unit, 2, node.node_id, (0,)), 2)
+    assert node._service == {}
+    assert not node._tx_timer.armed
+    log.flush_open_spans(h.sim.now)
+    assert log.of_kind("span_serve") == []
+    # It holds the unit before (the signature): that one is served.
+    node._on_snack(SnackRequest(2, unit - 1, 2, node.node_id, (0,)), 2)
+    assert list(node._service) == [unit - 1]

@@ -136,18 +136,18 @@ def _frame(frame_id=7, size=10):
 def test_outcomes_count_then_reach_observers_flight_first():
     log = []
     t = TraceRecorder(flight=Calls("flight", log), causal=Calls("causal", log))
-    # Deliveries and losses are counted one by one; observers hear of them
-    # once per frame, at frame end.
-    t.rx(2, _frame())
-    t.rx_done()
-    t.count(LOSS_COUNTERS["collision"])
+    # The airing is counted at once; the radio counts deliveries and losses
+    # itself, and observers hear of them once per frame, at frame end.
+    from repro.net.packet import Frame, FrameKind
+
+    t.tx(0.9, Frame(kind=FrameKind.DATA, sender=1, size_bytes=10,
+                    payload=None))
+    assert t.counters["tx_data"] == 1
+    assert t.counters["tx_data_bytes"] == 10
     assert log == []
     t.frame_end(1.0, _frame(), 0.9, [2], [(3, "collision")])
     assert log == [("flight", 0.9, 1.0, [2], [(3, "collision")]),
                    ("causal", 0.9, 1.0, [2], [(3, "collision")])]
-    assert t.counters["rx_delivered"] == 1
-    assert t.counters["rx_delivered_bytes"] == 10
-    assert t.counters["rx_collision"] == 1
 
 
 def test_every_loss_cause_has_its_own_counter():
@@ -157,13 +157,15 @@ def test_every_loss_cause_has_its_own_counter():
     assert t.snapshot() == {name: 1 for name in LOSS_COUNTERS.values()}
 
 
-def test_current_frame_lasts_from_rx_to_rx_done():
+def test_current_frame_lasts_from_the_mark_to_frame_end():
     t = TraceRecorder()
     assert t.current_frame(2) is None
-    t.rx(2, _frame(frame_id=42))
+    # What the radio's delivery loop writes: the frame, then the receiver.
+    t.rx_frame = 42
+    t.rx_node = 2
     assert t.current_frame(2) == 42
     assert t.current_frame(3) is None
-    t.rx_done()
+    t.frame_end(1.0, _frame(frame_id=42), 0.9, [2], [])
     assert t.current_frame(2) is None
 
 

@@ -1101,6 +1101,34 @@ def test_rep017_allows_slotted_dataclasses_and_cold_allocation():
     assert codes(findings) == []
 
 
+@pytest.mark.parametrize("relpath", ["src/repro/sim/trace.py",
+                                     "src/repro/obs/events.py",
+                                     "src/repro/obs/flight.py"])
+def test_hot_path_rules_cover_the_recording_path(relpath):
+    """The seam, the event log and the flight recorder run on every
+    recorded outcome, so REP016/REP017 hold them to the engine's rules."""
+    findings = run(
+        """
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class Record:
+            ts: float
+
+        class Log:
+            def __init__(self):
+                self._seen = set()
+
+            def flush(self, spans):
+                for detail in spans:
+                    merged = dict(detail)
+                return [n for n in self._seen]
+        """,
+        relpath=relpath,
+    )
+    assert codes(findings) == ["REP016", "REP017", "REP017"]
+
+
 def test_rep017_is_scoped_to_hot_modules():
     findings = run(
         """

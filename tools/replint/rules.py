@@ -1092,7 +1092,8 @@ def check_rep015(tree: ast.AST, ctx: FileContext) -> List[Finding]:
 # REP016 — hot-path-unordered
 # ---------------------------------------------------------------------------
 
-_HOT_PATH_SUFFIXES = ("sim/engine.py", "net/radio.py", "net/channel.py")
+_HOT_PATH_SUFFIXES = ("sim/engine.py", "net/radio.py", "net/channel.py",
+                      "sim/trace.py", "obs/events.py", "obs/flight.py")
 
 _SET_ANNOTATIONS = {"set", "Set", "typing.Set", "frozenset", "FrozenSet",
                     "typing.FrozenSet"}
@@ -1175,8 +1176,9 @@ def check_rep016(tree: ast.AST, ctx: FileContext) -> List[Finding]:
     REP003 already flags *local* set names feeding decisions anywhere in
     src; this rule closes the attribute/parameter gap specifically for the
     modules under every event (sim/engine.py, net/radio.py,
-    net/channel.py): iteration over ``self.<attr>`` sets and set-annotated
-    parameters.  Dict iteration is exempt — CPython dicts iterate in
+    net/channel.py) and on every recorded outcome (sim/trace.py,
+    obs/events.py, obs/flight.py): iteration over ``self.<attr>`` sets and
+    set-annotated parameters.  Dict iteration is exempt — CPython dicts iterate in
     insertion order, deterministic for a deterministic run.
     """
     if not _is_hot_path(ctx):
@@ -1222,8 +1224,9 @@ def _dataclass_has_slots(node: ast.ClassDef, decorator: ast.AST) -> bool:
 def check_rep017(tree: ast.AST, ctx: FileContext) -> List[Finding]:
     """Allocation anti-patterns in hot-path modules (WARNING).
 
-    Two shapes, both scoped to sim/engine.py, net/radio.py and
-    net/channel.py: (a) a @dataclass without ``slots=True`` (or a manual
+    Two shapes, both scoped to the hot-path modules (sim/engine.py,
+    net/radio.py, net/channel.py, sim/trace.py, obs/events.py,
+    obs/flight.py): (a) a @dataclass without ``slots=True`` (or a manual
     ``__slots__``) — a per-instance ``__dict__`` on a per-event object;
     (b) a comprehension or list()/set()/dict()/tuple() materialiser inside
     a loop body or inside a handler scheduled in this module — an
