@@ -34,12 +34,10 @@ Subpackages
 ``repro.attacks``
     The paper's adversaries (bogus data, signature flood, denial of
     receipt, control forgery) and the engine that deploys them.
-``repro.faults``
-    Deterministic crashes, churn, link flaps and flash persistence.
 ``repro.obs``
     Counters, flight and causal recorders, trace analysis, run manifests.
 ``repro.analysis``
-    Section-V transmission models plus an analytical latency model.
+    Section-V transmission models.
 ``repro.experiments``
     Scenarios, metrics, energy accounting, figure/table harness.
 """

@@ -17,10 +17,6 @@ from repro.analysis.distributions import (
     binomial_pmf,
     binomial_tail_ge,
 )
-from repro.analysis.latency import (
-    estimate_lr_seluge_latency,
-    estimate_seluge_latency,
-)
 
 __all__ = [
     "seluge_expected_tx",
@@ -30,6 +26,4 @@ __all__ = [
     "expected_max_geometric",
     "binomial_pmf",
     "binomial_tail_ge",
-    "estimate_seluge_latency",
-    "estimate_lr_seluge_latency",
 ]

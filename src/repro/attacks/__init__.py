@@ -1,10 +1,9 @@
 """The composable adversary engine (DESIGN.md §12).
 
 Declarative :class:`AttackSpec` records (JSON-loadable with
-:func:`load_attack_plan`, like :class:`repro.faults.plan.FaultPlan`) name
-attackers from :data:`ATTACK_KINDS`; an :class:`AttackEngine` deploys them
-into any scenario's topology and halts them the moment every victim
-completes.
+:func:`load_attack_plan`) name attackers from :data:`ATTACK_KINDS`; an
+:class:`AttackEngine` deploys them into any scenario's topology and halts
+them the moment every victim completes.
 """
 
 from repro.attacks.engine import AttackEngine

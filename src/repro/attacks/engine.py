@@ -145,11 +145,6 @@ class AttackEngine:
             attacker.start()
 
     def halt_all(self) -> None:
-        """Permanently silence the fleet (all victims completed).
-
-        Safe on crashed attackers too: ``halt`` marks them finished so a
-        later :meth:`~repro.attacks.model.AttackModel.reboot` cannot resume
-        the attack loop.
-        """
+        """Permanently silence the fleet (all victims completed)."""
         for attacker in self.attackers:
             attacker.halt()

@@ -2,11 +2,8 @@
 
 An :class:`AttackModel` is a radio-attached node that fires attack traffic on
 a period (via :class:`~repro.sim.process.PeriodicProcess`), snoops
-advertisements to target its victims, and supports the full node lifecycle
-the rest of the harness expects:
+advertisements to target its victims, and stops in one of two ways:
 
-* :meth:`crash`/:meth:`reboot` — so a PR 1 :class:`~repro.faults.plan.
-  FaultPlan` can target attacker node ids exactly like protocol nodes;
 * :meth:`halt` — the :class:`~repro.attacks.engine.AttackEngine` halts every
   attacker the instant all victims report completion, so attack scenarios
   stop inflating event counts after the interesting part is over;
@@ -51,7 +48,6 @@ class AttackModel(NetworkNode):
         super().__init__(node_id, sim, radio, rngs, trace)
         self.sent = 0
         self.halted = False
-        self.crashed = False
         self._period = period
         self._start_delay = start_delay
         self._stop_time = stop_time
@@ -61,47 +57,22 @@ class AttackModel(NetworkNode):
 
     def start(self) -> None:
         """Arm the periodic attack loop (idempotent while running)."""
-        if self._process is not None or self.halted or self.crashed:
+        if self._process is not None or self.halted:
             return
         self._process = PeriodicProcess(
             self.sim, self._fire, self._period, start_delay=self._start_delay
         )
 
-    def stop(self) -> None:
-        """Cancel the pending tick without marking the attacker finished."""
-        if self._process is not None:
-            self._process.stop()
-            self._process = None
-
     def halt(self) -> None:
         """Permanently stop attacking (victims completed, or window closed)."""
         if self.halted:
             return
-        self.stop()
+        if self._process is not None:
+            self._process.stop()
+            self._process = None
         self.halted = True
         self.trace.record(self.sim.now, "attack_halted", self.node_id,
                           attack=self.kind, sent=self.sent)
-
-    def crash(self) -> None:
-        """Power loss: leave the air and stop the attack loop."""
-        if self.crashed:
-            return
-        self.crashed = True
-        self.stop()
-        self.radio.detach(self.node_id)
-        self.trace.record(self.sim.now, "fault_crash", self.node_id)
-
-    def reboot(self) -> None:
-        """Power restored: resume attacking unless already halted."""
-        if not self.crashed:
-            return
-        self.crashed = False
-        self.radio.attach(self.node_id)
-        self.trace.record(self.sim.now, "fault_reboot", self.node_id,
-                          resume_unit=0)
-        if not self.halted:
-            self._start_delay = self._period
-            self.start()
 
     # -- attack machinery ----------------------------------------------------
 
@@ -115,7 +86,7 @@ class AttackModel(NetworkNode):
         raise NotImplementedError
 
     def on_receive(self, frame: Frame, sender: int) -> None:
-        if self.crashed or self.halted:
+        if self.halted:
             return
         # Attackers snoop advertisements to target the current page.
         if frame.kind is FrameKind.ADV:

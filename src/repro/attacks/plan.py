@@ -1,11 +1,10 @@
 """Declarative attack specs.
 
-An attack plan is a tuple of :class:`AttackSpec` records — pure data, like
-the events of a :class:`repro.faults.plan.FaultPlan`: building one performs
-no simulation work, so specs can be read from JSON (the ``--attack-plan``
-CLI flag, :func:`load_attack_plan`), embedded in frozen scenario
-dataclasses (stable campaign task keys), and deployed deterministically by
-an :class:`~repro.attacks.engine.AttackEngine`.
+An attack plan is a tuple of :class:`AttackSpec` records — pure data:
+building one performs no simulation work, so specs can be read from JSON
+(the ``--attack-plan`` CLI flag, :func:`load_attack_plan`), embedded in
+frozen scenario dataclasses (stable campaign task keys), and deployed
+deterministically by an :class:`~repro.attacks.engine.AttackEngine`.
 
 Each spec names an attack *kind* (a key of
 :data:`repro.attacks.models.ATTACK_KINDS`), its activation window, its firing

@@ -2,8 +2,7 @@
 
 An adversarial run is an ordinary :class:`~repro.experiments.scenarios.
 Scenario` with ``attacks`` (deployed through the :class:`~repro.attacks.
-engine.AttackEngine`) and optional ``faults`` (attackers are radio
-participants like any node, so they can crash and reboot mid-run too).
+engine.AttackEngine`).
 
 :func:`run_attributed` runs a rig and folds per-attacker damage attribution
 (read from the flight recorder's per-link matrix) into the returned

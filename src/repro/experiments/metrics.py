@@ -4,11 +4,7 @@ Section VI compares: total data packets, total SNACK packets, total
 advertisement packets, total communication cost in bytes (data + SNACK +
 advertisement, to account for LR-Seluge's ``n - k`` extra SNACK bits), and
 overall dissemination latency (time until every node holds the image).
-
-Fault-injection runs additionally report degradation: the completion rate
-(nodes finished / nodes tracked), fault event counts, and — via
-:func:`degradation` — the extra packets and latency penalty relative to a
-fault-free baseline of the same scenario.
+A run also reports its completion rate (nodes finished / nodes tracked).
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-__all__ = ["RunResult", "DegradationReport", "degradation"]
+__all__ = ["RunResult"]
 
 
 @dataclass
@@ -62,7 +58,7 @@ class RunResult:
             "tx_signature_bytes", 0
         )
 
-    # -- fault/degradation metrics -------------------------------------------------
+    # -- completion --------------------------------------------------------------
 
     @property
     def completion_rate(self) -> Optional[float]:
@@ -81,14 +77,6 @@ class RunResult:
         if self.tracked is not None:
             done = len(set(self.tracked) & set(self.per_node_completion))
         return min(done, self.n_nodes) / self.n_nodes
-
-    @property
-    def crash_count(self) -> int:
-        return self.counters.get("fault_crash", 0)
-
-    @property
-    def reboot_count(self) -> int:
-        return self.counters.get("fault_reboot", 0)
 
     def summary_row(self) -> Dict[str, float]:
         """The five paper metrics as a flat dict (for report tables)."""
@@ -155,49 +143,3 @@ class RunResult:
             f"snack={self.snack_packets} adv={self.adv_packets} "
             f"bytes={self.total_bytes} latency={self.latency:.1f}s"
         )
-
-
-@dataclass(frozen=True)
-class DegradationReport:
-    """How much a faulty run paid relative to its fault-free baseline."""
-
-    completion_rate: Optional[float]
-    crashes: int
-    reboots: int
-    extra_data_packets: int
-    extra_snack_packets: int
-    extra_total_bytes: int
-    latency_penalty_s: float
-    latency_ratio: float
-
-    def summary_row(self) -> Dict[str, float]:
-        return {
-            "completion_rate": (
-                round(self.completion_rate, 4)
-                if self.completion_rate is not None
-                else float("nan")
-            ),
-            "crashes": self.crashes,
-            "reboots": self.reboots,
-            "extra_data_pkts": self.extra_data_packets,
-            "extra_snack_pkts": self.extra_snack_packets,
-            "extra_bytes": self.extra_total_bytes,
-            "latency_penalty_s": round(self.latency_penalty_s, 2),
-            "latency_ratio": round(self.latency_ratio, 3),
-        }
-
-
-def degradation(faulty: RunResult, baseline: RunResult) -> DegradationReport:
-    """Compare a fault-injected run against a fault-free run of the same
-    scenario: the extra traffic and latency are the cost of the faults."""
-    ratio = faulty.latency / baseline.latency if baseline.latency > 0 else float("inf")
-    return DegradationReport(
-        completion_rate=faulty.completion_rate,
-        crashes=faulty.crash_count,
-        reboots=faulty.reboot_count,
-        extra_data_packets=faulty.data_packets - baseline.data_packets,
-        extra_snack_packets=faulty.snack_packets - baseline.snack_packets,
-        extra_total_bytes=faulty.total_bytes - baseline.total_bytes,
-        latency_penalty_s=faulty.latency - baseline.latency,
-        latency_ratio=ratio,
-    )

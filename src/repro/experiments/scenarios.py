@@ -9,15 +9,14 @@ Multi-hop (Section VI-C): 15x15 mica2-style grids (tight/medium density)
 with per-link loss probabilities from the propagation model and the CSMA
 collision model enabled.
 
-A :class:`Scenario` describes either setup, plus optional faults (an
-explicit plan and/or stochastic churn) and attackers.  :func:`build_rig`
-wires it — topology, loss, radio, protocol network, attackers, faults — in
-one fixed order, and :meth:`Rig.run` starts it.
+A :class:`Scenario` describes either setup, plus optional attackers.
+:func:`build_rig` wires it — topology, loss, radio, protocol network,
+attackers — in one fixed order, and :meth:`Rig.run` starts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.attacks import AttackEngine, AttackModel, AttackSpec
@@ -26,10 +25,6 @@ from repro.core.image import CodeImage
 from repro.errors import ConfigError
 from repro.experiments.metrics import RunResult
 from repro.experiments.runner import CompletionTracker, run_network
-from repro.faults.flash import NodeFlash
-from repro.faults.generators import crash_reboot_churn, link_flap_churn
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultEvent, FaultPlan
 from repro.net.channel import (
     BernoulliLoss,
     GilbertElliottLoss,
@@ -74,10 +69,6 @@ _BUILDERS = {
     "lr-seluge": build_lr_seluge_network,
 }
 
-#: Seconds between link-flap checks, and seconds a flapped link stays down.
-FLAP_INTERVAL = 30.0
-FLAP_DOWN_TIME = 15.0
-
 
 def make_params(
     protocol: str,
@@ -121,7 +112,7 @@ def build_protocol_network(
 
 @dataclass(frozen=True)
 class Scenario:
-    """One dissemination run: network, channel, image, faults and attackers.
+    """One dissemination run: network, channel, image and attackers.
 
     ``topology`` is ``star:<receivers>``, ``tight``/``medium[:RxC]``,
     ``grid:RxC:spacing``, ``random:nodes:side`` or ``file:<path>`` (see
@@ -129,15 +120,9 @@ class Scenario:
     ``loss_rate``; every other topology uses its per-link loss, with the
     ambient Gilbert-Elliott bursts on top when ``ambient`` is set.
 
-    Faults come from the explicit ``faults`` events and/or the stochastic
-    generators: with ``mtbf`` set, every *receiver* (never the base station,
-    whose image is the golden copy) crash-reboots with exponential
-    MTBF/MTTR; with ``link_flap`` set, directed links flap Bernoulli-style
-    until ``churn_horizon`` (default ``max_time / 2``).
-
     The frozen dataclass form is load-bearing: the campaign executor hashes
     scenarios into stable task keys, so every field — including each
-    :class:`AttackSpec` and :class:`FaultEvent` — must canonicalise.
+    :class:`AttackSpec` — must canonicalise.
     """
 
     protocol: str = "lr-seluge"
@@ -152,16 +137,7 @@ class Scenario:
     seed: int = 1
     max_time: float = 7200.0
     timing: Optional[ProtocolTiming] = None
-    faults: Tuple[FaultEvent, ...] = ()
-    mtbf: Optional[float] = None
-    mttr: float = 60.0
-    link_flap: float = 0.0
-    churn_horizon: Optional[float] = None
     attacks: Tuple[AttackSpec, ...] = ()
-
-    def fault_free(self) -> "Scenario":
-        """The same scenario with every fault source removed (baseline)."""
-        return replace(self, faults=(), mtbf=None, link_flap=0.0)
 
 
 def OneHopScenario(receivers: int = 20, **fields) -> Scenario:
@@ -237,27 +213,6 @@ def _loss(scenario: Scenario, topo: Topology) -> LossModel:
                               mean_bad=2.0, loss_map=topo.link_loss)
 
 
-def _fault_plan(scenario: Scenario, rngs: RngRegistry,
-                nodes: List[DisseminationNode], topo: Topology) -> FaultPlan:
-    """The explicit fault events merged with the stochastic churn plans."""
-    plan = FaultPlan(scenario.faults)
-    horizon = scenario.churn_horizon or scenario.max_time / 2.0
-    if scenario.mtbf is not None:
-        plan = plan.merge(crash_reboot_churn(
-            rngs, [node.node_id for node in nodes],
-            mtbf=scenario.mtbf, mttr=scenario.mttr, horizon=horizon,
-        ))
-    if scenario.link_flap > 0.0:
-        links = sorted(
-            (u, v) for u, nbrs in topo.neighbors.items() for v in nbrs
-        )
-        plan = plan.merge(link_flap_churn(
-            rngs, links, p_flap=scenario.link_flap, down_time=FLAP_DOWN_TIME,
-            check_interval=FLAP_INTERVAL, horizon=horizon,
-        ))
-    return plan
-
-
 @dataclass
 class Rig:
     """A fully wired, not-yet-started run.
@@ -329,15 +284,7 @@ def build_rig(
         scenario.protocol, sim, radio, rngs, trace, params, image, on_complete,
     )
     engine = AttackEngine(sim, radio, rngs, trace, scenario.attacks)
-    attackers = engine.deploy()
-
-    if scenario.faults or scenario.mtbf is not None or scenario.link_flap > 0.0:
-        # Reboots resume from the persisted page index.
-        for node in nodes:
-            node.flash = NodeFlash(node.node_id)
-        FaultInjector(sim, radio, trace, [base] + nodes + attackers,
-                      _fault_plan(scenario, rngs, nodes, topo), rngs).install()
-
+    engine.deploy()
     return Rig(scenario=scenario, sim=sim, trace=trace, radio=radio,
                tracker=tracker, base=base, nodes=list(nodes), engine=engine,
                image=image)

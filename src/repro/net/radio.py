@@ -8,12 +8,11 @@ while any audible transmission is on the air, then retries after a random
 backoff — a deliberately simple CSMA in the spirit of the mica2 stack.
 
 ``r`` hears ``s`` iff ``r in topology.neighbors[s]``, for delivery, carrier
-sense and interference alike; a link forced down with :meth:`Radio.set_link`
-gates delivery only, so its frames still interfere.  Collisions are decided
-by per-receiver reception state updated when a frame starts and when it
-ends (O(degree) each): every node keeps the frames it is hearing, and a
-frame starting while another is still on the air (strict overlap: ``end >
-now``) marks both as collided there.
+sense and interference alike.  Collisions are decided by per-receiver
+reception state updated when a frame starts and when it ends (O(degree)
+each): every node keeps the frames it is hearing, and a frame starting while
+another is still on the air (strict overlap: ``end > now``) marks both as
+collided there.
 
 Each outcome — a frame queued, aired, delivered, lost (with its cause) or
 dropped by the MAC — is reported once, to the run's
@@ -66,15 +65,14 @@ class RadioConfig:  # replint: disable=REP017 -- built once per run, not per eve
 
 
 class _Transmission:
-    __slots__ = ("sender", "frame", "start", "end", "aborted", "hearing",
-                 "collided", "halfduplex")
+    __slots__ = ("sender", "frame", "start", "end", "hearing", "collided",
+                 "halfduplex")
 
     def __init__(self, sender: int, frame: Frame, start: float, end: float):
         self.sender = sender
         self.frame = frame
         self.start = start
         self.end = end
-        self.aborted = False  # sender crashed mid-frame; delivers to nobody
         # Collision modelling only: the listeners' hearing lists this frame
         # sits in, and the listeners at which it is lost (allocated on the
         # first loss; membership tests only).
@@ -116,22 +114,16 @@ class Radio:
         self._nodes: Dict[int, "NetworkNode"] = {}
         self._queues: Dict[int, Deque[Frame]] = {}
         self._backoffs: Dict[int, int] = {}
-        # Each node's latest frame, kept until its scheduled end (a node is
-        # sending while it is not aborted), and, with collisions on, the
-        # frames each node is hearing.
+        # Each node's frame on the air, kept until its end, and, with
+        # collisions on, the frames each node is hearing.
         self._on_air: Dict[int, _Transmission] = {}
         self._hearing: Dict[int, List[_Transmission]] = {}
-        self._detached: Set[int] = set()
-        self._links_down: Set[Tuple[int, int]] = set()
         # Per sender, its ``neighbors()`` with their receive handlers, built
-        # at the sender's first frame end and cleared by register, detach,
-        # attach and set_link.  ``topology.neighbors`` may change only before
-        # a ``register`` call (as the attack engine's placement does), or
-        # delivery goes on using the stale table.
+        # at the sender's first frame end and cleared by register.
+        # ``topology.neighbors`` may change only before a ``register`` call
+        # (as the attack engine's placement does), or delivery goes on using
+        # the stale table.
         self._receivers: Dict[int, List[Tuple[int, Callable[[Frame, int], None]]]] = {}
-        # Fault hook: may rewrite a frame per delivery (corruption) or return
-        # None to model a link-layer CRC drop.  Installed by a FaultInjector.
-        self.tamper: Optional[Callable[[Frame, int, int], Optional[Frame]]] = None
         trace.observe_radio(self)
 
     # -- registration -------------------------------------------------------
@@ -151,64 +143,14 @@ class Radio:
         return self._nodes[node_id]
 
     def neighbors(self, node_id: int) -> List[int]:
-        """Registered, attached neighbors reachable over up links."""
-        if node_id in self._detached:
-            return []
-        return [
-            v
-            for v in self.topology.neighbors.get(node_id, [])
-            if v in self._nodes
-            and v not in self._detached
-            and (node_id, v) not in self._links_down
-        ]
-
-    # -- fault surface -------------------------------------------------------
-
-    def detach(self, node_id: int) -> None:
-        """Take a node off the air (crash/outage): it neither sends nor hears.
-
-        A frame the node was mid-way through transmitting is aborted — the
-        truncated waveform still occupies the channel until its scheduled end
-        (so overlapping receptions keep colliding) but decodes at nobody.
-        """
-        if node_id not in self._nodes:
-            raise SimulationError(f"cannot detach unknown node {node_id}")
-        if node_id in self._detached:
-            return
-        self._detached.add(node_id)
-        self._receivers.clear()
-        self._queues[node_id].clear()
-        self._backoffs[node_id] = 0
-        tx = self._on_air.get(node_id)
-        if tx is not None:
-            tx.aborted = True
-
-    def attach(self, node_id: int) -> None:
-        """Put a detached node back on the air with an empty MAC queue."""
-        if node_id not in self._nodes:
-            raise SimulationError(f"cannot attach unknown node {node_id}")
-        self._detached.discard(node_id)
-        self._receivers.clear()
-
-    def set_link(self, sender: int, receiver: int, up: bool) -> None:
-        """Force a directed link down (churn/partition) or back up."""
-        self._receivers.clear()
-        if up:
-            self._links_down.discard((sender, receiver))
-        else:
-            self._links_down.add((sender, receiver))
-
-    def link_is_up(self, sender: int, receiver: int) -> bool:
-        return (sender, receiver) not in self._links_down
+        """Registered neighbors, in topology order."""
+        return [v for v in self.topology.neighbors.get(node_id, [])
+                if v in self._nodes]
 
     # -- send path -----------------------------------------------------------
 
     def send(self, frame: Frame) -> None:
         """Enqueue a frame on the sender's MAC queue."""
-        if frame.sender in self._detached:
-            # Defensive: a crashed node's stray timer must not transmit.
-            self.trace.count("tx_dropped_detached")
-            return
         self.trace.enqueue(self.sim.now, frame)
         self._queues[frame.sender].append(frame)
         self._pump(frame.sender)
@@ -223,20 +165,14 @@ class Radio:
             # interfere; a node's own queue still serialises its sends.
             return False
         now = self.sim.now
-        own = self._on_air.get(node_id)
-        if own is not None and own.end > now:
-            return True  # an aborted frame of ours is still on the air
         for tx in self._hearing.get(node_id, ()):
             if tx.end > now:
                 return True
         return False
 
     def _pump(self, node_id: int) -> None:
-        if node_id in self._detached or not self._queues[node_id]:
-            return
-        own = self._on_air.get(node_id)
-        if own is not None and not own.aborted:
-            return  # still sending; _finish pumps again
+        if not self._queues[node_id] or node_id in self._on_air:
+            return  # idle, or still sending (_finish pumps again)
         if self._channel_busy(node_id):
             self._backoffs[node_id] += 1
             if self._backoffs[node_id] > self.config.max_backoff_attempts:
@@ -300,25 +236,20 @@ class Radio:
         for heard in tx.hearing:
             heard.remove(tx)
         sender = tx.sender
-        if self._on_air.get(sender) is tx:
-            del self._on_air[sender]
+        del self._on_air[sender]
         now, frame, trace = self.sim.now, tx.frame, self.trace
         delivered: List[int] = []
         lost: List[Tuple[int, str]] = []
-        if tx.aborted:
-            trace.count("tx_aborted")
-            trace.frame_end(now, frame, tx.start, delivered, lost)
-            return
         receivers = self._receivers.get(sender)
         if receivers is None:
             receivers = self._build_receivers(sender)
-        rngs, tamper = self.rngs, self.tamper
+        rngs = self.rngs
         halfduplex, collided = tx.halfduplex or (), tx.collided or ()
         should_drop, counters = self.loss_model.should_drop, trace.counters
         size = frame.size_bytes
         # The current-frame mark (``TraceRecorder.current_frame``): the
         # receiver half lasts until the next delivery or ``frame_end``, so
-        # should_drop and tamper must not read it.
+        # should_drop must not read it.
         trace.rx_frame = frame.frame_id
         for receiver, on_receive in receivers:
             if receiver in halfduplex:
@@ -328,17 +259,14 @@ class Radio:
             elif should_drop(rngs, sender, receiver, frame, now):
                 cause = "channel"
             else:
-                received = frame if tamper is None else tamper(frame, sender, receiver)
-                if received is not None:
-                    # Counted before the handler runs: a run that completes
-                    # inside it freezes its counters there.
-                    counters["rx_delivered"] += 1
-                    counters["rx_delivered_bytes"] += size
-                    trace.rx_node = receiver
-                    on_receive(received, sender)
-                    delivered.append(receiver)
-                    continue
-                cause = "tamper"
+                # Counted before the handler runs: a run that completes
+                # inside it freezes its counters there.
+                counters["rx_delivered"] += 1
+                counters["rx_delivered_bytes"] += size
+                trace.rx_node = receiver
+                on_receive(frame, sender)
+                delivered.append(receiver)
+                continue
             counters[LOSS_COUNTERS[cause]] += 1
             lost.append((receiver, cause))
         trace.frame_end(now, frame, tx.start, delivered, lost)

@@ -61,9 +61,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("tx_signature_bytes", "counter", "bytes", "signature bytes transmitted"),
     MetricSpec("tx_total", "counter", "packets", "all frames transmitted"),
     MetricSpec("tx_total_bytes", "counter", "bytes", "all bytes transmitted"),
-    MetricSpec("tx_aborted", "counter", "frames", "frames truncated by a mid-air crash"),
-    MetricSpec("tx_dropped_detached", "counter", "frames",
-               "sends refused because the node was off the air"),
     MetricSpec("tx_data_deferred", "counter", "times",
                "TX pump deferrals to let an earlier page finish"),
     # -- receptions (radio RX path) -----------------------------------------
@@ -73,8 +70,6 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("rx_collision", "counter", "frames", "frames lost to collisions"),
     MetricSpec("rx_halfduplex_miss", "counter", "frames",
                "frames missed while the receiver was itself transmitting"),
-    MetricSpec("rx_fault_dropped", "counter", "frames",
-               "frames dropped by an installed fault tamper hook"),
     MetricSpec("mac_drop", "event", "frames",
                "frames abandoned after exhausting CSMA backoff attempts"),
     # -- protocol state machine ---------------------------------------------
@@ -100,21 +95,6 @@ METRICS: Tuple[MetricSpec, ...] = (
                "advertisements rejected by control-plane authentication"),
     MetricSpec("ctrl_auth_reject_snack", "counter", "packets",
                "SNACKs rejected by control-plane authentication"),
-    # -- faults and recovery -------------------------------------------------
-    MetricSpec("fault_crash", "event", "times", "a node lost power"),
-    MetricSpec("fault_reboot", "event", "times", "a crashed node rebooted"),
-    MetricSpec("fault_link_down", "event", "times", "a directed link went down"),
-    MetricSpec("fault_link_up", "event", "times", "a downed link came back up"),
-    MetricSpec("fault_partition", "event", "times", "a network partition was applied"),
-    MetricSpec("fault_heal", "event", "times", "a partition healed"),
-    MetricSpec("fault_corrupt_window", "event", "times",
-               "a frame-corruption window opened"),
-    MetricSpec("fault_corrupt_dropped", "counter", "frames",
-               "frames dropped as link-layer CRC failures"),
-    MetricSpec("fault_corrupt_delivered", "counter", "frames",
-               "corrupted frames delivered past the CRC model"),
-    MetricSpec("flash_units_restored", "counter", "units",
-               "units resumed from flash across all reboots"),
     # -- attacks --------------------------------------------------------------
     MetricSpec("attack_bogus_data", "counter", "packets", "forged data packets injected"),
     MetricSpec("attack_bogus_signature", "counter", "packets",

@@ -141,7 +141,7 @@ class EventLog:
 
         A duplicate ``begin`` for an open key restarts the span (first write
         would hide re-entry bugs; the *latest* attempt is the interesting
-        interval for e.g. a page whose assembly restarted after a crash).
+        interval for e.g. a page whose assembly restarted).
         """
         self._open_spans[(kind, node, key)] = (ts, detail)
 
@@ -165,8 +165,8 @@ class EventLog:
         """Emit every still-open span as an open-ended complete event.
 
         Call once at the end of a run so spans that never closed (incomplete
-        dissemination, crashed node) still appear on the timeline; returns
-        the number flushed.
+        dissemination) still appear on the timeline; returns the number
+        flushed.
         """
         flushed = 0
         for (kind, node, _key), (start, detail) in sorted(

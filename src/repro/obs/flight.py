@@ -29,12 +29,11 @@ stamps name as ``parent``), wire ``kind`` and ``size``, MAC enqueue time
 the payload's ``unit``/``index`` and the ``dest`` when present, the
 protocol's ``cause`` stamp when one was made, and the outcome at every
 receiver: ``rx`` lists the receivers it reached and ``lost`` each
-``[receiver, cause]`` it missed (:data:`LOSS_CAUSES`).  An aborted frame
-(its sender crashed mid-air) reaches nobody; a frame still on the air when
-the run ends is written by :meth:`FlightRecorder.finalize` with ``open:
-true``.  The recorder keeps a reference to each ``frame`` record's detail
-it writes, by sender, and counts the ``link_auth_drop``/``link_duplicate``
-outcomes per link; the per-link accounting matrix
+``[receiver, cause]`` it missed (:data:`LOSS_CAUSES`).  A frame still on the
+air when the run ends is written by :meth:`FlightRecorder.finalize` with
+``open: true``.  The recorder keeps a reference to each ``frame`` record's
+detail it writes, by sender, and counts the ``link_auth_drop``/
+``link_duplicate`` outcomes per link; the per-link accounting matrix
 (:meth:`FlightRecorder.link_matrix`) is folded from those when asked for,
 so a delivery costs the recorder nothing.  :meth:`FlightRecorder.finalize`
 writes it as one ``flight_link_stats`` event per observed ``(src, dst)``

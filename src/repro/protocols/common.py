@@ -30,7 +30,6 @@ from itertools import filterfalse
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.flash import NodeFlash
     from repro.protocols.control_auth import ControlAuthenticator
 
 from repro.core.config import ProtocolTiming, WireFormat
@@ -113,12 +112,9 @@ class DisseminationNode(NetworkNode):
         snack_flood_threshold: Optional[int] = None,
         control_auth: Optional["ControlAuthenticator"] = None,
         pipeline_factory: Optional[Callable[[int], ReceiverPipeline]] = None,
-        flash: Optional["NodeFlash"] = None,
     ):
         super().__init__(node_id, sim, radio, rngs, trace)
         self.pipeline = pipeline
-        self.flash = flash
-        self.crashed = False
         self.timing = timing
         self.wire = wire
         self.is_base = is_base
@@ -260,122 +256,6 @@ class DisseminationNode(NetworkNode):
     def image_bytes(self) -> bytes:
         """The reassembled code image (valid once complete)."""
         return self.pipeline.assembled_image()
-
-    # -- faults: crash / reboot ----------------------------------------------------
-
-    def crash(self) -> None:
-        """Power loss: RAM state vanishes and the radio goes silent.
-
-        Only :attr:`flash` (and the base station's program-flash image)
-        survives; everything else — RX buffers, neighbor tables, pending TX
-        policies, timers — is gone.  Neighbors' state about this node ages
-        out through the normal ``request_timeout``/``request_max_tries``
-        machinery.
-        """
-        if self.crashed:
-            return
-        self.crashed = True
-        self.radio.detach(self.node_id)
-        self.trickle.stop()
-        self._tx_timer.cancel()
-        self._request_timer.cancel()
-        self._rx_buffer.clear()
-        self._neighbor_progress.clear()
-        self._best_progress = -1
-        self._service.clear()
-        self._last_data_heard.clear()
-        self._last_overheard_snack.clear()
-        self._snack_counts.clear()
-        self._request_tries = 0
-        self._suppressions = 0
-        self._data_suppressions = 0
-        self._tx_deferrals = 0
-        self._last_served_unit = -1
-        self._upgrade_server = None
-        self._upgrade_tries = 0
-        self._upgrade_cooldown_until = 0.0
-        self._causal_req = None
-        self._causal_unit_snack.clear()
-        self.trace.record(self.sim.now, "fault_crash", self.node_id)
-
-    def reboot(self) -> None:
-        """Power restored: re-verify flash-persisted progress and resume.
-
-        The base station's image lives in program flash, so it comes back
-        serving everything; a sensor node replays its :class:`NodeFlash`
-        through a fresh pipeline and resumes from the persisted page index.
-        Trickle restarts from ``i_min`` either way.
-        """
-        if not self.crashed:
-            return
-        self.crashed = False
-        self.radio.attach(self.node_id)
-        if self.is_base:
-            resume_unit = self.units_complete
-            if self.uses_signature and self._signature_packet is not None:
-                self.sim.schedule(self.rng.uniform(0.0, 0.05), self._broadcast_signature)
-        else:
-            resume_unit = self._recover_from_flash()
-        self.trickle.stop()
-        self.trickle.start()
-        self.trace.record(self.sim.now, "fault_reboot", self.node_id,
-                          resume_unit=resume_unit)
-
-    def _recover_from_flash(self) -> int:
-        """Rebuild receiver state from flash; returns the resume unit index.
-
-        Flash contents are never trusted: every persisted unit is replayed
-        through a fresh :class:`ReceiverPipeline` exactly as if received off
-        the air, so a stale or half-written store degrades to an earlier
-        resume point instead of poisoning the node.
-        """
-        if self.pipeline_factory is None:
-            # Bare rigs without a factory cannot rebuild a pipeline; treat
-            # the existing one as NVRAM-resident and resume where it was.
-            return self.units_complete
-        flash = self.flash
-        version = (
-            flash.version
-            if flash is not None and flash.version is not None
-            else (self.pipeline.version or 0)
-        )
-        self._adopt_pipeline(self.pipeline_factory(version))
-        if flash is None or flash.empty:
-            return 0
-        if self.pipeline.secured:
-            if flash.signature is None or not self.pipeline.handle_signature(
-                flash.signature
-            ):
-                flash.wipe()
-                return 0
-            self._signature_packet = flash.signature
-            self.units_complete = 1
-        elif flash.total_units is not None:
-            self._learn_total_units(flash.total_units)
-        unit = self.units_complete
-        while True:
-            packets = flash.unit_packets(unit)
-            if packets is None:
-                break
-            accepted = {
-                idx: pkt
-                for idx, pkt in sorted(packets.items())
-                if self.pipeline.authenticate(pkt)
-            }
-            if not accepted or not self.pipeline.complete_unit(unit, accepted):
-                flash.truncate_from(unit)
-                break
-            unit += 1
-            self.units_complete = unit
-        flash.set_units_complete(self.units_complete)
-        total = self.total_units
-        if total is not None and self.units_complete >= total:
-            # It had completed before the crash; on_complete already fired
-            # then, so restoring completeness must not re-fire it.
-            self.complete = True
-            self.completion_time = self.sim.now
-        self.trace.count("flash_units_restored", self.units_complete)
-        return self.units_complete
 
     # -- MAINTAIN -----------------------------------------------------------------
 
@@ -744,18 +624,6 @@ class DisseminationNode(NetworkNode):
             self._advance_unit()
 
     def _advance_unit(self) -> None:
-        if self.flash is not None and not self.is_base:
-            # Page-completion is the durable point: everything that just
-            # verified goes to flash before the RX buffer is recycled.
-            completed = self.units_complete
-            version = self.pipeline.version or 0
-            if completed == 0 and self.uses_signature:
-                if self._signature_packet is not None:
-                    self.flash.write_signature(version, self._signature_packet)
-            else:
-                self.flash.write_unit(version, completed, self._rx_buffer,
-                                      total_units=self.total_units)
-            self.flash.set_units_complete(self.units_complete + 1)
         self.units_complete += 1
         self._rx_buffer.clear()
         self._request_tries = 0
@@ -904,7 +772,7 @@ class DisseminationNode(NetworkNode):
 
     def _broadcast_signature(self, cause: Optional[Dict[str, Any]] = None) -> int:
         if cause is None and self.trace.causal is not None:
-            # Unsolicited pushes (base start / reboot / publish) root the
+            # Unsolicited pushes (base start / publish) root the
             # causal chain at image availability rather than at a SNACK.
             cause = {"trigger": "start"}
         size = self.wire.signature_packet_size()
@@ -947,8 +815,6 @@ class DisseminationNode(NetworkNode):
     # -- dispatch -----------------------------------------------------------------
 
     def on_receive(self, frame: Frame, sender: int) -> None:
-        if self.crashed:
-            return  # defensive: the radio already delivers nothing to us
         kind, payload = frame.kind, frame.payload
         if kind is _DATA:
             self._on_data(payload, sender)

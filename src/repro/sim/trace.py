@@ -43,8 +43,8 @@ once per frame) and the receiver it is handing it to
 :meth:`~TraceRecorder.current_frame` names that frame, so the receiver's
 ``on_receive`` can parent what it triggers (a SNACK arm, a decode) on it.
 The mark stays until the next delivery or until ``frame_end``, so it also
-covers the loss and tamper decisions for later receivers of the same frame;
-those must not ask for it.
+covers the loss decisions for later receivers of the same frame; those must
+not ask for it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ LOSS_COUNTERS: Dict[str, str] = {
     "halfduplex": "rx_halfduplex_miss",
     "collision": "rx_collision",
     "channel": "rx_lost",
-    "tamper": "rx_fault_dropped",
 }
 LOSS_CAUSES: Tuple[str, ...] = tuple(LOSS_COUNTERS)
 
@@ -111,8 +110,7 @@ class Observer:
                  delivered: List[int], lost: List[Tuple[int, str]]) -> None:
         """``frame``, on the air since ``start``, ended at ``ts``: it reached
         the receivers in ``delivered`` and was lost at each ``(receiver,
-        cause)`` of ``lost`` (LOSS_CAUSES).  An aborted frame reaches
-        nobody, so both lists are empty."""
+        cause)`` of ``lost`` (LOSS_CAUSES)."""
 
     def on_mac_drop(self, ts: float, frame: Any) -> None:
         """``frame`` left the MAC queue without ever going on the air."""

@@ -11,17 +11,8 @@ metrics (plus optional energy accounting)::
 
 One-hop star runs use the paper's application-layer Bernoulli losses;
 grid/random/file topologies use per-link PRR plus ambient bursts and CSMA
-collisions.  Every flag combination builds one scenario, so faults,
-attackers and any topology compose.
-
-Fault injection (``--fault-plan``, ``--mtbf``, ``--link-flap``) defaults to
-a 4x4 grid — every receiver gets persistent flash so crashed nodes resume
-from their last completed page after reboot::
-
-    python -m repro.simulate --protocol lr-seluge --image-kib 4 --k 8 --n 12 \\
-        --mtbf 30 --mttr 10
-    python -m repro.simulate --protocol seluge --image-kib 4 --k 8 --n 12 \\
-        --fault-plan plan.json
+collisions.  Every flag combination builds one scenario, so attackers and
+any topology compose.
 
 Observability (``--trace-out``, ``--manifest``) attaches a structured event
 log to the same run — packet/page lifecycle spans land in a JSONL trace —
@@ -65,7 +56,6 @@ from repro.experiments.adversarial import run_attributed
 from repro.experiments.energy import estimate_energy
 from repro.experiments.reporting import stopwatch
 from repro.experiments.scenarios import _BUILDERS, Scenario, build_rig
-from repro.faults import FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -96,20 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-time", type=float, default=14400.0)
     parser.add_argument("--energy", action="store_true",
                         help="print the energy breakdown as well")
-    faults = parser.add_argument_group("fault injection")
-    faults.add_argument("--fault-plan", default=None, metavar="PLAN.json",
-                        help="replay a declarative FaultPlan JSON file")
-    faults.add_argument("--mtbf", type=float, default=None,
-                        help="per-receiver mean time between crashes (s); "
-                             "enables exponential crash/reboot churn")
-    faults.add_argument("--mttr", type=float, default=60.0,
-                        help="mean downtime after a crash (s; with --mtbf)")
-    faults.add_argument("--link-flap", type=float, default=0.0,
-                        help="per-check Bernoulli probability a directed "
-                             "link goes down")
-    faults.add_argument("--churn-horizon", type=float, default=None,
-                        help="stop generating stochastic faults after this "
-                             "time (default: max-time / 2)")
     adv = parser.add_argument_group("adversaries")
     adv.add_argument("--attack", action="append", default=None, metavar="KIND",
                      help="deploy an attacker of this kind with default "
@@ -141,15 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario(args, faulty: bool) -> Scenario:
+def _scenario(args) -> Scenario:
     """The one scenario the command line describes.
 
     ``--attack-plan`` specs come first, then one default spec per
     ``--attack``; an unknown kind surfaces as a :class:`ConfigError` when
     the rig deploys it.  Without ``--topology`` a run is a star of
-    ``--receivers``, or the ``grid:4x4:3`` fault grid when faults but no
-    attackers are asked for.  A plain star has no collisions (the paper's
-    one-hop setup); adversarial and faulty runs have no ambient loss.
+    ``--receivers``.  A plain star has no collisions (the paper's one-hop
+    setup); adversarial runs have no ambient loss.
     """
     attacks = load_attack_plan(args.attack_plan) if args.attack_plan else ()
     attacks += tuple(AttackSpec(kind=name) for name in args.attack or ())
@@ -158,20 +133,14 @@ def _scenario(args, faulty: bool) -> Scenario:
         topology = f"file:{args.topology_file}"
     elif args.topology:
         topology = args.topology
-    elif faulty and not adversarial:
-        topology = "grid:4x4:3"
     else:
         topology = f"star:{args.receivers}"
-    faults = (FaultPlan.from_json_file(args.fault_plan).events
-              if args.fault_plan else ())
     return Scenario(
         protocol=args.protocol, topology=topology, loss_rate=args.loss,
-        ambient=not (adversarial or faulty),
+        ambient=not adversarial,
         collisions=adversarial or not topology.startswith("star"),
         image_size=args.image_kib * 1024, k=args.k, n=args.n,
         kprime=args.kprime, seed=args.seed, max_time=args.max_time,
-        faults=faults, mtbf=args.mtbf, mttr=args.mttr,
-        link_flap=args.link_flap, churn_horizon=args.churn_horizon,
         attacks=attacks,
     )
 
@@ -191,10 +160,6 @@ def _config_dict(args) -> dict:
     else:
         config["loss"] = args.loss
         config["receivers"] = args.receivers
-    for name in ("fault_plan", "mtbf", "link_flap"):
-        value = getattr(args, name)
-        if value:
-            config[name] = value
     if args.attack:
         config["attack"] = list(args.attack)
     if args.attack_plan:
@@ -205,7 +170,6 @@ def _config_dict(args) -> dict:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    faulty = bool(args.fault_plan or args.mtbf is not None or args.link_flap)
 
     sim = Simulator()
     log = None
@@ -224,7 +188,7 @@ def main(argv=None) -> int:
 
     with stopwatch() as elapsed:
         try:
-            rig = build_rig(_scenario(args, faulty), sim=sim, trace=trace)
+            rig = build_rig(_scenario(args), sim=sim, trace=trace)
         except ConfigError as exc:
             parser.error(str(exc))
         adversarial = bool(rig.scenario.attacks)
@@ -245,12 +209,6 @@ def main(argv=None) -> int:
             delivered = result.counters.get("adv_frames_delivered", 0)
             print(f"attacker frames: {injected} injected, "
                   f"{delivered} delivered")
-    if faulty:
-        rate = result.completion_rate
-        print(f"completion rate: {rate:.2%}" if rate is not None
-              else "completion rate: n/a")
-        print(f"crashes:         {result.crash_count}")
-        print(f"reboots:         {result.reboot_count}")
     if args.energy:
         report = estimate_energy(result, n_nodes=len(rig.nodes) + 1,
                                  pipelines=[n.pipeline for n in rig.nodes])

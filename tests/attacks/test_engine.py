@@ -7,7 +7,6 @@ from repro.attacks.engine import _kind_params
 from repro.attacks.models import ATTACK_KINDS
 from repro.errors import ConfigError
 from repro.experiments.adversarial import run_attributed
-from repro.faults.plan import FaultEvent, FaultKind
 
 
 def test_deploy_places_attacker_into_topology(adversarial_rig):
@@ -69,14 +68,13 @@ def test_stop_time_halts_attack_window(adversarial_rig):
     assert 0 < attacker.sent <= 1 + int((5.0 - 1.0) / 0.3)
 
 
-def test_halt_all_is_safe_on_crashed_attackers(adversarial_rig):
+def test_halt_all_silences_attackers_for_good(adversarial_rig):
     rig = adversarial_rig("bogus-data")
     attacker = rig.attackers[0]
     rig.engine.start_all()
     rig.sim.run(until=2.0)
-    attacker.crash()
     rig.engine.halt_all()
-    attacker.reboot()  # a later fault-plan reboot must not revive it
+    rig.engine.start_all()  # a later start must not revive it
     sent = attacker.sent
     rig.sim.run(until=rig.sim.now + 20.0)
     assert attacker.halted and attacker.sent == sent
@@ -122,16 +120,3 @@ def test_every_attack_parameter_has_a_checkable_type(kind):
 def test_mistyped_param_rejected_at_deploy(adversarial_rig, params):
     with pytest.raises(ConfigError, match="must be int"):
         adversarial_rig("bogus-data", params=params)
-
-
-def test_attacker_crash_composes_with_fault_plan(adversarial_rig):
-    """A FaultPlan can kill an attacker mid-run; victims finish."""
-    faults = (FaultEvent(10.0, FaultKind.NODE_CRASH, node=5),)  # the attacker
-    rig = adversarial_rig("bogus-data", start=1.0, period=0.3, faults=faults)
-    result = run_attributed(rig)
-    assert result.completed and result.images_ok
-    attacker = rig.attackers[0]
-    assert attacker.crashed
-    sent_at_crash = attacker.sent
-    rig.sim.run(until=rig.sim.now + 60.0)
-    assert attacker.sent == sent_at_crash

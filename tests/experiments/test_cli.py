@@ -104,16 +104,21 @@ def test_simulate_multihop_with_energy(capsys):
     assert energy["total_mj"] > energy["crypto_mj"]
 
 
-def test_cli_composes_attack_with_churn(capsys):
+@pytest.mark.parametrize("recorded", [False, True])
+def test_cli_attributes_attacker_frames_only_when_recorded(recorded, capsys):
+    """An attacked run completes; the per-attacker attribution is read from
+    the flight recorder, so ``attacker frames:`` needs ``--flight-record``."""
     code = simulate_main([
         "--topology", "grid:3x3:3", "--image-kib", "2", "--k", "4",
-        "--n", "6", "--attack", "bogus-data", "--mtbf", "30", "--mttr", "10",
-    ])
+        "--n", "6", "--attack", "bogus-data",
+    ] + (["--flight-record"] if recorded else []))
     out = capsys.readouterr().out
     assert code == 0
     assert "completed:       True" in out
-    crashes = int(out.split("crashes:", 1)[1].split()[0])
-    assert crashes > 0
+    assert ("attacker frames:" in out) is recorded
+    if recorded:
+        injected = int(out.split("attacker frames:", 1)[1].split()[0])
+        assert injected > 0
 
 
 @pytest.mark.parametrize("protocol", ["rateless", "gossip"])
@@ -146,11 +151,9 @@ def test_simulate_rejects_unknown_attack_as_usage_error(kind, capsys):
     ("--attack-plan", '[{"kind": "bogus-data", "params": {"payload_size": "big"}}]',
      "parameter payload_size of attack kind 'bogus-data' must be int, got 'big'"),
     ("--attack-plan", None, "cannot read attack plan"),
-    ("--fault-plan", None, "cannot read fault plan"),
     ("--topology-file", None, "cannot read topology file"),
 ], ids=["attack-params-list", "attack-params-unknown", "attack-params-type",
-        "attack-plan-missing",
-        "fault-plan-missing", "topology-file-missing"])
+        "attack-plan-missing", "topology-file-missing"])
 def test_simulate_rejects_bad_plan_file_as_usage_error(
         flag, text, message, tmp_path, capsys):
     path = tmp_path / "plan.json"

@@ -128,14 +128,6 @@ def test_each_frame_kind_reaches_its_handler(harness):
                        ("_on_signature", 7)]
 
 
-def test_crashed_node_handles_nothing(harness):
-    h, node, handled = _recording_node(harness)
-    node.crash()
-    for kind in FrameKind:
-        _deliver(node, kind, 0)
-    assert handled == []
-
-
 def _best_progress_holds(node):
     return node._best_progress == max(node._neighbor_progress.values(),
                                       default=-1)
@@ -143,8 +135,8 @@ def _best_progress_holds(node):
 
 def test_best_progress_tracks_every_progress_write(harness):
     """The kept best neighbour progress equals a recount after each write:
-    adv (raising and lowering), SNACK, signature, data, crash, reboot,
-    adoption, and the newer-version signature that adopts."""
+    adv (raising and lowering), SNACK, signature, data, adoption, and the
+    newer-version signature that adopts."""
     import dataclasses
 
     from repro.core.config import ImageConfig
@@ -178,10 +170,8 @@ def test_best_progress_tracks_every_progress_write(harness):
         (lambda: adv(2, 2), 2),        # a tie
         (lambda: adv(9, 0), 2),        # the tie holds the best
         (lambda: adv(2, 0), 1),
-        (node.crash, -1),
-        (node.reboot, -1),
-        (lambda: adv(0, total), -1),   # a fresh pipeline: a newer version
         (lambda: node._adopt_pipeline(node.pipeline_factory(2)), -1),
+        (lambda: adv(0, total), -1),   # a fresh pipeline: a newer version
     ]
     for step, best in steps:
         step()

@@ -19,29 +19,19 @@ from repro.attacks.plan import AttackSpec
 from repro.errors import SimulationError
 from repro.experiments.adversarial import recording_trace, run_attributed
 from repro.experiments.scenarios import Scenario, build_rig
-from repro.faults.plan import FaultEvent, FaultKind
 from repro.protocols.common import DisseminationNode
 from repro.sim.engine import PerturbedSimulator, Simulator
 
 PERTURBATIONS = range(1, 6)
 
-# A deterministic crash/reboot plus a link flap for the fault cell.
-FAULTS = (
-    FaultEvent(time=20.0, kind=FaultKind.NODE_CRASH, node=2),
-    FaultEvent(time=60.0, kind=FaultKind.NODE_REBOOT, node=2),
-    FaultEvent(time=30.0, kind=FaultKind.LINK_DOWN, link=(0, 4)),
-    FaultEvent(time=75.0, kind=FaultKind.LINK_UP, link=(0, 4)),
-)
-
 # One bogus-data injector: the attack cell's adversary.
 ATTACKS = (AttackSpec(kind="bogus-data", start=0.5, period=0.3),)
 
 
-def _cell(protocol: str, faults: Tuple[Any, ...] = (),
-          attacks: Tuple[Any, ...] = ()) -> Scenario:
+def _cell(protocol: str, attacks: Tuple[Any, ...] = ()) -> Scenario:
     return Scenario(
         protocol=protocol, topology="star:5", loss_rate=0.1, image_size=2048,
-        k=4, n=6, seed=3, max_time=1800.0, faults=faults, attacks=attacks,
+        k=4, n=6, seed=3, max_time=1800.0, attacks=attacks,
     )
 
 
@@ -49,7 +39,6 @@ CELLS = {
     "deluge": _cell("deluge"),
     "seluge": _cell("seluge"),
     "lr-seluge": _cell("lr-seluge"),
-    "lr-seluge+faults": _cell("lr-seluge", faults=FAULTS),
     "lr-seluge+attack": _cell("lr-seluge", attacks=ATTACKS),
 }
 
@@ -170,8 +159,7 @@ def test_canonical_events_are_tie_order_insensitive():
 
 def test_default_cells_cover_the_acceptance_grid():
     assert list(CELLS) == ["deluge", "seluge", "lr-seluge",
-                           "lr-seluge+faults", "lr-seluge+attack"]
-    assert any(cell.faults for cell in CELLS.values())
+                           "lr-seluge+attack"]
     assert any(cell.attacks for cell in CELLS.values())
 
 

@@ -130,9 +130,9 @@ RULES: Tuple[Rule, ...] = (
         summary="no bare except: and no except-pass in protocol handlers",
         rationale=(
             "A handler that silently eats exceptions turns a protocol bug "
-            "into a wedged simulated node, which the fault injector then "
-            "misreads as a crash. Catch specific exceptions and at least "
-            "record them."
+            "into a wedged simulated node, which a run then reports as "
+            "slow or incomplete dissemination. Catch specific exceptions "
+            "and at least record them."
         ),
     ),
     Rule(
